@@ -112,7 +112,7 @@ def _cmd_ns_run(args, cfg: RunConfig) -> int:
         write_trajectory_csv(traj, Path(cfg.out_dir) / "trajectory.csv")
         if cfg.stack_depth >= 1:
             from .verify import _stack_series
-            series, _ = _stack_series(traj, cfg.stack_depth)
+            series = _stack_series(traj, cfg.stack_depth)
             write_functionals_csv(series, cfg.alphas[0],
                                   Path(cfg.out_dir) / "functionals.csv")
     _emit(args, doc, cfg.out_dir)

@@ -15,6 +15,11 @@ rescaled entries
 obey the binomial-free recursion
     v_k = (t / 2k) (Lap v_{k-1} + sum_j div-free products of v_j, v_{k-1-j})
 and stay bounded whenever the weighted sums converge.
+
+Cost per stack of depth K: each entry u^(0..K-1) is dealiased and taken to
+physical space once (one inverse transform per entry), and each level sums
+all its products there before one forward transform (one per level), so a
+K = 12 stack makes 12 inverse and 12 forward transforms.
 """
 
 from __future__ import annotations
@@ -26,8 +31,10 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .solver import Trajectory
-from .spectral import (SpectralVelocity, laplacian, nonlinear_symmetric,
-                       nonlinear_term, norm_l2)
+# nonlinear_symmetric/nonlinear_term stay bound: bench/run.py --trace 1 wraps them here.
+from .spectral import (SpectralVelocity, dealiased_physical, laplacian,  # noqa: F401
+                       nonlinear_level, nonlinear_symmetric, nonlinear_term,
+                       norm_l2)
 
 K_MAX_RAW = 12
 AMPLITUDE_LIMIT = 1e140
@@ -88,29 +95,15 @@ class ScaledDerivativeStack:
         return len(self.entries) - 1
 
 
-def _nonlinear_sum(entries: list[SpectralVelocity], k: int,
-                   weights) -> SpectralVelocity:
-    """sum_{j=0}^{k-1} w(j) * (-P div(e_j (x) e_{k-1-j})) with w(j) = w(k-1-j)."""
-    acc = None
-    top = k - 1
-    for j in range((top + 1) // 2):
-        term = weights(j) * nonlinear_symmetric(entries[j], entries[top - j])
-        acc = term if acc is None else acc + term
-    if top % 2 == 0:
-        mid = top // 2
-        term = weights(mid) * nonlinear_term(entries[mid], entries[mid])
-        acc = term if acc is None else acc + term
-    return acc
-
-
 def time_derivative_stack(u: SpectralVelocity, K: int, t: float,
                           include_nonlinear: bool = True) -> DerivativeStack:
     """Build u^(0..K) at time t from the velocity u alone.
 
-    Binomial coefficients use log-gamma; every quadratic pair is dealiased
-    and Leray-projected.  If an entry's amplitude exceeds the double-range
-    guard the stack is returned truncated, with failed_at set to the first
-    uncomputable order.  For K > 12 use scaled_time_derivative_stack.
+    Binomial coefficients use log-gamma; the quadratic terms are dealiased
+    and Leray-projected, each level's products summed in physical space.
+    If an entry's amplitude exceeds the double-range guard the stack is
+    returned truncated, with failed_at set to the first uncomputable order.
+    For K > 12 use scaled_time_derivative_stack.
     """
     if K < 0:
         raise ConfigurationError("K must be >= 0")
@@ -120,12 +113,12 @@ def time_derivative_stack(u: SpectralVelocity, K: int, t: float,
     if t <= 0:
         raise ConfigurationError(f"stack time must be positive, got {t}")
     entries = [u]
+    phys = []
     for k in range(1, K + 1):
         rhs = laplacian(entries[k - 1])
         if include_nonlinear:
-            nl = _nonlinear_sum(entries, k, lambda j: binomial(k - 1, j))
-            if nl is not None:
-                rhs = rhs + nl
+            phys.append(dealiased_physical(entries[k - 1]))
+            rhs = rhs + nonlinear_level(u.grid, phys, [binomial(k - 1, j) for j in range(k)])
         amp = rhs.max_amplitude()
         if not np.isfinite(amp) or amp > AMPLITUDE_LIMIT:
             return DerivativeStack(t=t, entries=entries, failed_at=k)
@@ -144,11 +137,10 @@ def scaled_time_derivative_stack(u: SpectralVelocity, K: int, t: float) -> Scale
     if t <= 0:
         raise ConfigurationError(f"stack time must be positive, got {t}")
     entries = [u]
+    phys = []
     for k in range(1, K + 1):
-        rhs = laplacian(entries[k - 1])
-        nl = _nonlinear_sum(entries, k, lambda j: 1.0)
-        if nl is not None:
-            rhs = rhs + nl
+        phys.append(dealiased_physical(entries[k - 1]))
+        rhs = laplacian(entries[k - 1]) + nonlinear_level(u.grid, phys, [1.0] * k)
         entries.append((t / (2.0 * k)) * rhs)
     return ScaledDerivativeStack(t=t, entries=entries)
 

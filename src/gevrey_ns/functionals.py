@@ -403,8 +403,10 @@ def theorem3_rhs(u0: SpectralVelocity, c0: float, alpha: float, horizon: float,
         capped = True
     else:
         lo, hi = 0.0, horizon
-        for _ in range(200):
+        while True:
             mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break  # lo and hi are adjacent doubles
             if condition(mid) < 0.0:
                 lo = mid
             else:

@@ -327,7 +327,9 @@ def _scrub(d: np.ndarray, product_scale: float) -> np.ndarray:
     place they sit at high wavenumbers and get amplified by |xi|^2 per level
     of the derivative recursion, which would destroy the closed-form flows.
     Scrubbing is positively homogeneous, so bilinearity holds exactly under
-    scaling and to 1e-12 relative under addition.
+    scaling and to 1e-12 relative under addition.  The solver and the public
+    products scrub once per product; derivative stacks scrub once per level,
+    against the largest coefficient of the level's summed products.
     """
     if product_scale > 0.0:
         d[np.abs(d) < 1e-12 * product_scale] = 0.0
@@ -369,19 +371,14 @@ def _advect_same(grid: Grid, uh):
     return _project_div_half(grid, T)
 
 
-def _advect_pair(grid: Grid, ah, bh, symmetric: bool):
-    """-P div(a (x) b) (or the a<->b symmetrized sum) on masked stacks."""
+def _advect_pair(grid: Grid, ah, bh):
+    """-P div(a (x) b) on masked stacks."""
     n = grid.n
     w = _fft_workers()
     scale = float(n) * n
     both = np.concatenate([ah, bh])
     U = sfft.irfft2(both, s=(n, n), axes=(-2, -1), workers=w) * scale
     A1, A2, B1, B2 = U
-    if symmetric:
-        P = np.stack([2.0 * A1 * B1, A1 * B2 + A2 * B1, 2.0 * A2 * B2])
-        T = sfft.rfft2(P, axes=(-2, -1), workers=w)
-        T *= 1.0 / scale
-        return _project_div_half(grid, T)
     P = np.stack([A1 * B1, A1 * B2, A2 * B1, A2 * B2])
     T = sfft.rfft2(P, axes=(-2, -1), workers=w)
     T *= 1.0 / scale
@@ -423,16 +420,51 @@ def nonlinear_term(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVelocity
     if b is a:
         d = _advect_same(g, _masked_half_stack(a))
     else:
-        d = _advect_pair(g, _masked_half_stack(a), _masked_half_stack(b), symmetric=False)
+        d = _advect_pair(g, _masked_half_stack(a), _masked_half_stack(b))
     return _field_from_half_stack(g, d)
 
 
 def nonlinear_symmetric(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVelocity:
     """-P div(a (x) b + b (x) a); equals nonlinear_term(a,b) + nonlinear_term(b,a)."""
     _require_same_grid(a, b)
-    g = a.grid
-    d = _advect_pair(g, _masked_half_stack(a), _masked_half_stack(b), symmetric=True)
-    return _field_from_half_stack(g, d)
+    return nonlinear_level(a.grid, [dealiased_physical(a), dealiased_physical(b)], (1.0, 1.0))
+
+
+def dealiased_physical(v: SpectralVelocity) -> np.ndarray:
+    """The 2/3-truncated field on the n-grid as a (2, n, n) array; one inverse transform."""
+    n = v.grid.n
+    U = sfft.irfft2(_masked_half_stack(v), s=(n, n), axes=(-2, -1), workers=_fft_workers())
+    U *= float(n) * n
+    return U
+
+
+def nonlinear_level(grid: Grid, phys: list[np.ndarray], weights) -> SpectralVelocity:
+    """-P div sum_{j=0}^{k-1} w_j e_j (x) e_{k-1-j} from k dealiased_physical entries.
+
+    The weights must be symmetric, w_j = w_{k-1-j}, so the summed tensor is
+    symmetric: each pair j < k-1-j enters once with weight 2 w_j on the
+    diagonal and w_j (A1 B2 + A2 B1) off it, and a middle term enters once.
+    Since the inputs are truncated, the sum of products is still an exact
+    convolution on the retained modes, so the level costs one forward
+    transform and one scrub.
+    """
+    n = grid.n
+    top = len(phys) - 1
+    P = np.zeros((3, n, n))
+    diag = P[0::2]  # (T11, T22)
+    for j in range((top + 1) // 2):
+        a, b = phys[j], phys[top - j]
+        w = weights[j]
+        diag += (2.0 * w) * (a * b)
+        P[1] += w * (a[0] * b[1] + a[1] * b[0])
+    if top % 2 == 0:
+        a = phys[top // 2]
+        w = weights[top // 2]
+        diag += w * (a * a)
+        P[1] += w * (a[0] * a[1])
+    T = sfft.rfft2(P, axes=(-2, -1), workers=_fft_workers())
+    T *= 1.0 / (float(n) * n)
+    return _field_from_half_stack(grid, _project_div_half(grid, T))
 
 
 # ---------------------------------------------------------------------------

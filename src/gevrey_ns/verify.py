@@ -219,36 +219,27 @@ def _rows_from_arrays(times, lhs, rhs, budget, extra_cols=None) -> tuple[list[di
     return rows, ok_all
 
 
-def _stack_series(traj: Trajectory, K: int) -> tuple[FunctionalSeries, list]:
-    """Raw-functional samples along a trajectory (t = 0 handled as the limit)."""
-    samples = []
-    stacks = []
-    M = max(0, 2 * K - 1)
-    for t, u in zip(traj.times, traj.fields):
-        if t == 0.0:
-            samples.append(sample_at_time_zero(u, M))
-            stacks.append(None)
-        else:
-            st = time_derivative_stack(u, K, t)
-            if st.failed_at is not None:
-                raise ConfigurationError(
-                    f"derivative stack overflowed at order {st.failed_at} (t={t})")
-            stacks.append(st)
-            samples.append(raw_functionals(st))
-    return FunctionalSeries(samples=samples), stacks
+def _stack_series(traj: Trajectory, K: int, fluctuation: bool = False) -> FunctionalSeries:
+    """Raw-functional samples along a trajectory (t = 0 handled as the limit).
 
-
-def _fluctuation_series(traj: Trajectory, stacks, K: int) -> FunctionalSeries:
-    """Functionals of f = u - l, with the heat-flow stack subtracted exactly."""
+    With fluctuation=True the samples are of f = u - l, with the heat-flow
+    stack subtracted exactly.  Each stack is reduced to its sample as soon as
+    it is built, so at most one stack is alive at a time.
+    """
     u0 = traj.u0
     samples = []
     M = max(0, 2 * K - 1)
-    for t, u, st in zip(traj.times, traj.fields, stacks):
+    for t, u in zip(traj.times, traj.fields):
         if t == 0.0:
-            samples.append(sample_at_time_zero(u - u0, M))
-        else:
-            lin = stokes_derivative_stack(u0, t, K)
-            samples.append(raw_functionals(st - lin))
+            samples.append(sample_at_time_zero(u - u0 if fluctuation else u, M))
+            continue
+        st = time_derivative_stack(u, K, t)
+        if st.failed_at is not None:
+            raise ConfigurationError(
+                f"derivative stack overflowed at order {st.failed_at} (t={t})")
+        if fluctuation:
+            st = st - stokes_derivative_stack(u0, t, K)
+        samples.append(raw_functionals(st))
     return FunctionalSeries(samples=samples)
 
 
@@ -298,7 +289,7 @@ def _run_check(theorem_id: int, config: RunConfig, grid: Grid,
     traj = integrate(u0, dt=config.dt, t_end=config.t_end,
                      snapshot_times=config.resolved_snapshots(),
                      enforce_cfl=config.enforce_cfl, config_echo=config.to_dict())
-    series, _ = _stack_series(traj, config.stack_depth)
+    series = _stack_series(traj, config.stack_depth)
 
     if theorem_id == 1:
         res = theorem_lhs(series, 1, alpha)
@@ -412,8 +403,7 @@ def _check_theorem3(config: RunConfig, grid: Grid, u0: SpectralVelocity,
     snapshot_times = [i * (n_steps // snaps) * dt for i in range(snaps + 1)]
     traj = integrate(u0, dt=dt, t_end=T0, snapshot_times=snapshot_times,
                      enforce_cfl=config.enforce_cfl, config_echo=config.to_dict())
-    series, stacks = _stack_series(traj, config.stack_depth)
-    fl_series = _fluctuation_series(traj, stacks, config.stack_depth)
+    fl_series = _stack_series(traj, config.stack_depth, fluctuation=True)
     res = theorem_lhs(fl_series, 3, alpha)
     rhs = theorem3_rhs(u0, c0, alpha, horizon, times=res.times)
     budget = res.quad_err + res.trunc_tail

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from gevrey_ns import (ConfigurationError, fd_convergence_check, heat_evolve,
-                       inner_l2, integrate, laplacian, nonlinear_term,
+                       inner_l2, integrate, laplacian, make_grid, nonlinear_term,
                        norm_grad_l2, norm_l2, random_spectrum_field,
                        scaled_time_derivative_stack, stokes_derivative_stack,
                        time_derivative_stack)
@@ -60,10 +61,12 @@ class TestRecursionOracles:
         rhs = -norm_grad_l2(random_field) ** 2
         assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
-    def test_fluctuation_stack_satisfies_its_own_recursion(self, grid32):
-        # f-stack by subtraction must match the recursion driven by u products
-        u0 = random_spectrum_field(grid32, 2.0, 6, seed=8, l2_norm=0.6)
-        t, K = 0.25, 4
+    @pytest.mark.parametrize("n,K", [(32, 4), (64, 8)])
+    def test_fluctuation_stack_satisfies_its_own_recursion(self, n, K):
+        # f-stack by subtraction must match the recursion driven by u products,
+        # so each fused level is checked against the per-pair product sum
+        u0 = random_spectrum_field(make_grid(n), 2.0, 6, seed=8, l2_norm=0.6)
+        t = 0.25
         traj = integrate(u0, dt=2.5e-3, t_end=t, snapshot_times=[0.0, t])
         u = traj.fields[-1]
         st_u = time_derivative_stack(u, K, t=t)
@@ -76,6 +79,17 @@ class TestRecursionOracles:
                                                                 st_u.entries[k - 1 - j])
             diff = (fl.entries[k] - rhs).max_amplitude()
             assert diff <= 1e-9 * max(st_u.entries[k].max_amplitude(), 1e-300)
+
+    def test_one_inverse_transform_per_entry_one_forward_per_level(self, monkeypatch,
+                                                                    random_field):
+        calls = {"irfft2": 0, "rfft2": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fft=getattr(scipy.fft, name), **kwargs):
+                calls[_name] += 1
+                return _fft(*args, **kwargs)
+            monkeypatch.setattr(scipy.fft, name, counted)
+        time_derivative_stack(random_field, 12, t=0.1)
+        assert calls == {"irfft2": 12, "rfft2": 12}
 
     def test_overflow_returns_partial_stack(self, grid32):
         huge = random_spectrum_field(grid32, 0.5, 10, seed=2, l2_norm=1e120)

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from gevrey_ns import (ConfigurationError, c_alpha, fit_decay,
+from gevrey_ns import (ConfigurationError, c_alpha, fit_decay, functionals,
                        lemma_audit_ccc0, lemma_audit_convolution, make_grid,
-                       norm_grad_l2, norm_l2, raw_functionals, renormalize,
-                       sample_at_time_zero, shear_flow, shifted_functionals,
-                       smallness_check, stokes_derivative_stack, taylor_green,
-                       theorem2_log_rhs, theorem2_rhs, theorem3_rhs,
-                       theorem_lhs, time_derivative_stack)
+                       norm_grad_l2, norm_l2, random_spectrum_field,
+                       raw_functionals, renormalize, sample_at_time_zero,
+                       shear_flow, shifted_functionals, smallness_check,
+                       stokes_derivative_stack, taylor_green, theorem2_log_rhs,
+                       theorem2_rhs, theorem3_rhs, theorem_lhs,
+                       time_derivative_stack)
 from gevrey_ns.functionals import (FunctionalSeries, convolution_bound,
                                    convolution_pairing)
 from gevrey_ns.stokes import weighted_h_integral
@@ -262,6 +263,29 @@ class TestTheorem3Rhs:
 
         assert cond(res.T0 * 0.999) < 0.0
         assert cond(res.T0 * 1.001) > 0.0
+
+    def test_bisection_stops_on_the_double_boundary(self, grid32, monkeypatch):
+        u0 = random_spectrum_field(grid32, 2.0, 8, seed=3, l2_norm=5.0)
+        c0, alpha = 0.3, 1.0
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return weighted_h_integral(*args, **kwargs)
+
+        monkeypatch.setattr(functionals, "weighted_h_integral", counted)
+        res = theorem3_rhs(u0, c0, alpha, horizon=1.0)
+        assert not res.capped_at_horizon
+        assert len(calls) <= 85
+        ca = c_alpha(alpha)
+        u0n = norm_l2(u0)
+        thr = 1.0 / (32.0 * c0 * ca)
+
+        def cond(T):
+            return 8.0 * c0 * ca * u0n * math.sqrt(max(weighted_h_integral(u0, alpha, T), 0.0)) \
+                - thr
+
+        assert cond(res.T0) < 0.0 <= cond(np.nextafter(res.T0, np.inf))
 
     def test_integral_matches_independent_quadrature(self, unit_mode):
         # single mode lambda = 1: brute-force trapezoid of the normalized sums
