@@ -71,6 +71,9 @@ class RunConfig:
             raise ConfigurationError(f"c0 mode must be one of {_C0_MODES}, got {mode!r}")
         if mode == "fixed" and not self.c0.get("value", 0) > 0:
             raise ConfigurationError("fixed c0 requires a positive 'value'")
+        n_max = self.theorem2_n_max
+        if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 0:
+            raise ConfigurationError(f"theorem2_n_max must be an integer >= 0, got {n_max!r}")
         bad = set(self.theorems) - {1, 2, 3, 4}
         if bad:
             raise ConfigurationError(f"unknown theorem ids {sorted(bad)}")

@@ -17,6 +17,10 @@ quadrature on a 2x-oversampled physical grid so that quartic products do
 not alias.  The quadratic advection term uses the 2/3-rule: inputs and
 outputs are truncated to |xi|_inf <= k_cut with 3 k_cut < n, which makes the
 retained product modes an exact convolution of the truncated inputs.
+
+Every advection (solver, derivative stacks, public products) ends in one
+contraction with Grid.div, built once per grid, which takes the rfft2 planes
+(T11, T12, T22) of a product to its dealiased -P div on the rfft layout.
 """
 
 from __future__ import annotations
@@ -59,6 +63,8 @@ class Grid:
         keep: mask that removes the Nyquist row/column.
         dealias: 2/3-rule mask |xi|_inf <= k_cut (Nyquist removed as well).
         k_cut: dealiasing cutoff, the largest k with 3k < n.
+        div: (2, 3, n, n/2+1) tensor; (div * T).sum(axis=1) is the dealiased
+            -P(xi) i xi . T / n^2 of unnormalised rfft2 planes T = (T11, T12, T22).
     """
 
     n: int
@@ -70,9 +76,10 @@ class Grid:
     keep: np.ndarray
     dealias: np.ndarray
     k_cut: int
+    div: np.ndarray
 
     def __post_init__(self):
-        for name in ("freqs", "k1", "k2", "k_sq", "inv_k_sq", "keep", "dealias"):
+        for name in ("freqs", "k1", "k2", "k_sq", "inv_k_sq", "keep", "dealias", "div"):
             _readonly(getattr(self, name))
 
     # Derived layouts used by the rfft fast path and oversampled quadrature.
@@ -86,18 +93,27 @@ class Grid:
         return a[:, : self.half_cols]
 
     def full_from_half(self, h: np.ndarray) -> np.ndarray:
-        """Rebuild the full Hermitian lattice from rfft-layout coefficients."""
-        n = self.n
-        full = np.empty((n, n), dtype=complex)
-        full[:, : self.half_cols] = h
-        neg_rows = (-np.arange(n)) % n
-        cols = np.arange(self.half_cols, n)
-        full[:, self.half_cols:] = np.conj(h[neg_rows][:, n - cols])
+        """Rebuild the full Hermitian lattice from (..., n, n/2+1) rfft-layout coefficients.
+
+        Entry (p, -q) is conj h[-p, q]: two strided conjugations, no copy of h.
+        """
+        hc = self.half_cols
+        full = np.empty(h.shape[:-1] + (self.n,), dtype=complex)
+        full[..., :hc] = h
+        mirror = h[..., hc - 2:0:-1]
+        np.conjugate(mirror[..., :1, :], out=full[..., :1, hc:])
+        np.conjugate(mirror[..., :0:-1, :], out=full[..., 1:, hc:])
         return full
 
     def oversample_rows(self, m: int) -> np.ndarray:
         """Row indices embedding this grid's frequencies into an m-point grid."""
         return self.freqs % m
+
+
+def _leray(k1, k2, inv_k_sq, u1, u2):
+    """P(xi) u = u - xi (xi . u) / |xi|^2 on broadcastable wavenumber arrays."""
+    s = (k1 * u1 + k2 * u2) * inv_k_sq
+    return u1 - k1 * s, u2 - k2 * s
 
 
 def make_grid(n: int) -> Grid:
@@ -123,8 +139,14 @@ def make_grid(n: int) -> Grid:
     keep[:, nyq] = False
     k_cut = (n - 1) // 3
     dealias = (np.abs(k1) <= k_cut) & (np.abs(k2) <= k_cut) & keep
-    return Grid(n=n, freqs=freqs, k1=k1, k2=k2, k_sq=k_sq, inv_k_sq=inv,
-                keep=keep, dealias=dealias, k_cut=k_cut)
+    hc, k2h = n // 2 + 1, k2[:, : n // 2 + 1]
+    c = -1j * dealias[:, :hc] / (float(n) * n)
+    div = np.empty((2, 3, n, hc), dtype=complex)
+    # -P i xi . T for unit T11, T12 (both off-diagonal slots) and T22
+    for j, (a1, a2) in enumerate(((k1, 0.0), (k2h, k1), (0.0, k2h))):
+        div[:, j] = _leray(k1, k2h, inv[:, :hc], c * a1, c * a2)
+    return Grid(n=n, freqs=freqs, k1=k1, k2=k2, k_sq=k_sq, inv_k_sq=inv, keep=keep,
+                dealias=dealias, k_cut=k_cut, div=div)
 
 
 @dataclass(frozen=True)
@@ -231,20 +253,13 @@ def to_physical(v: SpectralVelocity, oversample: int = 1) -> tuple[np.ndarray, n
     g = v.grid
     n = g.n
     if oversample == 1:
-        w = _fft_workers()
-        scale = float(n) * n
-        return (sfft.irfft2(g.half(v.u1), s=(n, n), workers=w) * scale,
-                sfft.irfft2(g.half(v.u2), s=(n, n), workers=w) * scale)
+        U = sfft.irfft2(np.stack([g.half(v.u1), g.half(v.u2)]), s=(n, n), workers=_fft_workers())
+        return U[0] * (float(n) * n), U[1] * (float(n) * n)
     m = oversample * n
-    rows = g.oversample_rows(m)
-    cols = np.arange(g.half_cols)
-    out = []
-    w = _fft_workers()
-    for a in (v.u1, v.u2):
-        pad = np.zeros((m, m // 2 + 1), dtype=complex)
-        pad[np.ix_(rows, cols)] = g.half(a)
-        out.append(sfft.irfft2(pad, s=(m, m), workers=w) * (float(m) * m))
-    return out[0], out[1]
+    pad = np.zeros((2, m, m // 2 + 1), dtype=complex)
+    pad[:, g.oversample_rows(m), : g.half_cols] = np.stack([g.half(v.u1), g.half(v.u2)])
+    U = sfft.irfft2(pad, s=(m, m), workers=_fft_workers()) * (float(m) * m)
+    return U[0], U[1]
 
 
 def from_physical(grid: Grid, U1: np.ndarray, U2: np.ndarray) -> SpectralVelocity:
@@ -278,9 +293,7 @@ def leray_project(grid: Grid, u1: np.ndarray, u2: np.ndarray) -> SpectralVelocit
     and divergence-free; gradients are annihilated and divergence-free
     inputs are fixed.
     """
-    g = grid
-    s = (g.k1 * u1 + g.k2 * u2) * g.inv_k_sq
-    return _clean(g, u1 - g.k1 * s, u2 - g.k2 * s)
+    return _clean(grid, *_leray(grid.k1, grid.k2, grid.inv_k_sq, u1, u2))
 
 
 def leray(v: SpectralVelocity) -> SpectralVelocity:
@@ -327,83 +340,75 @@ def _scrub(d: np.ndarray, product_scale: float) -> np.ndarray:
     place they sit at high wavenumbers and get amplified by |xi|^2 per level
     of the derivative recursion, which would destroy the closed-form flows.
     Scrubbing is positively homogeneous, so bilinearity holds exactly under
-    scaling and to 1e-12 relative under addition.  The solver and the public
-    products scrub once per product; derivative stacks scrub once per level,
-    against the largest coefficient of the level's summed products.
+    scaling and to 1e-12 relative under addition.  It runs once after each
+    contraction with Grid.div: the solver and the public products scrub once
+    per product, derivative stacks once per level against the largest
+    coefficient of the level's summed products.
     """
     if product_scale > 0.0:
         d[np.abs(d) < 1e-12 * product_scale] = 0.0
     return d
 
 
-def _project_div_half(grid: Grid, T):
-    """From product coefficients T = (T11, T12, T22) to -P div, rfft layout.
+def _project_products(grid: Grid, T: np.ndarray) -> np.ndarray:
+    """-P div of a product tensor from its unnormalised rfft2 planes, rfft layout.
 
-    T_ji holds the symmetric products needed for div(a (x) b)_i = d_j (a_j b_i)
-    when T12 serves both off-diagonal slots.  Returns a (2, n, hc) stack.
+    T[:3] = (T11, T12, T22) contracts with grid.div, bit for bit as
+    (grid.div * T[:3]).sum(axis=1) but without its six-plane temporary.  An
+    optional T[3] is the antisymmetric part A12 = -A21, whose divergence
+    (-d2 A12, d1 A12) is already divergence-free: it needs only the
+    derivative and the mask.  One scrub against max|T| / n^2 follows.
     """
-    hc = grid.half_cols
-    mask = grid.dealias[:, :hc]
-    k1 = grid.k1
-    k2h = grid.k2[:, :hc]
-    d = np.empty((2,) + T[0].shape, dtype=complex)
-    d[0] = 1j * (k1 * T[0] + k2h * T[1]) * mask
-    d[1] = 1j * (k1 * T[1] + k2h * T[2]) * mask
-    s = (k1 * d[0] + k2h * d[1]) * grid.inv_k_sq[:, :hc]
-    d[0] -= k1 * s
-    d[1] -= k2h * s
-    np.negative(d, out=d)
-    return _scrub(d, float(np.max(np.abs(T))))
+    n_sq = float(grid.n) * grid.n
+    div = grid.div
+    d = div[:, 0] * T[0]
+    d += div[:, 1] * T[1]
+    d += div[:, 2] * T[2]
+    if len(T) == 4:
+        hc = grid.half_cols
+        curl = (1j / n_sq) * grid.dealias[:, :hc] * T[3]
+        d[0] += grid.k2[:, :hc] * curl
+        d[1] -= grid.k1 * curl
+    return _scrub(d, float(np.max(np.abs(T))) / n_sq)
 
 
 def _advect_same(grid: Grid, uh):
-    """-P div(u (x) u) on a masked (2, n, hc) rfft-layout stack."""
+    """-P div(u (x) u) from a (2, n, hc) rfft-layout stack, dealiased and scaled by n^2."""
     n = grid.n
     w = _fft_workers()
-    scale = float(n) * n
-    U = sfft.irfft2(uh, s=(n, n), axes=(-2, -1), workers=w) * scale
+    U = sfft.irfft2(uh, s=(n, n), axes=(-2, -1), workers=w)
     P = np.empty((3, n, n))
-    np.multiply(U[0], U[0], out=P[0])
-    np.multiply(U[0], U[1], out=P[1])
+    np.multiply(U[0], U, out=P[:2])  # (U1 U1, U1 U2)
     np.multiply(U[1], U[1], out=P[2])
-    T = sfft.rfft2(P, axes=(-2, -1), workers=w)
-    T *= 1.0 / scale
-    return _project_div_half(grid, T)
+    return _project_products(grid, sfft.rfft2(P, axes=(-2, -1), workers=w))
 
 
-def _advect_pair(grid: Grid, ah, bh):
-    """-P div(a (x) b) on masked stacks."""
+def _advect_pair(grid: Grid, abh):
+    """-P div(a (x) b) from the (4, n, hc) stack (a, b), dealiased and scaled by n^2.
+
+    The planes are the symmetric part of a (x) b and its antisymmetric part (a1 b2 - a2 b1) / 2.
+    """
     n = grid.n
     w = _fft_workers()
-    scale = float(n) * n
-    both = np.concatenate([ah, bh])
-    U = sfft.irfft2(both, s=(n, n), axes=(-2, -1), workers=w) * scale
-    A1, A2, B1, B2 = U
-    P = np.stack([A1 * B1, A1 * B2, A2 * B1, A2 * B2])
-    T = sfft.rfft2(P, axes=(-2, -1), workers=w)
-    T *= 1.0 / scale
-    hc = grid.half_cols
-    mask = grid.dealias[:, :hc]
-    k1 = grid.k1
-    k2h = grid.k2[:, :hc]
-    d = np.empty((2, n, hc), dtype=complex)
-    d[0] = 1j * (k1 * T[0] + k2h * T[2]) * mask
-    d[1] = 1j * (k1 * T[1] + k2h * T[3]) * mask
-    s = (k1 * d[0] + k2h * d[1]) * grid.inv_k_sq[:, :hc]
-    d[0] -= k1 * s
-    d[1] -= k2h * s
-    np.negative(d, out=d)
-    return _scrub(d, float(np.max(np.abs(T))))
+    A1, A2, B1, B2 = sfft.irfft2(abh, s=(n, n), axes=(-2, -1), workers=w)
+    cross, swap = A1 * B2, A2 * B1
+    P = np.stack([A1 * B1, 0.5 * (cross + swap), A2 * B2, 0.5 * (cross - swap)])
+    return _project_products(grid, sfft.rfft2(P, axes=(-2, -1), workers=w))
 
 
 def _masked_half_stack(v: SpectralVelocity) -> np.ndarray:
+    """The rfft half of v cut to the dealias band and scaled by n^2, ready for irfft2."""
     g = v.grid
-    mask = g.dealias[:, :g.half_cols]
-    return np.stack([g.half(v.u1) * mask, g.half(v.u2) * mask])
+    h = np.stack([g.half(v.u1), g.half(v.u2)])
+    h *= g.dealias[:, :g.half_cols] * (float(g.n) * g.n)
+    return h
 
 
-def _field_from_half_stack(g: Grid, d: np.ndarray) -> SpectralVelocity:
-    return _clean(g, g.full_from_half(d[0]), g.full_from_half(d[1]))
+def _field_from_half_stack(g: Grid, h: np.ndarray) -> SpectralVelocity:
+    """The field whose rfft half is the (2, n, hc) stack h, with the mean mode zeroed."""
+    full = g.full_from_half(h)
+    full[:, 0, 0] = 0.0
+    return SpectralVelocity(g, full[0], full[1])
 
 
 def nonlinear_term(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVelocity:
@@ -420,7 +425,7 @@ def nonlinear_term(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVelocity
     if b is a:
         d = _advect_same(g, _masked_half_stack(a))
     else:
-        d = _advect_pair(g, _masked_half_stack(a), _masked_half_stack(b))
+        d = _advect_pair(g, np.concatenate([_masked_half_stack(a), _masked_half_stack(b)]))
     return _field_from_half_stack(g, d)
 
 
@@ -433,9 +438,7 @@ def nonlinear_symmetric(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVel
 def dealiased_physical(v: SpectralVelocity) -> np.ndarray:
     """The 2/3-truncated field on the n-grid as a (2, n, n) array; one inverse transform."""
     n = v.grid.n
-    U = sfft.irfft2(_masked_half_stack(v), s=(n, n), axes=(-2, -1), workers=_fft_workers())
-    U *= float(n) * n
-    return U
+    return sfft.irfft2(_masked_half_stack(v), s=(n, n), axes=(-2, -1), workers=_fft_workers())
 
 
 def nonlinear_level(grid: Grid, phys: list[np.ndarray], weights) -> SpectralVelocity:
@@ -463,8 +466,7 @@ def nonlinear_level(grid: Grid, phys: list[np.ndarray], weights) -> SpectralVelo
         diag += w * (a * a)
         P[1] += w * (a[0] * a[1])
     T = sfft.rfft2(P, axes=(-2, -1), workers=_fft_workers())
-    T *= 1.0 / (float(n) * n)
-    return _field_from_half_stack(grid, _project_div_half(grid, T))
+    return _field_from_half_stack(grid, _project_products(grid, T))
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from gevrey_ns import (ConfigurationError, IntegrationError, SpectralVelocity,
-                       cfl_limit, energy_ledger, integrate, leray, norm_l2,
-                       random_spectrum_field, run, step, taylor_green,
-                       validate_field)
+                       cfl_limit, energy_ledger, integrate, leray, nonlinear_term,
+                       norm_grad_l2, norm_l2, random_spectrum_field, run, step,
+                       taylor_green, validate_field)
 from gevrey_ns.config import RunConfig
 from gevrey_ns.solver import ledger_tolerance
 
@@ -39,6 +40,37 @@ class TestStep:
     def test_rejects_nonpositive_dt(self, tg):
         with pytest.raises(ConfigurationError):
             step(tg, 0.0)
+
+    def test_matches_reference_if_rk4(self, grid32):
+        u = random_spectrum_field(grid32, 2.0, 8, seed=17, l2_norm=5.0)
+        dt = 2e-3
+
+        def heat(v, t):
+            f = np.exp(-grid32.k_sq * t)
+            return SpectralVelocity(grid32, f * v.u1, f * v.u2)
+
+        def adv(v):
+            return nonlinear_term(v, v)
+
+        a = adv(u)
+        b = adv(heat(u + (0.5 * dt) * a, 0.5 * dt))
+        c = adv(heat(u, 0.5 * dt) + (0.5 * dt) * b)
+        d = adv(heat(u, dt) + dt * heat(c, 0.5 * dt))
+        ref = heat(u, dt) + (dt / 6.0) * (heat(a, dt) + 2.0 * heat(b + c, 0.5 * dt) + d)
+        out = step(u, dt)
+        assert (out - ref).max_amplitude() <= 1e-12 * ref.max_amplitude()
+        assert (out - heat(u, dt)).max_amplitude() > 1e-4 * ref.max_amplitude()
+
+    def test_eight_transforms_twenty_planes_per_step(self, monkeypatch, random_field):
+        calls = {"irfft2": 0, "rfft2": 0, "planes": 0}
+        for name in ("irfft2", "rfft2"):
+            def counted(x, *args, _name=name, _fft=getattr(scipy.fft, name), **kwargs):
+                calls[_name] += 1
+                calls["planes"] += int(np.prod(np.shape(x)[:-2]))
+                return _fft(x, *args, **kwargs)
+            monkeypatch.setattr(scipy.fft, name, counted)
+        step(random_field, 1e-3)
+        assert calls == {"irfft2": 4, "rfft2": 4, "planes": 20}
 
 
 class TestIntegrate:
@@ -74,6 +106,13 @@ class TestIntegrate:
                          snapshot_times=[0.0, 0.1, 0.25, 0.5])
         for u in traj.fields:
             validate_field(u, hermitian_tol=1e-12, div_tol=1e-12)
+
+    def test_grad_sq_matches_gradient_norm_at_every_snapshot(self, grid32):
+        u0 = random_spectrum_field(grid32, 2.0, 8, seed=4, l2_norm=0.8)
+        traj = integrate(u0, dt=2e-3, t_end=0.2, snapshot_times=[0.0, 0.05, 0.1, 0.2])
+        for u, g_sq in zip(traj.fields, traj.grad_sq):
+            ref = norm_grad_l2(u) ** 2
+            assert abs(g_sq - ref) <= 1e-13 * ref
 
     def test_run_from_config(self):
         cfg = RunConfig(n=32, dt=2e-3, t_end=0.1, snapshot_times=[0.0, 0.1],

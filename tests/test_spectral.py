@@ -7,9 +7,11 @@ import scipy.fft as sfft
 from gevrey_ns import (ConfigurationError, FieldInvariantError, GridMismatchError,
                        SpectralVelocity, divergence_defect, from_physical,
                        hermitian_defect, inner_l2, leray, leray_project, make_grid,
-                       make_initial_data, nonlinear_term, norm_grad_l2, norm_l2,
-                       norm_l4, random_spectrum_field, shear_flow, taylor_green,
-                       to_physical, transform_roundtrip, validate_field)
+                       make_initial_data, nonlinear_symmetric, nonlinear_term,
+                       norm_grad_l2, norm_l2, norm_l4, random_spectrum_field,
+                       shear_flow, taylor_green, to_physical, transform_roundtrip,
+                       validate_field)
+from gevrey_ns.spectral import _project_products
 
 SQRT2_PI = np.pi * np.sqrt(2.0)
 
@@ -187,6 +189,50 @@ class TestNonlinearTerm:
             for p in range(-kc, kc + 1):
                 for q in range(-kc, kc + 1):
                     assert abs(out_c[p % 32, q % 32] - ref_c[p % m, q % m]) <= 1e-10 * scale
+
+
+class TestAdvectionTensor:
+    @pytest.mark.parametrize("n", [16, 32, 128])
+    def test_contraction_is_dealiased_projected_divergence(self, n):
+        grid = make_grid(n)
+        hc = grid.half_cols
+        rng = np.random.default_rng(n)
+        T = rng.standard_normal((3, n, hc)) + 1j * rng.standard_normal((3, n, hc))
+        d = (grid.div * T).sum(axis=1)
+        # explicit -P(i xi . T) * mask / n^2, with T12 in both off-diagonal slots
+        k1, k2 = grid.k1, grid.k2[:, :hc]
+        mask = grid.dealias[:, :hc]
+        a1 = 1j * (k1 * T[0] + k2 * T[1])
+        a2 = 1j * (k1 * T[1] + k2 * T[2])
+        s = (k1 * a1 + k2 * a2) * grid.inv_k_sq[:, :hc]
+        ref = -np.stack([a1 - k1 * s, a2 - k2 * s]) * mask / (n * n)
+        assert np.max(np.abs(d - ref)) <= 1e-14 * np.max(np.abs(ref))
+        # zero at xi = 0, on the Nyquist row and column and beyond k_cut
+        assert np.all(d[:, ~mask] == 0)
+        assert np.all(d[:, 0, 0] == 0)
+        assert np.all(d[:, n // 2, :] == 0) and np.all(d[:, :, hc - 1] == 0)
+        assert not mask[np.abs(grid.freqs) > grid.k_cut].any()
+        assert np.max(np.abs(k1 * d[0] + k2 * d[1])) <= 1e-14 * grid.k_cut * np.max(np.abs(d))
+        # the kernel is the same contraction bit for bit, then the roundoff scrub
+        d[np.abs(d) < 1e-12 * np.max(np.abs(T)) / (n * n)] = 0.0
+        assert np.array_equal(_project_products(grid, T), d)
+
+    @pytest.mark.parametrize("n", [8, 10, 32])
+    def test_full_from_half_rebuilds_the_hermitian_lattice(self, n):
+        grid = make_grid(n)
+        X = np.random.default_rng(n).standard_normal((2, n, n))
+        full = grid.full_from_half(sfft.rfft2(X))
+        assert np.max(np.abs(full - sfft.fft2(X))) <= 1e-13 * np.max(np.abs(full))
+        assert np.array_equal(grid.full_from_half(sfft.rfft2(X[1])), full[1])
+
+    def test_pair_splits_into_symmetric_and_antisymmetric_parts(self, grid32):
+        a = random_spectrum_field(grid32, 1.5, 10, seed=8, l2_norm=2.0)
+        b = random_spectrum_field(grid32, 1.5, 10, seed=9, l2_norm=2.0)
+        ab, ba = nonlinear_term(a, b), nonlinear_term(b, a)
+        sym = nonlinear_symmetric(a, b)
+        assert (ab + ba - sym).max_amplitude() <= 1e-13 * sym.max_amplitude()
+        validate_field(ab, div_tol=1e-13)
+        assert (ab - ba).max_amplitude() > 1e-3 * sym.max_amplitude()
 
 
 class TestNorms:

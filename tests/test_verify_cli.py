@@ -144,6 +144,11 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="alphas"):
             config_from_dict({"alphas": [1.0, -2.0]})
 
+    @pytest.mark.parametrize("bad", [-1, 1.5, "3", True, None])
+    def test_bad_theorem2_n_max(self, bad):
+        with pytest.raises(ConfigurationError, match="theorem2_n_max"):
+            config_from_dict({"theorem2_n_max": bad})
+
     def test_roundtrip(self):
         cfg = config_from_dict(THM1_CFG)
         again = config_from_dict(cfg.to_dict())
@@ -218,6 +223,13 @@ class TestCli:
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = self._write_cfg(tmp_path, {"n": 32, "bogus": True})
         assert main(["ns-run", "--config", cfg]) == 2
+
+    def test_negative_theorem2_n_max_exits_2(self, tmp_path, capsys):
+        doc = dict(THM1_CFG, theorems=[2], theorem2_n_max=-1)
+        assert main(["check-thm2", "--config", self._write_cfg(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "theorem2_n_max" in captured.err
 
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["stokes-verify", "--frobnicate"]) == 2
