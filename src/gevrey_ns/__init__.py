@@ -2,8 +2,7 @@
 derivative functionals and an inequality-auditing harness."""
 
 from .config import RunConfig, config_from_dict, load_config
-from .derivatives import (DerivativeStack, FdConvergence, ScaledDerivativeStack,
-                          fd_convergence_check, scaled_time_derivative_stack,
+from .derivatives import (DerivativeStack, FdConvergence, fd_convergence_check,
                           time_derivative_stack)
 from .errors import (ConfigurationError, FieldInvariantError, GridMismatchError,
                      IntegrationError)

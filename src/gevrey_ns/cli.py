@@ -135,6 +135,9 @@ def _cmd_check_thm(theorem_id: int, args, cfg: RunConfig) -> int:
                                   Path(cfg.out_dir) / "functionals.csv")
     if args.json:
         sys.stdout.write(json_dumps(doc))
+    if report.status == "error":
+        print(f"error: {report.message}", file=sys.stderr)
+        return 2
     if report.status == "n/a":
         print(f"check-thm{theorem_id}: N/A ({report.message})")
         return 2

@@ -22,14 +22,14 @@ class RunConfig:
         n: grid modes per dimension.
         dt, t_end: step size and horizon; snapshot_times must be multiples
             of dt (defaults to 11 uniform snapshots including 0 and t_end).
-        stack_depth: derivative stack depth K at each snapshot (<= 12).
+        stack_depth: derivative stack depth K at each snapshot (no cap; the
+            stack is built in scaled variables).
         truncation: order M for the diffusion-semigroup identity check.
         alphas: weight exponents to audit.
         seed: master seed for data generation.
         initial_data: spec dict for make_initial_data.
         c0: {"mode": "estimate", "n_samples": .., "ascent_steps": ..} or
             {"mode": "fixed", "value": ..}.
-        theorems: which bounds to check (subset of 1..4).
         theorem2_n_max: doubling depth for bound 2.
         decay_window: fit window [a, b] for bound 4.
         gamma: decay exponent override (fitted from the trajectory if None).
@@ -49,7 +49,6 @@ class RunConfig:
     initial_data: dict = field(default_factory=lambda: {"kind": "taylor_green", "amplitude": 1.0})
     c0: dict = field(default_factory=lambda: {"mode": "estimate", "n_samples": 6,
                                               "ascent_steps": 120})
-    theorems: tuple[int, ...] = (1,)
     theorem2_n_max: int = 4
     decay_window: tuple[float, float] = (1.0, 5.0)
     gamma: float | None = None
@@ -74,9 +73,6 @@ class RunConfig:
         n_max = self.theorem2_n_max
         if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 0:
             raise ConfigurationError(f"theorem2_n_max must be an integer >= 0, got {n_max!r}")
-        bad = set(self.theorems) - {1, 2, 3, 4}
-        if bad:
-            raise ConfigurationError(f"unknown theorem ids {sorted(bad)}")
 
     def resolved_snapshots(self) -> list[float]:
         if self.snapshot_times is not None:
@@ -97,7 +93,7 @@ class RunConfig:
             "stack_depth": self.stack_depth, "truncation": self.truncation,
             "alphas": list(self.alphas), "seed": self.seed,
             "initial_data": dict(self.initial_data), "c0": dict(self.c0),
-            "theorems": list(self.theorems), "theorem2_n_max": self.theorem2_n_max,
+            "theorem2_n_max": self.theorem2_n_max,
             "decay_window": list(self.decay_window), "gamma": self.gamma,
             "out_dir": self.out_dir, "tol_energy": self.tol_energy,
             "enforce_cfl": self.enforce_cfl,
@@ -115,11 +111,9 @@ def config_from_dict(doc: dict) -> RunConfig:
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
     kwargs = dict(doc)
-    for key in ("alphas", "theorems"):
-        if key in kwargs and kwargs[key] is not None:
+    for key in ("alphas", "decay_window"):
+        if kwargs.get(key) is not None:
             kwargs[key] = tuple(kwargs[key])
-    if "decay_window" in kwargs and kwargs["decay_window"] is not None:
-        kwargs["decay_window"] = tuple(kwargs["decay_window"])
     return RunConfig(**kwargs)
 
 

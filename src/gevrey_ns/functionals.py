@@ -8,8 +8,14 @@ For a stack of time derivatives u^(0..K) at time t the raw families are
 
 so L_{m+1} = sqrt(t) H_m holds exactly for every m.  The first
 renormalization divides by 2^k k! (even) and 2^k sqrt((k-1)! k!) / sqrt(2)
-(odd); the second divides by c_k = (k!)^alpha.  All factorial weights are
-evaluated through log-gamma so deep stacks cannot overflow.
+(odd); the second divides by c_k = (k!)^alpha.  Stacks hold the scaled
+entries v_k = t^k u^(k) / (2^k k!), so the first renormalization ("tilde"
+values) is read off them directly:
+
+    L~_{2k}   = |v_k|                        H~_{2k}   = |grad v_k|
+    L~_{2k+1} = sqrt(t / 2(k+1)) |grad v_k|  H~_{2k+1} = sqrt(2(k+1) / t) |v_{k+1}|,
+
+and the raw values are derived from the tilde values, never the reverse.
 
 The four audited bounds are evaluated in "tilde space": substituting the
 first renormalization into the printed weight tables reduces every term to
@@ -48,15 +54,13 @@ def c_alpha(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class FunctionalSample:
-    """L_m, H_m values at one time, raw and renormalized.
+    """Tilde values L~_m, H~_m at one time; the raw L_m, H_m derive from them.
 
     Arrays run over m = 0..M.  L_c / H_c (the (k!)^alpha-normalized family)
     are attached by renormalize and tagged with that alpha.
     """
 
     t: float
-    L_raw: np.ndarray
-    H_raw: np.ndarray
     L_tilde: np.ndarray
     H_tilde: np.ndarray
     alpha: float | None = None
@@ -65,7 +69,15 @@ class FunctionalSample:
 
     @property
     def M(self) -> int:
-        return len(self.L_raw) - 1
+        return len(self.L_tilde) - 1
+
+    @property
+    def L_raw(self) -> np.ndarray:
+        return self.L_tilde / _tilde_factors(self.M)
+
+    @property
+    def H_raw(self) -> np.ndarray:
+        return self.H_tilde / _tilde_factors(self.M)
 
 
 def _tilde_factors(M: int) -> np.ndarray:
@@ -91,37 +103,23 @@ def _c_divisors(M: int, alpha: float) -> np.ndarray:
     return out
 
 
-def _weighted_arrays(l2_norms, grad_norms, tau: float, M: int):
-    """Raw L/H arrays from per-entry norms with weight time tau."""
-    L = np.zeros(M + 1)
-    H = np.zeros(M + 1)
-    for m in range(M + 1):
-        if m % 2 == 0:
-            k = m // 2
-            w = tau ** k
-            L[m] = w * l2_norms[k]
-            H[m] = w * grad_norms[k]
-        else:
-            k = (m - 1) // 2
-            w = tau ** (k + 0.5)
-            L[m] = w * grad_norms[k]
-            H[m] = w * l2_norms[k + 1]
-    return L, H
-
-
 def raw_functionals(stack: DerivativeStack) -> FunctionalSample:
-    """Evaluate L_m, H_m for m <= 2K - 1 from a derivative stack.
+    """Evaluate the tilde values for m <= 2K - 1 from a scaled derivative stack.
 
     H_{2K} would need entry K + 1, so the sample stops at M = 2K - 1
     (M = 0 for a depth-zero stack).
     """
-    K = stack.depth
+    K, t = stack.depth, stack.t
     M = max(0, 2 * K - 1)
-    l2n = [norm_l2(e) for e in stack.entries]
-    gdn = [norm_grad_l2(e) for e in stack.entries]
-    L, H = _weighted_arrays(l2n, gdn, stack.t, M)
-    f = _tilde_factors(M)
-    return FunctionalSample(t=stack.t, L_raw=L, H_raw=H, L_tilde=L * f, H_tilde=H * f)
+    l2 = np.array([norm_l2(e) for e in stack.entries])
+    grad = np.array([norm_grad_l2(e) for e in stack.entries[:M // 2 + 1]])
+    k = np.arange(1, K + 1)
+    L = np.empty(M + 1)
+    H = np.empty(M + 1)
+    L[0::2], H[0::2] = l2[:M // 2 + 1], grad
+    L[1::2] = np.sqrt(t / (2.0 * k)) * grad[:K]
+    H[1::2] = np.sqrt(2.0 * k / t) * l2[1:]
+    return FunctionalSample(t=t, L_tilde=L, H_tilde=H)
 
 
 def sample_at_time_zero(u: SpectralVelocity, M: int) -> FunctionalSample:
@@ -130,7 +128,7 @@ def sample_at_time_zero(u: SpectralVelocity, M: int) -> FunctionalSample:
     H = np.zeros(M + 1)
     L[0] = norm_l2(u)
     H[0] = norm_grad_l2(u)
-    return FunctionalSample(t=0.0, L_raw=L, H_raw=H, L_tilde=L.copy(), H_tilde=H.copy())
+    return FunctionalSample(t=0.0, L_tilde=L, H_tilde=H)
 
 
 def renormalize(sample: FunctionalSample, alpha: float) -> FunctionalSample:
@@ -181,20 +179,17 @@ class ShiftedSample:
 def shifted_functionals(stack: DerivativeStack, t0: float, alpha: float) -> ShiftedSample:
     """Same formulas with weight time t - t0; the stack is evaluated at t.
 
-    With t0 = 0 this reduces exactly to the (k!)^alpha-normalized arrays of
+    Each tilde value scales by ((t - t0) / t)^(m/2) before the (k!)^alpha
+    division; with t0 = 0 this reduces exactly to the normalized arrays of
     renormalize(raw_functionals(stack), alpha).
     """
     if alpha <= 0:
         raise ConfigurationError("alpha must be positive")
     if not 0.0 <= t0 < stack.t:
         raise ConfigurationError(f"need 0 <= t0 < t, got t0={t0!r}, t={stack.t!r}")
-    K = stack.depth
-    M = max(0, 2 * K - 1)
-    l2n = [norm_l2(e) for e in stack.entries]
-    gdn = [norm_grad_l2(e) for e in stack.entries]
-    L, H = _weighted_arrays(l2n, gdn, stack.t - t0, M)
-    f = _tilde_factors(M) / _c_divisors(M, alpha)
-    return ShiftedSample(t=stack.t, t0=t0, alpha=alpha, L=L * f, H=H * f)
+    s = raw_functionals(stack)
+    f = ((stack.t - t0) / stack.t) ** (0.5 * np.arange(s.M + 1)) / _c_divisors(s.M, alpha)
+    return ShiftedSample(t=stack.t, t0=t0, alpha=alpha, L=s.L_tilde * f, H=s.H_tilde * f)
 
 
 # ---------------------------------------------------------------------------

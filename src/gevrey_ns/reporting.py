@@ -1,11 +1,14 @@
 """Deterministic JSON/CSV serialization for reports and series.
 
-Floats are rendered with 17 significant digits so identical runs produce
-byte-identical files.
+report.json is strict JSON with sorted keys: floats are written as their
+shortest round-trip repr and non-finite floats as null, so identical runs
+produce byte-identical files.  CSV floats use 17 significant digits.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -21,43 +24,21 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _dump(obj, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if i:
-                out.append(", ")
-            _dump(str(key), out)
-            out.append(": ")
-            _dump(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        out.append("[")
-        for i, item in enumerate(list(obj)):
-            if i:
-                out.append(", ")
-            _dump(item, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+def plain(obj):
+    """obj with numpy scalars, arrays and tuples as Python types, non-finite floats as None."""
+    if isinstance(obj, dict):
+        return {str(key): plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [plain(item) for item in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def json_dumps(obj) -> str:
-    out: list[str] = []
-    _dump(obj, out)
-    return "".join(out) + "\n"
+    return json.dumps(plain(obj), sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json(obj, path: str | Path) -> Path:
@@ -99,8 +80,9 @@ def write_functionals_csv(series, alpha: float, path: str | Path) -> Path:
     rows = []
     for s in series.samples:
         sc = renormalize(s, alpha)
+        L_raw, H_raw = s.L_raw, s.H_raw
         for m in range(s.M + 1):
-            rows.append((s.t, m, s.L_raw[m], s.H_raw[m], s.L_tilde[m], s.H_tilde[m],
+            rows.append((s.t, m, L_raw[m], H_raw[m], s.L_tilde[m], s.H_tilde[m],
                          sc.L_c[m], sc.H_c[m]))
     return _write_csv(Path(path),
                       ["t", "m", "L_raw", "H_raw", "L_tilde", "H_tilde", "L_c", "H_c"],

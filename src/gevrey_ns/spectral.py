@@ -432,7 +432,7 @@ def nonlinear_term(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVelocity
 def nonlinear_symmetric(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVelocity:
     """-P div(a (x) b + b (x) a); equals nonlinear_term(a,b) + nonlinear_term(b,a)."""
     _require_same_grid(a, b)
-    return nonlinear_level(a.grid, [dealiased_physical(a), dealiased_physical(b)], (1.0, 1.0))
+    return nonlinear_level(a.grid, [dealiased_physical(a), dealiased_physical(b)])
 
 
 def dealiased_physical(v: SpectralVelocity) -> np.ndarray:
@@ -441,14 +441,13 @@ def dealiased_physical(v: SpectralVelocity) -> np.ndarray:
     return sfft.irfft2(_masked_half_stack(v), s=(n, n), axes=(-2, -1), workers=_fft_workers())
 
 
-def nonlinear_level(grid: Grid, phys: list[np.ndarray], weights) -> SpectralVelocity:
-    """-P div sum_{j=0}^{k-1} w_j e_j (x) e_{k-1-j} from k dealiased_physical entries.
+def nonlinear_level(grid: Grid, phys: list[np.ndarray]) -> SpectralVelocity:
+    """-P div sum_{j=0}^{k-1} e_j (x) e_{k-1-j} from k dealiased_physical entries.
 
-    The weights must be symmetric, w_j = w_{k-1-j}, so the summed tensor is
-    symmetric: each pair j < k-1-j enters once with weight 2 w_j on the
-    diagonal and w_j (A1 B2 + A2 B1) off it, and a middle term enters once.
-    Since the inputs are truncated, the sum of products is still an exact
-    convolution on the retained modes, so the level costs one forward
+    The summed tensor is symmetric: each pair j < k-1-j enters once, doubled
+    on the diagonal and as A1 B2 + A2 B1 off it, and a middle term enters
+    once.  Since the inputs are truncated, the sum of products is still an
+    exact convolution on the retained modes, so the level costs one forward
     transform and one scrub.
     """
     n = grid.n
@@ -457,14 +456,12 @@ def nonlinear_level(grid: Grid, phys: list[np.ndarray], weights) -> SpectralVelo
     diag = P[0::2]  # (T11, T22)
     for j in range((top + 1) // 2):
         a, b = phys[j], phys[top - j]
-        w = weights[j]
-        diag += (2.0 * w) * (a * b)
-        P[1] += w * (a[0] * b[1] + a[1] * b[0])
+        diag += 2.0 * (a * b)
+        P[1] += a[0] * b[1] + a[1] * b[0]
     if top % 2 == 0:
         a = phys[top // 2]
-        w = weights[top // 2]
-        diag += w * (a * a)
-        P[1] += w * (a[0] * a[1])
+        diag += a * a
+        P[1] += a[0] * a[1]
     T = sfft.rfft2(P, axes=(-2, -1), workers=_fft_workers())
     return _field_from_half_stack(grid, _project_products(grid, T))
 

@@ -35,21 +35,18 @@ def heat_evolve(u0: SpectralVelocity, t: float) -> SpectralVelocity:
 
 
 def stokes_derivative_stack(u0: SpectralVelocity, t: float, K: int) -> DerivativeStack:
-    """Exact stack of time derivatives of the heat flow at time t > 0.
+    """Exact scaled stack v_k = t^k l^(k) / (2^k k!) of the heat flow l at time t > 0.
 
-    Entry k has coefficients (-|xi|^2)^k exp(-|xi|^2 t) u0hat(xi).
+    Entry k has coefficients (-|xi|^2 t / 2)^k / k! exp(-|xi|^2 t) u0hat(xi),
+    built as v_k = v_{k-1} (-|xi|^2 t / 2k).
     """
     if t <= 0:
         raise ConfigurationError(f"stokes_derivative_stack needs t > 0, got {t}")
     if K < 0:
         raise ConfigurationError("K must be >= 0")
-    grid = u0.grid
-    base = heat_evolve(u0, t)
-    entries = [base]
-    mult = -grid.k_sq
-    for _ in range(K):
-        prev = entries[-1]
-        entries.append(SpectralVelocity(grid, prev.u1 * mult, prev.u2 * mult))
+    entries = [heat_evolve(u0, t)]
+    for k in range(1, K + 1):
+        entries.append(entries[-1] * (u0.grid.k_sq * (-t / (2.0 * k))))
     return DerivativeStack(t=t, entries=entries)
 
 

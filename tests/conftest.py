@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from gevrey_ns import make_grid, random_spectrum_field, shear_flow, taylor_green
 
@@ -35,3 +36,15 @@ def unit_mode(grid32):
 @pytest.fixture
 def random_field(grid32):
     return random_spectrum_field(grid32, decay=2.0, k_max=8, seed=7, l2_norm=1.0)
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Counts of scipy.fft.irfft2 / rfft2 calls made while the test runs."""
+    calls = {"irfft2": 0, "rfft2": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fft=getattr(scipy.fft, name), **kwargs):
+            calls[_name] += 1
+            return _fft(*args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, counted)
+    return calls

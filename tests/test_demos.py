@@ -1,0 +1,36 @@
+"""Demo scripts: every name they import exists, and the stack demo runs end to end."""
+
+import ast
+import importlib
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def package_imports(path: Path):
+    """(module, name) for every `from gevrey_ns... import name` in a script."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "gevrey_ns":
+            for alias in node.names:
+                yield node.module, alias.name
+
+
+def test_demos_found():
+    assert len(DEMOS) >= 6
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_imported_names_exist(path):
+    missing = [f"{module}.{name}" for module, name in package_imports(path)
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing
+
+
+def test_derivative_stack_demo_runs(capsys):
+    runpy.run_path(str(DEMOS[0].with_name("04_derivative_stacks.py")), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "observed order" in out
+    assert "|v_k| =" in out

@@ -4,60 +4,72 @@ import math
 
 import numpy as np
 import pytest
-import scipy.fft
 
-from gevrey_ns import (ConfigurationError, fd_convergence_check, heat_evolve,
-                       inner_l2, integrate, laplacian, make_grid, nonlinear_term,
-                       norm_grad_l2, norm_l2, random_spectrum_field,
-                       scaled_time_derivative_stack, stokes_derivative_stack,
+from gevrey_ns import (ConfigurationError, SpectralVelocity, fd_convergence_check,
+                       heat_evolve, inner_l2, integrate, laplacian, make_grid,
+                       nonlinear_term, norm_grad_l2, norm_l2, random_spectrum_field,
+                       raw_functionals, stokes_derivative_stack,
                        time_derivative_stack)
-from gevrey_ns.derivatives import binomial
 
 
-class TestBinomial:
-    @pytest.mark.parametrize("k,j", [(0, 0), (5, 2), (12, 6), (30, 15), (52, 26)])
-    def test_exact_small_values(self, k, j):
-        assert binomial(k, j) == float(math.comb(k, j))
-
-    def test_out_of_range(self):
-        assert binomial(4, 5) == 0.0
-        assert binomial(4, -1) == 0.0
+def leibniz_recursion(u, K):
+    """u^(0..K) from the unscaled recursion, one product per pair."""
+    raw = [u]
+    for k in range(1, K + 1):
+        rhs = laplacian(raw[k - 1])
+        for j in range(k):
+            rhs = rhs + math.comb(k - 1, j) * nonlinear_term(raw[j], raw[k - 1 - j])
+        raw.append(rhs)
+    return raw
 
 
 class TestRecursionOracles:
     def test_taylor_green_all_orders(self, tg):
         st = time_derivative_stack(tg, 8, t=1.0)
-        assert st.failed_at is None
-        for k, e in enumerate(st.entries):
+        for k in range(st.depth + 1):
             ref = ((-2.0) ** k) * tg
-            assert norm_l2(e - ref) <= 1e-10 * norm_l2(ref)
+            assert norm_l2(st.raw(k) - ref) <= 1e-10 * norm_l2(ref)
 
     def test_shear_all_orders(self, shear):
         st = time_derivative_stack(shear, 8, t=0.5)
-        for k, e in enumerate(st.entries):
+        for k in range(st.depth + 1):
             ref = ((-1.0) ** k) * shear
-            assert norm_l2(e - ref) <= 1e-10 * norm_l2(ref)
+            assert norm_l2(st.raw(k) - ref) <= 1e-10 * norm_l2(ref)
 
     def test_depth_zero(self, random_field):
         st = time_derivative_stack(random_field, 0, t=1.0)
         assert len(st.entries) == 1
         assert (st.entries[0] - random_field).max_amplitude() == 0.0
 
-    def test_rejects_deep_raw_stacks(self, random_field):
-        with pytest.raises(ConfigurationError, match="scaled"):
-            time_derivative_stack(random_field, 13, t=1.0)
+    def test_deep_stacks_have_no_depth_cap(self, random_field):
+        st = time_derivative_stack(random_field, 16, t=0.1)
+        assert st.depth == 16
+        assert all(np.isfinite(e.max_amplitude()) for e in st.entries)
 
-    def test_linear_consistency_with_heat_stack(self, random_field):
+    def test_rejects_bad_arguments(self, random_field):
+        with pytest.raises(ConfigurationError):
+            time_derivative_stack(random_field, -1, t=1.0)
+        with pytest.raises(ConfigurationError):
+            time_derivative_stack(random_field, 3, t=0.0)
+
+    def test_linear_consistency_with_heat_stack(self, grid32):
+        # a multi-mode shear (u1(y), 0) has u . grad u = 0, so its flow is the
+        # heat flow and the full recursion must reproduce the heat stack
+        rng = np.random.default_rng(4)
+        u1 = np.zeros((32, 32), dtype=complex)
+        for q in range(1, 9):
+            c = (rng.standard_normal() + 1j * rng.standard_normal()) / q
+            u1[0, q], u1[0, -q] = c, np.conj(c)
+        u0 = SpectralVelocity(grid32, u1, np.zeros_like(u1))
         t = 0.3
-        evolved = heat_evolve(random_field, t)
-        lin = time_derivative_stack(evolved, 6, t=t, include_nonlinear=False)
-        ref = stokes_derivative_stack(random_field, t, 6)
-        for a, b in zip(lin.entries, ref.entries):
+        st = time_derivative_stack(heat_evolve(u0, t), 6, t=t)
+        ref = stokes_derivative_stack(u0, t, 6)
+        for a, b in zip(st.entries, ref.entries):
             assert (a - b).max_amplitude() <= 1e-12 * max(b.max_amplitude(), 1e-300)
 
     def test_first_order_energy_identity(self, random_field):
         st = time_derivative_stack(random_field, 1, t=0.1)
-        lhs = inner_l2(random_field, st.entries[1])
+        lhs = inner_l2(random_field, st.raw(1))
         rhs = -norm_grad_l2(random_field) ** 2
         assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
@@ -73,48 +85,57 @@ class TestRecursionOracles:
         st_l = stokes_derivative_stack(u0, t, K)
         fl = st_u - st_l
         for k in range(1, K + 1):
-            rhs = laplacian(fl.entries[k - 1])
+            rhs = laplacian(fl.raw(k - 1))
             for j in range(k):
-                rhs = rhs + binomial(k - 1, j) * nonlinear_term(st_u.entries[j],
-                                                                st_u.entries[k - 1 - j])
-            diff = (fl.entries[k] - rhs).max_amplitude()
-            assert diff <= 1e-9 * max(st_u.entries[k].max_amplitude(), 1e-300)
+                rhs = rhs + math.comb(k - 1, j) * nonlinear_term(st_u.raw(j),
+                                                                 st_u.raw(k - 1 - j))
+            diff = (fl.raw(k) - rhs).max_amplitude()
+            assert diff <= 1e-9 * max(st_u.raw(k).max_amplitude(), 1e-300)
 
-    def test_one_inverse_transform_per_entry_one_forward_per_level(self, monkeypatch,
+    def test_one_inverse_transform_per_entry_one_forward_per_level(self, fft_calls,
                                                                     random_field):
-        calls = {"irfft2": 0, "rfft2": 0}
-        for name in calls:
-            def counted(*args, _name=name, _fft=getattr(scipy.fft, name), **kwargs):
-                calls[_name] += 1
-                return _fft(*args, **kwargs)
-            monkeypatch.setattr(scipy.fft, name, counted)
         time_derivative_stack(random_field, 12, t=0.1)
-        assert calls == {"irfft2": 12, "rfft2": 12}
-
-    def test_overflow_returns_partial_stack(self, grid32):
-        huge = random_spectrum_field(grid32, 0.5, 10, seed=2, l2_norm=1e120)
-        st = time_derivative_stack(huge, 12, t=1.0)
-        assert st.failed_at is not None
-        assert len(st.entries) == st.failed_at
+        assert fft_calls == {"irfft2": 12, "rfft2": 12}
 
 
 class TestScaledStack:
     def test_matches_raw_rescaling(self, random_field):
+        # the scaled recursion against the Leibniz recursion for u^(k)
         t, K = 0.7, 6
-        raw = time_derivative_stack(random_field, K, t=t)
-        sc = scaled_time_derivative_stack(random_field, K, t=t)
-        for k in range(K + 1):
+        st = time_derivative_stack(random_field, K, t=t)
+        for k, ref in enumerate(leibniz_recursion(random_field, K)):
             fac = t ** k / (2.0 ** k * math.factorial(k))
-            diff = (sc.entries[k] - fac * raw.entries[k]).max_amplitude()
-            assert diff <= 1e-12 * max(sc.entries[k].max_amplitude(), 1e-300)
+            diff = (st.entries[k] - fac * ref).max_amplitude()
+            assert diff <= 1e-12 * max(st.entries[k].max_amplitude(), 1e-300)
+            diff = (st.raw(k) - ref).max_amplitude()
+            assert diff <= 1e-12 * max(ref.max_amplitude(), 1e-300)
 
     def test_deep_stack_stays_finite(self, shear):
-        sc = scaled_time_derivative_stack(shear, 24, t=1.0)
+        sc = time_derivative_stack(shear, 24, t=1.0)
         assert all(np.isfinite(e.max_amplitude()) for e in sc.entries)
         # single mode lambda = 1: |v_k| = e^-t (t/2)^k / k! * |u0|
         for k, e in enumerate(sc.entries):
             expect = np.exp(-0.0) * (0.5 ** k) / math.factorial(k) * norm_l2(shear)
             assert norm_l2(e) == pytest.approx(expect, rel=1e-10)
+
+    def test_tilde_identities_match_raw_weights(self):
+        # L~, H~ read off v_k against the raw weights t^k, t^(k+1/2) applied to
+        # u^(k) = raw(k), divided by the first renormalization
+        u = random_spectrum_field(make_grid(32), 2.0, 8, seed=5, l2_norm=2.0)
+        t, K = 0.2, 8
+        st = time_derivative_stack(u, K, t=t)
+        L, H, div = np.empty(2 * K), np.empty(2 * K), np.empty(2 * K)
+        for k in range(K):
+            r, r1 = st.raw(k), st.raw(k + 1)
+            L[2 * k], H[2 * k] = t ** k * norm_l2(r), t ** k * norm_grad_l2(r)
+            L[2 * k + 1] = t ** (k + 0.5) * norm_grad_l2(r)
+            H[2 * k + 1] = t ** (k + 0.5) * norm_l2(r1)
+            div[2 * k] = 2.0 ** k * math.factorial(k)
+            div[2 * k + 1] = 2.0 ** (k + 1) * math.sqrt(
+                math.factorial(k) * math.factorial(k + 1) / 2.0)
+        s = raw_functionals(st)
+        np.testing.assert_allclose(s.L_tilde, L / div, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(s.H_tilde, H / div, rtol=1e-13, atol=0)
 
 
 class TestFdConvergence:

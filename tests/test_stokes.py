@@ -1,5 +1,7 @@
 """Heat semigroup oracle: evolution, derivative stacks, weighted-sum identity."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -49,16 +51,26 @@ class TestHeatEvolve:
 class TestStokesStack:
     def test_single_mode_signs(self, unit_mode):
         st = stokes_derivative_stack(unit_mode, 1.0, 5)
-        for k, e in enumerate(st.entries):
+        for k in range(6):
             ref = ((-1.0) ** k) * heat_evolve(unit_mode, 1.0)
-            assert (e - ref).max_amplitude() <= 1e-15
+            assert (st.raw(k) - ref).max_amplitude() <= 1e-15
 
     def test_taylor_green_powers_of_two(self, tg):
         st = stokes_derivative_stack(tg, 0.25, 6)
         base = heat_evolve(tg, 0.25)
-        for k, e in enumerate(st.entries):
+        for k in range(7):
             ref = ((-2.0) ** k) * base
-            assert (e - ref).max_amplitude() <= 1e-13 * ref.max_amplitude()
+            assert (st.raw(k) - ref).max_amplitude() <= 1e-13 * ref.max_amplitude()
+
+    def test_scaled_entries_closed_form(self, random_field):
+        # v_k = (-|xi|^2 t / 2)^k / k! exp(-|xi|^2 t) u0hat
+        t, K = 0.6, 10
+        st = stokes_derivative_stack(random_field, t, K)
+        lam = random_field.grid.k_sq
+        for k, e in enumerate(st.entries):
+            mult = (-lam * t / 2.0) ** k / math.factorial(k) * np.exp(-lam * t)
+            ref = random_field * mult
+            assert (e - ref).max_amplitude() <= 1e-14 * ref.max_amplitude()
 
     def test_depth_zero(self, random_field):
         st = stokes_derivative_stack(random_field, 0.7, 0)

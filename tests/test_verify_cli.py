@@ -19,8 +19,14 @@ THM1_CFG = {
     "initial_data": {"kind": "random_spectrum", "decay": 2.0, "k_max": 8,
                      "seed": 3, "l2_norm": 0.3},
     "c0": {"mode": "fixed", "value": 0.23},
-    "theorems": [1],
 }
+
+
+def strict_loads(text):
+    """json.loads that rejects NaN and Infinity."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +60,13 @@ class TestEstimateC0:
             rhs = c0_32.value * (1.0 + 1e-6) * norm_l2(z) * norm_grad_l2(z)
             assert lhs <= rhs
 
+    def test_one_transform_each_way_per_gradient(self, fft_calls):
+        from gevrey_ns.verify import _cap_mask, _rayleigh_gradient
+        grid = make_grid(32)
+        z = random_spectrum_field(grid, 2.0, 8, seed=1, l2_norm=1.0)
+        _rayleigh_gradient(z, _cap_mask(grid, 8))
+        assert fft_calls == {"irfft2": 1, "rfft2": 1}
+
     def test_spectrum_signature_present(self, c0_32):
         assert c0_32.spectrum_signature.sum() == pytest.approx(1.0, rel=1e-8)
 
@@ -74,6 +87,13 @@ class TestCheckTheorem:
         assert rep.status == "n/a"
         assert "smallness" in rep.message
 
+    def test_thm1_deep_stack(self):
+        # stacks are scaled, so depth 16 (M = 31) needs no cap
+        rep = check_theorem(1, config_from_dict(dict(THM1_CFG, stack_depth=16)))
+        assert rep.status == "ok"
+        assert rep.extras["series"].M == 31
+        assert all(math.isfinite(r["lhs"]) for r in rep.rows)
+
     def test_thm1_zero_horizon_single_row(self):
         doc = dict(THM1_CFG)
         doc["t_end"] = 0.0
@@ -87,7 +107,6 @@ class TestCheckTheorem:
         doc = dict(THM1_CFG)
         doc["initial_data"] = {"kind": "random_spectrum", "decay": 2.0,
                                "k_max": 8, "seed": 5, "l2_norm": 3.0}
-        doc["theorems"] = [2]
         doc["theorem2_n_max"] = 3
         doc["dt"] = 0.002
         doc["t_end"] = 0.5
@@ -116,7 +135,6 @@ class TestCheckTheorem:
         doc = dict(THM1_CFG)
         doc["initial_data"] = {"kind": "random_spectrum", "decay": 3.0,
                                "k_max": 6, "seed": 7, "l2_norm": 1.0}
-        doc["theorems"] = [4]
         doc["t_end"] = 5.0
         doc["snapshot_times"] = [round(0.25 * i, 4) for i in range(21)]
         doc["decay_window"] = [1.0, 5.0]
@@ -157,11 +175,13 @@ class TestConfig:
 
 class TestReportingFormat:
     def test_float_formatting_roundtrip(self):
-        doc = {"x": 1.0 / 3.0, "y": [1e-300, 2.5, float("inf")], "s": "a\"b"}
-        text = json_dumps(doc)
-        assert "0.33333333333333331" in text
-        back = json.loads(text.replace("Infinity", "1e999"))
+        doc = {"x": 1.0 / 3.0, "y": [1e-300, 2.5, float("inf")], "s": "a\"b",
+               "z": (np.float64(0.1), np.int64(3), np.bool_(True), np.array([np.nan]))}
+        back = strict_loads(json_dumps(doc))
         assert back["x"] == 1.0 / 3.0
+        assert back["y"] == [1e-300, 2.5, None]
+        assert back["s"] == 'a"b'
+        assert back["z"] == [0.1, 3, True, [None]]
 
     def test_deterministic_key_order(self):
         assert json_dumps({"b": 1, "a": 2}) == json_dumps({"b": 1, "a": 2})
@@ -217,6 +237,20 @@ class TestCli:
         assert main(["check-thm1", "--config", cfg, "--out", str(b)]) == 0
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
+    def test_thm2_report_is_strict_json(self, tmp_path):
+        # at doubling depth 9 the bound-2 rhs leaves the double range: the
+        # report carries null for rhs and margin and keeps log_rhs
+        doc = dict(THM1_CFG, theorem2_n_max=9, dt=0.002, t_end=0.5,
+                   snapshot_times=[0.0, 0.25, 0.5])
+        doc["initial_data"] = dict(THM1_CFG["initial_data"], l2_norm=3.0)
+        out = tmp_path / "out"
+        assert main(["check-thm2", "--config", self._write_cfg(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        report = strict_loads((out / "report.json").read_text())
+        deep = [r for r in report["rows"] if r["n"] == 9.0]
+        assert deep and all(r["rhs"] is None and r["margin"] is None for r in deep)
+        assert all(r["log_rhs"] > 709.0 and r["ok"] for r in deep)
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["check-thm1", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -225,7 +259,7 @@ class TestCli:
         assert main(["ns-run", "--config", cfg]) == 2
 
     def test_negative_theorem2_n_max_exits_2(self, tmp_path, capsys):
-        doc = dict(THM1_CFG, theorems=[2], theorem2_n_max=-1)
+        doc = dict(THM1_CFG, theorem2_n_max=-1)
         assert main(["check-thm2", "--config", self._write_cfg(tmp_path, doc)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -306,21 +340,36 @@ class TestConcurrencyContract:
             u0.u1 = u0.u2
 
 
+def cfl_violating_doc():
+    """Large data with a step far beyond the CFL limit."""
+    doc = dict(THM1_CFG)
+    doc["initial_data"] = {"kind": "random_spectrum", "decay": 2.0,
+                           "k_max": 8, "seed": 3, "l2_norm": 80.0}
+    doc["dt"] = 0.25
+    doc["t_end"] = 1.0
+    doc["snapshot_times"] = [0.0, 1.0]
+    return doc
+
+
 class TestStructuredErrors:
     def test_solver_failure_becomes_report_error(self):
-        doc = dict(THM1_CFG)
         # CFL-violating step on large data -> integration failure in-report
-        doc["initial_data"] = {"kind": "random_spectrum", "decay": 2.0,
-                               "k_max": 8, "seed": 3, "l2_norm": 0.3}
-        doc["dt"] = 0.25
-        doc["t_end"] = 1.0
-        doc["snapshot_times"] = [0.0, 1.0]
-        doc["initial_data"]["l2_norm"] = 80.0
-        doc["theorems"] = [2]
-        rep = check_theorem(2, config_from_dict(doc))
+        rep = check_theorem(2, config_from_dict(cfl_violating_doc()))
         assert rep.status == "error"
         assert rep.verdict is False
         assert rep.message
+
+    def test_error_report_exits_2_with_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfl_violating_doc()))
+        out = tmp_path / "out"
+        assert main(["check-thm2", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "error"
+        assert captured.err == f"error: {report['message']}\n"
 
 
 class TestShearSingleModeEndToEnd:
@@ -337,7 +386,6 @@ class TestShearSingleModeEndToEnd:
             "stack_depth": 8, "alphas": [1.0],
             "initial_data": {"kind": "shear", "amplitude": amp},
             "c0": {"mode": "fixed", "value": 0.23},
-            "theorems": [1],
         })
         rep = check_theorem(1, cfg)
         assert rep.status == "ok" and rep.verdict
@@ -366,7 +414,6 @@ class TestDoublingBoundSmallDataFinding:
         # t = 0 row must fail for some n >= 1; the harness reports the finding
         # rather than masking it
         doc = dict(THM1_CFG)
-        doc["theorems"] = [2]
         doc["theorem2_n_max"] = 3
         rep = check_theorem(2, config_from_dict(doc))
         assert rep.status == "ok"
