@@ -87,8 +87,8 @@ def _cmd_stokes_verify(args, cfg: RunConfig) -> int:
 
 def _cmd_estimate_c0(args, cfg: RunConfig) -> int:
     grid = make_grid(cfg.n)
-    est = estimate_c0(grid, n_samples=int(cfg.c0.get("n_samples", 6)),
-                      ascent_steps=int(cfg.c0.get("ascent_steps", 120)),
+    est = estimate_c0(grid, n_samples=cfg.c0.get("n_samples", 6),
+                      ascent_steps=cfg.c0.get("ascent_steps", 120),
                       seed=cfg.seed)
     doc = {"check": "estimate-c0", "value": est.value,
            "sample_values": est.sample_values,

@@ -6,12 +6,39 @@ Unknown keys are rejected so that a config file pins an experiment exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigurationError
 
-_C0_MODES = ("estimate", "fixed")
+_C0_KEYS = {"estimate": {"mode", "n_samples", "ascent_steps"}, "fixed": {"mode", "value"}}
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_c0(c0) -> None:
+    """Reject a c0 block that is not {"mode": "fixed", "value": v > 0 finite}
+    or {"mode": "estimate"} with optional n_samples >= 1 and ascent_steps >= 0."""
+    if not isinstance(c0, dict):
+        raise ConfigurationError(f"c0 must be an object, got {c0!r}")
+    mode = c0.get("mode")
+    if mode not in _C0_KEYS:
+        raise ConfigurationError(f"c0 mode must be one of {tuple(_C0_KEYS)}, got {mode!r}")
+    extra = set(c0) - _C0_KEYS[mode]
+    if extra:
+        raise ConfigurationError(f"unknown keys for c0 mode {mode!r}: {sorted(extra)}")
+    if mode == "fixed":
+        v = c0.get("value")
+        if (isinstance(v, bool) or not isinstance(v, (int, float))
+                or not math.isfinite(v) or v <= 0):
+            raise ConfigurationError(f"fixed c0 requires a finite 'value' > 0, got {v!r}")
+        return
+    for key, low in (("n_samples", 1), ("ascent_steps", 0)):
+        if key in c0 and not (_is_int(c0[key]) and c0[key] >= low):
+            raise ConfigurationError(f"c0 {key} must be an integer >= {low}, got {c0[key]!r}")
 
 
 @dataclass(frozen=True)
@@ -65,13 +92,9 @@ class RunConfig:
             raise ConfigurationError("tol_energy must be positive")
         if any(a <= 0 for a in self.alphas):
             raise ConfigurationError("all alphas must be positive")
-        mode = self.c0.get("mode")
-        if mode not in _C0_MODES:
-            raise ConfigurationError(f"c0 mode must be one of {_C0_MODES}, got {mode!r}")
-        if mode == "fixed" and not self.c0.get("value", 0) > 0:
-            raise ConfigurationError("fixed c0 requires a positive 'value'")
+        _check_c0(self.c0)
         n_max = self.theorem2_n_max
-        if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 0:
+        if not _is_int(n_max) or n_max < 0:
             raise ConfigurationError(f"theorem2_n_max must be an integer >= 0, got {n_max!r}")
 
     def resolved_snapshots(self) -> list[float]:

@@ -245,8 +245,8 @@ def validate_field(v: SpectralVelocity, hermitian_tol: float = 1e-12,
 # Transforms
 # ---------------------------------------------------------------------------
 
-def to_physical(v: SpectralVelocity, oversample: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the velocity on an (oversample*n)^2 physical grid.
+def to_physical(v: SpectralVelocity, oversample: int = 1) -> np.ndarray:
+    """Evaluate the velocity on an (oversample*n)^2 physical grid as a (2, m, m) array.
 
     Valid for Hermitian fields (the rfft half-spectrum path is used).
     """
@@ -254,12 +254,11 @@ def to_physical(v: SpectralVelocity, oversample: int = 1) -> tuple[np.ndarray, n
     n = g.n
     if oversample == 1:
         U = sfft.irfft2(np.stack([g.half(v.u1), g.half(v.u2)]), s=(n, n), workers=_fft_workers())
-        return U[0] * (float(n) * n), U[1] * (float(n) * n)
+        return U * (float(n) * n)
     m = oversample * n
     pad = np.zeros((2, m, m // 2 + 1), dtype=complex)
     pad[:, g.oversample_rows(m), : g.half_cols] = np.stack([g.half(v.u1), g.half(v.u2)])
-    U = sfft.irfft2(pad, s=(m, m), workers=_fft_workers()) * (float(m) * m)
-    return U[0], U[1]
+    return sfft.irfft2(pad, s=(m, m), workers=_fft_workers()) * (float(m) * m)
 
 
 def from_physical(grid: Grid, U1: np.ndarray, U2: np.ndarray) -> SpectralVelocity:

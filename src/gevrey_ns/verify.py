@@ -23,7 +23,7 @@ from .functionals import (FunctionalSeries, fit_decay, raw_functionals,
 from .solver import Trajectory, integrate
 from .spectral import (Grid, SpectralVelocity, _fft_workers, leray, make_grid,
                        make_initial_data, mode_energies, norm_grad_l2, norm_l2,
-                       norm_l4, shear_flow, taylor_green, to_physical)
+                       shear_flow, taylor_green, to_physical)
 from .stokes import stokes_derivative_stack
 
 
@@ -48,36 +48,28 @@ class C0Estimate:
     seed: int
 
 
-def _rayleigh_ratio(z: SpectralVelocity) -> float:
-    l2 = norm_l2(z)
-    g2 = norm_grad_l2(z)
-    if l2 == 0.0 or g2 == 0.0:
-        return 0.0
-    return norm_l4(z) ** 2 / (l2 * g2)
+def _rayleigh(z: SpectralVelocity) -> tuple[float, SpectralVelocity]:
+    """Rayleigh ratio |z|_{L4}^2 / (|z|_{L2} |grad z|_{L2}) and the spectral
+    gradient of its log, projected, from one transform pair.
 
-
-def _cap_mask(grid: Grid, k_cap: int) -> np.ndarray:
-    return (np.abs(grid.k1) <= k_cap) & (np.abs(grid.k2) <= k_cap) & grid.keep
-
-
-def _rayleigh_gradient(z: SpectralVelocity, cap: np.ndarray) -> SpectralVelocity:
-    """Spectral gradient of log of the Rayleigh ratio, projected and capped."""
+    |z|^2 and the cubic |z|^2 z are formed on the 2x-oversampled grid; for a
+    field on a cap grid both the quartic integral and the cubic's retained
+    modes are exact there.
+    """
     g = z.grid
-    U1, U2 = to_physical(z, oversample=2)
-    q = U1 * U1 + U2 * U2
     m = 2 * g.n
-    l4sq = math.sqrt(float(np.sum(q * q)) * (2.0 * np.pi / m) ** 2)
+    U = to_physical(z, oversample=2)
+    q = U[0] * U[0] + U[1] * U[1]
+    integral = float(np.sum(q * q)) * (2.0 * np.pi / m) ** 2
     l2 = norm_l2(z)
     g2 = norm_grad_l2(z)
-    # cubic term |z|^2 z, restricted back to the capped band
-    h = sfft.rfft2(q * np.stack([U1, U2]), axes=(-2, -1), workers=_fft_workers())
+    ratio = (integral ** 0.25) ** 2 / (l2 * g2)
+    l4sq = math.sqrt(integral)
+    h = sfft.rfft2(q * U, axes=(-2, -1), workers=_fft_workers())
     cub = g.full_from_half(h[:, g.oversample_rows(m), :g.half_cols] / (float(m) * m))
-    c1 = np.where(cap, cub[0], 0.0)
-    c2 = np.where(cap, cub[1], 0.0)
-    d1 = 2.0 * c1 / l4sq ** 2 - z.u1 / l2 ** 2 - g.k_sq * z.u1 / g2 ** 2
-    d2 = 2.0 * c2 / l4sq ** 2 - z.u2 / l2 ** 2 - g.k_sq * z.u2 / g2 ** 2
-    grad = leray(SpectralVelocity(g, np.where(cap, d1, 0.0), np.where(cap, d2, 0.0)))
-    return grad
+    d1 = 2.0 * cub[0] / l4sq ** 2 - z.u1 / l2 ** 2 - g.k_sq * z.u1 / g2 ** 2
+    d2 = 2.0 * cub[1] / l4sq ** 2 - z.u2 / l2 ** 2 - g.k_sq * z.u2 / g2 ** 2
+    return ratio, leray(SpectralVelocity(g, d1, d2))
 
 
 def _capped_sample(grid: Grid, k_cap: int, seed_pair) -> SpectralVelocity:
@@ -108,19 +100,24 @@ def estimate_c0(grid: Grid, n_samples: int = 6, ascent_steps: int = 120,
 
     Starting fields are the shear mode, the cellular vortex, and random
     band-limited draws; each is refined by normalized gradient ascent on the
-    Rayleigh ratio, constrained to |xi|_inf <= k_cap so the estimate is
-    resolution-independent.  Deterministic per seed, and nondecreasing in
-    n_samples for a fixed seed sequence.
+    Rayleigh ratio, constrained to |xi|_inf <= k_cap.  The ascent runs on the
+    cap grid of 2 k_cap + 2 modes, whose retained band is exactly the cap
+    box, so the result depends on grid only through the clamp
+    k_cap <= grid.n / 2 - 1 and is bit-identical for every n >= 2 k_cap + 2.
+    Deterministic per seed, and nondecreasing in n_samples for a fixed seed
+    sequence.  Raises ConfigurationError if n_samples < 1 or k_cap < 3.
     """
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
     k_cap = min(k_cap, grid.n // 2 - 1)
-    cap = _cap_mask(grid, k_cap)
-    starts: list[SpectralVelocity] = [shear_flow(grid, 1.0)]
+    if k_cap < 3:
+        raise ConfigurationError(f"k_cap must be >= 3, got {k_cap}")
+    cg = make_grid(2 * k_cap + 2)
+    starts: list[SpectralVelocity] = [shear_flow(cg, 1.0)]
     if n_samples >= 2:
-        starts.append(taylor_green(grid, 1.0))
+        starts.append(taylor_green(cg, 1.0))
     for i in range(len(starts), n_samples):
-        starts.append(_capped_sample(grid, k_cap, [seed, i]))
+        starts.append(_capped_sample(cg, k_cap, [seed, i]))
 
     best_value = 0.0
     best_field = starts[0]
@@ -131,16 +128,15 @@ def estimate_c0(grid: Grid, n_samples: int = 6, ascent_steps: int = 120,
             per_sample.append(0.0)
             continue
         z = z * (1.0 / nz)
-        sample_best = _rayleigh_ratio(z)
+        sample_best, grad = _rayleigh(z)
         sample_field = z
         for _ in range(ascent_steps):
-            grad = _rayleigh_gradient(z, cap)
             gn = norm_l2(grad)
             if gn == 0.0:
                 break
             z = z + (step_size / gn) * grad
             z = z * (1.0 / norm_l2(z))
-            r = _rayleigh_ratio(z)
+            r, grad = _rayleigh(z)
             if r > sample_best:
                 sample_best = r
                 sample_field = z
@@ -160,8 +156,8 @@ def resolve_c0(config: RunConfig, grid: Grid) -> tuple[float, dict]:
     c0cfg = config.c0
     if c0cfg["mode"] == "fixed":
         return float(c0cfg["value"]), {"mode": "fixed", "value": float(c0cfg["value"])}
-    est = estimate_c0(grid, n_samples=int(c0cfg.get("n_samples", 6)),
-                      ascent_steps=int(c0cfg.get("ascent_steps", 120)),
+    est = estimate_c0(grid, n_samples=c0cfg.get("n_samples", 6),
+                      ascent_steps=c0cfg.get("ascent_steps", 120),
                       seed=config.seed)
     return est.value, {"mode": "estimate", "value": est.value,
                        "n_samples": est.n_samples, "ascent_steps": est.ascent_steps}

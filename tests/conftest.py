@@ -38,13 +38,24 @@ def random_field(grid32):
     return random_spectrum_field(grid32, decay=2.0, k_max=8, seed=7, l2_norm=1.0)
 
 
+class FFTCalls(dict):
+    """Call counts per transform name; .shapes[name] lists each call's physical plane shape."""
+
+    def __init__(self, names):
+        super().__init__((name, 0) for name in names)
+        self.shapes = {name: [] for name in names}
+
+
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Counts of scipy.fft.irfft2 / rfft2 calls made while the test runs."""
-    calls = {"irfft2": 0, "rfft2": 0}
+    """Counts and plane shapes of scipy.fft.irfft2 / rfft2 calls made while the test runs."""
+    calls = FFTCalls(("irfft2", "rfft2"))
     for name in calls:
         def counted(*args, _name=name, _fft=getattr(scipy.fft, name), **kwargs):
+            out = _fft(*args, **kwargs)
             calls[_name] += 1
-            return _fft(*args, **kwargs)
+            physical = out if _name == "irfft2" else args[0]
+            calls.shapes[_name].append(np.shape(physical)[-2:])
+            return out
         monkeypatch.setattr(scipy.fft, name, counted)
     return calls

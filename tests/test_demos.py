@@ -1,7 +1,8 @@
-"""Demo scripts: every name they import exists, and the stack demo runs end to end."""
+"""Demo scripts: every name they import exists, and the stack and lemma demos run end to end."""
 
 import ast
 import importlib
+import re
 import runpy
 from pathlib import Path
 
@@ -34,3 +35,11 @@ def test_derivative_stack_demo_runs(capsys):
     out = capsys.readouterr().out
     assert "observed order" in out
     assert "|v_k| =" in out
+
+
+def test_lemma_audit_demo_runs(capsys):
+    runpy.run_path(str(DEMOS[0].with_name("06_lemma_audits.py")), run_name="__main__")
+    out = capsys.readouterr().out
+    c0 = dict(re.findall(r"n=(\d+): C0 ~ ([0-9.]+)", out))
+    assert set(c0) == {"32", "64"}
+    assert c0["32"] == c0["64"]

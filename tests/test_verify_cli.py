@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from gevrey_ns import (ConfigurationError, check_theorem, config_from_dict,
-                       estimate_c0, make_grid, norm_grad_l2, norm_l2, norm_l4,
-                       random_spectrum_field)
+                       estimate_c0, inner_l2, make_grid, norm_grad_l2, norm_l2,
+                       norm_l4, random_spectrum_field)
 from gevrey_ns.cli import main
 from gevrey_ns.reporting import json_dumps
 
@@ -60,12 +60,39 @@ class TestEstimateC0:
             rhs = c0_32.value * (1.0 + 1e-6) * norm_l2(z) * norm_grad_l2(z)
             assert lhs <= rhs
 
-    def test_one_transform_each_way_per_gradient(self, fft_calls):
-        from gevrey_ns.verify import _cap_mask, _rayleigh_gradient
-        grid = make_grid(32)
-        z = random_spectrum_field(grid, 2.0, 8, seed=1, l2_norm=1.0)
-        _rayleigh_gradient(z, _cap_mask(grid, 8))
-        assert fft_calls == {"irfft2": 1, "rfft2": 1}
+    def test_one_transform_pair_per_ascent_step_on_the_cap_grid(self, fft_calls):
+        steps = 7
+        estimate_c0(make_grid(128), n_samples=1, ascent_steps=steps)
+        assert fft_calls == {"irfft2": steps + 1, "rfft2": steps + 1}
+        # cap grid 2 k_cap + 2 = 18, oversampled 2x
+        shapes = fft_calls.shapes["irfft2"] + fft_calls.shapes["rfft2"]
+        assert set(shapes) == {(36, 36)}
+
+    def test_same_estimate_at_every_resolution(self):
+        a, b, c = (estimate_c0(make_grid(n), n_samples=4, ascent_steps=20, seed=2)
+                   for n in (32, 64, 128))
+        for other in (b, c):
+            assert other.value == a.value
+            assert other.sample_values == a.sample_values
+            assert np.array_equal(other.spectrum_signature, a.spectrum_signature)
+
+    def test_cap_below_three_rejected(self):
+        with pytest.raises(ConfigurationError, match="k_cap"):
+            estimate_c0(make_grid(32), k_cap=2)
+
+    def test_gradient_matches_central_difference(self):
+        from gevrey_ns.verify import _capped_sample, _rayleigh
+        cg = make_grid(18)
+        z = _capped_sample(cg, 8, [0, 2])
+        w = _capped_sample(cg, 8, [0, 3])
+        _, grad = _rayleigh(z)
+        eps = 1e-6
+
+        def log_ratio(s):
+            return math.log(_rayleigh(z + s * w)[0])
+
+        fd = (log_ratio(eps) - log_ratio(-eps)) / (2.0 * eps)
+        assert fd == pytest.approx(inner_l2(grad, w), rel=1e-7)
 
     def test_spectrum_signature_present(self, c0_32):
         assert c0_32.spectrum_signature.sum() == pytest.approx(1.0, rel=1e-8)
@@ -157,6 +184,29 @@ class TestConfig:
     def test_bad_c0_mode(self):
         with pytest.raises(ConfigurationError, match="c0 mode"):
             config_from_dict({"c0": {"mode": "guess"}})
+
+    @pytest.mark.parametrize("c0, match", [
+        ("x", "c0 must be an object"),
+        ({"mode": "fixed", "value": "a"}, "finite 'value'"),
+        ({"mode": "fixed", "value": math.inf}, "finite 'value'"),
+        ({"mode": "fixed", "value": 0.0}, "finite 'value'"),
+        ({"mode": "fixed", "value": True}, "finite 'value'"),
+        ({"mode": "fixed"}, "finite 'value'"),
+        ({"mode": "estimate", "n_samples": "a"}, "n_samples"),
+        ({"mode": "estimate", "n_samples": 1.7}, "n_samples"),
+        ({"mode": "estimate", "n_samples": 0}, "n_samples"),
+        ({"mode": "estimate", "ascent_steps": -3}, "ascent_steps"),
+        ({"mode": "estimate", "ascent_steps": True}, "ascent_steps"),
+        ({"mode": "estimate", "n_sample": 1}, "unknown keys"),
+        ({"mode": "fixed", "value": 0.2, "n_samples": 3}, "unknown keys"),
+    ])
+    def test_bad_c0_block(self, c0, match):
+        with pytest.raises(ConfigurationError, match=match):
+            config_from_dict({"c0": c0})
+
+    def test_c0_estimate_defaults_optional(self):
+        assert config_from_dict({"c0": {"mode": "estimate"}}).c0 == {"mode": "estimate"}
+        assert config_from_dict({"c0": {"mode": "estimate", "ascent_steps": 0}})
 
     def test_bad_alphas(self):
         with pytest.raises(ConfigurationError, match="alphas"):
@@ -264,6 +314,13 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "theorem2_n_max" in captured.err
+
+    def test_bad_c0_block_exits_2(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path, {"c0": {"mode": "estimate", "n_samples": 1.7}})
+        assert main(["estimate-c0", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "n_samples" in captured.err
 
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["stokes-verify", "--frobnicate"]) == 2
