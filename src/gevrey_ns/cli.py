@@ -20,7 +20,7 @@ from .reporting import (json_dumps, write_ccc0_csv, write_functionals_csv,
 from .solver import energy_ledger, ledger_tolerance, run
 from .spectral import make_grid, make_initial_data, norm_l2
 from .stokes import stokes_gevrey_identity
-from .verify import check_theorem, estimate_c0
+from .verify import check_theorem, estimate_c0_from_config
 
 _SUBCOMMANDS = ("stokes-verify", "estimate-c0", "ns-run", "check-thm1",
                 "check-thm2", "check-thm3", "check-thm4", "audit-lemmas",
@@ -86,10 +86,7 @@ def _cmd_stokes_verify(args, cfg: RunConfig) -> int:
 
 
 def _cmd_estimate_c0(args, cfg: RunConfig) -> int:
-    grid = make_grid(cfg.n)
-    est = estimate_c0(grid, n_samples=cfg.c0.get("n_samples", 6),
-                      ascent_steps=cfg.c0.get("ascent_steps", 120),
-                      seed=cfg.seed)
+    est = estimate_c0_from_config(cfg, make_grid(cfg.n))
     doc = {"check": "estimate-c0", "value": est.value,
            "sample_values": est.sample_values,
            "spectrum_signature": list(est.spectrum_signature),
@@ -123,18 +120,11 @@ def _cmd_ns_run(args, cfg: RunConfig) -> int:
 
 def _cmd_check_thm(theorem_id: int, args, cfg: RunConfig) -> int:
     report = check_theorem(theorem_id, cfg)
-    doc = report.to_dict()
-    if cfg.out_dir:
-        write_json(doc, Path(cfg.out_dir) / "report.json")
-        traj = report.extras.get("trajectory")
-        series = report.extras.get("series")
-        if traj is not None:
-            write_trajectory_csv(traj, Path(cfg.out_dir) / "trajectory.csv")
-        if series is not None:
-            write_functionals_csv(series, cfg.alphas[0],
-                                  Path(cfg.out_dir) / "functionals.csv")
-    if args.json:
-        sys.stdout.write(json_dumps(doc))
+    _emit(args, report.to_dict(), cfg.out_dir)
+    if cfg.out_dir and report.series is not None:
+        write_trajectory_csv(report.trajectory, Path(cfg.out_dir) / "trajectory.csv")
+        write_functionals_csv(report.series, cfg.alphas[0],
+                              Path(cfg.out_dir) / "functionals.csv")
     if report.status == "error":
         print(f"error: {report.message}", file=sys.stderr)
         return 2

@@ -6,17 +6,33 @@ Unknown keys are rejected so that a config file pins an experiment exactly.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigurationError
 
 _C0_KEYS = {"estimate": {"mode", "n_samples", "ascent_steps"}, "fixed": {"mode", "value"}}
+_INITIAL_DATA_KEYS = {
+    "taylor_green": {"amplitude"},
+    "shear": {"amplitude"},
+    "random_spectrum": {"decay", "k_max", "seed", "l2_norm"},
+}
 
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    """A finite int or float; bools are not numbers here."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
+
+
+def _require(ok: bool, what: str, value) -> None:
+    if not ok:
+        raise ConfigurationError(f"{what}, got {value!r}")
 
 
 def _check_c0(c0) -> None:
@@ -25,20 +41,49 @@ def _check_c0(c0) -> None:
     if not isinstance(c0, dict):
         raise ConfigurationError(f"c0 must be an object, got {c0!r}")
     mode = c0.get("mode")
-    if mode not in _C0_KEYS:
+    if not isinstance(mode, str) or mode not in _C0_KEYS:
         raise ConfigurationError(f"c0 mode must be one of {tuple(_C0_KEYS)}, got {mode!r}")
     extra = set(c0) - _C0_KEYS[mode]
     if extra:
         raise ConfigurationError(f"unknown keys for c0 mode {mode!r}: {sorted(extra)}")
     if mode == "fixed":
         v = c0.get("value")
-        if (isinstance(v, bool) or not isinstance(v, (int, float))
-                or not math.isfinite(v) or v <= 0):
-            raise ConfigurationError(f"fixed c0 requires a finite 'value' > 0, got {v!r}")
+        _require(_is_real(v) and v > 0, "fixed c0 requires a finite 'value' > 0", v)
         return
     for key, low in (("n_samples", 1), ("ascent_steps", 0)):
-        if key in c0 and not (_is_int(c0[key]) and c0[key] >= low):
-            raise ConfigurationError(f"c0 {key} must be an integer >= {low}, got {c0[key]!r}")
+        if key in c0:
+            _require(_is_int(c0[key]) and c0[key] >= low,
+                     f"c0 {key} must be an integer >= {low}", c0[key])
+
+
+def check_initial_data(spec) -> None:
+    """Reject an initial data description that make_initial_data cannot build.
+
+    spec is {"kind": k, ...} with only that kind's keys; amplitude, decay,
+    k_max and l2_norm are finite numbers (amplitude > 0, decay >= 0,
+    k_max >= 1, l2_norm > 0 or null) and seed is an integer >= 0.
+    """
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ConfigurationError(f"initial data spec must be a dict with a 'kind', got {spec!r}")
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _INITIAL_DATA_KEYS:
+        raise ConfigurationError(f"unknown initial data kind {kind!r}")
+    extra = set(spec) - _INITIAL_DATA_KEYS[kind] - {"kind"}
+    if extra:
+        raise ConfigurationError(f"unknown keys for {kind}: {sorted(extra)}")
+    if kind == "random_spectrum":
+        missing = {"decay", "k_max", "seed"} - set(spec)
+        if missing:
+            raise ConfigurationError(f"random_spectrum needs keys {sorted(missing)}")
+    for key, ok, what in (
+            ("amplitude", lambda x: _is_real(x) and x > 0, "a finite number > 0"),
+            ("decay", lambda x: _is_real(x) and x >= 0, "a finite number >= 0"),
+            ("k_max", lambda x: _is_real(x) and x >= 1, "a finite number >= 1"),
+            ("seed", lambda x: _is_int(x) and x >= 0, "an integer >= 0"),
+            ("l2_norm", lambda x: x is None or (_is_real(x) and x > 0),
+             "null or a finite number > 0")):
+        if key in spec:
+            _require(ok(spec[key]), f"{kind} {key} must be {what}", spec[key])
 
 
 @dataclass(frozen=True)
@@ -55,7 +100,8 @@ class RunConfig:
         alphas: weight exponents to audit.
         seed: master seed for data generation.
         initial_data: spec dict for make_initial_data.
-        c0: {"mode": "estimate", "n_samples": .., "ascent_steps": ..} or
+        c0: {"mode": "estimate"} with optional "n_samples" and
+            "ascent_steps" (absent keys take estimate_c0's defaults) or
             {"mode": "fixed", "value": ..}.
         theorem2_n_max: doubling depth for bound 2.
         decay_window: fit window [a, b] for bound 4.
@@ -74,8 +120,7 @@ class RunConfig:
     alphas: tuple[float, ...] = (1.0,)
     seed: int = 0
     initial_data: dict = field(default_factory=lambda: {"kind": "taylor_green", "amplitude": 1.0})
-    c0: dict = field(default_factory=lambda: {"mode": "estimate", "n_samples": 6,
-                                              "ascent_steps": 120})
+    c0: dict = field(default_factory=lambda: {"mode": "estimate"})
     theorem2_n_max: int = 4
     decay_window: tuple[float, float] = (1.0, 5.0)
     gamma: float | None = None
@@ -84,18 +129,37 @@ class RunConfig:
     enforce_cfl: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end < 0:
-            raise ConfigurationError("dt must be positive and t_end >= 0")
-        if self.stack_depth < 0:
-            raise ConfigurationError("stack_depth must be >= 0")
-        if self.tol_energy <= 0:
-            raise ConfigurationError("tol_energy must be positive")
-        if any(a <= 0 for a in self.alphas):
-            raise ConfigurationError("all alphas must be positive")
+        _require(_is_int(self.n) and self.n >= 8 and self.n % 2 == 0,
+                 "n must be an even integer >= 8", self.n)
+        _require(_is_real(self.dt) and self.dt > 0, "dt must be a finite number > 0", self.dt)
+        _require(_is_real(self.t_end) and self.t_end >= 0,
+                 "t_end must be a finite number >= 0", self.t_end)
+        snaps = self.snapshot_times
+        _require(snaps is None or (isinstance(snaps, list)
+                                   and all(_is_real(s) and s >= 0 for s in snaps)),
+                 "snapshot_times must be null or a list of finite numbers >= 0", snaps)
+        _require(_is_int(self.stack_depth) and self.stack_depth >= 0,
+                 "stack_depth must be an integer >= 0", self.stack_depth)
+        _require(_is_int(self.truncation) and self.truncation >= 2 and self.truncation % 2 == 0,
+                 "truncation must be an even integer >= 2", self.truncation)
+        _require(isinstance(self.alphas, tuple) and all(_is_real(a) and a > 0 for a in self.alphas),
+                 "alphas must be a list of finite numbers > 0", self.alphas)
+        _require(_is_int(self.seed) and self.seed >= 0, "seed must be an integer >= 0", self.seed)
+        check_initial_data(self.initial_data)
         _check_c0(self.c0)
         n_max = self.theorem2_n_max
-        if not _is_int(n_max) or n_max < 0:
-            raise ConfigurationError(f"theorem2_n_max must be an integer >= 0, got {n_max!r}")
+        _require(_is_int(n_max) and n_max >= 0, "theorem2_n_max must be an integer >= 0", n_max)
+        w = self.decay_window
+        _require(isinstance(w, tuple) and len(w) == 2 and all(_is_real(x) for x in w)
+                 and 0 < w[0] < w[1], "decay_window must be [a, b] with 0 < a < b", w)
+        _require(self.gamma is None or (_is_real(self.gamma) and self.gamma > 0),
+                 "gamma must be null or a finite number > 0", self.gamma)
+        _require(self.out_dir is None or isinstance(self.out_dir, str),
+                 "out_dir must be null or a string", self.out_dir)
+        _require(_is_real(self.tol_energy) and self.tol_energy > 0,
+                 "tol_energy must be a finite number > 0", self.tol_energy)
+        _require(isinstance(self.enforce_cfl, bool), "enforce_cfl must be true or false",
+                 self.enforce_cfl)
 
     def resolved_snapshots(self) -> list[float]:
         if self.snapshot_times is not None:
@@ -135,7 +199,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
     kwargs = dict(doc)
     for key in ("alphas", "decay_window"):
-        if kwargs.get(key) is not None:
+        if isinstance(kwargs.get(key), list):
             kwargs[key] = tuple(kwargs[key])
     return RunConfig(**kwargs)
 

@@ -25,24 +25,15 @@ contraction with Grid.div, built once per grid, which takes the rfft2 planes
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
 
+from .config import check_initial_data
 from .errors import ConfigurationError, FieldInvariantError, GridMismatchError
 
 TWO_PI = 2.0 * np.pi
-
-
-def _fft_workers() -> int:
-    """Worker count for FFT calls, capped by GEVREY_NS_THREADS (default 1)."""
-    raw = os.environ.get("GEVREY_NS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -251,14 +242,10 @@ def to_physical(v: SpectralVelocity, oversample: int = 1) -> np.ndarray:
     Valid for Hermitian fields (the rfft half-spectrum path is used).
     """
     g = v.grid
-    n = g.n
-    if oversample == 1:
-        U = sfft.irfft2(np.stack([g.half(v.u1), g.half(v.u2)]), s=(n, n), workers=_fft_workers())
-        return U * (float(n) * n)
-    m = oversample * n
+    m = oversample * g.n
     pad = np.zeros((2, m, m // 2 + 1), dtype=complex)
     pad[:, g.oversample_rows(m), : g.half_cols] = np.stack([g.half(v.u1), g.half(v.u2)])
-    return sfft.irfft2(pad, s=(m, m), workers=_fft_workers()) * (float(m) * m)
+    return sfft.irfft2(pad, s=(m, m)) * (float(m) * m)
 
 
 def from_physical(grid: Grid, U1: np.ndarray, U2: np.ndarray) -> SpectralVelocity:
@@ -269,9 +256,8 @@ def from_physical(grid: Grid, U1: np.ndarray, U2: np.ndarray) -> SpectralVelocit
     (use leray_project when unsure).
     """
     n = grid.n
-    w = _fft_workers()
-    h1 = sfft.rfft2(np.asarray(U1, dtype=float), workers=w) / (float(n) * n)
-    h2 = sfft.rfft2(np.asarray(U2, dtype=float), workers=w) / (float(n) * n)
+    h1 = sfft.rfft2(np.asarray(U1, dtype=float)) / (float(n) * n)
+    h2 = sfft.rfft2(np.asarray(U2, dtype=float)) / (float(n) * n)
     return _clean(grid, grid.full_from_half(h1), grid.full_from_half(h2))
 
 
@@ -374,12 +360,11 @@ def _project_products(grid: Grid, T: np.ndarray) -> np.ndarray:
 def _advect_same(grid: Grid, uh):
     """-P div(u (x) u) from a (2, n, hc) rfft-layout stack, dealiased and scaled by n^2."""
     n = grid.n
-    w = _fft_workers()
-    U = sfft.irfft2(uh, s=(n, n), axes=(-2, -1), workers=w)
+    U = sfft.irfft2(uh, s=(n, n), axes=(-2, -1))
     P = np.empty((3, n, n))
     np.multiply(U[0], U, out=P[:2])  # (U1 U1, U1 U2)
     np.multiply(U[1], U[1], out=P[2])
-    return _project_products(grid, sfft.rfft2(P, axes=(-2, -1), workers=w))
+    return _project_products(grid, sfft.rfft2(P, axes=(-2, -1)))
 
 
 def _advect_pair(grid: Grid, abh):
@@ -388,11 +373,10 @@ def _advect_pair(grid: Grid, abh):
     The planes are the symmetric part of a (x) b and its antisymmetric part (a1 b2 - a2 b1) / 2.
     """
     n = grid.n
-    w = _fft_workers()
-    A1, A2, B1, B2 = sfft.irfft2(abh, s=(n, n), axes=(-2, -1), workers=w)
+    A1, A2, B1, B2 = sfft.irfft2(abh, s=(n, n), axes=(-2, -1))
     cross, swap = A1 * B2, A2 * B1
     P = np.stack([A1 * B1, 0.5 * (cross + swap), A2 * B2, 0.5 * (cross - swap)])
-    return _project_products(grid, sfft.rfft2(P, axes=(-2, -1), workers=w))
+    return _project_products(grid, sfft.rfft2(P, axes=(-2, -1)))
 
 
 def _masked_half_stack(v: SpectralVelocity) -> np.ndarray:
@@ -437,7 +421,7 @@ def nonlinear_symmetric(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVel
 def dealiased_physical(v: SpectralVelocity) -> np.ndarray:
     """The 2/3-truncated field on the n-grid as a (2, n, n) array; one inverse transform."""
     n = v.grid.n
-    return sfft.irfft2(_masked_half_stack(v), s=(n, n), axes=(-2, -1), workers=_fft_workers())
+    return sfft.irfft2(_masked_half_stack(v), s=(n, n), axes=(-2, -1))
 
 
 def nonlinear_level(grid: Grid, phys: list[np.ndarray]) -> SpectralVelocity:
@@ -461,7 +445,7 @@ def nonlinear_level(grid: Grid, phys: list[np.ndarray]) -> SpectralVelocity:
         a = phys[top // 2]
         diag += a * a
         P[1] += a[0] * a[1]
-    T = sfft.rfft2(P, axes=(-2, -1), workers=_fft_workers())
+    T = sfft.rfft2(P, axes=(-2, -1))
     return _field_from_half_stack(grid, _project_products(grid, T))
 
 
@@ -534,37 +518,22 @@ def random_spectrum_field(grid: Grid, decay: float, k_max: float, seed: int,
     return v
 
 
-_INITIAL_DATA_KEYS = {
-    "taylor_green": {"amplitude"},
-    "shear": {"amplitude"},
-    "random_spectrum": {"decay", "k_max", "seed", "l2_norm"},
-}
-
-
 def make_initial_data(grid: Grid, spec: dict) -> SpectralVelocity:
     """Build initial data from a declarative description.
 
     spec is a dict with key "kind" in {taylor_green, shear, random_spectrum}
-    plus that generator's parameters; unknown kinds or keys are rejected.
+    plus that generator's parameters; config.check_initial_data rejects
+    unknown kinds or keys and malformed values.
     """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigurationError(f"initial data spec must be a dict with a 'kind', got {spec!r}")
+    check_initial_data(spec)
     kind = spec["kind"]
-    if kind not in _INITIAL_DATA_KEYS:
-        raise ConfigurationError(f"unknown initial data kind {kind!r}")
-    extra = set(spec) - _INITIAL_DATA_KEYS[kind] - {"kind"}
-    if extra:
-        raise ConfigurationError(f"unknown keys for {kind}: {sorted(extra)}")
     if kind == "taylor_green":
         return taylor_green(grid, float(spec.get("amplitude", 1.0)))
     if kind == "shear":
         return shear_flow(grid, float(spec.get("amplitude", 1.0)))
-    missing = {"decay", "k_max", "seed"} - set(spec)
-    if missing:
-        raise ConfigurationError(f"random_spectrum needs keys {sorted(missing)}")
     l2 = spec.get("l2_norm")
     return random_spectrum_field(grid, float(spec["decay"]), float(spec["k_max"]),
-                                 int(spec["seed"]), None if l2 is None else float(l2))
+                                 spec["seed"], None if l2 is None else float(l2))
 
 
 def mode_energies(v: SpectralVelocity) -> tuple[np.ndarray, np.ndarray]:

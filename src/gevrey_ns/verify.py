@@ -16,12 +16,12 @@ import scipy.fft as sfft
 from .config import RunConfig
 from .derivatives import time_derivative_stack
 from .errors import ConfigurationError, IntegrationError
-from .functionals import (FunctionalSeries, fit_decay, raw_functionals,
-                          sample_at_time_zero, smallness_check,
+from .functionals import (FunctionalSeries, TheoremLhs, fit_decay,
+                          raw_functionals, sample_at_time_zero, smallness_check,
                           theorem2_log_rhs, theorem2_rhs, theorem3_rhs,
                           theorem4_rhs, theorem4_t0, theorem_lhs)
 from .solver import Trajectory, integrate
-from .spectral import (Grid, SpectralVelocity, _fft_workers, leray, make_grid,
+from .spectral import (Grid, SpectralVelocity, leray, make_grid,
                        make_initial_data, mode_energies, norm_grad_l2, norm_l2,
                        shear_flow, taylor_green, to_physical)
 from .stokes import stokes_derivative_stack
@@ -65,7 +65,7 @@ def _rayleigh(z: SpectralVelocity) -> tuple[float, SpectralVelocity]:
     g2 = norm_grad_l2(z)
     ratio = (integral ** 0.25) ** 2 / (l2 * g2)
     l4sq = math.sqrt(integral)
-    h = sfft.rfft2(q * U, axes=(-2, -1), workers=_fft_workers())
+    h = sfft.rfft2(q * U, axes=(-2, -1))
     cub = g.full_from_half(h[:, g.oversample_rows(m), :g.half_cols] / (float(m) * m))
     d1 = 2.0 * cub[0] / l4sq ** 2 - z.u1 / l2 ** 2 - g.k_sq * z.u1 / g2 ** 2
     d2 = 2.0 * cub[1] / l4sq ** 2 - z.u2 / l2 ** 2 - g.k_sq * z.u2 / g2 ** 2
@@ -151,14 +151,20 @@ def estimate_c0(grid: Grid, n_samples: int = 6, ascent_steps: int = 120,
                       ascent_steps=ascent_steps, seed=seed)
 
 
+def estimate_c0_from_config(config: RunConfig, grid: Grid) -> C0Estimate:
+    """estimate_c0 on the config's estimate block; absent keys take its defaults."""
+    opts = dict(config.c0)
+    if opts.pop("mode") != "estimate":
+        raise ConfigurationError(f"estimating C0 needs c0 mode 'estimate', got {config.c0!r}")
+    return estimate_c0(grid, seed=config.seed, **opts)
+
+
 def resolve_c0(config: RunConfig, grid: Grid) -> tuple[float, dict]:
     """Fixed value or fresh estimate per the config's c0 block."""
     c0cfg = config.c0
     if c0cfg["mode"] == "fixed":
         return float(c0cfg["value"]), {"mode": "fixed", "value": float(c0cfg["value"])}
-    est = estimate_c0(grid, n_samples=c0cfg.get("n_samples", 6),
-                      ascent_steps=c0cfg.get("ascent_steps", 120),
-                      seed=config.seed)
+    est = estimate_c0_from_config(config, grid)
     return est.value, {"mode": "estimate", "value": est.value,
                        "n_samples": est.n_samples, "ascent_steps": est.ascent_steps}
 
@@ -171,9 +177,10 @@ def resolve_c0(config: RunConfig, grid: Grid) -> tuple[float, dict]:
 class TheoremReport:
     """Per-time LHS/RHS margins for one bound, with the error budget embedded.
 
-    A row's verdict is margin >= -(quadrature + truncation budget); the
-    overall verdict requires every row to pass.  status is "ok", "n/a"
-    (precondition unmet), or "error".
+    A row passes when margin >= -err_budget; the verdict requires every row
+    to pass, and status "n/a" (precondition unmet) or "error" keeps it False.
+    series and trajectory, the run behind the rows, are attached only with
+    rows and are not serialized.
     """
 
     theorem_id: int
@@ -183,31 +190,28 @@ class TheoremReport:
     status: str = "ok"
     message: str = ""
     extras: dict = field(default_factory=dict)
+    series: FunctionalSeries | None = None
+    trajectory: Trajectory | None = None
 
     def to_dict(self) -> dict:
-        extras = {k: v for k, v in self.extras.items()
-                  if k not in ("series", "trajectory")}
         return {"theorem": self.theorem_id, "params": self.params,
                 "rows": self.rows, "verdict": self.verdict,
                 "status": self.status, "message": self.message,
-                "extras": extras}
+                "extras": self.extras}
 
 
-def _rows_from_arrays(times, lhs, rhs, budget, extra_cols=None) -> tuple[list[dict], bool]:
-    rows = []
-    ok_all = True
-    rhs = np.broadcast_to(np.asarray(rhs, dtype=float), np.shape(lhs))
-    for i, t in enumerate(times):
-        margin = float(rhs[i] - lhs[i]) if math.isfinite(rhs[i]) else math.inf
-        ok = margin >= -float(budget[i])
-        ok_all = ok_all and ok
-        row = {"t": float(t), "lhs": float(lhs[i]), "rhs": float(rhs[i]),
-               "margin": margin, "err_budget": float(budget[i]), "ok": ok}
-        if extra_cols:
-            for key, col in extra_cols.items():
-                row[key] = col[i] if np.ndim(col) else col
-        rows.append(row)
-    return rows, ok_all
+def _add_rows(report: TheoremReport, res: TheoremLhs, rhs, sel=slice(None), **cols) -> None:
+    """Append a row per selected time of res: margin = rhs - lhs (inf where rhs
+    is not finite), err_budget = quad_err + tail_err, ok = margin >= -err_budget;
+    cols are constants written into every row."""
+    budget = res.quad_err + res.trunc_tail
+    rhs = np.broadcast_to(np.asarray(rhs, dtype=float), np.shape(res.lhs))
+    for i in np.arange(len(res.times))[sel]:
+        margin = float(rhs[i] - res.lhs[i]) if math.isfinite(rhs[i]) else math.inf
+        report.rows.append({"t": float(res.times[i]), "lhs": float(res.lhs[i]),
+                            "rhs": float(rhs[i]), "margin": margin,
+                            "err_budget": float(budget[i]), "ok": margin >= -float(budget[i]),
+                            **cols, "quad_err": res.quad_err[i], "tail_err": res.trunc_tail[i]})
 
 
 def _stack_series(traj: Trajectory, K: int, fluctuation: bool = False) -> FunctionalSeries:
@@ -260,42 +264,30 @@ def check_theorem(theorem_id: int, config: RunConfig) -> TheoremReport:
             return report
 
     try:
-        return _run_check(theorem_id, config, grid, u0, alpha, c0, u0n, report)
+        _run_check(theorem_id, config, u0, alpha, c0, u0n, report)
     except (IntegrationError, ConfigurationError) as exc:
         report.status = "error"
         report.message = str(exc)
-        report.verdict = False
-        return report
+    report.verdict = report.status == "ok" and all(row["ok"] for row in report.rows)
+    return report
 
 
-def _run_check(theorem_id: int, config: RunConfig, grid: Grid,
-               u0: SpectralVelocity, alpha: float, c0: float, u0n: float,
-               report: TheoremReport) -> TheoremReport:
+def _run_check(theorem_id: int, config: RunConfig, u0: SpectralVelocity,
+               alpha: float, c0: float, u0n: float, report: TheoremReport) -> None:
     if theorem_id == 3:
-        return _check_theorem3(config, grid, u0, alpha, c0, report)
-
-    traj = integrate(u0, dt=config.dt, t_end=config.t_end,
-                     snapshot_times=config.resolved_snapshots(),
-                     enforce_cfl=config.enforce_cfl, config_echo=config.to_dict())
-    series = _stack_series(traj, config.stack_depth)
-
+        traj, series = _check_theorem3(config, u0, alpha, c0, report)
+    else:
+        traj = integrate(u0, dt=config.dt, t_end=config.t_end,
+                         snapshot_times=config.resolved_snapshots(),
+                         enforce_cfl=config.enforce_cfl, config_echo=config.to_dict())
+        series = _stack_series(traj, config.stack_depth)
     if theorem_id == 1:
-        res = theorem_lhs(series, 1, alpha)
-        rhs = u0n ** 2
-        budget = res.quad_err + res.trunc_tail
-        report.rows, ok = _rows_from_arrays(
-            res.times, res.lhs, rhs, budget,
-            {"quad_err": res.quad_err, "tail_err": res.trunc_tail})
-        report.verdict = ok
+        _add_rows(report, theorem_lhs(series, 1, alpha), u0n ** 2)
         report.extras["c0_sensitivity"] = {
             "smallness_at_c0_minus_10pct": smallness_check(u0n, 0.9 * c0, alpha).value,
             "smallness_at_c0_plus_10pct": smallness_check(u0n, 1.1 * c0, alpha).value,
         }
-        report.extras["series"] = series
-        report.extras["trajectory"] = traj
-        return report
-
-    if theorem_id == 2:
+    elif theorem_id == 2:
         small = smallness_check(u0n, c0, alpha)
         report.params["smallness_value"] = small.value
         if small.satisfied:
@@ -305,29 +297,23 @@ def _run_check(theorem_id: int, config: RunConfig, grid: Grid,
             report.message = ("data satisfies the smallness condition; the "
                               "doubling bound's constant assumes large data and "
                               "may fail here (genuine finding, not a harness bug)")
-        ok_all = True
         cap = (series.M - 1) // 2
-        rows = []
         for n in range(0, config.theorem2_n_max + 1):
             res = theorem_lhs(series, 2, alpha, k_max=min(n, cap))
             rhs = theorem2_rhs(u0n, c0, alpha, n)
-            budget = res.quad_err + res.trunc_tail
-            extra = {"n": float(n), "log_rhs": theorem2_log_rhs(u0n, c0, alpha, n),
-                     "quad_err": res.quad_err, "tail_err": res.trunc_tail}
-            nrows, ok = _rows_from_arrays(res.times, res.lhs, rhs, budget, extra)
-            rows.extend(nrows)
-            ok_all = ok_all and ok
-        report.rows = rows
-        report.verdict = ok_all
+            _add_rows(report, res, rhs, n=float(n), log_rhs=theorem2_log_rhs(u0n, c0, alpha, n))
         report.extras["rhs_sensitivity"] = {
             "c0_minus_10pct": theorem2_log_rhs(u0n, 0.9 * c0, alpha, config.theorem2_n_max),
             "c0_plus_10pct": theorem2_log_rhs(u0n, 1.1 * c0, alpha, config.theorem2_n_max),
         }
-        report.extras["series"] = series
-        report.extras["trajectory"] = traj
-        return report
+    elif theorem_id == 4 and not _check_theorem4(config, traj, series, alpha, c0, report):
+        return
+    report.series, report.trajectory = series, traj
 
-    # theorem 4
+
+def _check_theorem4(config: RunConfig, traj: Trajectory, series: FunctionalSeries,
+                    alpha: float, c0: float, report: TheoremReport) -> bool:
+    """Accelerated decay from the admissible origin t0; False when n/a (no rows)."""
     norms = [norm_l2(u) for u in traj.fields]
     gamma = config.gamma
     fit = fit_decay(traj.times, norms, config.decay_window)
@@ -335,7 +321,7 @@ def _run_check(theorem_id: int, config: RunConfig, grid: Grid,
         if fit.gamma_fit <= 0:
             report.status = "n/a"
             report.message = f"fitted decay exponent {fit.gamma_fit:.3g} is not positive"
-            return report
+            return False
         gamma = fit.gamma_fit
         K_env = fit.K_fit
         report.params["fit_residual"] = fit.residual
@@ -350,33 +336,26 @@ def _run_check(theorem_id: int, config: RunConfig, grid: Grid,
     report.params["t0"] = t0
     res = theorem_lhs(series, 4, alpha, gamma=gamma)
     rhs = theorem4_rhs(K_env, gamma)
-    budget = res.quad_err + res.trunc_tail
     sel = res.times >= t0 - 1e-12
     if not np.any(sel):
         report.status = "n/a"
         report.message = (f"admissible origin t0 = {t0:.3g} lies beyond the horizon "
                           f"{config.t_end}; no snapshots to check")
-        return report
-    report.rows, ok = _rows_from_arrays(
-        res.times[sel], res.lhs[sel], rhs, budget[sel],
-        {"quad_err": res.quad_err[sel], "tail_err": res.trunc_tail[sel]})
-    report.verdict = ok
+        return False
+    _add_rows(report, res, rhs, sel)
     # sensitivity of the integral term to starting the accumulation at t0
     start = int(np.argmax(sel))
-    tail_int = float(res.integral[-1] - res.integral[start])
-    report.extras["integral_from_t0"] = tail_int
+    report.extras["integral_from_t0"] = float(res.integral[-1] - res.integral[start])
     report.extras["integral_from_origin"] = float(res.integral[-1])
     report.extras["c0_sensitivity"] = {
         "t0_at_c0_minus_10pct": theorem4_t0(0.9 * c0, alpha, K_env, gamma),
         "t0_at_c0_plus_10pct": theorem4_t0(1.1 * c0, alpha, K_env, gamma),
     }
-    report.extras["series"] = series
-    report.extras["trajectory"] = traj
-    return report
+    return True
 
 
-def _check_theorem3(config: RunConfig, grid: Grid, u0: SpectralVelocity,
-                    alpha: float, c0: float, report: TheoremReport) -> TheoremReport:
+def _check_theorem3(config: RunConfig, u0: SpectralVelocity, alpha: float, c0: float,
+                    report: TheoremReport) -> tuple[Trajectory, FunctionalSeries]:
     """Fluctuation bound on [0, T0], with the run rescoped to that window."""
     horizon = config.t_end if config.t_end > 0 else 1.0
     rhs_probe = theorem3_rhs(u0, c0, alpha, horizon)
@@ -393,16 +372,9 @@ def _check_theorem3(config: RunConfig, grid: Grid, u0: SpectralVelocity,
                      enforce_cfl=config.enforce_cfl, config_echo=config.to_dict())
     fl_series = _stack_series(traj, config.stack_depth, fluctuation=True)
     res = theorem_lhs(fl_series, 3, alpha)
-    rhs = theorem3_rhs(u0, c0, alpha, horizon, times=res.times)
-    budget = res.quad_err + res.trunc_tail
-    report.rows, ok = _rows_from_arrays(
-        res.times, res.lhs, rhs.rhs, budget,
-        {"quad_err": res.quad_err, "tail_err": res.trunc_tail})
-    report.verdict = ok
+    _add_rows(report, res, theorem3_rhs(u0, c0, alpha, horizon, times=res.times).rhs)
     report.extras["rhs_sensitivity"] = {
         "c0_minus_10pct_T0": theorem3_rhs(u0, 0.9 * c0, alpha, horizon).T0,
         "c0_plus_10pct_T0": theorem3_rhs(u0, 1.1 * c0, alpha, horizon).T0,
     }
-    report.extras["series"] = fl_series
-    report.extras["trajectory"] = traj
-    return report
+    return traj, fl_series

@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gevrey_ns import (ConfigurationError, check_theorem, config_from_dict,
-                       estimate_c0, inner_l2, make_grid, norm_grad_l2, norm_l2,
-                       norm_l4, random_spectrum_field)
+from gevrey_ns import (ConfigurationError, RunConfig, check_theorem,
+                       config_from_dict, estimate_c0, inner_l2, make_grid,
+                       make_initial_data, norm_grad_l2, norm_l2, norm_l4,
+                       random_spectrum_field)
 from gevrey_ns.cli import main
 from gevrey_ns.reporting import json_dumps
 
@@ -20,6 +23,27 @@ THM1_CFG = {
                      "seed": 3, "l2_norm": 0.3},
     "c0": {"mode": "fixed", "value": 0.23},
 }
+
+
+# n = 16 runs of the four bounds; BOUND4_NA's t0 = 5.55 lies beyond its horizon
+SMALL_BASE = {"n": 16, "dt": 0.01, "t_end": 0.2, "stack_depth": 4,
+              "c0": {"mode": "fixed", "value": 0.23}}
+
+
+def _small_data(l2, decay=2.0, seed=5):
+    return {"kind": "random_spectrum", "decay": decay, "k_max": 6, "seed": seed,
+            "l2_norm": l2}
+
+
+_BOUND4 = dict(SMALL_BASE, t_end=5.0, snapshot_times=[0.25 * i for i in range(21)],
+               decay_window=[1, 5])
+SMALL_BOUNDS = {
+    1: dict(SMALL_BASE, initial_data=_small_data(0.3)),
+    2: dict(SMALL_BASE, initial_data=_small_data(0.3), theorem2_n_max=2),
+    3: dict(SMALL_BASE, initial_data=_small_data(3.0)),
+    4: dict(_BOUND4, initial_data=_small_data(1.0, 3.0, 7), gamma=0.5),
+}
+BOUND4_NA = dict(_BOUND4, initial_data=_small_data(8.0, 3.0, 7))
 
 
 def strict_loads(text):
@@ -118,7 +142,7 @@ class TestCheckTheorem:
         # stacks are scaled, so depth 16 (M = 31) needs no cap
         rep = check_theorem(1, config_from_dict(dict(THM1_CFG, stack_depth=16)))
         assert rep.status == "ok"
-        assert rep.extras["series"].M == 31
+        assert rep.series.M == 31
         assert all(math.isfinite(r["lhs"]) for r in rep.rows)
 
     def test_thm1_zero_horizon_single_row(self):
@@ -176,6 +200,41 @@ class TestCheckTheorem:
         assert "integral_from_t0" in rep.extras
 
 
+class TestVerdictPath:
+    @pytest.mark.parametrize("theorem_id", [1, 2, 3, 4])
+    def test_rows_and_verdict_follow_one_rule(self, theorem_id):
+        rep = check_theorem(theorem_id, config_from_dict(SMALL_BOUNDS[theorem_id]))
+        assert rep.status == "ok" and rep.rows
+        for row in rep.rows:
+            assert row["err_budget"] == row["quad_err"] + row["tail_err"]
+            assert row["ok"] == (row["margin"] >= -row["err_budget"])
+            if math.isfinite(row["rhs"]):
+                assert row["margin"] == row["rhs"] - row["lhs"]
+            assert ("n" in row and "log_rhs" in row) == (theorem_id == 2)
+        assert rep.verdict == all(row["ok"] for row in rep.rows)
+        assert rep.series is not None and rep.trajectory is not None
+        assert "series" not in rep.to_dict()["extras"]
+
+
+# JSON-like values; the data and c0 blocks often get past their kind and mode
+_SCALAR = (st.integers(-2, 9) | st.floats() | st.none() | st.booleans()
+           | st.integers() | st.text(max_size=3))
+_JSON = st.recursive(_SCALAR, lambda c: st.lists(c, max_size=3)
+                     | st.dictionaries(st.text(max_size=3), c, max_size=3), max_leaves=6)
+_DATA = st.one_of(*(
+    st.fixed_dictionaries({"kind": kind}, optional={k: _SCALAR for k in keys})
+    for kind, keys in ((st.just("taylor_green"), ["amplitude"]), (st.just("shear"), ["amplitude"]),
+                       (st.just("random_spectrum"), ["decay", "k_max", "seed", "l2_norm"]),
+                       (_JSON, ["amplitude"]))))
+_C0 = st.fixed_dictionaries(
+    {"mode": st.sampled_from(["fixed", "estimate"]) | _JSON},
+    optional={k: _SCALAR for k in ("value", "n_samples", "ascent_steps")})
+_DOC = st.builds(lambda fields, blocks: {**fields, **blocks},
+                 st.just({}) | st.dictionaries(
+                     st.sampled_from(sorted(RunConfig.__dataclass_fields__)), _JSON, max_size=3),
+                 st.fixed_dictionaries({}, optional={"initial_data": _DATA, "c0": _C0}))
+
+
 class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown config keys"):
@@ -221,6 +280,54 @@ class TestConfig:
         cfg = config_from_dict(THM1_CFG)
         again = config_from_dict(cfg.to_dict())
         assert again == cfg
+
+    @pytest.mark.parametrize("key, bad", [
+        ("n", 30.0), ("n", 7), ("n", True),
+        ("dt", "x"), ("dt", math.nan), ("dt", True), ("t_end", "1"), ("t_end", math.inf),
+        ("snapshot_times", 0.5), ("snapshot_times", [0.0, "a"]),
+        ("stack_depth", "3"), ("truncation", "x"), ("truncation", 3),
+        ("alphas", 1.0), ("alphas", [True]), ("seed", "a"), ("seed", -1),
+        ("decay_window", [2, 1]), ("decay_window", [1]), ("gamma", "x"), ("gamma", 0.0),
+        ("out_dir", 3), ("tol_energy", "x"), ("tol_energy", math.nan),
+        ("enforce_cfl", "no"), ("enforce_cfl", 1),
+    ])
+    def test_bad_field(self, key, bad):
+        with pytest.raises(ConfigurationError, match=key):
+            config_from_dict({key: bad})
+
+    @pytest.mark.parametrize("spec, match", [
+        ({"kind": "taylor_green", "amplitude": "a"}, "amplitude"),
+        ({"kind": "shear", "amplitude": math.nan}, "amplitude"),
+        ({"kind": ["shear"]}, "kind"),
+        (dict(THM1_CFG["initial_data"], seed=1.5), "seed"),
+        (dict(THM1_CFG["initial_data"], seed=-1), "seed"),
+        (dict(THM1_CFG["initial_data"], decay=-1.0), "decay"),
+        (dict(THM1_CFG["initial_data"], k_max=0.5), "k_max"),
+        (dict(THM1_CFG["initial_data"], l2_norm=False), "l2_norm"),
+    ])
+    def test_bad_initial_data(self, spec, match):
+        with pytest.raises(ConfigurationError, match=match):
+            config_from_dict({"initial_data": spec})
+
+    def test_c0_defaults_owned_by_estimate_c0(self, monkeypatch):
+        from gevrey_ns import verify
+        assert RunConfig().c0 == {"mode": "estimate"}
+        calls = []
+        monkeypatch.setattr(verify, "estimate_c0",
+                            lambda grid, **kw: calls.append(kw) or estimate_c0(grid, **kw))
+        cfg = config_from_dict({"seed": 4, "c0": {"mode": "estimate", "n_samples": 1}})
+        _, info = verify.resolve_c0(cfg, make_grid(16))
+        assert calls == [{"seed": 4, "n_samples": 1}]
+        assert (info["n_samples"], info["ascent_steps"]) == (1, 120)
+
+    @settings(deadline=None, derandomize=True, max_examples=400)
+    @given(doc=_DOC)
+    def test_any_document_builds_or_raises_configuration_error(self, doc):
+        try:
+            cfg = config_from_dict(doc)
+            make_initial_data(make_grid(8), cfg.initial_data)
+        except ConfigurationError:
+            pass
 
 
 class TestReportingFormat:
@@ -315,6 +422,24 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "theorem2_n_max" in captured.err
 
+    def test_estimate_c0_on_fixed_block_exits_2(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path, {"c0": {"mode": "fixed", "value": 0.23}})
+        assert main(["estimate-c0", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and "'estimate'" in captured.err
+
+    def test_bound4_na_writes_only_report(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["check-thm4", "--config", self._write_cfg(tmp_path, BOUND4_NA),
+                     "--out", str(out)]) == 2
+        assert "N/A" in capsys.readouterr().out
+        report = strict_loads((out / "report.json").read_text())
+        assert report["status"] == "n/a" and "beyond the horizon" in report["message"]
+        assert report["verdict"] is False and report["rows"] == []
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
     def test_bad_c0_block_exits_2(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path, {"c0": {"mode": "estimate", "n_samples": 1.7}})
         assert main(["estimate-c0", "--config", cfg]) == 2
@@ -371,22 +496,6 @@ class TestCli:
 
 
 class TestConcurrencyContract:
-    def test_thread_count_reproducibility(self, monkeypatch):
-        grid = make_grid(32)
-        u0 = random_spectrum_field(grid, 2.0, 8, seed=9, l2_norm=1.0)
-        from gevrey_ns import integrate, nonlinear_term
-
-        def snapshot_norms():
-            traj = integrate(u0, dt=2e-3, t_end=0.1, snapshot_times=[0.0, 0.1])
-            return norm_l2(traj.fields[-1]), norm_l2(nonlinear_term(u0, u0))
-
-        monkeypatch.setenv("GEVREY_NS_THREADS", "1")
-        a = snapshot_norms()
-        monkeypatch.setenv("GEVREY_NS_THREADS", "2")
-        b = snapshot_norms()
-        for x, y in zip(a, b):
-            assert abs(x - y) <= 1e-13 * max(abs(x), 1.0)
-
     def test_fields_are_immutable(self):
         grid = make_grid(32)
         u0 = random_spectrum_field(grid, 2.0, 8, seed=9, l2_norm=1.0)
