@@ -98,6 +98,7 @@ def _cmd_estimate_c0(args, cfg: RunConfig) -> int:
 
 
 def _cmd_ns_run(args, cfg: RunConfig) -> int:
+    alpha = cfg.alpha
     traj = run(cfg)
     ledger = energy_ledger(traj)
     tol = ledger_tolerance(cfg.dt, cfg.tol_energy)
@@ -110,7 +111,7 @@ def _cmd_ns_run(args, cfg: RunConfig) -> int:
         if cfg.stack_depth >= 1:
             from .verify import _stack_series
             series = _stack_series(traj, cfg.stack_depth)
-            write_functionals_csv(series, cfg.alphas[0],
+            write_functionals_csv(series, alpha,
                                   Path(cfg.out_dir) / "functionals.csv")
     _emit(args, doc, cfg.out_dir)
     print(f"ns-run: {'PASS' if ok else 'FAIL'} "
@@ -123,7 +124,7 @@ def _cmd_check_thm(theorem_id: int, args, cfg: RunConfig) -> int:
     _emit(args, report.to_dict(), cfg.out_dir)
     if cfg.out_dir and report.series is not None:
         write_trajectory_csv(report.trajectory, Path(cfg.out_dir) / "trajectory.csv")
-        write_functionals_csv(report.series, cfg.alphas[0],
+        write_functionals_csv(report.series, cfg.alpha,
                               Path(cfg.out_dir) / "functionals.csv")
     if report.status == "error":
         print(f"error: {report.message}", file=sys.stderr)

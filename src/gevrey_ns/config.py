@@ -97,7 +97,7 @@ class RunConfig:
         stack_depth: derivative stack depth K at each snapshot (no cap; the
             stack is built in scaled variables).
         truncation: order M for the diffusion-semigroup identity check.
-        alphas: weight exponents to audit.
+        alphas: weight exponents to audit; exactly one for a check or a run.
         seed: master seed for data generation.
         initial_data: spec dict for make_initial_data.
         c0: {"mode": "estimate"} with optional "n_samples" and
@@ -160,6 +160,12 @@ class RunConfig:
                  "tol_energy must be a finite number > 0", self.tol_energy)
         _require(isinstance(self.enforce_cfl, bool), "enforce_cfl must be true or false",
                  self.enforce_cfl)
+
+    @property
+    def alpha(self) -> float:
+        """The one weight exponent of a bound check or a run."""
+        _require(len(self.alphas) == 1, "alphas must hold exactly one value", list(self.alphas))
+        return self.alphas[0]
 
     def resolved_snapshots(self) -> list[float]:
         if self.snapshot_times is not None:

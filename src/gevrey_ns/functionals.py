@@ -243,21 +243,17 @@ def _cumtrapz_with_error(x: np.ndarray, y: np.ndarray):
 _THEOREM_IDS = (1, 2, 3, 4)
 
 
-def _tilde_weights(theorem_id: int, alpha: float, k_max: int, variant: str):
+def _tilde_weights(theorem_id: int, alpha: float, k_max: int):
     """Per-k weights in tilde space: (state_even, state_odd, int_even, int_odd).
 
     These encode the printed weight tables exactly: substituting the first
     renormalization into the printed factors leaves (k!)^-alpha and
-    ((k+1)!)^-alpha (doubled exponents for the proof-normalized variant),
-    integral prefactors 1/2 (ids 1, 2), the extra 1/2 on even integral
-    terms (ids 2, 3), and 4^-k for id 4.
+    ((k+1)!)^-alpha, integral prefactors 1/2 (ids 1, 2), the extra 1/2 on
+    even integral terms (ids 2, 3), and 4^-k for id 4.
     """
-    if variant not in ("printed", "proof"):
-        raise ConfigurationError(f"unknown weight variant {variant!r}")
-    a_exp = alpha if variant == "printed" else 2.0 * alpha
     k = np.arange(k_max + 1, dtype=float)
-    a = np.exp(-a_exp * gammaln(k + 1.0))
-    b = np.exp(-a_exp * gammaln(k + 2.0))
+    a = np.exp(-alpha * gammaln(k + 1.0))
+    b = np.exp(-alpha * gammaln(k + 2.0))
     if theorem_id == 1:
         return a, b, 0.5 * a, 0.5 * b
     if theorem_id == 2:
@@ -271,8 +267,7 @@ def _tilde_weights(theorem_id: int, alpha: float, k_max: int, variant: str):
 
 
 def theorem_lhs(series: FunctionalSeries, theorem_id: int, alpha: float,
-                gamma: float | None = None, k_max: int | None = None,
-                variant: str = "printed") -> TheoremLhs:
+                gamma: float | None = None, k_max: int | None = None) -> TheoremLhs:
     """Evaluate the left-hand side of one weighted-sum bound along a series.
 
     The state part is evaluated at every sample; the integral part is the
@@ -294,7 +289,7 @@ def theorem_lhs(series: FunctionalSeries, theorem_id: int, alpha: float,
     if theorem_id == 4:
         if gamma is None or gamma <= 0:
             raise ConfigurationError("theorem 4 needs gamma > 0")
-    se, so, ie, io = _tilde_weights(theorem_id, alpha, k_max, variant)
+    se, so, ie, io = _tilde_weights(theorem_id, alpha, k_max)
 
     times = series.times
     n_t = len(times)
@@ -364,18 +359,23 @@ def smallness_check(u0_l2: float, c0: float, alpha: float) -> SmallnessResult:
 
 @dataclass(frozen=True)
 class Theorem3Rhs:
-    """Fluctuation bound: T0 and RHS(t) = 64 C0^2 C_alpha^2 |u0|^2 I(t)."""
+    """Fluctuation bound: T0 and RHS(t) = 64 C0^2 C_alpha^2 |u0|^2 I(t) on [0, T0]."""
 
     T0: float
     capped_at_horizon: bool
-    times: np.ndarray
-    rhs: np.ndarray
-    condition_value_at_T0: float
-    threshold: float
+    u0: SpectralVelocity
+    alpha: float
+    scale: float
+
+    def rhs(self, times) -> np.ndarray:
+        """The right-hand side at an array of times in [0, T0], from one I(t) call."""
+        times = np.asarray(times, dtype=float)
+        if np.any(times < 0) or np.any(times > self.T0 * (1 + 1e-12)):
+            raise ConfigurationError("requested times fall outside [0, T0]")
+        return self.scale * weighted_h_integral(self.u0, self.alpha, times)
 
 
-def theorem3_rhs(u0: SpectralVelocity, c0: float, alpha: float, horizon: float,
-                 times=None) -> Theorem3Rhs:
+def theorem3_rhs(u0: SpectralVelocity, c0: float, alpha: float, horizon: float) -> Theorem3Rhs:
     """Short-time fluctuation bound from the analytic heat-flow integral.
 
     I(T) = int_0^T sum_m (H_m of the heat flow)^2 dtau is monotone, so T0,
@@ -408,15 +408,8 @@ def theorem3_rhs(u0: SpectralVelocity, c0: float, alpha: float, horizon: float,
                 hi = mid
         T0 = lo
         capped = False
-    if times is None:
-        times = np.linspace(0.0, T0, 9)
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0) or np.any(times > T0 * (1 + 1e-12)):
-        raise ConfigurationError("requested times fall outside [0, T0]")
-    scale = 64.0 * (c0 * ca * u0n) ** 2
-    rhs = np.asarray([scale * weighted_h_integral(u0, alpha, float(t)) for t in times])
-    return Theorem3Rhs(T0=T0, capped_at_horizon=capped, times=times, rhs=rhs,
-                       condition_value_at_T0=condition(T0) + threshold, threshold=threshold)
+    return Theorem3Rhs(T0=T0, capped_at_horizon=capped, u0=u0, alpha=alpha,
+                       scale=64.0 * (c0 * ca * u0n) ** 2)
 
 
 def theorem4_t0(c0: float, alpha: float, K_fit: float, gamma_fit: float) -> float:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, IntegrationError
-from .spectral import (Grid, SpectralVelocity, _advect_same, _field_from_half_stack,
-                       make_grid, make_initial_data, norm_l2, to_physical)
+from .spectral import (Grid, SpectralVelocity, _field_from_half_stack, _level_half,
+                       _physical, make_grid, make_initial_data, norm_l2, to_physical)
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,6 @@ class Trajectory:
     dissipation: list[float]
     grad_sq: list[float]
     dt: float
-    config_echo: dict | None = None
     max_step_defect: float = 0.0
 
     @property
@@ -72,12 +71,12 @@ def _stage_coefficients(grid: Grid, dt: float):
 
 
 def _step_half(grid: Grid, uh, coef):
-    """One integrating-factor RK4 step on a (2, n, hc) rfft-layout stack."""
+    """One IF-RK4 step on a (2, n, hc) rfft-layout stack; each stage is a one-entry level."""
     dt, band, half_band, full_band, c_b, c_c, e_full, w_bc = coef
-    a = _advect_same(grid, band * uh)
-    b = _advect_same(grid, half_band * (uh + (0.5 * dt) * a))
-    c = _advect_same(grid, half_band * uh + c_b * b)
-    d = _advect_same(grid, full_band * uh + c_c * c)
+    a = _level_half(grid, [_physical(grid, band * uh)])
+    b = _level_half(grid, [_physical(grid, half_band * (uh + (0.5 * dt) * a))])
+    c = _level_half(grid, [_physical(grid, half_band * uh + c_b * b)])
+    d = _level_half(grid, [_physical(grid, full_band * uh + c_c * c)])
     return e_full * (uh + (dt / 6.0) * a) + w_bc * (b + c) + (dt / 6.0) * d
 
 
@@ -114,8 +113,7 @@ def _snapshot_steps(dt: float, t_end: float, snapshot_times, n_steps: int) -> di
 
 
 def integrate(u0: SpectralVelocity, dt: float, t_end: float,
-              snapshot_times=None, enforce_cfl: bool = True,
-              config_echo: dict | None = None) -> Trajectory:
+              snapshot_times=None, enforce_cfl: bool = True) -> Trajectory:
     """Integrate from u0 to t_end, recording snapshots and the dissipation ledger.
 
     Snapshot times must be integer multiples of dt (no interpolation, so the
@@ -187,8 +185,7 @@ def integrate(u0: SpectralVelocity, dt: float, t_end: float,
             diss.append(D)
             grads.append(g_new)
     return Trajectory(times=times, fields=fields, dissipation=diss,
-                      grad_sq=grads, dt=dt, config_echo=config_echo,
-                      max_step_defect=step_defect)
+                      grad_sq=grads, dt=dt, max_step_defect=step_defect)
 
 
 def run(config) -> Trajectory:
@@ -197,8 +194,7 @@ def run(config) -> Trajectory:
     u0 = make_initial_data(grid, config.initial_data)
     return integrate(u0, dt=config.dt, t_end=config.t_end,
                      snapshot_times=config.resolved_snapshots(),
-                     enforce_cfl=config.enforce_cfl,
-                     config_echo=config.to_dict())
+                     enforce_cfl=config.enforce_cfl)
 
 
 def ledger_tolerance(dt: float, tol_energy: float = 1e-7, dt_ref: float = 1e-4) -> float:

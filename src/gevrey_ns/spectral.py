@@ -357,14 +357,9 @@ def _project_products(grid: Grid, T: np.ndarray) -> np.ndarray:
     return _scrub(d, float(np.max(np.abs(T))) / n_sq)
 
 
-def _advect_same(grid: Grid, uh):
-    """-P div(u (x) u) from a (2, n, hc) rfft-layout stack, dealiased and scaled by n^2."""
-    n = grid.n
-    U = sfft.irfft2(uh, s=(n, n), axes=(-2, -1))
-    P = np.empty((3, n, n))
-    np.multiply(U[0], U, out=P[:2])  # (U1 U1, U1 U2)
-    np.multiply(U[1], U[1], out=P[2])
-    return _project_products(grid, sfft.rfft2(P, axes=(-2, -1)))
+def _physical(grid: Grid, h: np.ndarray) -> np.ndarray:
+    """irfft2 of a (..., n, hc) rfft-layout stack already scaled by n^2."""
+    return sfft.irfft2(h, s=(grid.n, grid.n), axes=(-2, -1))
 
 
 def _advect_pair(grid: Grid, abh):
@@ -372,8 +367,7 @@ def _advect_pair(grid: Grid, abh):
 
     The planes are the symmetric part of a (x) b and its antisymmetric part (a1 b2 - a2 b1) / 2.
     """
-    n = grid.n
-    A1, A2, B1, B2 = sfft.irfft2(abh, s=(n, n), axes=(-2, -1))
+    A1, A2, B1, B2 = _physical(grid, abh)
     cross, swap = A1 * B2, A2 * B1
     P = np.stack([A1 * B1, 0.5 * (cross + swap), A2 * B2, 0.5 * (cross - swap)])
     return _project_products(grid, sfft.rfft2(P, axes=(-2, -1)))
@@ -406,9 +400,8 @@ def nonlinear_term(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVelocity
     _require_same_grid(a, b)
     g = a.grid
     if b is a:
-        d = _advect_same(g, _masked_half_stack(a))
-    else:
-        d = _advect_pair(g, np.concatenate([_masked_half_stack(a), _masked_half_stack(b)]))
+        return nonlinear_level(g, [dealiased_physical(a)])
+    d = _advect_pair(g, np.concatenate([_masked_half_stack(a), _masked_half_stack(b)]))
     return _field_from_half_stack(g, d)
 
 
@@ -420,8 +413,7 @@ def nonlinear_symmetric(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVel
 
 def dealiased_physical(v: SpectralVelocity) -> np.ndarray:
     """The 2/3-truncated field on the n-grid as a (2, n, n) array; one inverse transform."""
-    n = v.grid.n
-    return sfft.irfft2(_masked_half_stack(v), s=(n, n), axes=(-2, -1))
+    return _physical(v.grid, _masked_half_stack(v))
 
 
 def nonlinear_level(grid: Grid, phys: list[np.ndarray]) -> SpectralVelocity:
@@ -433,20 +425,29 @@ def nonlinear_level(grid: Grid, phys: list[np.ndarray]) -> SpectralVelocity:
     exact convolution on the retained modes, so the level costs one forward
     transform and one scrub.
     """
-    n = grid.n
+    return _field_from_half_stack(grid, _level_half(grid, phys))
+
+
+def _level_half(grid: Grid, phys: list[np.ndarray]) -> np.ndarray:
+    """nonlinear_level on the rfft layout; the first products are written with out=."""
     top = len(phys) - 1
-    P = np.zeros((3, n, n))
-    diag = P[0::2]  # (T11, T22)
-    for j in range((top + 1) // 2):
+    P = np.empty((3, grid.n, grid.n))
+    diag, off = P[0::2], P[1]  # (T11, T22) and T12
+    for j in range(top // 2 + 1):
         a, b = phys[j], phys[top - j]
-        diag += 2.0 * (a * b)
-        P[1] += a[0] * b[1] + a[1] * b[0]
-    if top % 2 == 0:
-        a = phys[top // 2]
-        diag += a * a
-        P[1] += a[0] * a[1]
-    T = sfft.rfft2(P, axes=(-2, -1))
-    return _field_from_half_stack(grid, _project_products(grid, T))
+        if j == 0:
+            np.multiply(a, b, out=diag)
+            np.multiply(a[0], b[1], out=off)
+            if top > 0:
+                diag *= 2.0
+                off += a[1] * b[0]
+        elif j < top - j:
+            diag += 2.0 * (a * b)
+            off += a[0] * b[1] + a[1] * b[0]
+        else:
+            diag += a * a
+            off += a[0] * a[1]
+    return _project_products(grid, sfft.rfft2(P, axes=(-2, -1)))
 
 
 # ---------------------------------------------------------------------------

@@ -137,33 +137,34 @@ def dissipation_integral_exact(u0: SpectralVelocity, t: float) -> float:
     return float(np.sum(0.5 * E * (1.0 - np.exp(-2.0 * lams * t))))
 
 
-def weighted_h_integral(u0: SpectralVelocity, alpha: float, T: float,
-                        k_pairs: int = 60) -> float:
+def weighted_h_integral(u0: SpectralVelocity, alpha: float, T):
     """Closed form of int_0^T sum_m H_m^2 dtau for the heat flow of u0.
 
     H_m here are the fully normalized dissipation functionals (factorial and
     (j!)^alpha renormalizations applied).  Per eigenvalue lam the even and
     odd orders integrate to incomplete-gamma expressions; the k-sum decays
     like 4^-k / (k!)^(2 alpha), so k_pairs = 60 leaves a negligible tail.
+    T is a time or a 1-D array of times, each entry bit-identical to its scalar call.
     """
     if alpha <= 0:
         raise ConfigurationError("alpha must be positive")
-    if T < 0:
+    times = np.asarray(T, dtype=float)
+    if np.any(times < 0):
         raise ConfigurationError(f"T must be >= 0, got {T}")
     lams, E = mode_energies(u0)
-    if lams.size == 0 or T == 0.0:
-        return 0.0
-    x = 2.0 * lams * T  # gamma arguments per mode
+    x = (2.0 * lams * times[..., None])[..., None]  # gamma arguments per (time, mode)
+    k_pairs = 60
 
     k_even = np.arange(0, k_pairs + 1, dtype=float)
     log_even = (gammaln(2 * k_even + 1.0) - (4 * k_even + 1.0) * LN2
                 - (2.0 + 2.0 * alpha) * gammaln(k_even + 1.0))
-    even = np.exp(log_even)[None, :] * gammainc(2 * k_even[None, :] + 1.0, x[:, None])
+    even = np.exp(log_even) * gammainc(2 * k_even + 1.0, x)
 
     k_odd = np.arange(1, k_pairs + 1, dtype=float)
     log_odd = (LN2 + gammaln(2 * k_odd) - 4 * k_odd * LN2
                - gammaln(k_odd) - (1.0 + 2.0 * alpha) * gammaln(k_odd + 1.0))
-    odd = np.exp(log_odd)[None, :] * gammainc(2 * k_odd[None, :], x[:, None])
+    odd = np.exp(log_odd) * gammainc(2 * k_odd, x)
 
-    per_mode = np.sum(even, axis=1) + np.sum(odd, axis=1)
-    return float(np.sum(E * per_mode))
+    per_mode = np.sum(even, axis=-1) + np.sum(odd, axis=-1)
+    total = np.sum(E * per_mode, axis=-1)
+    return float(total) if times.ndim == 0 else total

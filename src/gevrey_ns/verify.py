@@ -247,7 +247,7 @@ def check_theorem(theorem_id: int, config: RunConfig) -> TheoremReport:
         raise ConfigurationError(f"theorem id must be 1..4, got {theorem_id}")
     grid = make_grid(config.n)
     u0 = make_initial_data(grid, config.initial_data)
-    alpha = config.alphas[0]
+    alpha = config.alpha
     c0, c0_info = resolve_c0(config, grid)
     u0n = norm_l2(u0)
     params = {"alpha": alpha, "c0": c0_info, "u0_l2": u0n, "seed": config.seed,
@@ -279,7 +279,7 @@ def _run_check(theorem_id: int, config: RunConfig, u0: SpectralVelocity,
     else:
         traj = integrate(u0, dt=config.dt, t_end=config.t_end,
                          snapshot_times=config.resolved_snapshots(),
-                         enforce_cfl=config.enforce_cfl, config_echo=config.to_dict())
+                         enforce_cfl=config.enforce_cfl)
         series = _stack_series(traj, config.stack_depth)
     if theorem_id == 1:
         _add_rows(report, theorem_lhs(series, 1, alpha), u0n ** 2)
@@ -358,10 +358,10 @@ def _check_theorem3(config: RunConfig, u0: SpectralVelocity, alpha: float, c0: f
                     report: TheoremReport) -> tuple[Trajectory, FunctionalSeries]:
     """Fluctuation bound on [0, T0], with the run rescoped to that window."""
     horizon = config.t_end if config.t_end > 0 else 1.0
-    rhs_probe = theorem3_rhs(u0, c0, alpha, horizon)
-    T0 = rhs_probe.T0
+    bound = theorem3_rhs(u0, c0, alpha, horizon)
+    T0 = bound.T0
     report.params["T0"] = T0
-    report.params["T0_capped_at_horizon"] = rhs_probe.capped_at_horizon
+    report.params["T0_capped_at_horizon"] = bound.capped_at_horizon
     n_steps = max(8, round(config.t_end / config.dt)) if config.t_end > 0 else 64
     n_steps = min(n_steps, 4096)
     snaps = 8
@@ -369,10 +369,10 @@ def _check_theorem3(config: RunConfig, u0: SpectralVelocity, alpha: float, c0: f
     dt = T0 / n_steps
     snapshot_times = [i * (n_steps // snaps) * dt for i in range(snaps + 1)]
     traj = integrate(u0, dt=dt, t_end=T0, snapshot_times=snapshot_times,
-                     enforce_cfl=config.enforce_cfl, config_echo=config.to_dict())
+                     enforce_cfl=config.enforce_cfl)
     fl_series = _stack_series(traj, config.stack_depth, fluctuation=True)
     res = theorem_lhs(fl_series, 3, alpha)
-    _add_rows(report, res, theorem3_rhs(u0, c0, alpha, horizon, times=res.times).rhs)
+    _add_rows(report, res, bound.rhs(res.times))
     report.extras["rhs_sensitivity"] = {
         "c0_minus_10pct_T0": theorem3_rhs(u0, 0.9 * c0, alpha, horizon).T0,
         "c0_plus_10pct_T0": theorem3_rhs(u0, 1.1 * c0, alpha, horizon).T0,

@@ -1,7 +1,11 @@
 """Orchestration layer: constant estimation, theorem reports, CLI, file formats."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gevrey_ns import (ConfigurationError, RunConfig, check_theorem,
-                       config_from_dict, estimate_c0, inner_l2, make_grid,
-                       make_initial_data, norm_grad_l2, norm_l2, norm_l4,
-                       random_spectrum_field)
+                       config_from_dict, estimate_c0, functionals, inner_l2,
+                       make_grid, make_initial_data, norm_grad_l2, norm_l2,
+                       norm_l4, random_spectrum_field, verify)
 from gevrey_ns.cli import main
+from gevrey_ns.functionals import theorem3_rhs
 from gevrey_ns.reporting import json_dumps
+from gevrey_ns.stokes import weighted_h_integral
 
 THM1_CFG = {
     "n": 32, "dt": 0.005, "t_end": 1.0,
@@ -181,6 +187,30 @@ class TestCheckTheorem:
         assert rep.rows[-1]["t"] == pytest.approx(T0, rel=1e-9)
         # LHS collapses toward 0 with t
         assert rep.rows[1]["lhs"] <= rep.rows[1]["rhs"]
+
+    def test_thm3_solves_t0_three_times_and_reads_rhs_once(self, monkeypatch):
+        # T0 at C0 and C0 +- 10%; the rows' right-hand side comes from one I(t) call
+        c0s, solving, inside, outside = [], [], [], []
+
+        def solve(u0, c0, alpha, horizon):
+            c0s.append(c0)
+            solving.append(c0)
+            try:
+                return theorem3_rhs(u0, c0, alpha, horizon)
+            finally:
+                solving.pop()
+
+        def integral(u0, alpha, T):
+            (inside if solving else outside).append(np.size(T))
+            return weighted_h_integral(u0, alpha, T)
+
+        monkeypatch.setattr(verify, "theorem3_rhs", solve)
+        monkeypatch.setattr(functionals, "weighted_h_integral", integral)
+        rep = check_theorem(3, config_from_dict(SMALL_BOUNDS[3]))
+        assert rep.status == "ok"
+        assert c0s == [0.23, 0.9 * 0.23, 1.1 * 0.23]
+        assert outside == [len(rep.rows)] and len(rep.rows) > 1
+        assert set(inside) == {1} and len(inside) <= 3 * 75
 
     def test_thm4_fit_and_origin(self):
         doc = dict(THM1_CFG)
@@ -372,6 +402,24 @@ class TestCli:
         assert [6, 1, 1.0] in report["ccc0"]["printed_violations_sample"] or \
             report["ccc0"]["printed_violation_count"] > 0
 
+    @pytest.mark.parametrize("alphas", [[], [1.0, 2.0]])
+    @pytest.mark.parametrize("command", ["check-thm1", "check-thm3", "ns-run"])
+    def test_bound_checks_and_runs_need_exactly_one_alpha(self, tmp_path, capsys, command,
+                                                          alphas):
+        out = tmp_path / "out"
+        cfg = self._write_cfg(tmp_path, dict(SMALL_BOUNDS[1], alphas=alphas))
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and "alphas" in captured.err
+
+    def test_audit_lemmas_reads_every_alpha(self, tmp_path):
+        cfg = self._write_cfg(tmp_path, {"alphas": [0.5, 2.0]})
+        assert main(["audit-lemmas", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+        rows = (tmp_path / "r" / "audit_ccc0.csv").read_text().splitlines()[1:]
+        assert {float(r.split(",")[2]) for r in rows} == {0.5, 2.0}
+
     def test_check_thm1_writes_report_and_csvs(self, tmp_path):
         cfg = self._write_cfg(tmp_path, THM1_CFG)
         out = tmp_path / "out"
@@ -493,6 +541,42 @@ class TestCli:
         })
         assert main(["fit-decay", "--config", cfg]) == 0
         assert "fit-decay" in capsys.readouterr().out
+
+
+# Small runs through the CLI: n <= 16, t_end <= 0.04, stack_depth <= 2, fixed c0
+_RUN_DOC = st.fixed_dictionaries({
+    "n": st.sampled_from([8, 16]),
+    "dt": st.just(0.01),
+    "t_end": st.sampled_from([0.0, 0.02, 0.04]),
+    "stack_depth": st.integers(0, 2),
+    "c0": st.just({"mode": "fixed", "value": 0.23}),
+    "alphas": st.floats(0.25, 3.0).map(lambda a: [a]) | st.sampled_from([[], [1.0, 2.0]]),
+    "initial_data": st.one_of(
+        st.fixed_dictionaries({"kind": st.sampled_from(["taylor_green", "shear"]),
+                               "amplitude": st.floats(0.01, 5.0)}),
+        st.fixed_dictionaries({"kind": st.just("random_spectrum"),
+                               "decay": st.floats(0.0, 4.0), "k_max": st.integers(1, 8),
+                               "seed": st.integers(0, 99),
+                               "l2_norm": st.none() | st.floats(0.01, 10.0)})),
+    "theorem2_n_max": st.integers(0, 3),
+    "gamma": st.none() | st.floats(0.1, 3.0),
+    "decay_window": st.sampled_from([[0.01, 0.04], [0.02, 0.03], [1.0, 5.0]]),
+})
+
+
+class TestCliProperty:
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(doc=_RUN_DOC, command=st.sampled_from(
+        ["check-thm1", "check-thm2", "check-thm3", "check-thm4", "ns-run"]))
+    def test_small_runs_exit_0_1_or_2_without_traceback(self, doc, command):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as d:
+            cfg = Path(d) / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(cfg), "--out", str(Path(d) / "out")])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestConcurrencyContract:
