@@ -31,12 +31,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from .derivatives import DerivativeStack
 from .errors import ConfigurationError
 from .spectral import SpectralVelocity, norm_grad_l2, norm_l2
-from .stokes import weighted_h_integral
+from .stokes import log_factorials, weighted_h_integral
 
 LN2 = math.log(2.0)
 
@@ -164,6 +163,11 @@ class FunctionalSeries:
     def M(self) -> int:
         return self.samples[0].M
 
+    @property
+    def k_cap(self) -> int:
+        """Deepest pair index k the bounds can use: (M - 1) // 2, -1 for M = 0."""
+        return (self.M - 1) // 2
+
 
 @dataclass(frozen=True)
 class ShiftedSample:
@@ -251,9 +255,9 @@ def _tilde_weights(theorem_id: int, alpha: float, k_max: int):
     ((k+1)!)^-alpha, integral prefactors 1/2 (ids 1, 2), the extra 1/2 on
     even integral terms (ids 2, 3), and 4^-k for id 4.
     """
-    k = np.arange(k_max + 1, dtype=float)
-    a = np.exp(-alpha * gammaln(k + 1.0))
-    b = np.exp(-alpha * gammaln(k + 2.0))
+    lf = log_factorials(k_max + 1)
+    a = np.exp(-alpha * lf[:-1])
+    b = np.exp(-alpha * lf[1:])
     if theorem_id == 1:
         return a, b, 0.5 * a, 0.5 * b
     if theorem_id == 2:
@@ -261,7 +265,7 @@ def _tilde_weights(theorem_id: int, alpha: float, k_max: int):
     if theorem_id == 3:
         return a, b, 0.5 * a, b
     if theorem_id == 4:
-        four = np.exp(-2.0 * LN2 * k)
+        four = np.exp(-2.0 * LN2 * np.arange(k_max + 1.0))
         return four * a, four * b, four * a, four * b
     raise ConfigurationError(f"theorem id must be one of {_THEOREM_IDS}, got {theorem_id}")
 
@@ -272,14 +276,19 @@ def theorem_lhs(series: FunctionalSeries, theorem_id: int, alpha: float,
 
     The state part is evaluated at every sample; the integral part is the
     composite trapezoid of the dissipation-family integrand over the sample
-    grid, starting from the first sample.  k_max defaults to the deepest
-    order the series supports, (M - 1) // 2; trunc_tail reports the k_max
-    term's own contribution as the truncation indicator.  theorem_id 4
-    requires gamma > 0 and multiplies state and integrand by t^(2 gamma).
+    grid, starting from the first sample.  k_max defaults to series.k_cap,
+    the deepest order the series supports; trunc_tail reports the k_max
+    term's own contribution as the truncation indicator.  Every bound
+    carries the odd term L~_1, which needs u_t, so a depth-0 series (M = 0)
+    is rejected rather than summed without it.  theorem_id 4 requires
+    gamma > 0 and multiplies state and integrand by t^(2 gamma).
     """
     if alpha <= 0:
         raise ConfigurationError("alpha must be positive")
-    cap = (series.M - 1) // 2 if series.M >= 1 else 0
+    if series.M < 1:
+        raise ConfigurationError("the bounds need stack_depth >= 1 (L~_1 needs u_t), "
+                                 "got a depth-0 series")
+    cap = series.k_cap
     if k_max is None:
         k_max = cap
     if k_max < 0 or k_max > cap:

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 from .config import check_initial_data
 from .errors import ConfigurationError, FieldInvariantError, GridMismatchError
@@ -236,6 +235,26 @@ def validate_field(v: SpectralVelocity, hermitian_tol: float = 1e-12,
 # Transforms
 # ---------------------------------------------------------------------------
 
+def rfft2(x: np.ndarray) -> np.ndarray:
+    """Unnormalised real 2-D transform over the last two axes, as two 1-D passes.
+
+    Every forward transform in the package goes through this function.
+    numpy.fft.rfft2 computes the same two passes, but its wrapper costs more
+    per call than a small transform.
+    """
+    h = np.fft.rfft(x, axis=-1)
+    return np.fft.fft(h, axis=-2, out=h)
+
+
+def irfft2(h: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of rfft2 onto n x n planes (scaled by 1/n^2); every inverse goes through it.
+
+    h is overwritten: the first pass runs in place, because a fresh complex
+    temporary per call costs more than the pass itself at n = 128.
+    """
+    return np.fft.irfft(np.fft.ifft(h, axis=-2, out=h), n, axis=-1)
+
+
 def to_physical(v: SpectralVelocity, oversample: int = 1) -> np.ndarray:
     """Evaluate the velocity on an (oversample*n)^2 physical grid as a (2, m, m) array.
 
@@ -245,7 +264,7 @@ def to_physical(v: SpectralVelocity, oversample: int = 1) -> np.ndarray:
     m = oversample * g.n
     pad = np.zeros((2, m, m // 2 + 1), dtype=complex)
     pad[:, g.oversample_rows(m), : g.half_cols] = np.stack([g.half(v.u1), g.half(v.u2)])
-    return sfft.irfft2(pad, s=(m, m)) * (float(m) * m)
+    return irfft2(pad, m) * (float(m) * m)
 
 
 def from_physical(grid: Grid, U1: np.ndarray, U2: np.ndarray) -> SpectralVelocity:
@@ -256,8 +275,8 @@ def from_physical(grid: Grid, U1: np.ndarray, U2: np.ndarray) -> SpectralVelocit
     (use leray_project when unsure).
     """
     n = grid.n
-    h1 = sfft.rfft2(np.asarray(U1, dtype=float)) / (float(n) * n)
-    h2 = sfft.rfft2(np.asarray(U2, dtype=float)) / (float(n) * n)
+    h1 = rfft2(np.asarray(U1, dtype=float)) / (float(n) * n)
+    h2 = rfft2(np.asarray(U2, dtype=float)) / (float(n) * n)
     return _clean(grid, grid.full_from_half(h1), grid.full_from_half(h2))
 
 
@@ -358,8 +377,8 @@ def _project_products(grid: Grid, T: np.ndarray) -> np.ndarray:
 
 
 def _physical(grid: Grid, h: np.ndarray) -> np.ndarray:
-    """irfft2 of a (..., n, hc) rfft-layout stack already scaled by n^2."""
-    return sfft.irfft2(h, s=(grid.n, grid.n), axes=(-2, -1))
+    """irfft2 of a (..., n, hc) rfft-layout stack already scaled by n^2; h is overwritten."""
+    return irfft2(h, grid.n)
 
 
 def _advect_pair(grid: Grid, abh):
@@ -370,7 +389,7 @@ def _advect_pair(grid: Grid, abh):
     A1, A2, B1, B2 = _physical(grid, abh)
     cross, swap = A1 * B2, A2 * B1
     P = np.stack([A1 * B1, 0.5 * (cross + swap), A2 * B2, 0.5 * (cross - swap)])
-    return _project_products(grid, sfft.rfft2(P, axes=(-2, -1)))
+    return _project_products(grid, rfft2(P))
 
 
 def _masked_half_stack(v: SpectralVelocity) -> np.ndarray:
@@ -447,7 +466,7 @@ def _level_half(grid: Grid, phys: list[np.ndarray]) -> np.ndarray:
         else:
             diag += a * a
             off += a[0] * a[1]
-    return _project_products(grid, sfft.rfft2(P, axes=(-2, -1)))
+    return _project_products(grid, rfft2(P))
 
 
 # ---------------------------------------------------------------------------

@@ -9,21 +9,54 @@ and every time derivative is available in closed form.  That makes this
 module a machine-precision oracle: the weighted sums of time-derivative
 norms that the nonlinear harness estimates numerically can be summed here
 analytically, mode by mode, with incomplete-gamma closed forms for the
-time integrals.
+time integrals.  Those come only at integer orders a, where the regularized
+lower incomplete gamma P(a, x) is the Poisson tail Pr[Poisson(x) >= a], so
+they are summed from Poisson probabilities in closed form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .derivatives import DerivativeStack
 from .errors import ConfigurationError
 from .spectral import SpectralVelocity, mode_energies, norm_l2
 
 LN2 = np.log(2.0)
+
+
+def log_factorials(k_max: int) -> np.ndarray:
+    """log k! for k = 0..k_max, each from math.lgamma (exact to rounding at any k)."""
+    return np.array([math.lgamma(k + 1.0) for k in range(k_max + 1)])
+
+
+def poisson_tail_sum(x, c) -> np.ndarray:
+    """sum_{a=1..A} c_a P(a, x) for weights c_a >= 0 (c[a-1] is order a), elementwise in x >= 0.
+
+    With pmf_j = e^-x x^j / j! and C_j = c_1 + ... + c_j, the sum is
+    sum_j pmf_j C_min(j, A), taken from positive terms only: directly over
+    j <= A + 10 sqrt(A) + 20 (the rest is below 1e-20 of the sum) when x < A,
+    and as C_A - sum_{j<A} pmf_j (C_A - C_j) when x >= A, where the result
+    is at least C_A / 2.  pmf comes from the product recurrence from e^-x,
+    accurate to about sqrt(j) ulps; where e^-x leaves the normal range
+    (x > 700) it is taken in log space instead.
+    """
+    x = np.asarray(x, dtype=float)[..., None]
+    C = np.cumsum(c)
+    A = len(C)
+    J = A + math.ceil(10.0 * math.sqrt(A)) + 20
+    j = np.arange(1, J + 1)
+    pmf = np.cumprod(np.concatenate([np.exp(-x), x / j], axis=-1), axis=-1)
+    far = x[..., 0] > 700.0
+    if np.any(far):
+        xf = x[far]
+        pmf[far] = np.exp(np.arange(J + 1) * np.log(xf) - xf - log_factorials(J))
+    direct = np.sum(pmf[..., 1:] * C[np.minimum(j, A) - 1], axis=-1)
+    upper = C[-1] - np.sum(pmf[..., :A] * (C[-1] - np.concatenate([[0.0], C[:-1]])), axis=-1)
+    return np.where(x[..., 0] < A, direct, upper)
 
 
 def heat_evolve(u0: SpectralVelocity, t: float) -> SpectralVelocity:
@@ -78,7 +111,7 @@ def _poisson_log_terms(lam_t: np.ndarray, m: np.ndarray) -> np.ndarray:
     """log of (lam*t)^m / m! for a column of eigenvalue-times against a row of orders."""
     with np.errstate(divide="ignore", invalid="ignore"):
         log_lt = np.where(lam_t > 0, np.log(lam_t), -np.inf)
-        out = m[None, :] * log_lt[:, None] - gammaln(m + 1.0)[None, :]
+        out = m[None, :] * log_lt[:, None] - log_factorials(len(m) - 1)[None, :]
     # m = 0 must give log 1 even when lam*t = 0 (0 * -inf is NaN otherwise).
     out[:, 0] = np.where(lam_t > 0, out[:, 0], 0.0)
     return out
@@ -110,16 +143,13 @@ def stokes_gevrey_identity(u0: SpectralVelocity, t: float, M: int = 40) -> Stoke
     state = float(np.sum(E * np.sum(np.exp(log_state), axis=1)))
 
     # integral of H-family: per mode sum_m 2^-(m+1) P(m+1, 2 lam t)
-    reg = gammainc(m[None, :] + 1.0, 2.0 * lam_t[:, None])
-    weights = np.exp(-(m + 1.0) * LN2)
-    per_mode = np.sum(weights[None, :] * reg, axis=1)
+    per_mode = poisson_tail_sum(2.0 * lam_t, np.exp(-(m + 1.0) * LN2))
     integral_h = float(np.sum(E * per_mode))
     integral_l = float(np.sum((E / lams) * per_mode))
 
     total = state + integral_h
     total_l = state + integral_l
-    lam_max_t = float(np.max(lam_t))
-    tail = energy * float(gammainc(M + 1.0, lam_max_t)) if lam_max_t > 0 else 0.0
+    tail = energy * float(poisson_tail_sum(np.max(lam_t), (m == M).astype(float)))
     return StokesIdentityReport(
         time=t, truncation=M, energy=energy, state_term=state,
         integral_term=integral_h, total=total, residual=total - energy,
@@ -137,14 +167,31 @@ def dissipation_integral_exact(u0: SpectralVelocity, t: float) -> float:
     return float(np.sum(0.5 * E * (1.0 - np.exp(-2.0 * lams * t))))
 
 
+_K_PAIRS = 60
+_LOG_FACT = log_factorials(2 * _K_PAIRS + 1)
+
+
+def _h_weights(alpha: float) -> np.ndarray:
+    """Weights c_a of P(a, x) in weighted_h_integral, orders a = 1..2 k_pairs + 1."""
+    lf = _LOG_FACT
+    c = np.empty(2 * _K_PAIRS + 1)
+    k = np.arange(_K_PAIRS + 1)  # even order 2k enters as P(2k + 1, x)
+    c[0::2] = np.exp(lf[2 * k] - (4 * k + 1.0) * LN2 - (2.0 + 2.0 * alpha) * lf[k])
+    k = k[1:]  # odd order 2k - 1 enters as P(2k, x)
+    c[1::2] = np.exp(LN2 + lf[2 * k - 1] - 4 * k * LN2 - lf[k - 1]
+                     - (1.0 + 2.0 * alpha) * lf[k])
+    return c
+
+
 def weighted_h_integral(u0: SpectralVelocity, alpha: float, T):
     """Closed form of int_0^T sum_m H_m^2 dtau for the heat flow of u0.
 
     H_m here are the fully normalized dissipation functionals (factorial and
-    (j!)^alpha renormalizations applied).  Per eigenvalue lam the even and
-    odd orders integrate to incomplete-gamma expressions; the k-sum decays
-    like 4^-k / (k!)^(2 alpha), so k_pairs = 60 leaves a negligible tail.
-    T is a time or a 1-D array of times, each entry bit-identical to its scalar call.
+    (j!)^alpha renormalizations applied).  Per eigenvalue lam the orders
+    integrate to sum_a c_a P(a, 2 lam T) with a = 2k + 1 for the even family
+    and a = 2k for the odd one; the k-sum decays like 4^-k / (k!)^(2 alpha),
+    so k_pairs = 60 leaves a negligible tail.  T is a time or a 1-D array of
+    times, each entry bit-identical to its scalar call.
     """
     if alpha <= 0:
         raise ConfigurationError("alpha must be positive")
@@ -152,19 +199,6 @@ def weighted_h_integral(u0: SpectralVelocity, alpha: float, T):
     if np.any(times < 0):
         raise ConfigurationError(f"T must be >= 0, got {T}")
     lams, E = mode_energies(u0)
-    x = (2.0 * lams * times[..., None])[..., None]  # gamma arguments per (time, mode)
-    k_pairs = 60
-
-    k_even = np.arange(0, k_pairs + 1, dtype=float)
-    log_even = (gammaln(2 * k_even + 1.0) - (4 * k_even + 1.0) * LN2
-                - (2.0 + 2.0 * alpha) * gammaln(k_even + 1.0))
-    even = np.exp(log_even) * gammainc(2 * k_even + 1.0, x)
-
-    k_odd = np.arange(1, k_pairs + 1, dtype=float)
-    log_odd = (LN2 + gammaln(2 * k_odd) - 4 * k_odd * LN2
-               - gammaln(k_odd) - (1.0 + 2.0 * alpha) * gammaln(k_odd + 1.0))
-    odd = np.exp(log_odd) * gammainc(2 * k_odd, x)
-
-    per_mode = np.sum(even, axis=-1) + np.sum(odd, axis=-1)
-    total = np.sum(E * per_mode, axis=-1)
+    total = np.sum(E * poisson_tail_sum(2.0 * lams * times[..., None], _h_weights(alpha)),
+                   axis=-1)
     return float(total) if times.ndim == 0 else total

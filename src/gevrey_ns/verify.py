@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sfft
 
+from . import spectral
 from .config import RunConfig
 from .derivatives import time_derivative_stack
 from .errors import ConfigurationError, IntegrationError
@@ -65,7 +65,7 @@ def _rayleigh(z: SpectralVelocity) -> tuple[float, SpectralVelocity]:
     g2 = norm_grad_l2(z)
     ratio = (integral ** 0.25) ** 2 / (l2 * g2)
     l4sq = math.sqrt(integral)
-    h = sfft.rfft2(q * U, axes=(-2, -1))
+    h = spectral.rfft2(q * U)
     cub = g.full_from_half(h[:, g.oversample_rows(m), :g.half_cols] / (float(m) * m))
     d1 = 2.0 * cub[0] / l4sq ** 2 - z.u1 / l2 ** 2 - g.k_sq * z.u1 / g2 ** 2
     d2 = 2.0 * cub[1] / l4sq ** 2 - z.u2 / l2 ** 2 - g.k_sq * z.u2 / g2 ** 2
@@ -238,13 +238,18 @@ def _stack_series(traj: Trajectory, K: int, fluctuation: bool = False) -> Functi
 def check_theorem(theorem_id: int, config: RunConfig) -> TheoremReport:
     """Run the full pipeline for one bound and render its report.
 
-    Bound 1 requires the smallness condition (N/A otherwise); bound 2 is
-    evaluated for every doubling depth n <= theorem2_n_max; bound 3 rescopes
-    the run to the analytic existence time T0; bound 4 fits the decay
-    envelope on the configured window and checks from the admissible origin.
+    Every bound needs stack_depth >= 1 (ConfigurationError before any work
+    otherwise).  Bound 1 requires the smallness condition (N/A otherwise);
+    bound 2 is evaluated for every doubling depth n <= theorem2_n_max; bound 3
+    rescopes the run to the analytic existence time T0; bound 4 fits the
+    decay envelope on the configured window and checks from the admissible
+    origin.
     """
     if theorem_id not in (1, 2, 3, 4):
         raise ConfigurationError(f"theorem id must be 1..4, got {theorem_id}")
+    if config.stack_depth < 1:
+        raise ConfigurationError(f"check-thm{theorem_id} needs stack_depth >= 1 (every bound "
+                                 f"carries L~_1, which needs u_t), got {config.stack_depth}")
     grid = make_grid(config.n)
     u0 = make_initial_data(grid, config.initial_data)
     alpha = config.alpha
@@ -297,9 +302,8 @@ def _run_check(theorem_id: int, config: RunConfig, u0: SpectralVelocity,
             report.message = ("data satisfies the smallness condition; the "
                               "doubling bound's constant assumes large data and "
                               "may fail here (genuine finding, not a harness bug)")
-        cap = (series.M - 1) // 2
         for n in range(0, config.theorem2_n_max + 1):
-            res = theorem_lhs(series, 2, alpha, k_max=min(n, cap))
+            res = theorem_lhs(series, 2, alpha, k_max=min(n, series.k_cap))
             rhs = theorem2_rhs(u0n, c0, alpha, n)
             _add_rows(report, res, rhs, n=float(n), log_rhs=theorem2_log_rhs(u0n, c0, alpha, n))
         report.extras["rhs_sensitivity"] = {

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-import scipy.fft
 
-from gevrey_ns import make_grid, random_spectrum_field, shear_flow, taylor_green
+from gevrey_ns import make_grid, random_spectrum_field, shear_flow, spectral, taylor_green
 
 SQRT2_PI = np.pi * np.sqrt(2.0)
 
@@ -48,14 +47,14 @@ class FFTCalls(dict):
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Counts and plane shapes of scipy.fft.irfft2 / rfft2 calls made while the test runs."""
+    """Counts and plane shapes of spectral.irfft2 / rfft2 calls made while the test runs."""
     calls = FFTCalls(("irfft2", "rfft2"))
     for name in calls:
-        def counted(*args, _name=name, _fft=getattr(scipy.fft, name), **kwargs):
+        def counted(*args, _name=name, _fft=getattr(spectral, name), **kwargs):
             out = _fft(*args, **kwargs)
             calls[_name] += 1
             physical = out if _name == "irfft2" else args[0]
             calls.shapes[_name].append(np.shape(physical)[-2:])
             return out
-        monkeypatch.setattr(scipy.fft, name, counted)
+        monkeypatch.setattr(spectral, name, counted)
     return calls

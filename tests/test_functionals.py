@@ -197,6 +197,13 @@ class TestTheoremLhs:
         with pytest.raises(ConfigurationError, match="k_max"):
             theorem_lhs(series, 2, 1.0, k_max=10)
 
+    @pytest.mark.parametrize("theorem_id", [1, 2, 3, 4])
+    def test_depth_zero_series_is_an_error(self, unit_mode, theorem_id):
+        series = FunctionalSeries(samples=[sample_at_time_zero(unit_mode, 0)])
+        assert series.k_cap == -1
+        with pytest.raises(ConfigurationError, match="stack_depth >= 1"):
+            theorem_lhs(series, theorem_id, 1.0, gamma=0.5)
+
 
 class TestRhsPieces:
     def test_c_alpha_value(self):

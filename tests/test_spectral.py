@@ -9,8 +9,8 @@ from gevrey_ns import (ConfigurationError, FieldInvariantError, GridMismatchErro
                        hermitian_defect, inner_l2, leray, leray_project, make_grid,
                        make_initial_data, nonlinear_symmetric, nonlinear_term,
                        norm_grad_l2, norm_l2, norm_l4, random_spectrum_field,
-                       shear_flow, taylor_green, to_physical, transform_roundtrip,
-                       validate_field)
+                       shear_flow, spectral, taylor_green, to_physical,
+                       transform_roundtrip, validate_field)
 from gevrey_ns.spectral import _project_products
 
 SQRT2_PI = np.pi * np.sqrt(2.0)
@@ -43,6 +43,16 @@ class TestGrid:
 
 
 class TestTransforms:
+    @pytest.mark.parametrize("planes", [2, 3])
+    @pytest.mark.parametrize("n", [32, 36, 64, 128])
+    def test_transform_pair_matches_scipy(self, n, planes):
+        X = np.random.default_rng(n + planes).standard_normal((planes, n, n))
+        h = spectral.rfft2(X)
+        assert np.array_equal(h, sfft.rfft2(X, axes=(-2, -1)))
+        ref = sfft.irfft2(h, s=(n, n), axes=(-2, -1))
+        back = spectral.irfft2(h, n)  # overwrites h
+        assert np.max(np.abs(back - ref)) <= 1e-15 * np.max(np.abs(ref))
+
     def test_single_mode_roundtrip(self, grid32):
         u1 = np.zeros((32, 32), dtype=complex)
         u1[0, 1] = 0.5

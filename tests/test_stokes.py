@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from gevrey_ns import (ConfigurationError, SpectralVelocity,
                        dissipation_integral_exact, heat_evolve, norm_l2,
                        raw_functionals, stokes_derivative_stack,
                        stokes_gevrey_identity)
+from gevrey_ns.stokes import _h_weights, log_factorials, poisson_tail_sum
 
 SQRT2_PI = np.pi * np.sqrt(2.0)
 
@@ -136,3 +138,56 @@ class TestLinearEnergyBalance:
             lhs = sample.L_raw[1:]
             rhs = np.sqrt(t) * sample.H_raw[:-1]
             assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(np.max(lhs), 1e-300)
+
+
+X_GRID = np.logspace(-8, 4, 241)
+
+
+class TestPoissonTailSum:
+    """sum_a c_a P(a, x) at integer orders against scipy.special.gammainc."""
+
+    @staticmethod
+    def reference(x, c):
+        a = np.arange(1, len(c) + 1)
+        return np.sum(c * gammainc(a, x[:, None]), axis=-1)
+
+    @pytest.mark.parametrize("weights", [_h_weights(0.5), _h_weights(1.0), _h_weights(2.0),
+                                         np.exp(-np.arange(1.0, 42.0) * math.log(2.0))],
+                             ids=["alpha0.5", "alpha1", "alpha2", "two^-a"])
+    def test_weighted_families_match_scipy(self, weights):
+        x = np.concatenate([X_GRID, np.arange(1.0, 130.0)])
+        ref = self.reference(x, weights)
+        assert np.max(np.abs(poisson_tail_sum(x, weights) - ref) / ref) <= 1e-14
+
+    @pytest.mark.parametrize("M", [2, 10, 40, 120])
+    def test_one_order_tail(self, M):
+        # P(M+1, x): an upper sum for x < M+1, where it can be far below 1.
+        # scipy's own error here reaches 1.4e-13 (P(41, 1.9e-6), P(121, 69.5)),
+        # so the 1e-14 gate is against a 40-digit mpmath value.
+        mpmath = pytest.importorskip("mpmath")
+        x = np.concatenate([X_GRID[::4], [M - 0.5, M + 1.0, M + 1.5]])
+        c = np.eye(M + 1)[M]
+        got = poisson_tail_sum(x, c)
+        ref = gammainc(M + 1, x)
+        normal = ref > 1e-280  # below that the result is subnormal or zero in both
+        assert np.all(got[~normal] < 1e-279)
+        assert np.max(np.abs(got - ref)[normal] / ref[normal]) <= 2e-13
+        with mpmath.workdps(40):
+            exact = np.array([float(mpmath.gammainc(M + 1, 0, mpmath.mpf(float(v)),
+                                                    regularized=True)) for v in x[normal]])
+        assert np.max(np.abs(got[normal] - exact) / exact) <= 1e-14
+
+    def test_zero_argument_and_far_arguments(self):
+        c = _h_weights(1.0)
+        assert poisson_tail_sum(0.0, c) == 0.0
+        assert poisson_tail_sum(np.array([800.0, 1e6]), c).tolist() == [np.cumsum(c)[-1]] * 2
+        # a tail order beyond the normal range of e^-x takes the log-space branch
+        x = np.array([650.0, 750.0, 900.0])
+        ref = gammainc(801, x)
+        assert np.max(np.abs(poisson_tail_sum(x, np.eye(801)[800]) - ref) / ref) <= 1e-10
+
+    def test_log_factorials_any_depth(self):
+        lf = log_factorials(300)
+        exact = [math.log(math.factorial(k)) for k in range(171)]
+        assert np.max(np.abs(lf[:171] - exact) / np.maximum(exact, 1.0)) <= 1e-15
+        assert lf[300] == math.lgamma(301.0)

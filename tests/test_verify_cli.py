@@ -414,6 +414,17 @@ class TestCli:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: ") and "alphas" in captured.err
 
+    @pytest.mark.parametrize("theorem_id", [1, 2, 3, 4])
+    def test_bound_checks_reject_stack_depth_zero(self, tmp_path, capsys, theorem_id):
+        # L~_1 needs u_t: a depth-0 run would drop it and pass on the rest
+        out = tmp_path / "out"
+        cfg = self._write_cfg(tmp_path, dict(SMALL_BOUNDS[theorem_id], stack_depth=0))
+        assert main([f"check-thm{theorem_id}", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and "stack_depth >= 1" in captured.err
+
     def test_audit_lemmas_reads_every_alpha(self, tmp_path):
         cfg = self._write_cfg(tmp_path, {"alphas": [0.5, 2.0]})
         assert main(["audit-lemmas", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
