@@ -35,9 +35,11 @@ import numpy as np
 from .derivatives import DerivativeStack
 from .errors import ConfigurationError
 from .spectral import SpectralVelocity, norm_grad_l2, norm_l2
-from .stokes import log_factorials, weighted_h_integral
+from .stokes import log_factorials, weighted_h_integral, weighted_h_rate
 
 LN2 = math.log(2.0)
+_NEWTON_STEPS = 8  # safeguarded Newton steps before the closing bisection
+_NEWTON_TOL = 1e-7  # |log step| after which the error, ~step^2, is inside the closing bracket
 
 
 def c_alpha(alpha: float) -> float:
@@ -389,36 +391,55 @@ def theorem3_rhs(u0: SpectralVelocity, c0: float, alpha: float, horizon: float) 
 
     I(T) = int_0^T sum_m (H_m of the heat flow)^2 dtau is monotone, so T0,
     the largest time where 8 C0 C_alpha |u0| sqrt(I(T0)) stays below
-    1 / (32 C0 C_alpha), is found by bisection.  If the condition still
-    holds at the horizon, T0 is reported as the horizon with a flag.
+    1 / (32 C0 C_alpha), is the root of I(T) = theta.  It is found by
+    Newton's method on log I against log T, started from T = theta / I'(0)
+    (I(T) ~ T I'(0) for small T) with the closed-form rate I'(T), inside a
+    bracket [lo, hi] kept from the sign of the condition itself; a step that
+    leaves the bracket is replaced by a bisection step.  A bisection to
+    adjacent doubles, from a bracket 2e-13 T wide around the Newton root,
+    ends the solve, so condition(T0) < 0 <= condition(nextafter(T0)) as
+    for a bisection from [0, horizon].  If the condition still holds at the
+    horizon, T0 is reported as the horizon with a flag.
     """
     if c0 <= 0 or horizon <= 0:
         raise ConfigurationError("c0 and horizon must be positive")
     ca = c_alpha(alpha)
     u0n = norm_l2(u0)
     threshold = 1.0 / (32.0 * c0 * ca)
+    scale = 64.0 * (c0 * ca * u0n) ** 2
 
-    def condition(T: float) -> float:
-        return 8.0 * c0 * ca * u0n * math.sqrt(max(weighted_h_integral(u0, alpha, T), 0.0)) \
-            - threshold
+    def below(I: float) -> bool:
+        """condition(T) < 0, read off I = I(T)."""
+        return 8.0 * c0 * ca * u0n * math.sqrt(max(I, 0.0)) - threshold < 0.0
 
-    if u0n == 0.0 or condition(horizon) < 0.0:
-        T0 = horizon
-        capped = True
-    else:
-        lo, hi = 0.0, horizon
-        while True:
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break  # lo and hi are adjacent doubles
-            if condition(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        T0 = lo
-        capped = False
-    return Theorem3Rhs(T0=T0, capped_at_horizon=capped, u0=u0, alpha=alpha,
-                       scale=64.0 * (c0 * ca * u0n) ** 2)
+    if u0n == 0.0 or below(weighted_h_integral(u0, alpha, horizon)):
+        return Theorem3Rhs(T0=horizon, capped_at_horizon=True, u0=u0, alpha=alpha, scale=scale)
+    log_theta = 2.0 * math.log(threshold / (8.0 * c0 * ca * u0n))
+    lo, hi = 0.0, horizon
+    T = math.exp(log_theta) / weighted_h_rate(u0, alpha, 0.0)
+    for _ in range(_NEWTON_STEPS):
+        if not lo < T < hi:
+            T = 0.5 * (lo + hi)
+        I = weighted_h_integral(u0, alpha, T)
+        lo, hi = (T, hi) if below(I) else (lo, T)
+        slope = T * weighted_h_rate(u0, alpha, T) / I if I > 0.0 else 0.0
+        if not slope > 0.0:
+            continue  # no Newton step from here: the next pass bisects
+        # Newton on log I = log theta in the variable log T; an overflowing
+        # step lands outside the bracket and is bisected instead
+        step = (log_theta - math.log(I)) / slope
+        T *= math.exp(min(step, 700.0))
+        if abs(step) < _NEWTON_TOL:
+            break
+    for end in (T * (1.0 - 1e-13), T * (1.0 + 1e-13)):
+        if lo < end < hi:
+            lo, hi = (end, hi) if below(weighted_h_integral(u0, alpha, end)) else (lo, end)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break  # lo and hi are adjacent doubles
+        lo, hi = (mid, hi) if below(weighted_h_integral(u0, alpha, mid)) else (lo, mid)
+    return Theorem3Rhs(T0=lo, capped_at_horizon=False, u0=u0, alpha=alpha, scale=scale)
 
 
 def theorem4_t0(c0: float, alpha: float, K_fit: float, gamma_fit: float) -> float:

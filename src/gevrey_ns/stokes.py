@@ -33,6 +33,22 @@ def log_factorials(k_max: int) -> np.ndarray:
     return np.array([math.lgamma(k + 1.0) for k in range(k_max + 1)])
 
 
+def _poisson_pmf(x: np.ndarray, J: int) -> np.ndarray:
+    """pmf_j = e^-x x^j / j! for j = 0..J along a new last axis, elementwise in x >= 0.
+
+    The product recurrence from e^-x is accurate to about sqrt(j) ulps;
+    where e^-x leaves the normal range (x > 700) the terms are taken in log
+    space instead.
+    """
+    x = np.asarray(x, dtype=float)[..., None]
+    pmf = np.cumprod(np.concatenate([np.exp(-x), x / np.arange(1, J + 1)], axis=-1), axis=-1)
+    far = x[..., 0] > 700.0
+    if np.any(far):
+        xf = x[far]
+        pmf[far] = np.exp(np.arange(J + 1) * np.log(xf) - xf - log_factorials(J))
+    return pmf
+
+
 def poisson_tail_sum(x, c) -> np.ndarray:
     """sum_{a=1..A} c_a P(a, x) for weights c_a >= 0 (c[a-1] is order a), elementwise in x >= 0.
 
@@ -40,23 +56,17 @@ def poisson_tail_sum(x, c) -> np.ndarray:
     sum_j pmf_j C_min(j, A), taken from positive terms only: directly over
     j <= A + 10 sqrt(A) + 20 (the rest is below 1e-20 of the sum) when x < A,
     and as C_A - sum_{j<A} pmf_j (C_A - C_j) when x >= A, where the result
-    is at least C_A / 2.  pmf comes from the product recurrence from e^-x,
-    accurate to about sqrt(j) ulps; where e^-x leaves the normal range
-    (x > 700) it is taken in log space instead.
+    is at least C_A / 2.
     """
-    x = np.asarray(x, dtype=float)[..., None]
+    x = np.asarray(x, dtype=float)
     C = np.cumsum(c)
     A = len(C)
     J = A + math.ceil(10.0 * math.sqrt(A)) + 20
     j = np.arange(1, J + 1)
-    pmf = np.cumprod(np.concatenate([np.exp(-x), x / j], axis=-1), axis=-1)
-    far = x[..., 0] > 700.0
-    if np.any(far):
-        xf = x[far]
-        pmf[far] = np.exp(np.arange(J + 1) * np.log(xf) - xf - log_factorials(J))
+    pmf = _poisson_pmf(x, J)
     direct = np.sum(pmf[..., 1:] * C[np.minimum(j, A) - 1], axis=-1)
     upper = C[-1] - np.sum(pmf[..., :A] * (C[-1] - np.concatenate([[0.0], C[:-1]])), axis=-1)
-    return np.where(x[..., 0] < A, direct, upper)
+    return np.where(x < A, direct, upper)
 
 
 def heat_evolve(u0: SpectralVelocity, t: float) -> SpectralVelocity:
@@ -202,3 +212,18 @@ def weighted_h_integral(u0: SpectralVelocity, alpha: float, T):
     total = np.sum(E * poisson_tail_sum(2.0 * lams * times[..., None], _h_weights(alpha)),
                    axis=-1)
     return float(total) if times.ndim == 0 else total
+
+
+def weighted_h_rate(u0: SpectralVelocity, alpha: float, T: float) -> float:
+    """The rate I'(T) = sum_m H_m(T)^2 of weighted_h_integral I(T), in closed form.
+
+    d/dx P(a, x) = pmf_{a-1}(x), so I'(T) = sum_lam E_lam 2 lam sum_a c_a
+    pmf_{a-1}(2 lam T) with the same weights c_a; every term is positive,
+    and at T = 0 it is sum_lam 2 lam E_lam c_1.
+    """
+    if T < 0:
+        raise ConfigurationError(f"T must be >= 0, got {T}")
+    lams, E = mode_energies(u0)
+    c = _h_weights(alpha)
+    pmf = _poisson_pmf(2.0 * lams * T, len(c) - 1)
+    return float(np.sum(2.0 * lams * E * (pmf @ c)))

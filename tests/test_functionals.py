@@ -18,7 +18,8 @@ from gevrey_ns import (ConfigurationError, c_alpha, fit_decay, functionals,
                        time_derivative_stack)
 from gevrey_ns.functionals import (FunctionalSeries, convolution_bound,
                                    convolution_pairing)
-from gevrey_ns.stokes import weighted_h_integral
+from gevrey_ns.spectral import mode_energies
+from gevrey_ns.stokes import _h_weights, weighted_h_integral, weighted_h_rate
 
 SQRT2_PI = np.pi * np.sqrt(2.0)
 HYP = dict(deadline=None, derandomize=True, max_examples=60)
@@ -293,14 +294,17 @@ class TestTheorem3Rhs:
         c0, alpha = 0.3, 1.0
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return weighted_h_integral(*args, **kwargs)
+        def counted(f):
+            def call(*args, **kwargs):
+                calls.append(args)
+                return f(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(functionals, "weighted_h_integral", counted)
+        monkeypatch.setattr(functionals, "weighted_h_integral", counted(weighted_h_integral))
+        monkeypatch.setattr(functionals, "weighted_h_rate", counted(weighted_h_rate))
         res = theorem3_rhs(u0, c0, alpha, horizon=1.0)
         assert not res.capped_at_horizon
-        assert len(calls) <= 74  # the horizon check and 73 bisection steps
+        assert len(calls) <= 30  # I(T) and I'(T) evaluations alike
         ca = c_alpha(alpha)
         u0n = norm_l2(u0)
         thr = 1.0 / (32.0 * c0 * ca)
@@ -310,6 +314,48 @@ class TestTheorem3Rhs:
                 - thr
 
         assert cond(res.T0) < 0.0 <= cond(np.nextafter(res.T0, np.inf))
+
+    def test_t0_equals_a_bisection_from_zero_to_the_horizon(self, grid32):
+        def bisection(u0, c0, alpha, horizon):
+            ca, u0n = c_alpha(alpha), norm_l2(u0)
+
+            def cond(T):
+                return 8.0 * c0 * ca * u0n * math.sqrt(max(weighted_h_integral(u0, alpha, T),
+                                                           0.0)) - 1.0 / (32.0 * c0 * ca)
+
+            if u0n == 0.0 or cond(horizon) < 0.0:
+                return horizon
+            lo, hi = 0.0, horizon
+            while lo < 0.5 * (lo + hi) < hi:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if cond(mid) < 0.0 else (lo, mid)
+            return lo
+
+        cases = [(random_spectrum_field(grid32, 2.0, 8, seed=seed, l2_norm=l2), c0, 1.0)
+                 for seed in range(6) for l2 in (2.0, 5.0)
+                 for c0 in (0.9 * 0.227, 0.227, 1.1 * 0.227)]
+        cases += [(shear_flow(grid32, 0.01), 0.227, 1.0),         # capped at the horizon
+                  (shear_flow(grid32, 1.0) * 0.0, 0.227, 1.0),    # zero data
+                  (random_spectrum_field(grid32, 2.0, 8, seed=0, l2_norm=0.3), 0.227, 0.5),
+                  (random_spectrum_field(grid32, 2.0, 8, seed=1, l2_norm=2.0), 0.227, 2.0)]
+        capped = 0
+        for u0, c0, alpha in cases:
+            res = theorem3_rhs(u0, c0, alpha, horizon=1.0)
+            assert res.T0 == bisection(u0, c0, alpha, 1.0)
+            capped += res.capped_at_horizon
+        assert capped == 2
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_rate_is_the_derivative_of_the_integral(self, random_field, alpha):
+        for T in (1e-4, 1e-2, 0.3, 2.0):
+            h = 1e-5 * T
+            fd = (weighted_h_integral(random_field, alpha, T + h)
+                  - weighted_h_integral(random_field, alpha, T - h)) / (2.0 * h)
+            assert weighted_h_rate(random_field, alpha, T) == pytest.approx(fd, rel=1e-7)
+        lams, E = mode_energies(random_field)
+        c1 = _h_weights(alpha)[0]
+        assert weighted_h_rate(random_field, alpha, 0.0) == pytest.approx(
+            float(np.sum(2.0 * lams * E * c1)), rel=1e-15)
 
     def test_integral_matches_independent_quadrature(self, unit_mode):
         # single mode lambda = 1: brute-force trapezoid of the normalized sums

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gevrey_ns import (ConfigurationError, RunConfig, check_theorem,
-                       config_from_dict, estimate_c0, functionals, inner_l2,
-                       make_grid, make_initial_data, norm_grad_l2, norm_l2,
-                       norm_l4, random_spectrum_field, verify)
+from gevrey_ns import (ConfigurationError, RunConfig, SpectralVelocity,
+                       check_theorem, config_from_dict, estimate_c0,
+                       functionals, inner_l2, leray, make_grid,
+                       make_initial_data, norm_grad_l2, norm_l2, norm_l4,
+                       random_spectrum_field, taylor_green, to_physical,
+                       verify)
 from gevrey_ns.cli import main
 from gevrey_ns.functionals import theorem3_rhs
 from gevrey_ns.reporting import json_dumps
@@ -91,8 +93,9 @@ class TestEstimateC0:
             assert lhs <= rhs
 
     def test_one_transform_pair_per_ascent_step_on_the_cap_grid(self, fft_calls):
+        # all six samples ride in one batch, so the count does not grow with n_samples
         steps = 7
-        estimate_c0(make_grid(128), n_samples=1, ascent_steps=steps)
+        estimate_c0(make_grid(128), n_samples=6, ascent_steps=steps)
         assert fft_calls == {"irfft2": steps + 1, "rfft2": steps + 1}
         # cap grid 2 k_cap + 2 = 18, oversampled 2x
         shapes = fft_calls.shapes["irfft2"] + fft_calls.shapes["rfft2"]
@@ -110,19 +113,87 @@ class TestEstimateC0:
         with pytest.raises(ConfigurationError, match="k_cap"):
             estimate_c0(make_grid(32), k_cap=2)
 
+    def test_first_samples_do_not_depend_on_n_samples(self):
+        grid = make_grid(32)
+        six = estimate_c0(grid, n_samples=6, ascent_steps=40, seed=1).sample_values
+        assert estimate_c0(grid, n_samples=3, ascent_steps=40, seed=1).sample_values == six[:3]
+
     def test_gradient_matches_central_difference(self):
-        from gevrey_ns.verify import _capped_sample, _rayleigh
+        # every row of a batch against a central difference of its own log ratio
+        from gevrey_ns.verify import _capped_sample, _rayleigh_batch
+        cg = make_grid(18)
+
+        def batch(*fields):
+            return np.stack([(f.u1, f.u2) for f in fields])
+
+        Z = batch(_capped_sample(cg, 8, [0, 2]), _capped_sample(cg, 8, [0, 4]))
+        W = batch(_capped_sample(cg, 8, [0, 3]), _capped_sample(cg, 8, [0, 5]))
+        _, grad = _rayleigh_batch(cg, Z)
+        eps = 1e-6
+        fd = (np.log(_rayleigh_batch(cg, Z + eps * W)[0])
+              - np.log(_rayleigh_batch(cg, Z - eps * W)[0])) / (2.0 * eps)
+        for row in range(2):
+            g, w = (SpectralVelocity(cg, *a[row]) for a in (grad, W))
+            assert fd[row] == pytest.approx(inner_l2(g, w), rel=1e-7)
+
+    def test_rows_of_a_batch_do_not_mix(self):
+        # a degenerate row (the zero field: 0/0 everywhere) keeps its NaNs to itself
+        from gevrey_ns.verify import _capped_sample, _rayleigh_batch
         cg = make_grid(18)
         z = _capped_sample(cg, 8, [0, 2])
-        w = _capped_sample(cg, 8, [0, 3])
-        _, grad = _rayleigh(z)
-        eps = 1e-6
+        alone_r, alone_g = _rayleigh_batch(cg, np.stack([(z.u1, z.u2)]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r, g = _rayleigh_batch(cg, np.stack([(z.u1, z.u2), (0 * z.u1, 0 * z.u2)]))
+        assert r[0] == alone_r[0] and np.array_equal(g[0], alone_g[0])
+        assert np.isnan(r[1])
 
-        def log_ratio(s):
-            return math.log(_rayleigh(z + s * w)[0])
+    def test_a_row_with_zero_gradient_stops_and_leaves_the_others(self, monkeypatch):
+        grid = make_grid(32)
+        free = estimate_c0(grid, n_samples=4, ascent_steps=20, seed=0)
+        kernel = verify._rayleigh_batch
+        first_rows = []
 
-        fd = (log_ratio(eps) - log_ratio(-eps)) / (2.0 * eps)
-        assert fd == pytest.approx(inner_l2(grad, w), rel=1e-7)
+        def first_row_stuck(g, Z):
+            first_rows.append(Z[0].copy())
+            r, grad = kernel(g, Z)
+            grad[0] = 0.0
+            return r, grad
+
+        monkeypatch.setattr(verify, "_rayleigh_batch", first_row_stuck)
+        stuck = estimate_c0(grid, n_samples=4, ascent_steps=20, seed=0)
+        assert len(first_rows) == 21
+        assert all(np.array_equal(row, first_rows[0]) for row in first_rows)
+        shear = math.sqrt(1.5) / (2.0 * math.pi)  # the unmoved shear start's ratio
+        assert stuck.sample_values[0] == pytest.approx(shear, rel=1e-14)
+        assert stuck.sample_values[1:] == free.sample_values[1:]
+
+    def test_vortex_sample_matches_a_per_sample_ascent(self):
+        # independent reference: one field at a time through the public spectral API
+        from gevrey_ns.verify import _capped_sample
+
+        def ratio_and_gradient(z):
+            g, m = z.grid, 2 * z.grid.n
+            U = to_physical(z, oversample=2)
+            q = U[0] * U[0] + U[1] * U[1]
+            quartic = float(np.sum(q * q)) * (2.0 * math.pi / m) ** 2
+            l2, g2 = norm_l2(z), norm_grad_l2(z)
+            h = np.fft.rfft2(q * U)
+            cub = g.full_from_half(h[:, g.oversample_rows(m), :g.half_cols] / (m * m))
+            d = [2.0 * c / quartic - u / l2 ** 2 - g.k_sq * u / g2 ** 2
+                 for c, u in zip(cub, (z.u1, z.u2))]
+            return math.sqrt(quartic) / (l2 * g2), leray(SpectralVelocity(g, *d))
+
+        cg = make_grid(18)
+        z = taylor_green(cg, 1.0) + 1e-3 * _capped_sample(cg, 8, [0, 1])
+        z = z * (1.0 / norm_l2(z))
+        best, grad = ratio_and_gradient(z)
+        for _ in range(120):
+            z = z + (0.2 / norm_l2(grad)) * grad
+            z = z * (1.0 / norm_l2(z))
+            r, grad = ratio_and_gradient(z)
+            best = max(best, r)
+        est = estimate_c0(make_grid(32), n_samples=2, seed=0)
+        assert est.sample_values[1] == pytest.approx(best, rel=1e-9)
 
     def test_spectrum_signature_present(self, c0_32):
         assert c0_32.spectrum_signature.sum() == pytest.approx(1.0, rel=1e-8)
