@@ -34,7 +34,7 @@ import numpy as np
 
 from .derivatives import DerivativeStack
 from .errors import ConfigurationError
-from .spectral import SpectralVelocity, norm_grad_l2, norm_l2
+from .spectral import SpectralVelocity, norm_l2, parseval
 from .stokes import log_factorials, weighted_h_integral, weighted_h_rate
 
 LN2 = math.log(2.0)
@@ -112,8 +112,8 @@ def raw_functionals(stack: DerivativeStack) -> FunctionalSample:
     """
     K, t = stack.depth, stack.t
     M = max(0, 2 * K - 1)
-    l2 = np.array([norm_l2(e) for e in stack.entries])
-    grad = np.array([norm_grad_l2(e) for e in stack.entries[:M // 2 + 1]])
+    sums = np.array([parseval(e.grid, e.uh) for e in stack.entries])
+    l2, grad = np.sqrt(sums[:, 0]), np.sqrt(sums[:M // 2 + 1, 1])
     k = np.arange(1, K + 1)
     L = np.empty(M + 1)
     H = np.empty(M + 1)
@@ -127,8 +127,7 @@ def sample_at_time_zero(u: SpectralVelocity, M: int) -> FunctionalSample:
     """The t -> 0+ limit: only L_0 = |u| and H_0 = |grad u| survive."""
     L = np.zeros(M + 1)
     H = np.zeros(M + 1)
-    L[0] = norm_l2(u)
-    H[0] = norm_grad_l2(u)
+    L[0], H[0] = np.sqrt(parseval(u.grid, u.uh))
     return FunctionalSample(t=0.0, L_tilde=L, H_tilde=H)
 
 

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .spectral import norm_l2
+
 
 def _fmt_float(x: float) -> str:
     if x != x:
@@ -66,12 +68,8 @@ def _write_csv(path: Path, header: list[str], rows) -> Path:
 
 
 def write_trajectory_csv(traj, path: str | Path) -> Path:
-    from .spectral import norm_l2
-    rows = []
-    for t, u, d in zip(traj.times, traj.fields, traj.dissipation):
-        l2 = norm_l2(u)
-        g = traj.grad_sq[traj.times.index(t)] ** 0.5
-        rows.append((t, l2, g, d))
+    rows = [(t, norm_l2(u), g ** 0.5, d)
+            for t, u, g, d in zip(traj.times, traj.fields, traj.grad_sq, traj.dissipation)]
     return _write_csv(Path(path), ["t", "l2_norm", "grad_l2_norm", "dissipation_accum"], rows)
 
 

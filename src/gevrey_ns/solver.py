@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, IntegrationError
-from .spectral import (Grid, SpectralVelocity, _field_from_half_stack, _level_half,
-                       _physical, make_grid, make_initial_data, norm_l2, to_physical)
+from .spectral import (Grid, SpectralVelocity, _level, _physical, make_grid,
+                       make_initial_data, norm_l2, parseval, to_physical)
 
 
 @dataclass(frozen=True)
@@ -58,25 +58,25 @@ def cfl_limit(u: SpectralVelocity) -> float:
 
 
 def _stage_coefficients(grid: Grid, dt: float):
-    """IF-RK4 multipliers on the rfft layout, computed once per (grid, dt).
+    """IF-RK4 multipliers, computed once per (grid, dt).
 
     Each stage's e^(-|xi|^2 dt/2), e^(-|xi|^2 dt) and RK4 weights, with the 2/3 mask and
     the n^2 input scale of irfft2 folded in.
     """
-    ksq, n_sq = grid.k_sq[:, :grid.half_cols], float(grid.n) * grid.n
-    e_half, e_full = np.exp(-0.5 * dt * ksq), np.exp(-dt * ksq)
-    band = grid.dealias[:, :grid.half_cols] * n_sq
+    n_sq = float(grid.n) * grid.n
+    e_half, e_full = np.exp(-0.5 * dt * grid.k_sq), np.exp(-dt * grid.k_sq)
+    band = grid.dealias * n_sq
     return (dt, band, e_half * band, e_full * band, (0.5 * dt) * n_sq, (dt * n_sq) * e_half,
             e_full, (dt / 3.0) * e_half)
 
 
-def _step_half(grid: Grid, uh, coef):
-    """One IF-RK4 step on a (2, n, hc) rfft-layout stack; each stage is a one-entry level."""
+def _advance(grid: Grid, uh, coef):
+    """One IF-RK4 step of the coefficients uh; each stage is a one-entry level."""
     dt, band, half_band, full_band, c_b, c_c, e_full, w_bc = coef
-    a = _level_half(grid, [_physical(grid, band * uh)])
-    b = _level_half(grid, [_physical(grid, half_band * (uh + (0.5 * dt) * a))])
-    c = _level_half(grid, [_physical(grid, half_band * uh + c_b * b)])
-    d = _level_half(grid, [_physical(grid, full_band * uh + c_c * c)])
+    a = _level(grid, [_physical(grid, band * uh)])
+    b = _level(grid, [_physical(grid, half_band * (uh + (0.5 * dt) * a))])
+    c = _level(grid, [_physical(grid, half_band * uh + c_b * b)])
+    d = _level(grid, [_physical(grid, full_band * uh + c_c * c)])
     return e_full * (uh + (dt / 6.0) * a) + w_bc * (b + c) + (dt / 6.0) * d
 
 
@@ -88,12 +88,11 @@ def step(u: SpectralVelocity, dt: float, t: float | None = None) -> SpectralVelo
     """
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    g = u.grid
-    r = _step_half(g, np.stack([g.half(u.u1), g.half(u.u2)]), _stage_coefficients(g, dt))
+    r = _advance(u.grid, u.uh, _stage_coefficients(u.grid, dt))
     if not np.isfinite(r).all():
         where = "" if t is None else f" at t={t!r}"
         raise IntegrationError(f"non-finite state after step{where} with dt={dt!r}")
-    return _field_from_half_stack(g, r)
+    return SpectralVelocity(u.grid, r)
 
 
 def _snapshot_steps(dt: float, t_end: float, snapshot_times, n_steps: int) -> dict[int, float]:
@@ -142,22 +141,13 @@ def integrate(u0: SpectralVelocity, dt: float, t_end: float,
                 f"dt={dt!r} exceeds advective stability bound {bound:.3e} at t={t!r}")
 
     check_cfl(u0, 0.0)
-    uh = np.stack([g.half(u0.u1), g.half(u0.u2)], dtype=complex)
-
+    uh = u0.uh
     times, fields, diss, grads = [], [], [], []
-    # 4 pi^2 |grad u|^2 and 2 pi^2 |u|^2 as one matrix-vector product on uh.view(float)**2:
-    # interior rfft columns also stand for their conjugates, and each weight covers a
-    # real and an imaginary part in both components
-    hc = g.half_cols
-    col_w = np.full(hc, 2.0)
-    col_w[[0, -1]] = 1.0  # zero mode and Nyquist column (zero anyway)
-    rows = (2.0 * np.pi) ** 2 * col_w * np.stack([g.k_sq[:, :hc], np.full((g.n, hc), 0.5)])
-    ledger_w = np.tile(np.repeat(rows, 2, axis=-1).reshape(2, -1), 2)
 
     def grad_energy(h) -> tuple[float, float]:
-        x = h.view(float).ravel()
-        gs, es = ledger_w @ (x * x)
-        return float(gs), float(es)
+        """|grad u|^2 and |u|^2 / 2."""
+        es, gs = parseval(g, h)
+        return float(gs), 0.5 * float(es)
 
     D = 0.0
     g_prev, e_prev = grad_energy(uh)
@@ -168,7 +158,7 @@ def integrate(u0: SpectralVelocity, dt: float, t_end: float,
         diss.append(0.0)
         grads.append(g_prev)
     for i in range(1, n_steps + 1):
-        uh = _step_half(g, uh, coef)
+        uh = _advance(g, uh, coef)
         g_new, e_new = grad_energy(uh)
         if not np.isfinite(g_new):
             raise IntegrationError(f"non-finite state at t={i * dt!r} with dt={dt!r}")
@@ -178,7 +168,7 @@ def integrate(u0: SpectralVelocity, dt: float, t_end: float,
         e_prev = e_new
         g_prev = g_new
         if i in snaps:
-            u_snap = _field_from_half_stack(g, uh)
+            u_snap = SpectralVelocity(g, uh)
             check_cfl(u_snap, i * dt)
             times.append(i * dt)
             fields.append(u_snap)

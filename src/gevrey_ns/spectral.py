@@ -1,26 +1,30 @@
 """Fourier representation of mean-zero, divergence-free velocity fields on the 2D torus.
 
-The domain is fixed to [0, 2pi)^2.  A field is stored as two complex
-coefficient arrays u1hat, u2hat over the integer wavenumber lattice
-xi in {-n/2+1, ..., n/2}^2 in standard FFT ordering, with the convention
+The domain is fixed to [0, 2pi)^2, with the convention
 
-    u(x) = sum_xi uhat(xi) exp(i xi . x).
+    u(x) = sum_xi uhat(xi) exp(i xi . x),   xi in {-n/2+1, ..., n/2}^2.
 
-The unpaired Nyquist row/column is kept identically zero, so every retained
-mode has a conjugate partner and real fields are exactly Hermitian.  With
-this convention Parseval reads
+A real field is Hermitian, uhat(-xi) = conj uhat(xi), so a field stores only
+its rfft half-spectrum: one complex (2, n, n/2+1) array, both components on
+rows in FFT order and columns 0..n/2.  Only this module knows that layout.
+The unpaired Nyquist row and column are kept identically zero; columns 0 and
+n/2 hold both members of each conjugate pair, so validate_field checks
+Hermitian symmetry there.  Parseval on the full lattice,
 
-    int |u|^2 dx = (2 pi)^2 sum_xi |uhat(xi)|^2.
+    int |u|^2 dx = (2 pi)^2 sum_xi |uhat(xi)|^2,
 
-L2-type norms are evaluated spectrally; the L4 norm is evaluated by
-quadrature on a 2x-oversampled physical grid so that quartic products do
-not alias.  The quadratic advection term uses the 2/3-rule: inputs and
-outputs are truncated to |xi|_inf <= k_cut with 3 k_cut < n, which makes the
-retained product modes an exact convolution of the truncated inputs.
+is one weighted sum over the half, where every column other than 0 and n/2
+also stands for its conjugate and weighs 2.  parseval evaluates it, with its
+|xi|^2-weighted twin for the gradient, and every L2-type norm reads it.  The
+L4 norm is evaluated by quadrature on a 2x-oversampled physical grid so that
+quartic products do not alias.  The quadratic advection term uses the
+2/3-rule: inputs and outputs are truncated to |xi|_inf <= k_cut with
+3 k_cut < n, which makes the retained product modes an exact convolution of
+the truncated inputs.
 
 Every advection (solver, derivative stacks, public products) ends in one
 contraction with Grid.div, built once per grid, which takes the rfft2 planes
-(T11, T12, T22) of a product to its dealiased -P div on the rfft layout.
+(T11, T12, T22) of a product to its dealiased -P div.
 """
 
 from __future__ import annotations
@@ -44,17 +48,23 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class Grid:
     """Wavenumber bookkeeping for an n x n spectral grid on [0, 2pi)^2.
 
+    Every mode array has the rfft half shape (n, n/2+1) of a field plane.
+
     Attributes:
         n: modes per dimension (even, >= 8).
         freqs: integer frequencies in FFT order, shape (n,).
-        k1, k2: broadcastable wavenumber arrays, shapes (n, 1) and (1, n).
-        k_sq: |xi|^2, shape (n, n).
+        k1, k2: broadcastable wavenumbers, shapes (n, 1) and (1, n/2+1); the
+            Nyquist column carries -n/2.
+        k_sq: |xi|^2.
         inv_k_sq: 1/|xi|^2 with the zero mode set to 0.
         keep: mask that removes the Nyquist row/column.
         dealias: 2/3-rule mask |xi|_inf <= k_cut (Nyquist removed as well).
         k_cut: dealiasing cutoff, the largest k with 3k < n.
         div: (2, 3, n, n/2+1) tensor; (div * T).sum(axis=1) is the dealiased
             -P(xi) i xi . T / n^2 of unnormalised rfft2 planes T = (T11, T12, T22).
+        parseval_w: (2, N) weights on the N floats of a field's flattened
+            float view: row 0 gives |u|^2, row 1 |grad u|^2 (see parseval).
+        shells: the eigenvalue |xi|^2 of each of those N floats, as integers.
     """
 
     n: int
@@ -67,33 +77,13 @@ class Grid:
     dealias: np.ndarray
     k_cut: int
     div: np.ndarray
+    parseval_w: np.ndarray
+    shells: np.ndarray
 
     def __post_init__(self):
-        for name in ("freqs", "k1", "k2", "k_sq", "inv_k_sq", "keep", "dealias", "div"):
+        for name in ("freqs", "k1", "k2", "k_sq", "inv_k_sq", "keep", "dealias", "div",
+                     "parseval_w", "shells"):
             _readonly(getattr(self, name))
-
-    # Derived layouts used by the rfft fast path and oversampled quadrature.
-
-    @property
-    def half_cols(self) -> int:
-        return self.n // 2 + 1
-
-    def half(self, a: np.ndarray) -> np.ndarray:
-        """Non-negative-frequency columns of a full coefficient array."""
-        return a[:, : self.half_cols]
-
-    def full_from_half(self, h: np.ndarray) -> np.ndarray:
-        """Rebuild the full Hermitian lattice from (..., n, n/2+1) rfft-layout coefficients.
-
-        Entry (p, -q) is conj h[-p, q]: two strided conjugations, no copy of h.
-        """
-        hc = self.half_cols
-        full = np.empty(h.shape[:-1] + (self.n,), dtype=complex)
-        full[..., :hc] = h
-        mirror = h[..., hc - 2:0:-1]
-        np.conjugate(mirror[..., :1, :], out=full[..., :1, hc:])
-        np.conjugate(mirror[..., :0:-1, :], out=full[..., 1:, hc:])
-        return full
 
     def oversample_rows(self, m: int) -> np.ndarray:
         """Row indices embedding this grid's frequencies into an m-point grid."""
@@ -117,60 +107,76 @@ def make_grid(n: int) -> Grid:
     if n % 2 != 0 or n < 8:
         raise ConfigurationError(f"grid size must be even and >= 8, got {n}")
     freqs = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(np.int64)
+    hc = n // 2 + 1
     k1 = freqs.astype(float).reshape(n, 1)
-    k2 = freqs.astype(float).reshape(1, n)
+    k2 = freqs[:hc].astype(float).reshape(1, hc)
     k_sq = k1 * k1 + k2 * k2
     inv = np.zeros_like(k_sq)
     nz = k_sq > 0
     inv[nz] = 1.0 / k_sq[nz]
-    nyq = n // 2
-    keep = np.ones((n, n), dtype=bool)
-    keep[nyq, :] = False
-    keep[:, nyq] = False
+    keep = np.ones((n, hc), dtype=bool)
+    keep[n // 2, :] = False
+    keep[:, -1] = False
     k_cut = (n - 1) // 3
     dealias = (np.abs(k1) <= k_cut) & (np.abs(k2) <= k_cut) & keep
-    hc, k2h = n // 2 + 1, k2[:, : n // 2 + 1]
-    c = -1j * dealias[:, :hc] / (float(n) * n)
+    c = -1j * dealias / (float(n) * n)
     div = np.empty((2, 3, n, hc), dtype=complex)
     # -P i xi . T for unit T11, T12 (both off-diagonal slots) and T22
-    for j, (a1, a2) in enumerate(((k1, 0.0), (k2h, k1), (0.0, k2h))):
-        div[:, j] = _leray(k1, k2h, inv[:, :hc], c * a1, c * a2)
+    for j, (a1, a2) in enumerate(((k1, 0.0), (k2, k1), (0.0, k2))):
+        div[:, j] = _leray(k1, k2, inv, c * a1, c * a2)
+    col_w = np.full(hc, 2.0)
+    col_w[[0, -1]] = 1.0  # the self-conjugate columns; every other one stands for two
+
+    def flat(a):  # per-mode values repeated over (real, imag) and both components
+        return np.tile(np.repeat(a, 2, axis=-1).reshape(a.shape[:-2] + (-1,)), 2)
+
+    w = TWO_PI ** 2 * col_w * np.stack([np.ones_like(k_sq), k_sq])
     return Grid(n=n, freqs=freqs, k1=k1, k2=k2, k_sq=k_sq, inv_k_sq=inv, keep=keep,
-                dealias=dealias, k_cut=k_cut, div=div)
+                dealias=dealias, k_cut=k_cut, div=div,
+                parseval_w=flat(w),
+                shells=flat(np.rint(k_sq).astype(np.int64)))
 
 
 @dataclass(frozen=True)
 class SpectralVelocity:
-    """Mean-zero, divergence-free velocity field as Fourier coefficients.
+    """Mean-zero, divergence-free velocity field as rfft half-spectrum coefficients.
 
+    uh has shape (2, n, n/2+1); u1 and u2 are views of its two planes.
     Instances are immutable; arithmetic returns new fields on the same grid.
     Construction does not validate; use validate_field for the invariant
     check (Hermitian symmetry, zero mean, zero divergence, zero Nyquist).
     """
 
     grid: Grid
-    u1: np.ndarray
-    u2: np.ndarray
+    uh: np.ndarray
 
     def __post_init__(self):
-        _readonly(self.u1)
-        _readonly(self.u2)
+        _readonly(self.uh)
+
+    @property
+    def u1(self) -> np.ndarray:
+        return self.uh[0]
+
+    @property
+    def u2(self) -> np.ndarray:
+        return self.uh[1]
 
     def __add__(self, other: "SpectralVelocity") -> "SpectralVelocity":
         _require_same_grid(self, other)
-        return SpectralVelocity(self.grid, self.u1 + other.u1, self.u2 + other.u2)
+        return SpectralVelocity(self.grid, self.uh + other.uh)
 
     def __sub__(self, other: "SpectralVelocity") -> "SpectralVelocity":
         _require_same_grid(self, other)
-        return SpectralVelocity(self.grid, self.u1 - other.u1, self.u2 - other.u2)
+        return SpectralVelocity(self.grid, self.uh - other.uh)
 
-    def __mul__(self, c: float) -> "SpectralVelocity":
-        return SpectralVelocity(self.grid, self.u1 * c, self.u2 * c)
+    def __mul__(self, c) -> "SpectralVelocity":
+        """Scalar or modewise multiplier (an array broadcasting against one plane)."""
+        return SpectralVelocity(self.grid, self.uh * c)
 
     __rmul__ = __mul__
 
     def max_amplitude(self) -> float:
-        return max(float(np.max(np.abs(self.u1))), float(np.max(np.abs(self.u2))))
+        return float(np.max(np.abs(self.uh)))
 
 
 def _require_same_grid(a: SpectralVelocity, b: SpectralVelocity) -> None:
@@ -178,23 +184,24 @@ def _require_same_grid(a: SpectralVelocity, b: SpectralVelocity) -> None:
         raise GridMismatchError(f"grid mismatch: n={a.grid.n} vs n={b.grid.n}")
 
 
-def _clean(grid: Grid, u1: np.ndarray, u2: np.ndarray) -> SpectralVelocity:
-    """Construct a field with the zero-mean and Nyquist constraints applied."""
-    u1 = np.where(grid.keep, u1, 0.0 + 0.0j)
-    u2 = np.where(grid.keep, u2, 0.0 + 0.0j)
-    u1[0, 0] = 0.0
-    u2[0, 0] = 0.0
-    return SpectralVelocity(grid, u1, u2)
+def from_lattice(grid: Grid, u: np.ndarray) -> SpectralVelocity:
+    """The field of Hermitian full-lattice coefficients u, shape (2, n, n) in FFT order."""
+    return SpectralVelocity(grid, np.array(u[..., : grid.n // 2 + 1], dtype=complex))
 
 
 def mirror_coefficients(a: np.ndarray) -> np.ndarray:
-    """Return conj(a(-xi)), the Hermitian mirror of a full coefficient array."""
-    return np.conj(np.roll(a[::-1, ::-1], 1, axis=(0, 1)))
+    """Return conj(a(-xi)), the Hermitian mirror of full-lattice (..., n, n) coefficients."""
+    return np.conj(np.roll(a[..., ::-1, ::-1], 1, axis=(-2, -1)))
 
 
 def hermitian_defect(a: np.ndarray) -> float:
-    """Max absolute deviation of a from its Hermitian mirror."""
-    return float(np.max(np.abs(a - mirror_coefficients(a))))
+    """Max |a(p, q) - conj a(-p, q)| over the columns q = 0 and n/2 of rfft-half coefficients.
+
+    Those columns hold both members of each conjugate pair; every other
+    stored mode's partner is implicit, so this is the whole Hermitian defect.
+    """
+    c = a[..., [0, -1]]
+    return float(np.max(np.abs(c - np.conj(np.roll(c[..., ::-1, :], 1, axis=-2)))))
 
 
 def divergence_defect(v: SpectralVelocity) -> float:
@@ -212,14 +219,14 @@ def validate_field(v: SpectralVelocity, hermitian_tol: float = 1e-12,
     zero, and the divergence must satisfy |xi.uhat| <= div_tol * max|uhat|.
     """
     g = v.grid
+    shape = (2,) + g.k_sq.shape
+    if v.uh.shape != shape:
+        raise FieldInvariantError(f"coefficients have shape {v.uh.shape}, expected {shape}")
     scale = max(v.max_amplitude(), 1e-300)
     for name, a in (("u1", v.u1), ("u2", v.u2)):
-        if a.shape != (g.n, g.n):
-            raise FieldInvariantError(f"{name} has shape {a.shape}, expected {(g.n, g.n)}")
         if a[0, 0] != 0:
             raise FieldInvariantError(f"{name} mean mode is {a[0, 0]!r}, must be exactly 0")
-        nyq = g.n // 2
-        if np.any(a[nyq, :] != 0) or np.any(a[:, nyq] != 0):
+        if np.any(a[~g.keep] != 0):
             raise FieldInvariantError(f"{name} has nonzero Nyquist modes")
         defect = hermitian_defect(a)
         if defect > hermitian_tol * scale:
@@ -255,16 +262,22 @@ def irfft2(h: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(np.fft.ifft(h, axis=-2, out=h), n, axis=-1)
 
 
-def to_physical(v: SpectralVelocity, oversample: int = 1) -> np.ndarray:
-    """Evaluate the velocity on an (oversample*n)^2 physical grid as a (2, m, m) array.
-
-    Valid for Hermitian fields (the rfft half-spectrum path is used).
-    """
-    g = v.grid
-    m = oversample * g.n
-    pad = np.zeros((2, m, m // 2 + 1), dtype=complex)
-    pad[:, g.oversample_rows(m), : g.half_cols] = np.stack([g.half(v.u1), g.half(v.u2)])
+def _synthesize(grid: Grid, h: np.ndarray, m: int) -> np.ndarray:
+    """Values on the m x m physical grid (m >= n) of coefficient stacks h (..., n, n/2+1)."""
+    pad = np.zeros(h.shape[:-2] + (m, m // 2 + 1), dtype=complex)
+    pad[..., grid.oversample_rows(m), : grid.n // 2 + 1] = h
     return irfft2(pad, m) * (float(m) * m)
+
+
+def _analyze(grid: Grid, X: np.ndarray) -> np.ndarray:
+    """The grid's rfft-half coefficients of real samples X (..., m, m) on an m-grid, m >= n."""
+    m = X.shape[-1]
+    return rfft2(X)[..., grid.oversample_rows(m), : grid.n // 2 + 1] / (float(m) * m)
+
+
+def to_physical(v: SpectralVelocity, oversample: int = 1) -> np.ndarray:
+    """Evaluate the velocity on an (oversample*n)^2 physical grid as a (2, m, m) array."""
+    return _synthesize(v.grid, v.uh, oversample * v.grid.n)
 
 
 def from_physical(grid: Grid, U1: np.ndarray, U2: np.ndarray) -> SpectralVelocity:
@@ -274,10 +287,8 @@ def from_physical(grid: Grid, U1: np.ndarray, U2: np.ndarray) -> SpectralVelocit
     modes are zeroed.  Divergence-freeness is the caller's responsibility
     (use leray_project when unsure).
     """
-    n = grid.n
-    h1 = rfft2(np.asarray(U1, dtype=float)) / (float(n) * n)
-    h2 = rfft2(np.asarray(U2, dtype=float)) / (float(n) * n)
-    return _clean(grid, grid.full_from_half(h1), grid.full_from_half(h2))
+    X = np.stack([np.asarray(U1, dtype=float), np.asarray(U2, dtype=float)])
+    return SpectralVelocity(grid, _clean(grid, _analyze(grid, X)))
 
 
 def transform_roundtrip(v: SpectralVelocity) -> SpectralVelocity:
@@ -290,34 +301,61 @@ def transform_roundtrip(v: SpectralVelocity) -> SpectralVelocity:
 # Projection, norms, advection
 # ---------------------------------------------------------------------------
 
-def leray_project(grid: Grid, u1: np.ndarray, u2: np.ndarray) -> SpectralVelocity:
-    """Modewise orthogonal projection onto divergence-free fields.
+def _clean(grid: Grid, h: np.ndarray) -> np.ndarray:
+    """Coefficient stacks (..., n, n/2+1) with the Nyquist and mean modes zeroed, as a copy."""
+    h = np.where(grid.keep, h, 0.0 + 0.0j)
+    h[..., 0, 0] = 0.0
+    return h
+
+
+def _project(grid: Grid, h: np.ndarray) -> np.ndarray:
+    """P h, cleaned, for coefficient stacks h of shape (..., 2, n, n/2+1)."""
+    p = _leray(grid.k1, grid.k2, grid.inv_k_sq, h[..., 0, :, :], h[..., 1, :, :])
+    return _clean(grid, np.stack(p, axis=-3))
+
+
+def leray_project(grid: Grid, uh: np.ndarray) -> SpectralVelocity:
+    """Modewise orthogonal projection of coefficients uh (2, n, n/2+1) onto divergence-free fields.
 
     P(xi) = I - xi xi^T / |xi|^2 and P(0) = 0, so the output is mean-zero
     and divergence-free; gradients are annihilated and divergence-free
     inputs are fixed.
     """
-    return _clean(grid, *_leray(grid.k1, grid.k2, grid.inv_k_sq, u1, u2))
+    return SpectralVelocity(grid, _project(grid, uh))
 
 
 def leray(v: SpectralVelocity) -> SpectralVelocity:
-    return leray_project(v.grid, v.u1, v.u2)
+    return leray_project(v.grid, v.uh)
 
 
 def laplacian(v: SpectralVelocity) -> SpectralVelocity:
-    return SpectralVelocity(v.grid, -v.grid.k_sq * v.u1, -v.grid.k_sq * v.u2)
+    return SpectralVelocity(v.grid, -v.grid.k_sq * v.uh)
+
+
+def parseval(grid: Grid, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Full-lattice Parseval sums of coefficient stacks of shape (..., 2, n, n/2+1), as (..., 2).
+
+    [..., 0] is int a . b dx and [..., 1] is int grad a : grad b dx, with b
+    defaulting to a, so parseval(grid, a) is (|a|^2, |grad a|^2).  Both are
+    dot products of the float views' product with grid.parseval_w, which
+    weights each column by how many lattice columns it stands for.  Each
+    field gets its own dot products, so its sums do not depend on the batch
+    it rides in; einsum forms them in one pass and, unlike a BLAS dot, on
+    the calling thread alone.
+    """
+    x = a.view(float)
+    p = x * x if b is None else x * b.view(float)
+    return np.einsum("...i,ji->...j", p.reshape(a.shape[:-3] + (-1,)), grid.parseval_w)
 
 
 def norm_l2(v: SpectralVelocity) -> float:
     """L2 norm via Parseval."""
-    s = np.sum(np.abs(v.u1) ** 2) + np.sum(np.abs(v.u2) ** 2)
-    return TWO_PI * float(np.sqrt(s))
+    return float(np.sqrt(parseval(v.grid, v.uh)[0]))
 
 
 def norm_grad_l2(v: SpectralVelocity) -> float:
     """L2 norm of the gradient: (2pi)^2 sum |xi|^2 |uhat|^2, square-rooted."""
-    s = np.sum(v.grid.k_sq * (np.abs(v.u1) ** 2 + np.abs(v.u2) ** 2))
-    return TWO_PI * float(np.sqrt(s))
+    return float(np.sqrt(parseval(v.grid, v.uh)[1]))
 
 
 def norm_l4(v: SpectralVelocity) -> float:
@@ -332,8 +370,7 @@ def norm_l4(v: SpectralVelocity) -> float:
 def inner_l2(a: SpectralVelocity, b: SpectralVelocity) -> float:
     """Parseval inner product int a . b dx."""
     _require_same_grid(a, b)
-    s = np.sum(np.conj(a.u1) * b.u1 + np.conj(a.u2) * b.u2)
-    return (TWO_PI ** 2) * float(np.real(s))
+    return float(parseval(a.grid, a.uh, b.uh)[0])
 
 
 def _scrub(d: np.ndarray, product_scale: float) -> np.ndarray:
@@ -355,7 +392,7 @@ def _scrub(d: np.ndarray, product_scale: float) -> np.ndarray:
 
 
 def _project_products(grid: Grid, T: np.ndarray) -> np.ndarray:
-    """-P div of a product tensor from its unnormalised rfft2 planes, rfft layout.
+    """-P div of a product tensor from its unnormalised rfft2 planes, mean mode exactly 0.
 
     T[:3] = (T11, T12, T22) contracts with grid.div, bit for bit as
     (grid.div * T[:3]).sum(axis=1) but without its six-plane temporary.  An
@@ -369,20 +406,21 @@ def _project_products(grid: Grid, T: np.ndarray) -> np.ndarray:
     d += div[:, 1] * T[1]
     d += div[:, 2] * T[2]
     if len(T) == 4:
-        hc = grid.half_cols
-        curl = (1j / n_sq) * grid.dealias[:, :hc] * T[3]
-        d[0] += grid.k2[:, :hc] * curl
+        curl = (1j / n_sq) * grid.dealias * T[3]
+        d[0] += grid.k2 * curl
         d[1] -= grid.k1 * curl
-    return _scrub(d, float(np.max(np.abs(T))) / n_sq)
+    d = _scrub(d, float(np.max(np.abs(T))) / n_sq)
+    d[:, 0, 0] = 0.0
+    return d
 
 
 def _physical(grid: Grid, h: np.ndarray) -> np.ndarray:
-    """irfft2 of a (..., n, hc) rfft-layout stack already scaled by n^2; h is overwritten."""
+    """irfft2 of a (..., n, n/2+1) coefficient stack already scaled by n^2; h is overwritten."""
     return irfft2(h, grid.n)
 
 
 def _advect_pair(grid: Grid, abh):
-    """-P div(a (x) b) from the (4, n, hc) stack (a, b), dealiased and scaled by n^2.
+    """-P div(a (x) b) from the (4, n, n/2+1) stack (a, b), dealiased and scaled by n^2.
 
     The planes are the symmetric part of a (x) b and its antisymmetric part (a1 b2 - a2 b1) / 2.
     """
@@ -392,19 +430,10 @@ def _advect_pair(grid: Grid, abh):
     return _project_products(grid, rfft2(P))
 
 
-def _masked_half_stack(v: SpectralVelocity) -> np.ndarray:
-    """The rfft half of v cut to the dealias band and scaled by n^2, ready for irfft2."""
+def _masked(v: SpectralVelocity) -> np.ndarray:
+    """The coefficients of v cut to the dealias band and scaled by n^2, ready for irfft2."""
     g = v.grid
-    h = np.stack([g.half(v.u1), g.half(v.u2)])
-    h *= g.dealias[:, :g.half_cols] * (float(g.n) * g.n)
-    return h
-
-
-def _field_from_half_stack(g: Grid, h: np.ndarray) -> SpectralVelocity:
-    """The field whose rfft half is the (2, n, hc) stack h, with the mean mode zeroed."""
-    full = g.full_from_half(h)
-    full[:, 0, 0] = 0.0
-    return SpectralVelocity(g, full[0], full[1])
+    return v.uh * (g.dealias * (float(g.n) * g.n))
 
 
 def nonlinear_term(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVelocity:
@@ -420,8 +449,7 @@ def nonlinear_term(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVelocity
     g = a.grid
     if b is a:
         return nonlinear_level(g, [dealiased_physical(a)])
-    d = _advect_pair(g, np.concatenate([_masked_half_stack(a), _masked_half_stack(b)]))
-    return _field_from_half_stack(g, d)
+    return SpectralVelocity(g, _advect_pair(g, np.concatenate([_masked(a), _masked(b)])))
 
 
 def nonlinear_symmetric(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVelocity:
@@ -432,7 +460,7 @@ def nonlinear_symmetric(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVel
 
 def dealiased_physical(v: SpectralVelocity) -> np.ndarray:
     """The 2/3-truncated field on the n-grid as a (2, n, n) array; one inverse transform."""
-    return _physical(v.grid, _masked_half_stack(v))
+    return _physical(v.grid, _masked(v))
 
 
 def nonlinear_level(grid: Grid, phys: list[np.ndarray]) -> SpectralVelocity:
@@ -444,11 +472,11 @@ def nonlinear_level(grid: Grid, phys: list[np.ndarray]) -> SpectralVelocity:
     exact convolution on the retained modes, so the level costs one forward
     transform and one scrub.
     """
-    return _field_from_half_stack(grid, _level_half(grid, phys))
+    return SpectralVelocity(grid, _level(grid, phys))
 
 
-def _level_half(grid: Grid, phys: list[np.ndarray]) -> np.ndarray:
-    """nonlinear_level on the rfft layout; the first products are written with out=."""
+def _level(grid: Grid, phys: list[np.ndarray]) -> np.ndarray:
+    """nonlinear_level's coefficients; the first products are written with out=."""
     top = len(phys) - 1
     P = np.empty((3, grid.n, grid.n))
     diag, off = P[0::2], P[1]  # (T11, T22) and T12
@@ -482,54 +510,46 @@ def taylor_green(grid: Grid, amplitude: float = 1.0) -> SpectralVelocity:
     """The vortex A (sin x cos y, -cos x sin y); its advection is a pure gradient.
 
     Coefficients are placed analytically (exact zeros off the four corner
-    modes), so derivative stacks built on this field stay clean.
+    modes (+-1, +-1), two of which are stored), so derivative stacks built on
+    this field stay clean.
     """
     if amplitude <= 0:
         raise ConfigurationError("taylor_green amplitude must be positive")
-    n = grid.n
-    u1 = np.zeros((n, n), dtype=complex)
-    u2 = np.zeros((n, n), dtype=complex)
+    uh = np.zeros((2,) + grid.k_sq.shape, dtype=complex)
     q = 0.25j * amplitude
     for s1 in (1, -1):
-        for s2 in (1, -1):
-            u1[s1 % n, s2 % n] = -q * s1
-            u2[s1 % n, s2 % n] = q * s2
-    return SpectralVelocity(grid, u1, u2)
+        uh[:, s1 % grid.n, 1] = (-q * s1, q)
+    return SpectralVelocity(grid, uh)
 
 
 def shear_flow(grid: Grid, amplitude: float = 1.0) -> SpectralVelocity:
     """The single-mode shear A (sin y, 0); u.grad u vanishes identically."""
     if amplitude <= 0:
         raise ConfigurationError("shear amplitude must be positive")
-    n = grid.n
-    u1 = np.zeros((n, n), dtype=complex)
-    u2 = np.zeros((n, n), dtype=complex)
-    u1[0, 1] = -0.5j * amplitude
-    u1[0, -1 % n] = 0.5j * amplitude
-    return SpectralVelocity(grid, u1, u2)
+    uh = np.zeros((2,) + grid.k_sq.shape, dtype=complex)
+    uh[0, 0, 1] = -0.5j * amplitude
+    return SpectralVelocity(grid, uh)
 
 
 def random_spectrum_field(grid: Grid, decay: float, k_max: float, seed: int,
                           l2_norm: float | None = None) -> SpectralVelocity:
     """Random divergence-free field with |uhat(xi)| ~ |xi|^-decay up to |xi| <= k_max.
 
-    Complex Gaussian amplitudes are Hermitian-symmetrized, Leray-projected,
-    and optionally rescaled to a requested L2 norm.  Deterministic for a
-    fixed seed.
+    Complex Gaussian amplitudes are drawn and Hermitian-symmetrized on the
+    full lattice, then Leray-projected on the stored half and optionally
+    rescaled to a requested L2 norm.  Deterministic for a fixed seed.
     """
     if k_max < 1:
         raise ConfigurationError("random_spectrum needs k_max >= 1")
     rng = np.random.default_rng(seed)
     n = grid.n
     raw = rng.standard_normal((4, n, n))
-    g1 = raw[0] + 1j * raw[1]
-    g2 = raw[2] + 1j * raw[3]
-    g1 = 0.5 * (g1 + mirror_coefficients(g1))
-    g2 = 0.5 * (g2 + mirror_coefficients(g2))
+    g = raw[0::2] + 1j * raw[1::2]
+    g = 0.5 * (g + mirror_coefficients(g))
     r = np.sqrt(grid.k_sq)
     with np.errstate(divide="ignore"):
         amp = np.where((r > 0) & (r <= k_max), r ** (-float(decay)), 0.0)
-    v = leray_project(grid, g1 * amp, g2 * amp)
+    v = leray_project(grid, g[..., : n // 2 + 1] * amp)
     if l2_norm is not None:
         base = norm_l2(v)
         if base == 0.0:
@@ -560,14 +580,14 @@ def mode_energies(v: SpectralVelocity) -> tuple[np.ndarray, np.ndarray]:
     """Energy (2pi)^2 |uhat|^2 grouped by the integer eigenvalue |xi|^2.
 
     Returns (lams, energies) with lams the sorted distinct |xi|^2 > 0 that
-    carry energy.  Shells below 1e-28 of the total are rounding noise from
-    physical-space construction and are dropped, so sum(energies) matches
-    norm_l2(v)^2 to that relative accuracy.
+    carry energy: the Parseval sum of norm_l2, split by grid.shells.  Shells
+    below 1e-28 of the total are rounding noise from physical-space
+    construction and are dropped, so sum(energies) matches norm_l2(v)^2 to
+    that relative accuracy.
     """
-    lam = np.rint(v.grid.k_sq).astype(np.int64).ravel()
-    e = (TWO_PI ** 2) * (np.abs(v.u1) ** 2 + np.abs(v.u2) ** 2).ravel()
-    acc = np.bincount(lam, weights=e)
+    x = v.uh.view(float).ravel()
+    acc = np.bincount(v.grid.shells, weights=v.grid.parseval_w[0] * (x * x))
     floor = 1e-28 * float(np.sum(acc))
     lams = np.nonzero(acc > floor)[0]
     lams = lams[lams > 0]
-    return lams.astype(float), acc[lams.astype(np.int64)]
+    return lams.astype(float), acc[lams]

@@ -73,8 +73,7 @@ def heat_evolve(u0: SpectralVelocity, t: float) -> SpectralVelocity:
     """Multiply each mode by exp(-|xi|^2 t); requires t >= 0."""
     if t < 0:
         raise ConfigurationError(f"heat_evolve needs t >= 0, got {t}")
-    mult = np.exp(-u0.grid.k_sq * t)
-    return SpectralVelocity(u0.grid, u0.u1 * mult, u0.u2 * mult)
+    return u0 * np.exp(-u0.grid.k_sq * t)
 
 
 def stokes_derivative_stack(u0: SpectralVelocity, t: float, K: int) -> DerivativeStack:

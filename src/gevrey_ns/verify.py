@@ -49,9 +49,10 @@ class C0Estimate:
 
 
 def _rayleigh_batch(g: Grid, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rayleigh ratios |z|_{L4}^2 / (|z|_{L2} |grad z|_{L2}) of a (S, 2, n, n)
-    stack of fields on grid g, shape (S,), and the projected spectral
-    gradients of their logs, from one transform pair for the whole stack.
+    """Rayleigh ratios |z|_{L4}^2 / (|z|_{L2} |grad z|_{L2}) of a stack Z of
+    S field coefficient arrays on grid g, shape (S,), and the projected
+    spectral gradients of their logs, from one transform pair for the whole
+    stack.
 
     |z|^2 and the cubic |z|^2 z are formed on the 2x-oversampled grid; for
     fields on a cap grid both the quartic integral and the cubic's retained
@@ -59,48 +60,34 @@ def _rayleigh_batch(g: Grid, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     another.
     """
     m = 2 * g.n
-    rows = g.oversample_rows(m)
-    pad = np.zeros(Z.shape[:2] + (m, m // 2 + 1), dtype=complex)
-    pad[..., rows, :g.half_cols] = Z[..., :g.half_cols]
-    U = spectral.irfft2(pad, m) * (float(m) * m)
+    U = spectral._synthesize(g, Z, m)
     q = U[:, :1] * U[:, :1] + U[:, 1:] * U[:, 1:]
     l4sq = np.sqrt(np.sum(q * q, axis=(1, 2, 3), keepdims=True)) * (2.0 * np.pi / m)
-    l2, g2 = _norms(Z), _norms(Z, g.k_sq)
-    h = spectral.rfft2(q * U)
-    cub = g.full_from_half(h[..., rows, :g.half_cols] / (float(m) * m))
-    d = 2.0 * cub / l4sq ** 2 - Z / l2 ** 2 - g.k_sq * Z / g2 ** 2
-    p1, p2 = spectral._leray(g.k1, g.k2, g.inv_k_sq, d[:, 0], d[:, 1])
-    grad = np.where(g.keep & (g.k_sq > 0), np.stack((p1, p2), axis=1), 0.0 + 0.0j)
-    return (l4sq / (l2 * g2)).ravel(), grad
+    l2sq, g2sq = spectral.parseval(g, Z).T[..., None, None, None]
+    cub = spectral._analyze(g, q * U)
+    d = 2.0 * cub / l4sq ** 2 - Z / l2sq - g.k_sq * Z / g2sq
+    return (l4sq / np.sqrt(l2sq * g2sq)).ravel(), spectral._project(g, d)
 
 
-def _norms(Z: np.ndarray, weight=1.0) -> np.ndarray:
-    """Per-row L2 norms, shape (S, 1, 1, 1), of a (S, 2, n, n) coefficient
-    stack by Parseval; weight |xi|^2 gives the gradient norms."""
-    return spectral.TWO_PI * np.sqrt(np.sum(weight * (Z.real ** 2 + Z.imag ** 2),
-                                            axis=(1, 2, 3), keepdims=True))
+def _l2(g: Grid, Z: np.ndarray) -> np.ndarray:
+    """Per-row L2 norms, shape (S, 1, 1, 1), of a stack of S fields."""
+    return np.sqrt(spectral.parseval(g, Z)[:, :1, None, None])
 
 
 def _capped_sample(grid: Grid, k_cap: int, seed_pair) -> SpectralVelocity:
     """Random field drawn mode-by-mode over the cap box in a grid-independent order."""
     rng = np.random.default_rng(seed_pair)
     n = grid.n
-    u1 = np.zeros((n, n), dtype=complex)
-    u2 = np.zeros((n, n), dtype=complex)
+    u = np.zeros((2, n, n), dtype=complex)
     for p in range(0, k_cap + 1):
         for q in range(-k_cap, k_cap + 1):
             if p == 0 and q <= 0:
                 continue
-            r = math.hypot(p, q)
-            draw = rng.standard_normal(4) / r
-            c1 = draw[0] + 1j * draw[1]
-            c2 = draw[2] + 1j * draw[3]
-            i, j = p % n, q % n
-            u1[i, j] = c1
-            u2[i, j] = c2
-            u1[-p % n, -q % n] = np.conj(c1)
-            u2[-p % n, -q % n] = np.conj(c2)
-    return leray(SpectralVelocity(grid, u1, u2))
+            draw = rng.standard_normal(4) / math.hypot(p, q)
+            c = draw[0::2] + 1j * draw[1::2]
+            u[:, p % n, q % n] = c
+            u[:, -p % n, -q % n] = np.conj(c)
+    return leray(spectral.from_lattice(grid, u))
 
 
 def estimate_c0(grid: Grid, n_samples: int = 6, ascent_steps: int = 120,
@@ -134,21 +121,21 @@ def estimate_c0(grid: Grid, n_samples: int = 6, ascent_steps: int = 120,
         # subspace; a small draw 1 (no random start uses index 1) moves it off
         starts.append(taylor_green(cg, 1.0) + 1e-3 * _capped_sample(cg, k_cap, [seed, 1]))
     starts += [_capped_sample(cg, k_cap, [seed, i]) for i in range(2, n_samples)]
-    Z = np.stack([(z.u1, z.u2) for z in starts])
-    Z *= 1.0 / _norms(Z)
+    Z = np.stack([z.uh for z in starts])
+    Z *= 1.0 / _l2(cg, Z)
     best, grad = _rayleigh_batch(cg, Z)
     best_Z = Z.copy()
     for _ in range(ascent_steps):
-        gn = _norms(grad)
+        gn = _l2(cg, grad)
         live = gn.ravel() > 0.0  # a vanishing (or undefined) gradient stops its row
         z = Z[live] + (step_size / gn[live]) * grad[live]
-        Z[live] = z * (1.0 / _norms(z))
+        Z[live] = z * (1.0 / _l2(cg, z))
         r, grad = _rayleigh_batch(cg, Z)
         up = r > best
         best[up] = r[up]
         best_Z[up] = Z[up]
     i = int(np.argmax(best))
-    lams, E = mode_energies(SpectralVelocity(cg, best_Z[i, 0], best_Z[i, 1]))
+    lams, E = mode_energies(SpectralVelocity(cg, best_Z[i]))
     shells = np.bincount(np.rint(np.sqrt(lams)).astype(int), weights=E)
     return C0Estimate(value=float(best[i]), sample_values=best.tolist(),
                       spectrum_signature=shells, n_samples=n_samples,

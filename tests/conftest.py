@@ -6,6 +6,22 @@ from gevrey_ns import make_grid, random_spectrum_field, shear_flow, spectral, ta
 SQRT2_PI = np.pi * np.sqrt(2.0)
 
 
+def _hermitian_lattice(h):
+    n = h.shape[-2]
+    full = np.zeros(h.shape[:-1] + (n,), dtype=complex)
+    full[..., : n // 2 + 1] = h
+    q = np.arange(1, n // 2)
+    full[..., n - q] = np.conj(h[..., (-np.arange(n)) % n, :][..., q])
+    return full
+
+
+@pytest.fixture(scope="session")
+def hermitian_lattice():
+    """h -> the full (..., n, n) lattice of rfft-half coefficients h, completed as
+    full[p, -q] = conj h[-p, q] independently of the package."""
+    return _hermitian_lattice
+
+
 @pytest.fixture(scope="session")
 def grid32():
     return make_grid(32)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gevrey_ns import (ConfigurationError, IntegrationError, SpectralVelocity,
-                       cfl_limit, energy_ledger, integrate, leray, nonlinear_term,
+                       cfl_limit, energy_ledger, from_lattice, integrate, leray,
+                       nonlinear_term,
                        norm_grad_l2, norm_l2, random_spectrum_field, run, spectral, step,
                        taylor_green, validate_field)
 from gevrey_ns.config import RunConfig
@@ -26,13 +27,13 @@ class TestStep:
         assert (out - ref).max_amplitude() <= 1e-12 * ref.max_amplitude()
 
     def test_zero_field(self, grid32):
-        z = SpectralVelocity(grid32, np.zeros((32, 32), complex), np.zeros((32, 32), complex))
+        z = from_lattice(grid32, np.zeros((2, 32, 32)))
         assert step(z, 1e-3).max_amplitude() == 0.0
 
     def test_nan_input_raises(self, grid32, shear):
-        u1 = shear.u1.copy()
-        u1[0, 1] = np.nan
-        bad = SpectralVelocity(grid32, u1, shear.u2.copy())
+        uh = shear.uh.copy()
+        uh[0, 0, 1] = np.nan
+        bad = SpectralVelocity(grid32, uh)
         with pytest.raises(IntegrationError):
             step(bad, 1e-3)
 
@@ -46,7 +47,7 @@ class TestStep:
 
         def heat(v, t):
             f = np.exp(-grid32.k_sq * t)
-            return SpectralVelocity(grid32, f * v.u1, f * v.u2)
+            return SpectralVelocity(grid32, f * v.uh)
 
         def adv(v):
             return nonlinear_term(v, v)
@@ -138,7 +139,7 @@ class TestEnergyLedger:
         assert energy_ledger(traj).max_abs < 1e-8
 
     def test_zero_field_residual(self, grid32):
-        z = SpectralVelocity(grid32, np.zeros((32, 32), complex), np.zeros((32, 32), complex))
+        z = from_lattice(grid32, np.zeros((2, 32, 32)))
         traj = integrate(z, dt=1e-3, t_end=0.01)
         assert energy_ledger(traj).max_abs == 0.0
 

@@ -5,10 +5,10 @@ import pytest
 import scipy.fft as sfft
 
 from gevrey_ns import (ConfigurationError, FieldInvariantError, GridMismatchError,
-                       SpectralVelocity, divergence_defect, from_physical,
+                       SpectralVelocity, divergence_defect, from_lattice, from_physical,
                        hermitian_defect, inner_l2, leray, leray_project, make_grid,
-                       make_initial_data, nonlinear_symmetric, nonlinear_term,
-                       norm_grad_l2, norm_l2, norm_l4, random_spectrum_field,
+                       make_initial_data, mode_energies, nonlinear_symmetric,
+                       nonlinear_term, norm_grad_l2, norm_l2, norm_l4, parseval, random_spectrum_field,
                        shear_flow, spectral, taylor_green, to_physical,
                        transform_roundtrip, validate_field)
 from gevrey_ns.spectral import _project_products
@@ -26,7 +26,7 @@ class TestGrid:
 
     def test_lattice_n32(self):
         grid = make_grid(32)
-        assert grid.k_sq.shape == (32, 32)
+        assert grid.k_sq.shape == (32, 17)  # the rfft half layout of a field plane
         assert grid.freqs.max() == 15 or grid.freqs.max() == 16
         assert grid.k_cut == 10
 
@@ -57,7 +57,7 @@ class TestTransforms:
         u1 = np.zeros((32, 32), dtype=complex)
         u1[0, 1] = 0.5
         u1[0, -1] = 0.5
-        v = SpectralVelocity(grid32, u1, np.zeros_like(u1))
+        v = from_lattice(grid32, np.stack([u1, np.zeros_like(u1)]))
         rt = transform_roundtrip(v)
         assert (rt - v).max_amplitude() < 1e-15
 
@@ -67,7 +67,7 @@ class TestTransforms:
         assert (rt - random_field).max_amplitude() <= 1e-12 * scale
 
     def test_zero_field(self, grid32):
-        z = SpectralVelocity(grid32, np.zeros((32, 32), complex), np.zeros((32, 32), complex))
+        z = from_lattice(grid32, np.zeros((2, 32, 32)))
         assert (transform_roundtrip(z)).max_amplitude() == 0.0
 
     def test_parseval(self, random_field):
@@ -81,10 +81,8 @@ class TestTransforms:
 class TestLerayProjection:
     def test_annihilates_gradients(self, grid32):
         rng = np.random.default_rng(0)
-        phi = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-        u1 = 1j * grid32.k1 * phi
-        u2 = 1j * grid32.k2 * phi
-        p = leray_project(grid32, u1, u2)
+        phi = rng.standard_normal((32, 17)) + 1j * rng.standard_normal((32, 17))
+        p = leray_project(grid32, np.stack([1j * grid32.k1 * phi, 1j * grid32.k2 * phi]))
         assert p.max_amplitude() <= 1e-14 * np.max(np.abs(phi))
 
     def test_fixes_divergence_free(self, random_field):
@@ -93,30 +91,25 @@ class TestLerayProjection:
 
     def test_single_mode_example(self, grid32):
         # e = (1, 1) at xi = (1, 0): P e = e - xi (xi.e)/|xi|^2 = (0, 1)
-        u1 = np.zeros((32, 32), complex)
-        u2 = np.zeros((32, 32), complex)
-        u1[1, 0] = 1.0
-        u2[1, 0] = 1.0
-        u1[-1, 0] = 1.0
-        u2[-1, 0] = 1.0
-        p = leray_project(grid32, u1, u2)
+        uh = np.zeros((2, 32, 17), complex)
+        uh[:, 1, 0] = 1.0
+        uh[:, -1, 0] = 1.0
+        p = leray_project(grid32, uh)
         assert abs(p.u1[1, 0]) < 1e-15
         assert abs(p.u2[1, 0] - 1.0) < 1e-15
 
     def test_idempotent_and_self_adjoint(self, grid32):
         rng = np.random.default_rng(3)
         def rand_field():
-            a = rng.standard_normal((2, 32, 32)) + 1j * rng.standard_normal((2, 32, 32))
-            return a[0], a[1]
-        a1, a2 = rand_field()
-        b1, b2 = rand_field()
-        pa = leray_project(grid32, a1, a2)
-        pb = leray_project(grid32, b1, b2)
+            return rng.standard_normal((2, 32, 17)) + 1j * rng.standard_normal((2, 32, 17))
+        a, b = rand_field(), rand_field()
+        pa = leray_project(grid32, a)
+        pb = leray_project(grid32, b)
         ppa = leray(pa)
         assert (ppa - pa).max_amplitude() <= 1e-14 * pa.max_amplitude()
         # self-adjoint: <Pa, b> = <a, Pb> in the Parseval inner product
-        raw_b = SpectralVelocity(grid32, b1, b2)
-        raw_a = SpectralVelocity(grid32, a1, a2)
+        raw_b = SpectralVelocity(grid32, b)
+        raw_a = SpectralVelocity(grid32, a)
         lhs = inner_l2(pa, raw_b)
         rhs = inner_l2(raw_a, pb)
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
@@ -132,7 +125,7 @@ class TestNonlinearTerm:
         assert norm_l2(out) == 0.0
 
     def test_zero_factor(self, grid32, random_field):
-        z = SpectralVelocity(grid32, np.zeros((32, 32), complex), np.zeros((32, 32), complex))
+        z = from_lattice(grid32, np.zeros((2, 32, 32)))
         assert norm_l2(nonlinear_term(z, random_field)) == 0.0
         assert norm_l2(nonlinear_term(random_field, z)) == 0.0
 
@@ -162,7 +155,7 @@ class TestNonlinearTerm:
         scale = norm_l2(random_field) ** 2 * norm_grad_l2(random_field)
         assert abs(ip) <= 1e-10 * scale
 
-    def test_matches_exact_convolution_on_fine_grid(self, grid32):
+    def test_matches_exact_convolution_on_fine_grid(self, grid32, hermitian_lattice):
         # band-limited inputs; reference on a 2x grid has no aliasing at all
         a = random_spectrum_field(grid32, 1.5, grid32.k_cut, seed=5, l2_norm=1.0)
         b = random_spectrum_field(grid32, 1.5, grid32.k_cut, seed=6, l2_norm=1.0)
@@ -176,8 +169,8 @@ class TestNonlinearTerm:
             full[np.ix_(rows, rows)] = h
             return full
 
-        A = [sfft.ifft2(embed(c)) * m * m for c in (a.u1, a.u2)]
-        B = [sfft.ifft2(embed(c)) * m * m for c in (b.u1, b.u2)]
+        A = [sfft.ifft2(embed(c)) * m * m for c in hermitian_lattice(a.uh)]
+        B = [sfft.ifft2(embed(c)) * m * m for c in hermitian_lattice(b.uh)]
         ref = {}
         for i, Bi in enumerate(B):
             T1 = sfft.fft2(A[0] * Bi) / (m * m)
@@ -195,7 +188,7 @@ class TestNonlinearTerm:
         ref2 = ref[1] - ky * s
         scale = max(np.max(np.abs(ref1)), np.max(np.abs(ref2)))
         kc = grid32.k_cut
-        for out_c, ref_c in ((out.u1, ref1), (out.u2, ref2)):
+        for out_c, ref_c in zip(hermitian_lattice(out.uh), (ref1, ref2)):
             for p in range(-kc, kc + 1):
                 for q in range(-kc, kc + 1):
                     assert abs(out_c[p % 32, q % 32] - ref_c[p % m, q % m]) <= 1e-10 * scale
@@ -205,16 +198,16 @@ class TestAdvectionTensor:
     @pytest.mark.parametrize("n", [16, 32, 128])
     def test_contraction_is_dealiased_projected_divergence(self, n):
         grid = make_grid(n)
-        hc = grid.half_cols
+        hc = n // 2 + 1
         rng = np.random.default_rng(n)
         T = rng.standard_normal((3, n, hc)) + 1j * rng.standard_normal((3, n, hc))
         d = (grid.div * T).sum(axis=1)
         # explicit -P(i xi . T) * mask / n^2, with T12 in both off-diagonal slots
-        k1, k2 = grid.k1, grid.k2[:, :hc]
-        mask = grid.dealias[:, :hc]
+        k1, k2 = grid.k1, grid.k2
+        mask = grid.dealias
         a1 = 1j * (k1 * T[0] + k2 * T[1])
         a2 = 1j * (k1 * T[1] + k2 * T[2])
-        s = (k1 * a1 + k2 * a2) * grid.inv_k_sq[:, :hc]
+        s = (k1 * a1 + k2 * a2) * grid.inv_k_sq
         ref = -np.stack([a1 - k1 * s, a2 - k2 * s]) * mask / (n * n)
         assert np.max(np.abs(d - ref)) <= 1e-14 * np.max(np.abs(ref))
         # zero at xi = 0, on the Nyquist row and column and beyond k_cut
@@ -227,14 +220,6 @@ class TestAdvectionTensor:
         d[np.abs(d) < 1e-12 * np.max(np.abs(T)) / (n * n)] = 0.0
         assert np.array_equal(_project_products(grid, T), d)
 
-    @pytest.mark.parametrize("n", [8, 10, 32])
-    def test_full_from_half_rebuilds_the_hermitian_lattice(self, n):
-        grid = make_grid(n)
-        X = np.random.default_rng(n).standard_normal((2, n, n))
-        full = grid.full_from_half(sfft.rfft2(X))
-        assert np.max(np.abs(full - sfft.fft2(X))) <= 1e-13 * np.max(np.abs(full))
-        assert np.array_equal(grid.full_from_half(sfft.rfft2(X[1])), full[1])
-
     def test_pair_splits_into_symmetric_and_antisymmetric_parts(self, grid32):
         a = random_spectrum_field(grid32, 1.5, 10, seed=8, l2_norm=2.0)
         b = random_spectrum_field(grid32, 1.5, 10, seed=9, l2_norm=2.0)
@@ -243,6 +228,39 @@ class TestAdvectionTensor:
         assert (ab + ba - sym).max_amplitude() <= 1e-13 * sym.max_amplitude()
         validate_field(ab, div_tol=1e-13)
         assert (ab - ba).max_amplitude() > 1e-3 * sym.max_amplitude()
+
+
+class TestParseval:
+    @pytest.mark.parametrize("n", [8, 32, 36, 128])
+    def test_matches_the_full_lattice_sum(self, n):
+        # reference: (2 pi)^2 sum over the whole lattice of numpy.fft.fft2 of physical fields
+        grid = make_grid(n)
+        X = np.random.default_rng(n).standard_normal((3, 2, n, n))
+        full = np.fft.fft2(X) / (n * n)
+        k = np.fft.fftfreq(n, 1.0 / n)
+        k_sq = k[:, None] ** 2 + k[None, :] ** 2
+        sq = np.abs(full) ** 2
+        ref = (2.0 * np.pi) ** 2 * np.stack([np.sum(sq, axis=(1, 2, 3)),
+                                             np.sum(k_sq * sq, axis=(1, 2, 3))], axis=-1)
+        H = np.fft.rfft2(X) / (n * n)  # a batched (3, 2, n, n/2+1) stack
+        sums = parseval(grid, H)
+        assert sums.shape == (3, 2)
+        assert sums == pytest.approx(ref, rel=1e-14)
+        for s in range(3):  # a field's sums do not depend on the batch it rides in
+            assert np.array_equal(parseval(grid, H[s]), sums[s])
+        cross = (2.0 * np.pi) ** 2 * np.sum((np.conj(full[0]) * full[1]).real)
+        scale = np.sqrt(ref[0, 0] * ref[1, 0])
+        assert abs(parseval(grid, H[0], H[1])[0] - cross) <= 1e-14 * scale
+
+    def test_every_norm_reads_the_same_sums(self, random_field, tg):
+        v = random_field
+        l2_sq, grad_sq = parseval(v.grid, v.uh)
+        assert norm_l2(v) == np.sqrt(l2_sq) and norm_grad_l2(v) == np.sqrt(grad_sq)
+        assert inner_l2(v, v) == l2_sq
+        assert inner_l2(v, tg) == parseval(v.grid, v.uh, tg.uh)[0]
+        lams, E = mode_energies(v)
+        assert np.sum(E) == pytest.approx(l2_sq, rel=1e-14)
+        assert np.sum(lams * E) == pytest.approx(grad_sq, rel=1e-14)
 
 
 class TestNorms:
@@ -258,7 +276,7 @@ class TestNorms:
         assert abs(norm_grad_l2(tg) - np.sqrt(2.0) * SQRT2_PI) < 1e-12
 
     def test_zero_field(self, grid32):
-        z = SpectralVelocity(grid32, np.zeros((32, 32), complex), np.zeros((32, 32), complex))
+        z = from_lattice(grid32, np.zeros((2, 32, 32)))
         assert norm_l2(z) == 0.0
         assert norm_grad_l2(z) == 0.0
         assert norm_l4(z) == 0.0
@@ -282,6 +300,31 @@ class TestInitialData:
         a = random_spectrum_field(grid32, 2.0, 8, seed=11)
         b = random_spectrum_field(grid32, 2.0, 8, seed=11)
         assert (a - b).max_amplitude() == 0.0
+
+    def test_random_spectrum_is_the_half_of_the_full_hermitian_draw(self, grid32):
+        # rebuilt here on the full lattice from the same Gaussian draws
+        n, seed, decay, k_max = 32, 5, 1.5, 9
+        raw = np.random.default_rng(seed).standard_normal((4, n, n))
+        g = raw[0::2] + 1j * raw[1::2]
+        minus = (-np.arange(n)) % n
+        g = 0.5 * (g + np.conj(g[:, minus][:, :, minus]))
+        k = np.fft.fftfreq(n, 1.0 / n)
+        k1, k2 = k[:, None], k[None, :]
+        k_sq = k1 * k1 + k2 * k2
+        r = np.sqrt(k_sq)
+        with np.errstate(divide="ignore"):
+            u = g * np.where((r > 0) & (r <= k_max), r ** -decay, 0.0)
+        inv = np.where(k_sq > 0, 1.0 / np.where(k_sq > 0, k_sq, 1.0), 0.0)
+        s = (k1 * u[0] + k2 * u[1]) * inv
+        u = np.stack([u[0] - k1 * s, u[1] - k2 * s])
+        u[:, n // 2, :] = 0.0
+        u[:, :, n // 2] = 0.0
+        u[:, 0, 0] = 0.0
+        assert np.array_equal(random_spectrum_field(grid32, decay, k_max, seed).uh,
+                              u[..., : n // 2 + 1])
+        scaled = random_spectrum_field(grid32, decay, k_max, seed, l2_norm=2.0)
+        ref = u * (2.0 / (2.0 * np.pi * np.sqrt(np.sum(np.abs(u) ** 2))))
+        assert np.max(np.abs(scaled.uh - ref[..., : n // 2 + 1])) <= 1e-15 * np.max(np.abs(ref))
 
     def test_random_spectrum_cutoff(self, grid32):
         v = random_spectrum_field(grid32, 2.0, 5, seed=1)
@@ -310,30 +353,40 @@ class TestInitialData:
 
 
 class TestValidation:
-    def test_detects_nonzero_mean(self, grid32, shear):
-        u1 = shear.u1.copy()
-        u1[0, 0] = 1e-3
+    @staticmethod
+    def broken(shear, index, value):
+        uh = shear.uh.copy()
+        uh[index] = value
+        return SpectralVelocity(shear.grid, uh)
+
+    def test_detects_nonzero_mean(self, shear):
         with pytest.raises(FieldInvariantError, match="mean"):
-            validate_field(SpectralVelocity(grid32, u1, shear.u2.copy()))
+            validate_field(self.broken(shear, (0, 0, 0), 1e-3))
 
-    def test_detects_nyquist(self, grid32, shear):
-        u1 = shear.u1.copy()
-        u1[16, 3] = 1e-3
+    def test_detects_nyquist(self, shear):
         with pytest.raises(FieldInvariantError, match="Nyquist"):
-            validate_field(SpectralVelocity(grid32, u1, shear.u2.copy()))
+            validate_field(self.broken(shear, (0, 16, 3), 1e-3))  # Nyquist row
 
-    def test_detects_hermitian_break(self, grid32, shear):
-        u1 = shear.u1.copy()
-        u1[2, 3] = 0.7
+    def test_detects_nyquist_column(self, shear):
+        with pytest.raises(FieldInvariantError, match="Nyquist"):
+            validate_field(self.broken(shear, (1, 5, 16), 1e-3))
+
+    def test_detects_hermitian_break(self, shear):
+        # column 0 stores both (2, 0) and its partner (-2, 0): the one place
+        # where the half layout can break symmetry
         with pytest.raises(FieldInvariantError, match="Hermitian"):
-            validate_field(SpectralVelocity(grid32, u1, shear.u2.copy()))
+            validate_field(self.broken(shear, (0, 2, 0), 0.7))
+
+    def test_rejects_a_full_lattice_shape(self, grid32):
+        with pytest.raises(FieldInvariantError, match="shape"):
+            validate_field(SpectralVelocity(grid32, np.zeros((2, 32, 32), complex)))
 
     def test_detects_divergence(self, grid32):
-        u1 = np.zeros((32, 32), complex)
-        u1[1, 0] = 1.0
-        u1[-1, 0] = 1.0
+        uh = np.zeros((2, 32, 17), complex)
+        uh[0, 1, 0] = 1.0
+        uh[0, -1, 0] = 1.0
         with pytest.raises(FieldInvariantError, match="divergence"):
-            validate_field(SpectralVelocity(grid32, u1, np.zeros_like(u1)))
+            validate_field(SpectralVelocity(grid32, uh))
 
     def test_defect_helpers(self, random_field):
         assert hermitian_defect(random_field.u1) <= 1e-13 * random_field.max_amplitude()

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
-from gevrey_ns import (ConfigurationError, SpectralVelocity,
-                       dissipation_integral_exact, heat_evolve, norm_l2,
-                       raw_functionals, stokes_derivative_stack,
+from gevrey_ns import (ConfigurationError, dissipation_integral_exact, from_lattice,
+                       heat_evolve, norm_l2, raw_functionals, stokes_derivative_stack,
                        stokes_gevrey_identity)
 from gevrey_ns.stokes import _h_weights, log_factorials, poisson_tail_sum
 
@@ -24,7 +23,7 @@ def two_mode_field(grid):
     u1[0, -1] = a
     u1[0, 2] = a
     u1[0, -2] = a
-    return SpectralVelocity(grid, u1, u2)
+    return from_lattice(grid, np.stack([u1, u2]))
 
 
 class TestHeatEvolve:
