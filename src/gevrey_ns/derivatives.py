@@ -15,9 +15,12 @@ The v_k stay bounded whenever the Gevrey-weighted sums converge, so there
 is no depth cap; DerivativeStack.raw(k) rescales back to u^(k).
 
 Cost per stack of depth K: each entry v_0..v_{K-1} is dealiased and taken to
-physical space once (one inverse transform per entry), and each level sums
-all its products there before one forward transform (one per level), so a
-K = 12 stack makes 12 inverse and 12 forward transforms.
+physical space once (one inverse transform of 2 planes per entry), and each
+level sums all its products there into the two traceless planes
+(T12, T22 - T11) before one forward transform of 2 planes, so a K = 12
+stack makes 12 inverse and 12 forward transforms.  One Workspace per stack
+holds the physical entries and the kernel's planes; a level allocates only
+its new entry.
 """
 
 from __future__ import annotations
@@ -30,9 +33,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .solver import Trajectory
 # nonlinear_symmetric/nonlinear_term stay bound: bench/run.py --trace 1 wraps them here.
-from .spectral import (SpectralVelocity, dealiased_physical, laplacian,  # noqa: F401
-                       nonlinear_level, nonlinear_symmetric, nonlinear_term,
-                       norm_l2)
+from .spectral import (SpectralVelocity, Workspace, nonlinear_symmetric,  # noqa: F401
+                       nonlinear_term, norm_l2)
 
 
 @dataclass(frozen=True)
@@ -66,18 +68,25 @@ def time_derivative_stack(u: SpectralVelocity, K: int, t: float) -> DerivativeSt
     """Build the scaled stack v_0..v_K at time t from the velocity u alone.
 
     The quadratic terms are dealiased and Leray-projected, each level's
-    products summed in physical space.
+    products summed in physical space:
+    v_k = (t / 2k) (-P div sum_j v_j (x) v_{k-1-j} - |xi|^2 v_{k-1}).
     """
     if K < 0:
         raise ConfigurationError("K must be >= 0")
     if t <= 0:
         raise ConfigurationError(f"stack time must be positive, got {t}")
+    g = u.grid
+    ws = Workspace(g, K)
+    k_sq = g.k_sq.astype(complex)  # complex: no cast per product
     entries = [u]
-    phys = []
     for k in range(1, K + 1):
-        phys.append(dealiased_physical(entries[k - 1]))
-        rhs = laplacian(entries[k - 1]) + nonlinear_level(u.grid, phys)
-        entries.append((t / (2.0 * k)) * rhs)
+        prev = entries[k - 1].uh
+        ws.load(k - 1, prev, ws.band)
+        v = ws.level(k, np.empty_like(prev))
+        np.multiply(k_sq, prev, out=ws.coef)  # ws.coef is free between kernel calls
+        v -= ws.coef
+        v *= t / (2.0 * k)
+        entries.append(SpectralVelocity(g, v))
     return DerivativeStack(t=t, entries=entries)
 
 

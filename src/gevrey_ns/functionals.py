@@ -35,7 +35,7 @@ import numpy as np
 from .derivatives import DerivativeStack
 from .errors import ConfigurationError
 from .spectral import SpectralVelocity, norm_l2, parseval
-from .stokes import log_factorials, weighted_h_integral, weighted_h_rate
+from .stokes import heat_modes, log_factorials, weighted_h_integral, weighted_h_rate
 
 LN2 = math.log(2.0)
 _NEWTON_STEPS = 8  # safeguarded Newton steps before the closing bisection
@@ -398,7 +398,8 @@ def theorem3_rhs(u0: SpectralVelocity, c0: float, alpha: float, horizon: float) 
     adjacent doubles, from a bracket 2e-13 T wide around the Newton root,
     ends the solve, so condition(T0) < 0 <= condition(nextafter(T0)) as
     for a bisection from [0, horizon].  If the condition still holds at the
-    horizon, T0 is reported as the horizon with a flag.
+    horizon, T0 is reported as the horizon with a flag.  Every evaluation
+    reads one heat_modes(u0, alpha), built once per solve.
     """
     if c0 <= 0 or horizon <= 0:
         raise ConfigurationError("c0 and horizon must be positive")
@@ -406,22 +407,23 @@ def theorem3_rhs(u0: SpectralVelocity, c0: float, alpha: float, horizon: float) 
     u0n = norm_l2(u0)
     threshold = 1.0 / (32.0 * c0 * ca)
     scale = 64.0 * (c0 * ca * u0n) ** 2
+    modes = heat_modes(u0, alpha)
 
     def below(I: float) -> bool:
         """condition(T) < 0, read off I = I(T)."""
         return 8.0 * c0 * ca * u0n * math.sqrt(max(I, 0.0)) - threshold < 0.0
 
-    if u0n == 0.0 or below(weighted_h_integral(u0, alpha, horizon)):
+    if u0n == 0.0 or below(weighted_h_integral(modes, alpha, horizon)):
         return Theorem3Rhs(T0=horizon, capped_at_horizon=True, u0=u0, alpha=alpha, scale=scale)
     log_theta = 2.0 * math.log(threshold / (8.0 * c0 * ca * u0n))
     lo, hi = 0.0, horizon
-    T = math.exp(log_theta) / weighted_h_rate(u0, alpha, 0.0)
+    T = math.exp(log_theta) / weighted_h_rate(modes, alpha, 0.0)
     for _ in range(_NEWTON_STEPS):
         if not lo < T < hi:
             T = 0.5 * (lo + hi)
-        I = weighted_h_integral(u0, alpha, T)
+        I = weighted_h_integral(modes, alpha, T)
         lo, hi = (T, hi) if below(I) else (lo, T)
-        slope = T * weighted_h_rate(u0, alpha, T) / I if I > 0.0 else 0.0
+        slope = T * weighted_h_rate(modes, alpha, T) / I if I > 0.0 else 0.0
         if not slope > 0.0:
             continue  # no Newton step from here: the next pass bisects
         # Newton on log I = log theta in the variable log T; an overflowing
@@ -432,12 +434,12 @@ def theorem3_rhs(u0: SpectralVelocity, c0: float, alpha: float, horizon: float) 
             break
     for end in (T * (1.0 - 1e-13), T * (1.0 + 1e-13)):
         if lo < end < hi:
-            lo, hi = (end, hi) if below(weighted_h_integral(u0, alpha, end)) else (lo, end)
+            lo, hi = (end, hi) if below(weighted_h_integral(modes, alpha, end)) else (lo, end)
     while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # lo and hi are adjacent doubles
-        lo, hi = (mid, hi) if below(weighted_h_integral(u0, alpha, mid)) else (lo, mid)
+        lo, hi = (mid, hi) if below(weighted_h_integral(modes, alpha, mid)) else (lo, mid)
     return Theorem3Rhs(T0=lo, capped_at_horizon=False, u0=u0, alpha=alpha, scale=scale)
 
 

@@ -3,8 +3,14 @@
 The scheme is integrating-factor RK4: the viscous multiplier exp(-|xi|^2 dt)
 is applied exactly, so only the dealiased, Leray-projected advection term is
 integrated explicitly and the step size is limited by advection alone.
-Alongside the snapshots the run accumulates the dissipation integral
-int_0^t |grad u|^2 by composite trapezoid on the step grid, so every
+The state is the scalar vorticity: each stage lifts it to the two dealiased
+velocity planes, runs them through the stack-level kernel as a one-entry
+level and contracts the two forward planes with Grid.curl, so a step makes
+8 transforms of 16 planes in all.  A run allocates its stage planes once
+and steps in place; snapshots, the CFL guard and step's result convert back
+to the velocity.  Alongside the snapshots the run accumulates the
+dissipation integral int_0^t |grad u|^2 by composite trapezoid on the step
+grid, reading |grad u|^2 = (2pi)^2 sum |omegahat|^2 off the state, so every
 trajectory carries its own energy ledger.
 """
 
@@ -15,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, IntegrationError
-from .spectral import (Grid, SpectralVelocity, _level, _physical, make_grid,
-                       make_initial_data, norm_l2, parseval, to_physical)
+from .spectral import (Grid, SpectralVelocity, Workspace, from_vorticity, make_grid,
+                       make_initial_data, norm_l2, to_physical, vorticity,
+                       vorticity_parseval)
 
 
 @dataclass(frozen=True)
@@ -60,39 +67,74 @@ def cfl_limit(u: SpectralVelocity) -> float:
 def _stage_coefficients(grid: Grid, dt: float):
     """IF-RK4 multipliers, computed once per (grid, dt).
 
-    Each stage's e^(-|xi|^2 dt/2), e^(-|xi|^2 dt) and RK4 weights, with the 2/3 mask and
-    the n^2 input scale of irfft2 folded in.
+    The lift of a vorticity plane to its velocity with the 2/3 mask and the
+    n^2 input scale of irfft2 folded in, e^(-|xi|^2 dt/2), e^(-|xi|^2 dt) and
+    the stage weights.
     """
-    n_sq = float(grid.n) * grid.n
-    e_half, e_full = np.exp(-0.5 * dt * grid.k_sq), np.exp(-dt * grid.k_sq)
-    band = grid.dealias * n_sq
-    return (dt, band, e_half * band, e_full * band, (0.5 * dt) * n_sq, (dt * n_sq) * e_half,
-            e_full, (dt / 3.0) * e_half)
+    e_half = np.exp(-0.5 * dt * grid.k_sq).astype(complex)  # complex: no cast per product
+    e_full = np.exp(-dt * grid.k_sq).astype(complex)
+    lift = grid.lift * (grid.dealias * (float(grid.n) * grid.n))
+    return lift, e_half, e_full, dt * e_half, (dt / 3.0) * e_half, 0.5 * dt, dt / 6.0
 
 
-def _advance(grid: Grid, uh, coef):
-    """One IF-RK4 step of the coefficients uh; each stage is a one-entry level."""
-    dt, band, half_band, full_band, c_b, c_c, e_full, w_bc = coef
-    a = _level(grid, [_physical(grid, band * uh)])
-    b = _level(grid, [_physical(grid, half_band * (uh + (0.5 * dt) * a))])
-    c = _level(grid, [_physical(grid, half_band * uh + c_b * b)])
-    d = _level(grid, [_physical(grid, full_band * uh + c_c * c)])
-    return e_full * (uh + (dt / 6.0) * a) + w_bc * (b + c) + (dt / 6.0) * d
+def _advance(ws: Workspace, w: np.ndarray, coef, planes: np.ndarray) -> None:
+    """One IF-RK4 step of the vorticity coefficients w, in place.
+
+    Each stage is a one-entry level; planes holds the four stage values and
+    two more, so the step allocates no plane.
+    """
+    lift, e_half, e_full, dt_half, w_bc, h, sixth = coef
+    a, b, c, d, s, r = planes
+    ws.load(0, w, lift)
+    ws.curl_level(1, a)
+    np.multiply(a, h, out=s)
+    s += w
+    s *= e_half
+    ws.load(0, s, lift)
+    ws.curl_level(1, b)
+    np.multiply(w, e_half, out=s)
+    np.multiply(b, h, out=r)
+    s += r
+    ws.load(0, s, lift)
+    ws.curl_level(1, c)
+    np.multiply(w, e_full, out=s)
+    np.multiply(c, dt_half, out=r)
+    s += r
+    ws.load(0, s, lift)
+    ws.curl_level(1, d)
+    # w <- e_full (w + dt/6 a) + (dt/3) e_half (b + c) + dt/6 d
+    np.multiply(a, sixth, out=s)
+    w += s
+    w *= e_full
+    np.add(b, c, out=s)
+    s *= w_bc
+    w += s
+    np.multiply(d, sixth, out=s)
+    w += s
+
+
+def _stepper(grid: Grid, dt: float):
+    """(workspace, multipliers, six stage planes) for steps of size dt on grid."""
+    planes = np.empty((6,) + grid.k_sq.shape, dtype=complex)
+    return Workspace(grid), _stage_coefficients(grid, dt), planes
 
 
 def step(u: SpectralVelocity, dt: float, t: float | None = None) -> SpectralVelocity:
     """Advance one step of size dt > 0.
 
-    Raises IntegrationError if the result is not finite.  The caller is
+    Steps the vorticity of u, so a divergent part of u is dropped.  Raises
+    IntegrationError if the result is not finite.  The caller is
     responsible for the CFL bound (see cfl_limit); run() enforces it.
     """
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    r = _advance(u.grid, u.uh, _stage_coefficients(u.grid, dt))
-    if not np.isfinite(r).all():
+    ws, coef, planes = _stepper(u.grid, dt)
+    w = vorticity(u)
+    _advance(ws, w, coef, planes)
+    if not np.isfinite(w).all():
         where = "" if t is None else f" at t={t!r}"
         raise IntegrationError(f"non-finite state after step{where} with dt={dt!r}")
-    return SpectralVelocity(u.grid, r)
+    return from_vorticity(u.grid, w)
 
 
 def _snapshot_steps(dt: float, t_end: float, snapshot_times, n_steps: int) -> dict[int, float]:
@@ -130,7 +172,7 @@ def integrate(u0: SpectralVelocity, dt: float, t_end: float,
     snaps = _snapshot_steps(dt, t_end, snapshot_times, n_steps)
 
     g = u0.grid
-    coef = _stage_coefficients(g, dt)
+    ws, coef, planes = _stepper(g, dt)
 
     def check_cfl(u: SpectralVelocity, t: float) -> None:
         if not enforce_cfl:
@@ -141,16 +183,16 @@ def integrate(u0: SpectralVelocity, dt: float, t_end: float,
                 f"dt={dt!r} exceeds advective stability bound {bound:.3e} at t={t!r}")
 
     check_cfl(u0, 0.0)
-    uh = u0.uh
+    w = vorticity(u0)
     times, fields, diss, grads = [], [], [], []
 
-    def grad_energy(h) -> tuple[float, float]:
-        """|grad u|^2 and |u|^2 / 2."""
-        es, gs = parseval(g, h)
+    def grad_energy() -> tuple[float, float]:
+        """|grad u|^2 and |u|^2 / 2 of the state."""
+        es, gs = vorticity_parseval(g, w)
         return float(gs), 0.5 * float(es)
 
     D = 0.0
-    g_prev, e_prev = grad_energy(uh)
+    g_prev, e_prev = grad_energy()
     step_defect = 0.0
     if 0 in snaps:
         times.append(0.0)
@@ -158,8 +200,8 @@ def integrate(u0: SpectralVelocity, dt: float, t_end: float,
         diss.append(0.0)
         grads.append(g_prev)
     for i in range(1, n_steps + 1):
-        uh = _advance(g, uh, coef)
-        g_new, e_new = grad_energy(uh)
+        _advance(ws, w, coef, planes)
+        g_new, e_new = grad_energy()
         if not np.isfinite(g_new):
             raise IntegrationError(f"non-finite state at t={i * dt!r} with dt={dt!r}")
         inc = 0.5 * dt * (g_prev + g_new)
@@ -168,7 +210,7 @@ def integrate(u0: SpectralVelocity, dt: float, t_end: float,
         e_prev = e_new
         g_prev = g_new
         if i in snaps:
-            u_snap = SpectralVelocity(g, uh)
+            u_snap = from_vorticity(g, w)
             check_cfl(u_snap, i * dt)
             times.append(i * dt)
             fields.append(u_snap)

@@ -22,9 +22,14 @@ quartic products do not alias.  The quadratic advection term uses the
 3 k_cut < n, which makes the retained product modes an exact convolution of
 the truncated inputs.
 
-Every advection (solver, derivative stacks, public products) ends in one
-contraction with Grid.div, built once per grid, which takes the rfft2 planes
-(T11, T12, T22) of a product to its dealiased -P div.
+In 2D a field is also its scalar vorticity omegahat = i (k1 uhat2 - k2 uhat1),
+one (n, n/2+1) plane, and Grid.lift takes it back to the velocity.  The
+trace of a symmetric product tensor T is a gradient, which P removes, so
+advection reads only the two traceless planes A = T12 and B = T22 - T11.
+Their rfft2 contract with Grid.curl to the vorticity of the dealiased
+-P div T, and with Grid.div = lift (x) curl to its velocity.  A Workspace
+holds the planes of that kernel, so a solver run or a stack allocates them
+once and no stage or level allocates a plane.
 """
 
 from __future__ import annotations
@@ -60,11 +65,19 @@ class Grid:
         keep: mask that removes the Nyquist row/column.
         dealias: 2/3-rule mask |xi|_inf <= k_cut (Nyquist removed as well).
         k_cut: dealiasing cutoff, the largest k with 3k < n.
-        div: (2, 3, n, n/2+1) tensor; (div * T).sum(axis=1) is the dealiased
-            -P(xi) i xi . T / n^2 of unnormalised rfft2 planes T = (T11, T12, T22).
+        lift: (2, n, n/2+1) multiplier (i k2, -i k1) / |xi|^2 taking a vorticity
+            plane to its velocity (0 at xi = 0).
+        curl: (2, n, n/2+1) table dealias (k1^2 - k2^2, k1 k2) / n^2; (curl * F).sum(axis=0)
+            is the vorticity of the dealiased -P div T / n^2 of the unnormalised
+            rfft2 planes F = (T12, T22 - T11) of a symmetric T.  Its values are
+            real; it is stored complex so that the product needs no cast.
+        div: (2, 2, n, n/2+1) table lift[:, None] * curl; (div * F).sum(axis=1) is
+            that -P div T / n^2 itself.
         parseval_w: (2, N) weights on the N floats of a field's flattened
             float view: row 0 gives |u|^2, row 1 |grad u|^2 (see parseval).
-        shells: the eigenvalue |xi|^2 of each of those N floats, as integers.
+        vort_w: (2, N / 2) weights on the floats of a vorticity plane, giving the
+            same two sums (see vorticity_parseval).
+        shells: the eigenvalue |xi|^2 of each of the N floats, as integers.
     """
 
     n: int
@@ -76,13 +89,16 @@ class Grid:
     keep: np.ndarray
     dealias: np.ndarray
     k_cut: int
+    lift: np.ndarray
+    curl: np.ndarray
     div: np.ndarray
     parseval_w: np.ndarray
+    vort_w: np.ndarray
     shells: np.ndarray
 
     def __post_init__(self):
-        for name in ("freqs", "k1", "k2", "k_sq", "inv_k_sq", "keep", "dealias", "div",
-                     "parseval_w", "shells"):
+        for name in ("freqs", "k1", "k2", "k_sq", "inv_k_sq", "keep", "dealias", "lift", "curl",
+                     "div", "parseval_w", "vort_w", "shells"):
             _readonly(getattr(self, name))
 
     def oversample_rows(self, m: int) -> np.ndarray:
@@ -119,22 +135,20 @@ def make_grid(n: int) -> Grid:
     keep[:, -1] = False
     k_cut = (n - 1) // 3
     dealias = (np.abs(k1) <= k_cut) & (np.abs(k2) <= k_cut) & keep
-    c = -1j * dealias / (float(n) * n)
-    div = np.empty((2, 3, n, hc), dtype=complex)
-    # -P i xi . T for unit T11, T12 (both off-diagonal slots) and T22
-    for j, (a1, a2) in enumerate(((k1, 0.0), (k2, k1), (0.0, k2))):
-        div[:, j] = _leray(k1, k2, inv, c * a1, c * a2)
+    # -P(xi) i xi . T = (i k2, -i k1) ((k1^2 - k2^2) T12 + k1 k2 (T22 - T11)) / |xi|^2
+    lift = np.stack([1j * k2 * inv, -1j * k1 * inv])
+    curl = (dealias * np.stack([k1 * k1 - k2 * k2, k1 * k2]) / (float(n) * n)).astype(complex)
     col_w = np.full(hc, 2.0)
     col_w[[0, -1]] = 1.0  # the self-conjugate columns; every other one stands for two
 
-    def flat(a):  # per-mode values repeated over (real, imag) and both components
-        return np.tile(np.repeat(a, 2, axis=-1).reshape(a.shape[:-2] + (-1,)), 2)
+    def flat(a):  # per-mode values repeated over (real, imag) of one plane
+        return np.repeat(a, 2, axis=-1).reshape(a.shape[:-2] + (-1,))
 
-    w = TWO_PI ** 2 * col_w * np.stack([np.ones_like(k_sq), k_sq])
+    w = TWO_PI ** 2 * col_w * np.stack([np.ones_like(k_sq), k_sq, inv])
     return Grid(n=n, freqs=freqs, k1=k1, k2=k2, k_sq=k_sq, inv_k_sq=inv, keep=keep,
-                dealias=dealias, k_cut=k_cut, div=div,
-                parseval_w=flat(w),
-                shells=flat(np.rint(k_sq).astype(np.int64)))
+                dealias=dealias, k_cut=k_cut, lift=lift, curl=curl, div=lift[:, None] * curl,
+                parseval_w=np.tile(flat(w[:2]), 2), vort_w=flat(w[::-2]),
+                shells=np.tile(flat(np.rint(k_sq).astype(np.int64)), 2))
 
 
 @dataclass(frozen=True)
@@ -242,24 +256,26 @@ def validate_field(v: SpectralVelocity, hermitian_tol: float = 1e-12,
 # Transforms
 # ---------------------------------------------------------------------------
 
-def rfft2(x: np.ndarray) -> np.ndarray:
+def rfft2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Unnormalised real 2-D transform over the last two axes, as two 1-D passes.
 
-    Every forward transform in the package goes through this function.
-    numpy.fft.rfft2 computes the same two passes, but its wrapper costs more
-    per call than a small transform.
+    Every forward transform in the package goes through this function, and
+    no other module calls numpy.fft.  numpy.fft.rfft2 computes the same two
+    passes, but its wrapper costs more per call than a small transform.  out,
+    if given, receives the result.
     """
-    h = np.fft.rfft(x, axis=-1)
+    h = np.fft.rfft(x, axis=-1, out=out)
     return np.fft.fft(h, axis=-2, out=h)
 
 
-def irfft2(h: np.ndarray, n: int) -> np.ndarray:
+def irfft2(h: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse of rfft2 onto n x n planes (scaled by 1/n^2); every inverse goes through it.
 
     h is overwritten: the first pass runs in place, because a fresh complex
-    temporary per call costs more than the pass itself at n = 128.
+    temporary per call costs more than the pass itself at n = 128.  out, if
+    given, receives the real planes.
     """
-    return np.fft.irfft(np.fft.ifft(h, axis=-2, out=h), n, axis=-1)
+    return np.fft.irfft(np.fft.ifft(h, axis=-2, out=h), n, axis=-1, out=out)
 
 
 def _synthesize(grid: Grid, h: np.ndarray, m: int) -> np.ndarray:
@@ -373,67 +389,172 @@ def inner_l2(a: SpectralVelocity, b: SpectralVelocity) -> float:
     return float(parseval(a.grid, a.uh, b.uh)[0])
 
 
-def _scrub(d: np.ndarray, product_scale: float) -> np.ndarray:
-    """Zero coefficients at the FFT roundoff floor of the product transform.
-
-    Amplitudes below 1e-12 of the largest product coefficient are pure
-    rounding noise (the transforms are accurate to ~1e-15 relative); left in
-    place they sit at high wavenumbers and get amplified by |xi|^2 per level
-    of the derivative recursion, which would destroy the closed-form flows.
-    Scrubbing is positively homogeneous, so bilinearity holds exactly under
-    scaling and to 1e-12 relative under addition.  It runs once after each
-    contraction with Grid.div: the solver and the public products scrub once
-    per product, derivative stacks once per level against the largest
-    coefficient of the level's summed products.
-    """
-    if product_scale > 0.0:
-        d[np.abs(d) < 1e-12 * product_scale] = 0.0
-    return d
-
-
-def _project_products(grid: Grid, T: np.ndarray) -> np.ndarray:
-    """-P div of a product tensor from its unnormalised rfft2 planes, mean mode exactly 0.
-
-    T[:3] = (T11, T12, T22) contracts with grid.div, bit for bit as
-    (grid.div * T[:3]).sum(axis=1) but without its six-plane temporary.  An
-    optional T[3] is the antisymmetric part A12 = -A21, whose divergence
-    (-d2 A12, d1 A12) is already divergence-free: it needs only the
-    derivative and the mask.  One scrub against max|T| / n^2 follows.
-    """
-    n_sq = float(grid.n) * grid.n
-    div = grid.div
-    d = div[:, 0] * T[0]
-    d += div[:, 1] * T[1]
-    d += div[:, 2] * T[2]
-    if len(T) == 4:
-        curl = (1j / n_sq) * grid.dealias * T[3]
-        d[0] += grid.k2 * curl
-        d[1] -= grid.k1 * curl
-    d = _scrub(d, float(np.max(np.abs(T))) / n_sq)
-    d[:, 0, 0] = 0.0
-    return d
-
-
-def _physical(grid: Grid, h: np.ndarray) -> np.ndarray:
-    """irfft2 of a (..., n, n/2+1) coefficient stack already scaled by n^2; h is overwritten."""
-    return irfft2(h, grid.n)
-
-
-def _advect_pair(grid: Grid, abh):
-    """-P div(a (x) b) from the (4, n, n/2+1) stack (a, b), dealiased and scaled by n^2.
-
-    The planes are the symmetric part of a (x) b and its antisymmetric part (a1 b2 - a2 b1) / 2.
-    """
-    A1, A2, B1, B2 = _physical(grid, abh)
-    cross, swap = A1 * B2, A2 * B1
-    P = np.stack([A1 * B1, 0.5 * (cross + swap), A2 * B2, 0.5 * (cross - swap)])
-    return _project_products(grid, rfft2(P))
-
-
-def _masked(v: SpectralVelocity) -> np.ndarray:
-    """The coefficients of v cut to the dealias band and scaled by n^2, ready for irfft2."""
+def vorticity(v: SpectralVelocity) -> np.ndarray:
+    """The vorticity coefficients i (k1 uhat2 - k2 uhat1) of v, one (n, n/2+1) plane."""
     g = v.grid
-    return v.uh * (g.dealias * (float(g.n) * g.n))
+    return 1j * (g.k1 * v.u2 - g.k2 * v.u1)
+
+
+def from_vorticity(grid: Grid, w: np.ndarray) -> SpectralVelocity:
+    """The mean-zero, divergence-free field with vorticity coefficients w: grid.lift * w."""
+    return SpectralVelocity(grid, grid.lift * w)
+
+
+def vorticity_parseval(grid: Grid, w: np.ndarray) -> np.ndarray:
+    """(|u|^2, |grad u|^2) of the field with vorticity coefficients w (..., n, n/2+1), as (..., 2).
+
+    |grad u|^2 = (2pi)^2 sum |omegahat|^2 and |u|^2 = (2pi)^2 sum |omegahat|^2 / |xi|^2 over
+    the lattice, weighted by grid.vort_w.  The three-operand einsum squares
+    and sums in one pass without a temporary.
+    """
+    x = w.view(float).reshape(w.shape[:-2] + (-1,))
+    return np.einsum("...i,...i,ji->...j", x, x, grid.vort_w)
+
+
+def _scrub(d: np.ndarray, floor: float, mod: np.ndarray, small: np.ndarray) -> np.ndarray:
+    """Zero the coefficients of d below floor, the FFT roundoff floor of the product transform.
+
+    The floor is 1e-12 of the largest product coefficient: amplitudes below
+    it are pure rounding noise (the transforms are accurate to ~1e-15
+    relative); left in place they sit at high wavenumbers and get amplified
+    by |xi|^2 per level of the derivative recursion, which would destroy the
+    closed-form flows.  Scrubbing is positively homogeneous, so bilinearity
+    holds exactly under scaling and to 1e-12 relative under addition.  It runs
+    once after each contraction: the solver and the public products scrub
+    once per product, derivative stacks once per level against the largest
+    coefficient of the level's summed products.  mod and small, of d's shape,
+    receive |d| and the mask.
+    """
+    if floor > 0.0:
+        np.abs(d, out=mod)
+        np.less(mod, floor, out=small)
+        np.copyto(d, 0.0, where=small)
+    return d
+
+
+def _traceless(phys, P: np.ndarray, S: np.ndarray) -> None:
+    """P = (A, B) = (T12, T22 - T11) of T = sum_{j<k} e_j (x) e_{k-1-j} from k physical entries.
+
+    Each pair j < k-1-j enters once, as A += a1 b2 + a2 b1 and
+    B += 2 (a2 b2 - a1 b1), and a middle entry once, as a1 a2 and
+    a2^2 - a1^2.  The first term is written into P and the rest summed
+    through the three scratch planes S, so no temporary is allocated.
+    """
+    top = len(phys) - 1
+    for j in range(top // 2 + 1):
+        a, b = phys[j], phys[top - j]
+        T = P if j == 0 else S[:2]
+        np.multiply(a[0], b[1], out=T[0])
+        np.multiply(a[1], b[1], out=T[1])
+        np.multiply(a[0], b[0], out=S[2])
+        T[1] -= S[2]
+        if j < top - j:
+            np.multiply(a[1], b[0], out=S[2])
+            T[0] += S[2]
+            T[1] *= 2.0
+        if j > 0:
+            P += S[:2]
+
+
+def _project_products(grid: Grid, F: np.ndarray, floor: float, out: np.ndarray,
+                      ws: Workspace) -> np.ndarray:
+    """-P div of a product tensor from its unnormalised rfft2 planes F, into out (2, n, n/2+1).
+
+    F[:2] = (T12, T22 - T11) of the symmetric part contract with grid.div, bit
+    for bit as (grid.div * F[:2]).sum(axis=1).  An optional F[2] is the
+    antisymmetric part A12 = -A21, whose divergence (-d2 A12, d1 A12) is
+    already divergence-free: it needs only the derivative and the mask.  One
+    scrub against floor follows and the mean mode is set to 0; ws.coef,
+    ws.mod and ws.small serve as scratch.
+    """
+    div = grid.div
+    np.multiply(div[:, 0], F[0], out=out)
+    np.multiply(div[:, 1], F[1], out=ws.coef)
+    out += ws.coef
+    if len(F) == 3:
+        curl = (1j / (float(grid.n) * grid.n)) * grid.dealias * F[2]
+        out[0] += grid.k2 * curl
+        out[1] -= grid.k1 * curl
+    _scrub(out, floor, ws.mod, ws.small)
+    out[:, 0, 0] = 0.0
+    return out
+
+
+class Workspace:
+    """The planes of the advection kernel on one grid, allocated once per solver run or stack.
+
+    load puts an entry's dealiased physical planes into phys[k]; level and
+    curl_level sum the products of phys[:k] as a stack level, forward-
+    transform the two traceless planes and contract them into a caller's
+    array.  None of them allocates a plane.
+    """
+
+    def __init__(self, grid: Grid, depth: int = 1):
+        n, hc = grid.n, grid.n // 2 + 1
+        self.grid = grid
+        # the 2/3 mask and irfft2's n^2 scale; complex, like every multiplier of a
+        # complex plane here, since a real one is cast through a temporary per call
+        self.band = grid.dealias * complex(float(n) * n)
+        self.coef = np.empty((2, n, hc), dtype=complex)
+        self.phys = np.empty((depth, 2, n, n))
+        self.planes = np.empty((2, n, n))
+        self.scratch = np.empty((3, n, n))
+        self.fwd = np.empty((2, n, hc), dtype=complex)
+        self.mod = np.empty((2, n, hc))
+        self.small = np.empty((2, n, hc), dtype=bool)
+
+    def load(self, k: int, h: np.ndarray, mult: np.ndarray) -> None:
+        """phys[k] = the physical planes of h * mult, whose mult carries the mask and n^2.
+
+        mult is band for a field's coefficients and band * grid.lift for a
+        vorticity plane.
+        """
+        np.multiply(h, mult, out=self.coef)
+        irfft2(self.coef, self.grid.n, out=self.phys[k])
+
+    def _forward(self, k: int) -> float:
+        """fwd = rfft2 of level k's traceless planes; returns the scrub floor 1e-12 max|fwd| / n^2."""
+        _traceless(self.phys[:k], self.planes, self.scratch)
+        rfft2(self.planes, out=self.fwd)
+        np.abs(self.fwd, out=self.mod)
+        return 1e-12 * (float(self.mod.max()) / (float(self.grid.n) * self.grid.n))
+
+    def level(self, k: int, out: np.ndarray) -> np.ndarray:
+        """out = -P div sum_{j<k} e_j (x) e_{k-1-j}, dealiased, from phys[:k]."""
+        return _project_products(self.grid, self.fwd, self._forward(k), out, self)
+
+    def curl_level(self, k: int, out: np.ndarray) -> np.ndarray:
+        """out = the vorticity (n, n/2+1) of level(k): grid.curl contracted, then one scrub."""
+        floor = self._forward(k)
+        curl, F = self.grid.curl, self.fwd
+        np.multiply(curl[1], F[1], out=F[1])
+        np.multiply(curl[0], F[0], out=out)
+        out += F[1]
+        return _scrub(out, floor, self.mod[0], self.small[0])
+
+
+def _level(grid: Grid, coefs: list[np.ndarray]) -> np.ndarray:
+    """-P div sum_{j<k} e_j (x) e_{k-1-j} of k fields' coefficients, in a workspace of its own."""
+    ws = Workspace(grid, len(coefs))
+    for j, h in enumerate(coefs):
+        ws.load(j, h, ws.band)
+    return ws.level(len(coefs), np.empty_like(coefs[0]))
+
+
+def _advect_pair(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """-P div(a (x) b) of two fields' coefficients, dealiased.
+
+    The planes are T12 and T22 - T11 of the symmetric part of a (x) b and its
+    antisymmetric part (a1 b2 - a2 b1) / 2.
+    """
+    ws = Workspace(grid, 2)
+    ws.load(0, a, ws.band)
+    ws.load(1, b, ws.band)
+    (A1, A2), (B1, B2) = ws.phys
+    cross, swap = A1 * B2, A2 * B1
+    F = rfft2(np.stack([0.5 * (cross + swap), A2 * B2 - A1 * B1, 0.5 * (cross - swap)]))
+    floor = 1e-12 * (float(np.max(np.abs(F))) / (float(grid.n) * grid.n))
+    return _project_products(grid, F, floor, np.empty_like(a), ws)
 
 
 def nonlinear_term(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVelocity:
@@ -448,53 +569,14 @@ def nonlinear_term(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVelocity
     _require_same_grid(a, b)
     g = a.grid
     if b is a:
-        return nonlinear_level(g, [dealiased_physical(a)])
-    return SpectralVelocity(g, _advect_pair(g, np.concatenate([_masked(a), _masked(b)])))
+        return SpectralVelocity(g, _level(g, [a.uh]))
+    return SpectralVelocity(g, _advect_pair(g, a.uh, b.uh))
 
 
 def nonlinear_symmetric(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVelocity:
     """-P div(a (x) b + b (x) a); equals nonlinear_term(a,b) + nonlinear_term(b,a)."""
     _require_same_grid(a, b)
-    return nonlinear_level(a.grid, [dealiased_physical(a), dealiased_physical(b)])
-
-
-def dealiased_physical(v: SpectralVelocity) -> np.ndarray:
-    """The 2/3-truncated field on the n-grid as a (2, n, n) array; one inverse transform."""
-    return _physical(v.grid, _masked(v))
-
-
-def nonlinear_level(grid: Grid, phys: list[np.ndarray]) -> SpectralVelocity:
-    """-P div sum_{j=0}^{k-1} e_j (x) e_{k-1-j} from k dealiased_physical entries.
-
-    The summed tensor is symmetric: each pair j < k-1-j enters once, doubled
-    on the diagonal and as A1 B2 + A2 B1 off it, and a middle term enters
-    once.  Since the inputs are truncated, the sum of products is still an
-    exact convolution on the retained modes, so the level costs one forward
-    transform and one scrub.
-    """
-    return SpectralVelocity(grid, _level(grid, phys))
-
-
-def _level(grid: Grid, phys: list[np.ndarray]) -> np.ndarray:
-    """nonlinear_level's coefficients; the first products are written with out=."""
-    top = len(phys) - 1
-    P = np.empty((3, grid.n, grid.n))
-    diag, off = P[0::2], P[1]  # (T11, T22) and T12
-    for j in range(top // 2 + 1):
-        a, b = phys[j], phys[top - j]
-        if j == 0:
-            np.multiply(a, b, out=diag)
-            np.multiply(a[0], b[1], out=off)
-            if top > 0:
-                diag *= 2.0
-                off += a[1] * b[0]
-        elif j < top - j:
-            diag += 2.0 * (a * b)
-            off += a[0] * b[1] + a[1] * b[0]
-        else:
-            diag += a * a
-            off += a[0] * a[1]
-    return _project_products(grid, rfft2(P))
+    return SpectralVelocity(a.grid, _level(a.grid, [a.uh, b.uh]))
 
 
 # ---------------------------------------------------------------------------

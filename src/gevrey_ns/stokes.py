@@ -192,7 +192,34 @@ def _h_weights(alpha: float) -> np.ndarray:
     return c
 
 
-def weighted_h_integral(u0: SpectralVelocity, alpha: float, T):
+@dataclass(frozen=True)
+class HeatModes:
+    """What I(T) and I'(T) read of (u0, alpha): the mode energies and the weights c_a."""
+
+    lams: np.ndarray
+    energies: np.ndarray
+    alpha: float
+    weights: np.ndarray
+
+
+def heat_modes(u0: SpectralVelocity | HeatModes, alpha: float) -> HeatModes:
+    """The HeatModes of u0 for one alpha > 0; given HeatModes of that alpha, returns them.
+
+    weighted_h_integral and weighted_h_rate accept them in place of u0, so a
+    T0 solve, which evaluates both 15-23 times on the same data, computes
+    mode_energies(u0) and _h_weights(alpha) once.
+    """
+    if isinstance(u0, HeatModes):
+        if u0.alpha != alpha:
+            raise ConfigurationError(f"heat modes built for alpha={u0.alpha!r}, not {alpha!r}")
+        return u0
+    if alpha <= 0:
+        raise ConfigurationError("alpha must be positive")
+    lams, E = mode_energies(u0)
+    return HeatModes(lams=lams, energies=E, alpha=alpha, weights=_h_weights(alpha))
+
+
+def weighted_h_integral(u0: SpectralVelocity | HeatModes, alpha: float, T):
     """Closed form of int_0^T sum_m H_m^2 dtau for the heat flow of u0.
 
     H_m here are the fully normalized dissipation functionals (factorial and
@@ -200,29 +227,30 @@ def weighted_h_integral(u0: SpectralVelocity, alpha: float, T):
     integrate to sum_a c_a P(a, 2 lam T) with a = 2k + 1 for the even family
     and a = 2k for the odd one; the k-sum decays like 4^-k / (k!)^(2 alpha),
     so k_pairs = 60 leaves a negligible tail.  T is a time or a 1-D array of
-    times, each entry bit-identical to its scalar call.
+    times, each entry bit-identical to its scalar call.  u0 may be given as
+    heat_modes(u0, alpha), with the same result bit for bit.
     """
     if alpha <= 0:
         raise ConfigurationError("alpha must be positive")
     times = np.asarray(T, dtype=float)
     if np.any(times < 0):
         raise ConfigurationError(f"T must be >= 0, got {T}")
-    lams, E = mode_energies(u0)
-    total = np.sum(E * poisson_tail_sum(2.0 * lams * times[..., None], _h_weights(alpha)),
+    m = heat_modes(u0, alpha)
+    total = np.sum(m.energies * poisson_tail_sum(2.0 * m.lams * times[..., None], m.weights),
                    axis=-1)
     return float(total) if times.ndim == 0 else total
 
 
-def weighted_h_rate(u0: SpectralVelocity, alpha: float, T: float) -> float:
+def weighted_h_rate(u0: SpectralVelocity | HeatModes, alpha: float, T: float) -> float:
     """The rate I'(T) = sum_m H_m(T)^2 of weighted_h_integral I(T), in closed form.
 
     d/dx P(a, x) = pmf_{a-1}(x), so I'(T) = sum_lam E_lam 2 lam sum_a c_a
     pmf_{a-1}(2 lam T) with the same weights c_a; every term is positive,
-    and at T = 0 it is sum_lam 2 lam E_lam c_1.
+    and at T = 0 it is sum_lam 2 lam E_lam c_1.  u0 may be given as
+    heat_modes(u0, alpha).
     """
     if T < 0:
         raise ConfigurationError(f"T must be >= 0, got {T}")
-    lams, E = mode_energies(u0)
-    c = _h_weights(alpha)
-    pmf = _poisson_pmf(2.0 * lams * T, len(c) - 1)
-    return float(np.sum(2.0 * lams * E * (pmf @ c)))
+    m = heat_modes(u0, alpha)
+    pmf = _poisson_pmf(2.0 * m.lams * T, len(m.weights) - 1)
+    return float(np.sum(2.0 * m.lams * m.energies * (pmf @ m.weights)))

@@ -54,11 +54,13 @@ def random_field(grid32):
 
 
 class FFTCalls(dict):
-    """Call counts per transform name; .shapes[name] lists each call's physical plane shape."""
+    """Call counts per transform name; .shapes[name] lists each call's physical plane shape,
+    .arrays[name] the shape of its whole physical array."""
 
     def __init__(self, names):
         super().__init__((name, 0) for name in names)
         self.shapes = {name: [] for name in names}
+        self.arrays = {name: [] for name in names}
 
 
 @pytest.fixture
@@ -71,6 +73,7 @@ def fft_calls(monkeypatch):
             calls[_name] += 1
             physical = out if _name == "irfft2" else args[0]
             calls.shapes[_name].append(np.shape(physical)[-2:])
+            calls.arrays[_name].append(np.shape(physical))
             return out
         monkeypatch.setattr(spectral, name, counted)
     return calls

@@ -96,6 +96,9 @@ class TestRecursionOracles:
                                                                     random_field):
         time_derivative_stack(random_field, 12, t=0.1)
         assert fft_calls == {"irfft2": 12, "rfft2": 12}
+        # two velocity planes in, the two traceless product planes out
+        assert set(fft_calls.arrays["irfft2"]) == {(2, 32, 32)}
+        assert set(fft_calls.arrays["rfft2"]) == {(2, 32, 32)}
 
 
 class TestScaledStack:

@@ -12,7 +12,7 @@ from gevrey_ns import (ConfigurationError, c_alpha, fit_decay, functionals,
                        lemma_audit_ccc0, lemma_audit_convolution, make_grid,
                        norm_grad_l2, norm_l2, random_spectrum_field,
                        raw_functionals, renormalize, sample_at_time_zero,
-                       shear_flow, shifted_functionals, smallness_check,
+                       shear_flow, shifted_functionals, smallness_check, stokes,
                        stokes_derivative_stack, taylor_green, theorem2_log_rhs,
                        theorem2_rhs, theorem3_rhs, theorem_lhs,
                        time_derivative_stack)
@@ -314,6 +314,29 @@ class TestTheorem3Rhs:
                 - thr
 
         assert cond(res.T0) < 0.0 <= cond(np.nextafter(res.T0, np.inf))
+
+    def test_one_mode_energies_call_per_solve(self, grid32, monkeypatch):
+        u0 = random_spectrum_field(grid32, 2.0, 8, seed=3, l2_norm=5.0)
+        c0, alpha = 0.3, 1.0
+        # reference: every evaluation takes u0 and recomputes its modes and weights
+        monkeypatch.setattr(functionals, "weighted_h_integral",
+                            lambda modes, a, T: weighted_h_integral(u0, a, T))
+        monkeypatch.setattr(functionals, "weighted_h_rate",
+                            lambda modes, a, T: weighted_h_rate(u0, a, T))
+        ref = theorem3_rhs(u0, c0, alpha, horizon=1.0)
+        monkeypatch.undo()
+        calls = []
+
+        def counted(v):
+            calls.append(v)
+            return mode_energies(v)
+
+        monkeypatch.setattr(stokes, "mode_energies", counted)
+        res = theorem3_rhs(u0, c0, alpha, horizon=1.0)
+        assert calls == [u0]
+        assert not res.capped_at_horizon and res.T0 == ref.T0
+        times = np.linspace(0.0, res.T0, 9)
+        assert np.array_equal(res.rhs(times), ref.rhs(times))
 
     def test_t0_equals_a_bisection_from_zero_to_the_horizon(self, grid32):
         def bisection(u0, c0, alpha, horizon):

@@ -1,6 +1,7 @@
-"""The package runs on numpy alone (no scipy at import time or in its metadata), and keeps
-the names the benchmark looks up."""
+"""The package runs on numpy alone (no scipy at import time or in its metadata), keeps
+the names the benchmark looks up, and calls numpy.fft from spectral.py only."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -43,3 +44,32 @@ def test_benchmark_lookup_sites_resolve(monkeypatch):
         assert callable(getattr(module, attr)), f"{module.__name__}.{attr}"
     for attr in ("rfft2", "irfft2"):
         assert callable(getattr(gevrey_ns.spectral, attr))
+
+
+def _numpy_fft_uses(path: Path) -> list[int]:
+    """Lines of path that reach numpy.fft: np.fft / numpy.fft attributes or imports of it."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute):
+            hit = (node.attr == "fft" and isinstance(node.value, ast.Name)
+                   and node.value.id in ("np", "numpy"))
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").startswith("numpy.fft") or (
+                node.module == "numpy" and any(a.name == "fft" for a in node.names))
+        elif isinstance(node, ast.Import):
+            hit = any(a.name.startswith("numpy.fft") for a in node.names)
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_spectral_calls_numpy_fft():
+    # every transform goes through spectral.rfft2/irfft2, which the fft_calls fixture and
+    # the benchmark's tracer count
+    package = ROOT / "src" / "gevrey_ns"
+    assert _numpy_fft_uses(package / "spectral.py")
+    others = {p.name: _numpy_fft_uses(p) for p in sorted(package.glob("*.py"))
+              if p.name != "spectral.py"}
+    assert others and not any(others.values()), others

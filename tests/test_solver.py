@@ -1,13 +1,15 @@
 """Integrating-factor RK4 solver: exact flows, energy ledger, stability guards."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gevrey_ns import (ConfigurationError, IntegrationError, SpectralVelocity,
                        cfl_limit, energy_ledger, from_lattice, integrate, leray,
-                       nonlinear_term,
-                       norm_grad_l2, norm_l2, random_spectrum_field, run, spectral, step,
-                       taylor_green, validate_field)
+                       make_grid, nonlinear_term,
+                       norm_grad_l2, norm_l2, random_spectrum_field, run, solver, spectral,
+                       step, taylor_green, validate_field)
 from gevrey_ns.config import RunConfig
 from gevrey_ns.solver import ledger_tolerance
 
@@ -61,7 +63,7 @@ class TestStep:
         assert (out - ref).max_amplitude() <= 1e-12 * ref.max_amplitude()
         assert (out - heat(u, dt)).max_amplitude() > 1e-4 * ref.max_amplitude()
 
-    def test_eight_transforms_twenty_planes_per_step(self, monkeypatch, random_field):
+    def test_eight_transforms_sixteen_planes_per_step(self, monkeypatch, random_field):
         calls = {"irfft2": 0, "rfft2": 0, "planes": 0}
         for name in ("irfft2", "rfft2"):
             def counted(x, *args, _name=name, _fft=getattr(spectral, name), **kwargs):
@@ -70,7 +72,24 @@ class TestStep:
                 return _fft(x, *args, **kwargs)
             monkeypatch.setattr(spectral, name, counted)
         step(random_field, 1e-3)
-        assert calls == {"irfft2": 4, "rfft2": 4, "planes": 20}
+        assert calls == {"irfft2": 4, "rfft2": 4, "planes": 16}
+
+    def test_a_warmed_step_allocates_at_most_three_planes(self):
+        # one pass of integrate's loop: the step in place, then the ledger's Parseval sums
+        grid = make_grid(128)
+        u = random_spectrum_field(grid, 2.0, 8, seed=128, l2_norm=1.0)
+        ws, coef, planes = solver._stepper(grid, 1e-3)
+        w = spectral.vorticity(u)
+        solver._advance(ws, w, coef, planes)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solver._advance(ws, w, coef, planes)
+            spectral.vorticity_parseval(grid, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 3 * w.nbytes
 
 
 class TestIntegrate:

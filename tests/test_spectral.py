@@ -11,7 +11,7 @@ from gevrey_ns import (ConfigurationError, FieldInvariantError, GridMismatchErro
                        nonlinear_term, norm_grad_l2, norm_l2, norm_l4, parseval, random_spectrum_field,
                        shear_flow, spectral, taylor_green, to_physical,
                        transform_roundtrip, validate_field)
-from gevrey_ns.spectral import _project_products
+from gevrey_ns.spectral import Workspace, _project_products, from_vorticity, vorticity
 
 SQRT2_PI = np.pi * np.sqrt(2.0)
 
@@ -200,8 +200,10 @@ class TestAdvectionTensor:
         grid = make_grid(n)
         hc = n // 2 + 1
         rng = np.random.default_rng(n)
+        # (T11, T12, T22) of a symmetric T; the table reads its traceless planes
         T = rng.standard_normal((3, n, hc)) + 1j * rng.standard_normal((3, n, hc))
-        d = (grid.div * T).sum(axis=1)
+        F = np.stack([T[1], T[2] - T[0]])
+        d = (grid.div * F).sum(axis=1)
         # explicit -P(i xi . T) * mask / n^2, with T12 in both off-diagonal slots
         k1, k2 = grid.k1, grid.k2
         mask = grid.dealias
@@ -217,8 +219,33 @@ class TestAdvectionTensor:
         assert not mask[np.abs(grid.freqs) > grid.k_cut].any()
         assert np.max(np.abs(k1 * d[0] + k2 * d[1])) <= 1e-14 * grid.k_cut * np.max(np.abs(d))
         # the kernel is the same contraction bit for bit, then the roundoff scrub
-        d[np.abs(d) < 1e-12 * np.max(np.abs(T)) / (n * n)] = 0.0
-        assert np.array_equal(_project_products(grid, T), d)
+        floor = 1e-12 * (np.max(np.abs(F)) / (n * n))
+        d[np.abs(d) < floor] = 0.0
+        out = _project_products(grid, F, floor, np.empty_like(d), Workspace(grid, 0))
+        assert np.array_equal(out, d)
+
+    @pytest.mark.parametrize("n", [16, 32, 128])
+    def test_div_is_lift_times_curl(self, n):
+        grid = make_grid(n)
+        k1, k2 = np.broadcast_arrays(grid.k1, grid.k2)
+        k_sq = k1 * k1 + k2 * k2
+        inv = np.divide(1.0, k_sq, out=np.zeros_like(k_sq), where=k_sq > 0)
+        lift = np.stack([1j * k2 * inv, -1j * k1 * inv])
+        curl = grid.dealias * np.stack([k1 * k1 - k2 * k2, k1 * k2]) / (n * n)
+        assert np.max(np.abs(grid.lift - lift)) <= 1e-15 * np.max(np.abs(lift))
+        assert np.max(np.abs(grid.curl - curl)) <= 1e-15 * np.max(np.abs(curl))
+        div = lift[:, None] * curl
+        assert np.max(np.abs(grid.div - div)) <= 1e-15 * np.max(np.abs(div))
+
+    @pytest.mark.parametrize("n", [16, 32, 128])
+    def test_velocity_to_vorticity_and_back(self, n):
+        grid = make_grid(n)
+        u = random_spectrum_field(grid, 1.0, n // 2, seed=n, l2_norm=1.0)
+        w = vorticity(u)
+        assert w.shape == grid.k_sq.shape
+        back = from_vorticity(grid, w)
+        assert (back - u).max_amplitude() <= 1e-15 * u.max_amplitude()
+        validate_field(back, div_tol=1e-15)
 
     def test_pair_splits_into_symmetric_and_antisymmetric_parts(self, grid32):
         a = random_spectrum_field(grid32, 1.5, 10, seed=8, l2_norm=2.0)
