@@ -6,14 +6,12 @@ from .derivatives import (DerivativeStack, FdConvergence, fd_convergence_check,
                           time_derivative_stack)
 from .errors import (ConfigurationError, FieldInvariantError, GridMismatchError,
                      IntegrationError)
-from .functionals import (Ccc0Audit, ConvolutionAudit, DecayFit, FunctionalSample,
-                          FunctionalSeries, ShiftedSample, SmallnessResult,
-                          Theorem3Rhs, TheoremLhs, c_alpha, fit_decay,
-                          lemma_audit_ccc0, lemma_audit_convolution,
-                          raw_functionals, renormalize, sample_at_time_zero,
-                          shifted_functionals, smallness_check, theorem2_log_rhs,
-                          theorem2_rhs, theorem3_rhs, theorem4_rhs, theorem4_t0,
-                          theorem_lhs)
+from .functionals import (Ccc0Audit, ConvolutionAudit, DecayFit, FunctionalSeries,
+                          SmallnessResult, Theorem3Rhs, TheoremLhs, c_alpha,
+                          fit_decay, lemma_audit_ccc0, lemma_audit_convolution,
+                          raw_functionals, sample_at_time_zero, smallness_check,
+                          theorem2_log_rhs, theorem2_rhs, theorem3_rhs,
+                          theorem4_rhs, theorem4_t0, theorem_lhs)
 from .solver import (EnergyLedger, Trajectory, cfl_limit, energy_ledger,
                      integrate, run, step)
 from .spectral import (Grid, SpectralVelocity, divergence_defect, from_lattice,

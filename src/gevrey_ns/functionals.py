@@ -16,19 +16,24 @@ values) is read off them directly:
     L~_{2k+1} = sqrt(t / 2(k+1)) |grad v_k|  H~_{2k+1} = sqrt(2(k+1) / t) |v_{k+1}|,
 
 and the raw values are derived from the tilde values, never the reverse.
+A stack yields one (L~, H~) row pair; a FunctionalSeries holds the rows of
+T sample times as (T, M + 1) tables, and the raw and (k!)^alpha-normalized
+families are array expressions on them.
 
 The four audited bounds are evaluated in "tilde space": substituting the
 first renormalization into the printed weight tables reduces every term to
 a tilde value times (k!)^-alpha or ((k+1)!)^-alpha (times 4^-k and t^(2 gamma)
 for the accelerated-decay bound), which is an exact algebraic identity, not
-an approximation.  Time integrals over snapshot grids use composite
-trapezoid with a Richardson error estimate.
+an approximation.  Each bound's per-order terms form a (T, k_cap + 1) table
+whose cumulative sum over orders gives the bound at every truncation depth
+at once.  Time integrals over snapshot grids use composite trapezoid with a
+Richardson error estimate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,36 +55,8 @@ def c_alpha(alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Samples and series
+# Series tables
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FunctionalSample:
-    """Tilde values L~_m, H~_m at one time; the raw L_m, H_m derive from them.
-
-    Arrays run over m = 0..M.  L_c / H_c (the (k!)^alpha-normalized family)
-    are attached by renormalize and tagged with that alpha.
-    """
-
-    t: float
-    L_tilde: np.ndarray
-    H_tilde: np.ndarray
-    alpha: float | None = None
-    L_c: np.ndarray | None = None
-    H_c: np.ndarray | None = None
-
-    @property
-    def M(self) -> int:
-        return len(self.L_tilde) - 1
-
-    @property
-    def L_raw(self) -> np.ndarray:
-        return self.L_tilde / _tilde_factors(self.M)
-
-    @property
-    def H_raw(self) -> np.ndarray:
-        return self.H_tilde / _tilde_factors(self.M)
-
 
 def _tilde_factors(M: int) -> np.ndarray:
     """Multipliers turning raw values into tilde values, index by m."""
@@ -104,10 +81,10 @@ def _c_divisors(M: int, alpha: float) -> np.ndarray:
     return out
 
 
-def raw_functionals(stack: DerivativeStack) -> FunctionalSample:
-    """Evaluate the tilde values for m <= 2K - 1 from a scaled derivative stack.
+def raw_functionals(stack: DerivativeStack) -> tuple[np.ndarray, np.ndarray]:
+    """The tilde values (L~_m, H~_m), m <= 2K - 1, of a scaled derivative stack.
 
-    H_{2K} would need entry K + 1, so the sample stops at M = 2K - 1
+    H_{2K} would need entry K + 1, so the row pair stops at M = 2K - 1
     (M = 0 for a depth-zero stack).
     """
     K, t = stack.depth, stack.t
@@ -120,81 +97,62 @@ def raw_functionals(stack: DerivativeStack) -> FunctionalSample:
     L[0::2], H[0::2] = l2[:M // 2 + 1], grad
     L[1::2] = np.sqrt(t / (2.0 * k)) * grad[:K]
     H[1::2] = np.sqrt(2.0 * k / t) * l2[1:]
-    return FunctionalSample(t=t, L_tilde=L, H_tilde=H)
+    return L, H
 
 
-def sample_at_time_zero(u: SpectralVelocity, M: int) -> FunctionalSample:
-    """The t -> 0+ limit: only L_0 = |u| and H_0 = |grad u| survive."""
+def sample_at_time_zero(u: SpectralVelocity, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The t -> 0+ limit as a row pair: only L_0 = |u| and H_0 = |grad u| survive."""
     L = np.zeros(M + 1)
     H = np.zeros(M + 1)
     L[0], H[0] = np.sqrt(parseval(u.grid, u.uh))
-    return FunctionalSample(t=0.0, L_tilde=L, H_tilde=H)
-
-
-def renormalize(sample: FunctionalSample, alpha: float) -> FunctionalSample:
-    """Attach the (k!)^alpha-normalized arrays for the given alpha > 0."""
-    if alpha <= 0:
-        raise ConfigurationError("alpha must be positive")
-    div = _c_divisors(sample.M, alpha)
-    return replace(sample, alpha=alpha, L_c=sample.L_tilde / div,
-                   H_c=sample.H_tilde / div)
+    return L, H
 
 
 @dataclass(frozen=True)
 class FunctionalSeries:
-    """Time-ordered samples with a common truncation order."""
+    """Tilde values L~_m, H~_m as (T, M + 1) tables, one row per sample time.
 
-    samples: list[FunctionalSample]
+    The raw L_m, H_m and the (k!)^alpha-normalized family are array
+    expressions on the tables.
+    """
+
+    times: np.ndarray
+    L_tilde: np.ndarray
+    H_tilde: np.ndarray
 
     def __post_init__(self):
-        if not self.samples:
+        if len(self.times) == 0:
             raise ConfigurationError("a functional series needs at least one sample")
-        ts = [s.t for s in self.samples]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        if np.any(np.diff(self.times) <= 0):
             raise ConfigurationError("sample times must be strictly increasing")
-        Ms = {s.M for s in self.samples}
-        if len(Ms) != 1:
-            raise ConfigurationError(f"samples have mixed truncation orders {sorted(Ms)}")
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.asarray([s.t for s in self.samples])
+        shapes = {np.shape(self.L_tilde), np.shape(self.H_tilde)}
+        if shapes != {(len(self.times), self.M + 1)}:
+            raise ConfigurationError(f"L~ and H~ tables {sorted(shapes)} do not match "
+                                     f"{len(self.times)} times")
 
     @property
     def M(self) -> int:
-        return self.samples[0].M
+        return np.shape(self.L_tilde)[-1] - 1
 
     @property
     def k_cap(self) -> int:
         """Deepest pair index k the bounds can use: (M - 1) // 2, -1 for M = 0."""
         return (self.M - 1) // 2
 
+    @property
+    def L_raw(self) -> np.ndarray:
+        return self.L_tilde / _tilde_factors(self.M)
 
-@dataclass(frozen=True)
-class ShiftedSample:
-    """Fully normalized functionals with (t - t0) replacing t in the weights."""
+    @property
+    def H_raw(self) -> np.ndarray:
+        return self.H_tilde / _tilde_factors(self.M)
 
-    t: float
-    t0: float
-    alpha: float
-    L: np.ndarray
-    H: np.ndarray
-
-
-def shifted_functionals(stack: DerivativeStack, t0: float, alpha: float) -> ShiftedSample:
-    """Same formulas with weight time t - t0; the stack is evaluated at t.
-
-    Each tilde value scales by ((t - t0) / t)^(m/2) before the (k!)^alpha
-    division; with t0 = 0 this reduces exactly to the normalized arrays of
-    renormalize(raw_functionals(stack), alpha).
-    """
-    if alpha <= 0:
-        raise ConfigurationError("alpha must be positive")
-    if not 0.0 <= t0 < stack.t:
-        raise ConfigurationError(f"need 0 <= t0 < t, got t0={t0!r}, t={stack.t!r}")
-    s = raw_functionals(stack)
-    f = ((stack.t - t0) / stack.t) ** (0.5 * np.arange(s.M + 1)) / _c_divisors(s.M, alpha)
-    return ShiftedSample(t=stack.t, t0=t0, alpha=alpha, L=s.L_tilde * f, H=s.H_tilde * f)
+    def normalized(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """The (k!)^alpha-normalized tables (L_c, H_c) for alpha > 0."""
+        if alpha <= 0:
+            raise ConfigurationError("alpha must be positive")
+        div = _c_divisors(self.M, alpha)
+        return self.L_tilde / div, self.H_tilde / div
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +161,14 @@ def shifted_functionals(stack: DerivativeStack, t0: float, alpha: float) -> Shif
 
 @dataclass(frozen=True)
 class TheoremLhs:
-    """State term, cumulative integral term, and their sum along a series."""
+    """State term, cumulative integral term, and their sum along a series.
+
+    The tables are (T, k_cap + 1): column k is the bound truncated at order
+    k, and trunc_tail[:, k] is the order-k term by itself.
+    """
 
     theorem_id: int
     alpha: float
-    k_max: int
     times: np.ndarray
     state: np.ndarray
     integral: np.ndarray
@@ -217,15 +178,16 @@ class TheoremLhs:
 
 
 def _cumtrapz(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoid of each column of a (T, D) table over x."""
     out = np.zeros_like(y)
     if len(x) > 1:
-        inc = 0.5 * np.diff(x) * (y[1:] + y[:-1])
-        out[1:] = np.cumsum(inc)
+        inc = (0.5 * np.diff(x))[:, None] * (y[1:] + y[:-1])
+        out[1:] = np.cumsum(inc, axis=0)
     return out
 
 
 def _cumtrapz_with_error(x: np.ndarray, y: np.ndarray):
-    """Composite trapezoid plus a per-time Richardson error estimate.
+    """Composite trapezoid plus a per-time Richardson error estimate, by column.
 
     The half-resolution comparison |I_h - I_2h| / 3 estimates, not bounds,
     the fine-grid error; a factor 2 covers the non-asymptotic slack.
@@ -236,12 +198,11 @@ def _cumtrapz_with_error(x: np.ndarray, y: np.ndarray):
         coarse = _cumtrapz(x[::2], y[::2])
         est = 2.0 * np.abs(cum[::2] - coarse) / 3.0
         err[::2] = est
-        # odd indices inherit the worse neighbor estimate
-        for i in range(1, len(x), 2):
-            left = est[i // 2]
-            right = est[min(i // 2 + 1, len(est) - 1)]
-            err[i] = max(left, right)
-        err = np.maximum.accumulate(err)
+        # odd indices inherit the worse neighbor estimate; a last odd index has
+        # only its left neighbor
+        right = np.concatenate([est[1:], est[-1:]])
+        err[1::2] = np.maximum(est, right)[:len(x) // 2]
+        err = np.maximum.accumulate(err, axis=0)
     return cum, err
 
 
@@ -272,62 +233,40 @@ def _tilde_weights(theorem_id: int, alpha: float, k_max: int):
 
 
 def theorem_lhs(series: FunctionalSeries, theorem_id: int, alpha: float,
-                gamma: float | None = None, k_max: int | None = None) -> TheoremLhs:
+                gamma: float | None = None) -> TheoremLhs:
     """Evaluate the left-hand side of one weighted-sum bound along a series.
 
-    The state part is evaluated at every sample; the integral part is the
-    composite trapezoid of the dissipation-family integrand over the sample
-    grid, starting from the first sample.  k_max defaults to series.k_cap,
-    the deepest order the series supports; trunc_tail reports the k_max
-    term's own contribution as the truncation indicator.  Every bound
-    carries the odd term L~_1, which needs u_t, so a depth-0 series (M = 0)
-    is rejected rather than summed without it.  theorem_id 4 requires
-    gamma > 0 and multiplies state and integrand by t^(2 gamma).
+    The per-order state terms and dissipation-family integrands are formed
+    as (T, k_cap + 1) tables and summed over orders by a cumulative sum, so
+    column k of every result is the bound truncated at order k; the integral
+    part is the composite trapezoid of each integrand column over the sample
+    grid, starting from the first sample.  trunc_tail[:, k], the order-k
+    term's own contribution, is the truncation indicator of column k.
+    Every bound carries the odd term L~_1, which needs u_t, so a depth-0
+    series (M = 0) is rejected rather than summed without it.  theorem_id 4
+    requires gamma > 0 and multiplies state and integrand by t^(2 gamma).
     """
     if alpha <= 0:
         raise ConfigurationError("alpha must be positive")
     if series.M < 1:
         raise ConfigurationError("the bounds need stack_depth >= 1 (L~_1 needs u_t), "
                                  "got a depth-0 series")
+    if theorem_id == 4 and (gamma is None or gamma <= 0):
+        raise ConfigurationError("theorem 4 needs gamma > 0")
     cap = series.k_cap
-    if k_max is None:
-        k_max = cap
-    if k_max < 0 or k_max > cap:
-        raise ConfigurationError(
-            f"k_max={k_max} not supported by series truncation M={series.M} "
-            f"(needs stack depth K >= {k_max + 1})")
-    if theorem_id == 4:
-        if gamma is None or gamma <= 0:
-            raise ConfigurationError("theorem 4 needs gamma > 0")
-    se, so, ie, io = _tilde_weights(theorem_id, alpha, k_max)
-
+    se, so, ie, io = _tilde_weights(theorem_id, alpha, cap)
+    L2, H2 = series.L_tilde ** 2, series.H_tilde ** 2
+    state_k = se * L2[:, 0:2 * cap + 1:2] + so * L2[:, 1:2 * cap + 2:2]
+    integrand_k = ie * H2[:, 0:2 * cap + 1:2] + io * H2[:, 1:2 * cap + 2:2]
     times = series.times
-    n_t = len(times)
-    state = np.zeros(n_t)
-    integrand = np.zeros(n_t)
-    tail_state = np.zeros(n_t)
-    tail_integrand = np.zeros(n_t)
-    for i, s in enumerate(series.samples):
-        Lt, Ht = s.L_tilde, s.H_tilde
-        ev = Lt[0:2 * k_max + 1:2] ** 2
-        od = Lt[1:2 * k_max + 2:2] ** 2
-        hev = Ht[0:2 * k_max + 1:2] ** 2
-        hod = Ht[1:2 * k_max + 2:2] ** 2
-        state[i] = float(np.dot(se[:len(ev)], ev) + np.dot(so[:len(od)], od))
-        integrand[i] = float(np.dot(ie[:len(hev)], hev) + np.dot(io[:len(hod)], hod))
-        tail_state[i] = se[-1] * ev[-1] + (so[-1] * od[-1] if len(od) else 0.0)
-        tail_integrand[i] = ie[-1] * hev[-1] + (io[-1] * hod[-1] if len(hod) else 0.0)
     if theorem_id == 4:
-        tfac = times ** (2.0 * gamma)
-        state = state * tfac
-        integrand = integrand * tfac
-        tail_state = tail_state * tfac
-        tail_integrand = tail_integrand * tfac
-    cum, quad_err = _cumtrapz_with_error(times, integrand)
-    tail_cum = _cumtrapz(times, tail_integrand)
-    return TheoremLhs(theorem_id=theorem_id, alpha=alpha, k_max=k_max, times=times,
-                      state=state, integral=cum, lhs=state + cum, quad_err=quad_err,
-                      trunc_tail=tail_state + tail_cum)
+        tfac = (times ** (2.0 * gamma))[:, None]
+        state_k, integrand_k = state_k * tfac, integrand_k * tfac
+    state = np.cumsum(state_k, axis=1)
+    cum, quad_err = _cumtrapz_with_error(times, np.cumsum(integrand_k, axis=1))
+    return TheoremLhs(theorem_id=theorem_id, alpha=alpha, times=times, state=state,
+                      integral=cum, lhs=state + cum, quad_err=quad_err,
+                      trunc_tail=state_k + _cumtrapz(times, integrand_k))
 
 
 # ---------------------------------------------------------------------------

@@ -74,14 +74,10 @@ def write_trajectory_csv(traj, path: str | Path) -> Path:
 
 
 def write_functionals_csv(series, alpha: float, path: str | Path) -> Path:
-    from .functionals import renormalize
-    rows = []
-    for s in series.samples:
-        sc = renormalize(s, alpha)
-        L_raw, H_raw = s.L_raw, s.H_raw
-        for m in range(s.M + 1):
-            rows.append((s.t, m, L_raw[m], H_raw[m], s.L_tilde[m], s.H_tilde[m],
-                         sc.L_c[m], sc.H_c[m]))
+    tables = (series.L_raw, series.H_raw, series.L_tilde, series.H_tilde,
+              *series.normalized(alpha))
+    rows = [(t, m, *(c[i, m] for c in tables))
+            for i, t in enumerate(series.times) for m in range(series.M + 1)]
     return _write_csv(Path(path),
                       ["t", "m", "L_raw", "H_raw", "L_tilde", "H_tilde", "L_c", "H_c"],
                       rows)

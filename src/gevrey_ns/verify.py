@@ -191,39 +191,43 @@ class TheoremReport:
                 "extras": self.extras}
 
 
-def _add_rows(report: TheoremReport, res: TheoremLhs, rhs, sel=slice(None), **cols) -> None:
-    """Append a row per selected time of res: margin = rhs - lhs (inf where rhs
-    is not finite), err_budget = quad_err + tail_err, ok = margin >= -err_budget;
-    cols are constants written into every row."""
-    budget = res.quad_err + res.trunc_tail
-    rhs = np.broadcast_to(np.asarray(rhs, dtype=float), np.shape(res.lhs))
+def _add_rows(report: TheoremReport, res: TheoremLhs, k: int, rhs, sel=slice(None),
+              **cols) -> None:
+    """Append a row per selected time of res truncated at order k (column k):
+    margin = rhs - lhs (inf where rhs is not finite), err_budget = quad_err +
+    tail_err, ok = margin >= -err_budget; cols are constants written into
+    every row."""
+    lhs, quad, tail = res.lhs[:, k], res.quad_err[:, k], res.trunc_tail[:, k]
+    budget = quad + tail
+    rhs = np.broadcast_to(np.asarray(rhs, dtype=float), np.shape(lhs))
     for i in np.arange(len(res.times))[sel]:
-        margin = float(rhs[i] - res.lhs[i]) if math.isfinite(rhs[i]) else math.inf
-        report.rows.append({"t": float(res.times[i]), "lhs": float(res.lhs[i]),
+        margin = float(rhs[i] - lhs[i]) if math.isfinite(rhs[i]) else math.inf
+        report.rows.append({"t": float(res.times[i]), "lhs": float(lhs[i]),
                             "rhs": float(rhs[i]), "margin": margin,
                             "err_budget": float(budget[i]), "ok": margin >= -float(budget[i]),
-                            **cols, "quad_err": res.quad_err[i], "tail_err": res.trunc_tail[i]})
+                            **cols, "quad_err": quad[i], "tail_err": tail[i]})
 
 
 def _stack_series(traj: Trajectory, K: int, fluctuation: bool = False) -> FunctionalSeries:
-    """Raw-functional samples along a trajectory (t = 0 handled as the limit).
+    """Functional tables along a trajectory (t = 0 handled as the limit).
 
-    With fluctuation=True the samples are of f = u - l, with the heat-flow
-    stack subtracted exactly.  Each stack is reduced to its sample as soon as
+    With fluctuation=True the rows are of f = u - l, with the heat-flow
+    stack subtracted exactly.  Each stack is reduced to its row as soon as
     it is built, so at most one stack is alive at a time.
     """
     u0 = traj.u0
-    samples = []
+    times = np.asarray(traj.times, dtype=float)
     M = max(0, 2 * K - 1)
-    for t, u in zip(traj.times, traj.fields):
+    L, H = np.zeros((len(times), M + 1)), np.zeros((len(times), M + 1))
+    for i, (t, u) in enumerate(zip(traj.times, traj.fields)):
         if t == 0.0:
-            samples.append(sample_at_time_zero(u - u0 if fluctuation else u, M))
+            L[i], H[i] = sample_at_time_zero(u - u0 if fluctuation else u, M)
             continue
         st = time_derivative_stack(u, K, t)
         if fluctuation:
             st = st - stokes_derivative_stack(u0, t, K)
-        samples.append(raw_functionals(st))
-    return FunctionalSeries(samples=samples)
+        L[i], H[i] = raw_functionals(st)
+    return FunctionalSeries(times=times, L_tilde=L, H_tilde=H)
 
 
 def check_theorem(theorem_id: int, config: RunConfig) -> TheoremReport:
@@ -278,7 +282,7 @@ def _run_check(theorem_id: int, config: RunConfig, u0: SpectralVelocity,
                          enforce_cfl=config.enforce_cfl)
         series = _stack_series(traj, config.stack_depth)
     if theorem_id == 1:
-        _add_rows(report, theorem_lhs(series, 1, alpha), u0n ** 2)
+        _add_rows(report, theorem_lhs(series, 1, alpha), -1, u0n ** 2)
         report.extras["c0_sensitivity"] = {
             "smallness_at_c0_minus_10pct": smallness_check(u0n, 0.9 * c0, alpha).value,
             "smallness_at_c0_plus_10pct": smallness_check(u0n, 1.1 * c0, alpha).value,
@@ -293,25 +297,28 @@ def _run_check(theorem_id: int, config: RunConfig, u0: SpectralVelocity,
             report.message = ("data satisfies the smallness condition; the "
                               "doubling bound's constant assumes large data and "
                               "may fail here (genuine finding, not a harness bug)")
+        res = theorem_lhs(series, 2, alpha)
         for n in range(0, config.theorem2_n_max + 1):
-            res = theorem_lhs(series, 2, alpha, k_max=min(n, series.k_cap))
-            rhs = theorem2_rhs(u0n, c0, alpha, n)
-            _add_rows(report, res, rhs, n=float(n), log_rhs=theorem2_log_rhs(u0n, c0, alpha, n))
+            _add_rows(report, res, min(n, series.k_cap), theorem2_rhs(u0n, c0, alpha, n),
+                      n=float(n), log_rhs=theorem2_log_rhs(u0n, c0, alpha, n))
         report.extras["rhs_sensitivity"] = {
             "c0_minus_10pct": theorem2_log_rhs(u0n, 0.9 * c0, alpha, config.theorem2_n_max),
             "c0_plus_10pct": theorem2_log_rhs(u0n, 1.1 * c0, alpha, config.theorem2_n_max),
         }
-    elif theorem_id == 4 and not _check_theorem4(config, traj, series, alpha, c0, report):
+    elif theorem_id == 4 and not _check_theorem4(config, series, alpha, c0, report):
         return
     report.series, report.trajectory = series, traj
 
 
-def _check_theorem4(config: RunConfig, traj: Trajectory, series: FunctionalSeries,
-                    alpha: float, c0: float, report: TheoremReport) -> bool:
-    """Accelerated decay from the admissible origin t0; False when n/a (no rows)."""
-    norms = [norm_l2(u) for u in traj.fields]
+def _check_theorem4(config: RunConfig, series: FunctionalSeries, alpha: float, c0: float,
+                    report: TheoremReport) -> bool:
+    """Accelerated decay from the admissible origin t0; False when n/a (no rows).
+
+    |u(t)| is read off the series: L~_0 = |v_0| = |u|.
+    """
+    times, norms = series.times, series.L_tilde[:, 0]
     gamma = config.gamma
-    fit = fit_decay(traj.times, norms, config.decay_window)
+    fit = fit_decay(times, norms, config.decay_window)
     if gamma is None:
         if fit.gamma_fit <= 0:
             report.status = "n/a"
@@ -323,8 +330,8 @@ def _check_theorem4(config: RunConfig, traj: Trajectory, series: FunctionalSerie
     else:
         # envelope constant for the requested exponent on the fit window
         a, b = config.decay_window
-        sel_w = [(t, x) for t, x in zip(traj.times, norms) if a <= t <= b]
-        K_env = max(x * t ** gamma for t, x in sel_w)
+        sel_w = (times >= a) & (times <= b)
+        K_env = float(np.max(norms[sel_w] * times[sel_w] ** gamma))
     report.params["K_fit"] = K_env
     report.params["gamma_fit"] = gamma
     t0 = theorem4_t0(c0, alpha, K_env, gamma)
@@ -337,11 +344,12 @@ def _check_theorem4(config: RunConfig, traj: Trajectory, series: FunctionalSerie
         report.message = (f"admissible origin t0 = {t0:.3g} lies beyond the horizon "
                           f"{config.t_end}; no snapshots to check")
         return False
-    _add_rows(report, res, rhs, sel)
+    _add_rows(report, res, -1, rhs, sel)
     # sensitivity of the integral term to starting the accumulation at t0
+    integral = res.integral[:, -1]
     start = int(np.argmax(sel))
-    report.extras["integral_from_t0"] = float(res.integral[-1] - res.integral[start])
-    report.extras["integral_from_origin"] = float(res.integral[-1])
+    report.extras["integral_from_t0"] = float(integral[-1] - integral[start])
+    report.extras["integral_from_origin"] = float(integral[-1])
     report.extras["c0_sensitivity"] = {
         "t0_at_c0_minus_10pct": theorem4_t0(0.9 * c0, alpha, K_env, gamma),
         "t0_at_c0_plus_10pct": theorem4_t0(1.1 * c0, alpha, K_env, gamma),
@@ -367,7 +375,7 @@ def _check_theorem3(config: RunConfig, u0: SpectralVelocity, alpha: float, c0: f
                      enforce_cfl=config.enforce_cfl)
     fl_series = _stack_series(traj, config.stack_depth, fluctuation=True)
     res = theorem_lhs(fl_series, 3, alpha)
-    _add_rows(report, res, bound.rhs(res.times))
+    _add_rows(report, res, -1, bound.rhs(res.times))
     report.extras["rhs_sensitivity"] = {
         "c0_minus_10pct_T0": theorem3_rhs(u0, 0.9 * c0, alpha, horizon).T0,
         "c0_plus_10pct_T0": theorem3_rhs(u0, 1.1 * c0, alpha, horizon).T0,

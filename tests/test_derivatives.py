@@ -136,9 +136,9 @@ class TestScaledStack:
             div[2 * k] = 2.0 ** k * math.factorial(k)
             div[2 * k + 1] = 2.0 ** (k + 1) * math.sqrt(
                 math.factorial(k) * math.factorial(k + 1) / 2.0)
-        s = raw_functionals(st)
-        np.testing.assert_allclose(s.L_tilde, L / div, rtol=1e-13, atol=0)
-        np.testing.assert_allclose(s.H_tilde, H / div, rtol=1e-13, atol=0)
+        L_tilde, H_tilde = raw_functionals(st)
+        np.testing.assert_allclose(L_tilde, L / div, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(H_tilde, H / div, rtol=1e-13, atol=0)
 
 
 class TestFdConvergence:

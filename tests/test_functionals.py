@@ -11,11 +11,10 @@ from scipy.special import gammaln
 from gevrey_ns import (ConfigurationError, c_alpha, fit_decay, functionals,
                        lemma_audit_ccc0, lemma_audit_convolution, make_grid,
                        norm_grad_l2, norm_l2, random_spectrum_field,
-                       raw_functionals, renormalize, sample_at_time_zero,
-                       shear_flow, shifted_functionals, smallness_check, stokes,
-                       stokes_derivative_stack, taylor_green, theorem2_log_rhs,
-                       theorem2_rhs, theorem3_rhs, theorem_lhs,
-                       time_derivative_stack)
+                       raw_functionals, sample_at_time_zero, shear_flow,
+                       smallness_check, stokes, stokes_derivative_stack,
+                       taylor_green, theorem2_log_rhs, theorem2_rhs, theorem3_rhs,
+                       theorem_lhs, time_derivative_stack)
 from gevrey_ns.functionals import (FunctionalSeries, convolution_bound,
                                    convolution_pairing)
 from gevrey_ns.spectral import mode_energies
@@ -25,10 +24,16 @@ SQRT2_PI = np.pi * np.sqrt(2.0)
 HYP = dict(deadline=None, derandomize=True, max_examples=60)
 
 
+def one_row(t, pair):
+    """A one-sample series from an (L~, H~) row pair."""
+    L, H = pair
+    return FunctionalSeries(times=np.array([t]), L_tilde=L[None], H_tilde=H[None])
+
+
 def shear_sample(grid, t, K=8):
-    """Functional sample of the exact shear solution at time t."""
+    """Functional row of the exact shear solution at time t, as a one-sample series."""
     u_t = np.exp(-t) * shear_flow(grid, 1.0)
-    return raw_functionals(time_derivative_stack(u_t, K, t=t))
+    return one_row(t, raw_functionals(time_derivative_stack(u_t, K, t=t)))
 
 
 class TestRawFunctionals:
@@ -43,52 +48,75 @@ class TestRawFunctionals:
     def test_taylor_green_lambda_t_one(self, grid32):
         # lambda = 2 at t = 1/2 makes every weighted norm equal
         u_t = np.exp(-1.0) * taylor_green(grid32, 1.0)
-        s = raw_functionals(time_derivative_stack(u_t, 6, t=0.5))
+        s = one_row(0.5, raw_functionals(time_derivative_stack(u_t, 6, t=0.5)))
         assert np.allclose(s.L_raw, np.exp(-1.0) * SQRT2_PI, rtol=1e-10)
         assert np.allclose(s.H_raw, np.sqrt(2.0) * np.exp(-1.0) * SQRT2_PI, rtol=1e-10)
 
     def test_index_identity(self, random_field):
-        s = raw_functionals(stokes_derivative_stack(random_field, 0.8, 7))
-        lhs = s.L_raw[1:]
-        rhs = np.sqrt(0.8) * s.H_raw[:-1]
+        s = one_row(0.8, raw_functionals(stokes_derivative_stack(random_field, 0.8, 7)))
+        lhs = s.L_raw[0, 1:]
+        rhs = np.sqrt(0.8) * s.H_raw[0, :-1]
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(lhs)
 
     def test_time_zero_limit(self, random_field):
-        s = sample_at_time_zero(random_field, 11)
-        assert s.L_raw[0] == norm_l2(random_field)
-        assert s.H_raw[0] == norm_grad_l2(random_field)
-        assert not s.L_raw[1:].any()
-        assert not s.H_raw[1:].any()
+        s = one_row(0.0, sample_at_time_zero(random_field, 11))
+        assert s.L_raw[0, 0] == norm_l2(random_field)
+        assert s.H_raw[0, 0] == norm_grad_l2(random_field)
+        assert not s.L_raw[0, 1:].any()
+        assert not s.H_raw[0, 1:].any()
 
 
 class TestRenormalize:
     def test_even_k2_alpha1(self, grid32):
         s = shear_sample(grid32, 1.0)
-        sr = renormalize(s, 1.0)
-        assert s.L_tilde[4] == pytest.approx(s.L_raw[4] / 8.0, rel=1e-14)
-        assert sr.L_c[4] == pytest.approx(s.L_raw[4] / 16.0, rel=1e-14)
+        L_c, _ = s.normalized(1.0)
+        assert s.L_tilde[0, 4] == pytest.approx(s.L_raw[0, 4] / 8.0, rel=1e-14)
+        assert L_c[0, 4] == pytest.approx(s.L_raw[0, 4] / 16.0, rel=1e-14)
 
     def test_odd_k1_alpha1(self, grid32):
         s = shear_sample(grid32, 1.0)
-        sr = renormalize(s, 1.0)
-        assert s.L_tilde[1] == pytest.approx(np.sqrt(2.0) * s.L_raw[1] / 2.0, rel=1e-14)
-        assert sr.L_c[1] == pytest.approx(s.L_tilde[1], rel=1e-14)
+        L_c, _ = s.normalized(1.0)
+        assert s.L_tilde[0, 1] == pytest.approx(np.sqrt(2.0) * s.L_raw[0, 1] / 2.0, rel=1e-14)
+        assert L_c[0, 1] == pytest.approx(s.L_tilde[0, 1], rel=1e-14)
 
     def test_order_zero_untouched(self, grid32):
         s = shear_sample(grid32, 0.5)
-        sr = renormalize(s, 2.0)
-        assert s.L_tilde[0] == s.L_raw[0]
-        assert sr.L_c[0] == s.L_raw[0]
+        L_c, _ = s.normalized(2.0)
+        assert s.L_tilde[0, 0] == s.L_raw[0, 0]
+        assert L_c[0, 0] == s.L_raw[0, 0]
 
     def test_rejects_bad_alpha(self, grid32):
         with pytest.raises(ConfigurationError):
-            renormalize(shear_sample(grid32, 0.5), 0.0)
+            shear_sample(grid32, 0.5).normalized(0.0)
 
 
-def direct_printed_lhs(series, tid, alpha, gamma=None):
-    """Literal transcription of the printed weight tables, log-space, raw values."""
+class TestFunctionalSeries:
+    def test_rejects_empty_input(self):
+        with pytest.raises(ConfigurationError, match="at least one sample"):
+            FunctionalSeries(times=np.array([]), L_tilde=np.zeros((0, 4)),
+                             H_tilde=np.zeros((0, 4)))
+
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0]])
+    def test_rejects_non_increasing_times(self, times):
+        with pytest.raises(ConfigurationError, match="strictly increasing"):
+            FunctionalSeries(times=np.array(times), L_tilde=np.ones((3, 4)),
+                             H_tilde=np.ones((3, 4)))
+
+    @pytest.mark.parametrize("L_shape, H_shape", [((3, 4), (3, 6)), ((3, 4), (2, 4)),
+                                                  ((2, 4), (2, 4)), ((3,), (3,))])
+    def test_rejects_mismatched_tables(self, L_shape, H_shape):
+        with pytest.raises(ConfigurationError, match="do not match"):
+            FunctionalSeries(times=np.array([0.0, 1.0, 2.0]), L_tilde=np.ones(L_shape),
+                             H_tilde=np.ones(H_shape))
+
+
+def direct_printed_lhs(series, tid, alpha, gamma=None, k_max=None):
+    """Literal transcription of the printed weight tables, log-space, raw values,
+    summed over k <= k_max (default and ceiling: the deepest order the series holds)."""
     times = series.times
     kmax = (series.M - 1) // 2
+    if k_max is not None:
+        kmax = min(k_max, kmax)
     ln2 = math.log(2.0)
 
     def we(k):
@@ -103,22 +131,23 @@ def direct_printed_lhs(series, tid, alpha, gamma=None):
     def wo4(k):
         return math.exp(-(4 * k + 1) * ln2 - gammaln(k + 1) - (1 + alpha) * gammaln(k + 2))
 
+    L, H = series.L_raw, series.H_raw
     state = np.zeros(len(times))
     integ = np.zeros(len(times))
-    for i, s in enumerate(series.samples):
+    for i, t in enumerate(times):
         for k in range(kmax + 1):
             if tid in (1, 2, 3):
-                state[i] += we(k) * s.L_raw[2 * k] ** 2 + wo(k) * s.L_raw[2 * k + 1] ** 2
+                state[i] += we(k) * L[i, 2 * k] ** 2 + wo(k) * L[i, 2 * k + 1] ** 2
                 half_even = 0.5 if tid in (2, 3) else 1.0
                 pref = 0.5 if tid in (1, 2) else 1.0
-                integ[i] += pref * (half_even * we(k) * s.H_raw[2 * k] ** 2
-                                    + wo(k) * s.H_raw[2 * k + 1] ** 2)
+                integ[i] += pref * (half_even * we(k) * H[i, 2 * k] ** 2
+                                    + wo(k) * H[i, 2 * k + 1] ** 2)
             else:
-                t2g = s.t ** (2 * gamma)
-                state[i] += t2g * (we4(k) * s.L_raw[2 * k] ** 2
-                                   + wo4(k) * s.L_raw[2 * k + 1] ** 2)
-                integ[i] += t2g * (we4(k) * s.H_raw[2 * k] ** 2
-                                   + wo4(k) * s.H_raw[2 * k + 1] ** 2)
+                t2g = t ** (2 * gamma)
+                state[i] += t2g * (we4(k) * L[i, 2 * k] ** 2
+                                   + wo4(k) * L[i, 2 * k + 1] ** 2)
+                integ[i] += t2g * (we4(k) * H[i, 2 * k] ** 2
+                                   + wo4(k) * H[i, 2 * k + 1] ** 2)
     cum = np.zeros(len(times))
     cum[1:] = np.cumsum(0.5 * np.diff(times) * (integ[1:] + integ[:-1]))
     return state + cum
@@ -128,11 +157,54 @@ def direct_printed_lhs(series, tid, alpha, gamma=None):
 def heat_series():
     grid = make_grid(32)
     u0 = shear_flow(grid, 1.0) * (1.0 / SQRT2_PI)
-    samples = [sample_at_time_zero(u0, 15)]
-    for t in np.linspace(0.125, 2.0, 16):
+    times = np.concatenate([[0.0], np.linspace(0.125, 2.0, 16)])
+    rows = [sample_at_time_zero(u0, 15)]
+    for t in times[1:]:
         u = np.exp(-t) * shear_flow(grid, 1.0 / SQRT2_PI)
-        samples.append(raw_functionals(time_derivative_stack(u, 8, t=float(t))))
-    return FunctionalSeries(samples=samples), u0
+        rows.append(raw_functionals(time_derivative_stack(u, 8, t=float(t))))
+    L, H = (np.array(c) for c in zip(*rows))
+    return FunctionalSeries(times=times, L_tilde=L, H_tilde=H), u0
+
+
+def looped_cumtrapz_with_error(x, y):
+    """The per-column reference: trapezoid, Richardson estimate, odd-index loop."""
+    cum = np.zeros_like(y)
+    if len(x) > 1:
+        cum[1:] = np.cumsum(0.5 * np.diff(x) * (y[1:] + y[:-1]))
+    err = np.zeros_like(cum)
+    if len(x) >= 3:
+        xc, yc = x[::2], y[::2]
+        coarse = np.zeros_like(yc)
+        if len(xc) > 1:
+            coarse[1:] = np.cumsum(0.5 * np.diff(xc) * (yc[1:] + yc[:-1]))
+        est = 2.0 * np.abs(cum[::2] - coarse) / 3.0
+        err[::2] = est
+        for i in range(1, len(x), 2):
+            left = est[i // 2]
+            right = est[min(i // 2 + 1, len(est) - 1)]
+            err[i] = max(left, right)
+        err = np.maximum.accumulate(err)
+    return cum, err
+
+
+class TestCumtrapz:
+    @pytest.mark.parametrize("T", range(1, 10))
+    def test_matches_odd_index_loop_bit_for_bit(self, T):
+        rng = np.random.default_rng(T)
+        x = np.cumsum(rng.random(T) + 0.1)
+        y = rng.random(T) * np.exp(rng.standard_normal(T))
+        cum, err = functionals._cumtrapz_with_error(x, y[:, None])
+        ref_cum, ref_err = looped_cumtrapz_with_error(x, y)
+        assert np.array_equal(cum[:, 0], ref_cum) and np.array_equal(err[:, 0], ref_err)
+
+    def test_columns_are_independent(self):
+        rng = np.random.default_rng(3)
+        x = np.cumsum(rng.random(8) + 0.1)
+        y = rng.random((8, 3)) ** 3
+        cum, err = functionals._cumtrapz_with_error(x, y)
+        for d in range(3):
+            ref_cum, ref_err = looped_cumtrapz_with_error(x, y[:, d])
+            assert np.array_equal(cum[:, d], ref_cum) and np.array_equal(err[:, d], ref_err)
 
 
 class TestTheoremLhs:
@@ -141,15 +213,26 @@ class TestTheoremLhs:
         for tid in (1, 2, 3):
             res = theorem_lhs(series, tid, 1.0)
             ref = direct_printed_lhs(series, tid, 1.0)
-            assert np.max(np.abs(res.lhs - ref) / np.maximum(ref, 1e-300)) < 1e-12
+            assert np.max(np.abs(res.lhs[:, -1] - ref) / np.maximum(ref, 1e-300)) < 1e-12
         res4 = theorem_lhs(series, 4, 1.0, gamma=0.6)
         ref4 = direct_printed_lhs(series, 4, 1.0, gamma=0.6)
-        assert np.max(np.abs(res4.lhs - ref4) / np.maximum(ref4, 1e-300)) < 1e-12
+        assert np.max(np.abs(res4.lhs[:, -1] - ref4) / np.maximum(ref4, 1e-300)) < 1e-12
+
+    def test_every_column_is_a_truncation(self, heat_series):
+        # column k is the bound summed over orders <= k; bound 2 at depth n reads
+        # column min(n, k_cap), so depths past k_cap repeat the last column
+        series, _ = heat_series
+        res = theorem_lhs(series, 2, 0.7)
+        assert res.lhs.shape == (len(series.times), series.k_cap + 1)
+        for n in range(series.k_cap + 3):
+            ref = direct_printed_lhs(series, 2, 0.7, k_max=n)
+            col = res.lhs[:, min(n, series.k_cap)]
+            assert np.max(np.abs(col - ref) / np.maximum(ref, 1e-300)) < 1e-12
 
     def test_time_zero_is_initial_energy(self, heat_series):
         series, u0 = heat_series
         res = theorem_lhs(series, 1, 1.0)
-        assert res.lhs[0] == norm_l2(u0) ** 2
+        assert np.all(res.lhs[0] == norm_l2(u0) ** 2)
 
     def test_single_mode_oracle(self, heat_series):
         # lambda = 1: closed form with incomplete-gamma time integrals
@@ -176,12 +259,12 @@ class TestTheoremLhs:
         res = theorem_lhs(series, 1, alpha)
         for i, t in enumerate(series.times):
             ref = lhs_exact(float(t))
-            assert abs(res.lhs[i] - ref) <= res.quad_err[i] + 1e-8 * ref
+            assert abs(res.lhs[i, -1] - ref) <= res.quad_err[i, -1] + 1e-8 * ref
 
     def test_accumulators_monotone(self, heat_series):
         series, _ = heat_series
         res = theorem_lhs(series, 2, 0.7)
-        assert np.all(np.diff(res.integral) >= 0)
+        assert np.all(np.diff(res.integral, axis=0) >= 0)
 
     def test_gamma_zero_weight_comparison(self):
         # at k = 0 the accelerated-decay weights coincide with the base table;
@@ -193,14 +276,9 @@ class TestTheoremLhs:
         for k in range(7):
             assert se1[k] / se4[k] == pytest.approx(4.0 ** k, rel=1e-13)
 
-    def test_insufficient_depth_is_an_error(self, heat_series):
-        series, _ = heat_series
-        with pytest.raises(ConfigurationError, match="k_max"):
-            theorem_lhs(series, 2, 1.0, k_max=10)
-
     @pytest.mark.parametrize("theorem_id", [1, 2, 3, 4])
     def test_depth_zero_series_is_an_error(self, unit_mode, theorem_id):
-        series = FunctionalSeries(samples=[sample_at_time_zero(unit_mode, 0)])
+        series = one_row(0.0, sample_at_time_zero(unit_mode, 0))
         assert series.k_cap == -1
         with pytest.raises(ConfigurationError, match="stack_depth >= 1"):
             theorem_lhs(series, theorem_id, 1.0, gamma=0.5)
@@ -401,37 +479,6 @@ class TestTheorem3Rhs:
         quad = np.trapezoid([sum_h_sq(float(x)) for x in taus], taus)
         closed = weighted_h_integral(unit_mode, alpha, T)
         assert closed == pytest.approx(quad, rel=1e-6)
-
-
-class TestShiftedFunctionals:
-    def test_t0_zero_reduces_to_renormalized(self, random_field):
-        st = stokes_derivative_stack(random_field, 1.3, 6)
-        sr = renormalize(raw_functionals(st), 1.0)
-        sh = shifted_functionals(st, 0.0, 1.0)
-        assert np.allclose(sh.L, sr.L_c, rtol=1e-13)
-        assert np.allclose(sh.H, sr.H_c, rtol=1e-13)
-
-    def test_shear_closed_form(self, grid32):
-        # lambda = 1, t = 2, t0 = 1: L_{2k} = (t - t0)^k e^-t |u0| / (2^k (k!)^(1+alpha))
-        t, t0, alpha = 2.0, 1.0, 1.0
-        u_t = np.exp(-t) * shear_flow(grid32, 1.0)
-        st = time_derivative_stack(u_t, 6, t=t)
-        sh = shifted_functionals(st, t0, alpha)
-        for k in range(4):
-            expect = ((t - t0) ** k / (2 ** k * math.factorial(k) ** (1 + alpha))) \
-                * np.exp(-t) * SQRT2_PI
-            assert sh.L[2 * k] == pytest.approx(expect, rel=1e-10)
-
-    def test_weights_vanish_as_t0_approaches_t(self, random_field):
-        st = stokes_derivative_stack(random_field, 1.0, 5)
-        sh = shifted_functionals(st, 1.0 - 1e-9, 1.0)
-        assert sh.L[0] > 0
-        assert np.all(sh.L[1:] <= 1e-4 * sh.L[0])
-
-    def test_rejects_t0_at_or_past_t(self, random_field):
-        st = stokes_derivative_stack(random_field, 1.0, 3)
-        with pytest.raises(ConfigurationError):
-            shifted_functionals(st, 1.0, 1.0)
 
 
 class TestDecayFit:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
-from gevrey_ns import (ConfigurationError, dissipation_integral_exact, from_lattice,
-                       heat_evolve, norm_l2, raw_functionals, stokes_derivative_stack,
-                       stokes_gevrey_identity)
+from gevrey_ns import (ConfigurationError, FunctionalSeries, dissipation_integral_exact,
+                       from_lattice, heat_evolve, norm_l2, raw_functionals,
+                       stokes_derivative_stack, stokes_gevrey_identity)
 from gevrey_ns.stokes import _h_weights, log_factorials, poisson_tail_sum
 
 SQRT2_PI = np.pi * np.sqrt(2.0)
@@ -133,9 +133,10 @@ class TestLinearEnergyBalance:
     def test_index_identity_on_stokes_samples(self, random_field):
         # L_{m+1}(t) = sqrt(t) H_m(t), exact consequence of the definitions
         for t in (0.3, 1.7):
-            sample = raw_functionals(stokes_derivative_stack(random_field, t, 6))
-            lhs = sample.L_raw[1:]
-            rhs = np.sqrt(t) * sample.H_raw[:-1]
+            L, H = raw_functionals(stokes_derivative_stack(random_field, t, 6))
+            series = FunctionalSeries(times=np.array([t]), L_tilde=L[None], H_tilde=H[None])
+            lhs = series.L_raw[0, 1:]
+            rhs = np.sqrt(t) * series.H_raw[0, :-1]
             assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(np.max(lhs), 1e-300)
 
 

@@ -19,7 +19,7 @@ from gevrey_ns import (ConfigurationError, RunConfig, SpectralVelocity,
                        random_spectrum_field, taylor_green, to_physical,
                        verify)
 from gevrey_ns.cli import main
-from gevrey_ns.functionals import theorem3_rhs
+from gevrey_ns.functionals import theorem3_rhs, theorem_lhs
 from gevrey_ns.reporting import json_dumps
 from gevrey_ns.stokes import weighted_h_integral
 
@@ -229,6 +229,22 @@ class TestCheckTheorem:
         assert len(rep.rows) == 1
         assert rep.rows[0]["margin"] == 0.0
         assert rep.verdict
+
+    def test_thm2_depths_read_prefix_columns(self):
+        # one theorem_lhs table serves every depth n: rows of depth n carry column
+        # min(n, k_cap), so depths past k_cap = 1 repeat the deepest column
+        doc = dict(SMALL_BOUNDS[2], stack_depth=2, theorem2_n_max=3)
+        rep = check_theorem(2, config_from_dict(doc))
+        assert rep.status == "ok" and rep.series.k_cap == 1
+        res = theorem_lhs(rep.series, 2, rep.params["alpha"])
+        T = len(res.times)
+        assert len(rep.rows) == 4 * T
+        for n in range(4):
+            rows = [r for r in rep.rows if r["n"] == n]
+            k = min(n, 1)
+            assert [r["lhs"] for r in rows] == res.lhs[:, k].tolist()
+            assert [r["tail_err"] for r in rows] == res.trunc_tail[:, k].tolist()
+            assert [r["quad_err"] for r in rows] == res.quad_err[:, k].tolist()
 
     def test_thm2_large_data(self):
         doc = dict(THM1_CFG)
@@ -516,12 +532,19 @@ class TestCli:
         func = (out / "functionals.csv").read_text().splitlines()
         assert func[0] == "t,m,L_raw,H_raw,L_tilde,H_tilde,L_c,H_c"
 
-    def test_byte_identical_reports(self, tmp_path):
-        cfg = self._write_cfg(tmp_path, THM1_CFG)
+    @pytest.mark.parametrize("command", ["check-thm1", "check-thm2", "check-thm3", "check-thm4"])
+    def test_byte_identical_reports(self, tmp_path, command):
+        # bound 2 reaches depths past its k_cap = 3; bound 4 checks from its origin t0
+        theorem_id = int(command[-1])
+        doc = {1: THM1_CFG, 2: dict(SMALL_BOUNDS[2], theorem2_n_max=5)}.get(
+            theorem_id, SMALL_BOUNDS[theorem_id])
+        cfg = self._write_cfg(tmp_path, doc)
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["check-thm1", "--config", cfg, "--out", str(a)]) == 0
-        assert main(["check-thm1", "--config", cfg, "--out", str(b)]) == 0
-        assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+        argv = [command, "--config", cfg, "--out"]
+        rc = main(argv + [str(a)])
+        assert rc in (0, 1) and main(argv + [str(b)]) == rc
+        for name in ("report.json", "functionals.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_thm2_report_is_strict_json(self, tmp_path):
         # at doubling depth 9 the bound-2 rhs leaves the double range: the
