@@ -30,6 +30,10 @@ Their rfft2 contract with Grid.curl to the vorticity of the dealiased
 -P div T, and with Grid.div = lift (x) curl to its velocity.  A Workspace
 holds the planes of that kernel, so a solver run or a stack allocates them
 once and no stage or level allocates a plane.
+
+Every FFT goes through rfft2 and irfft2.  The C0 ascent's cap grid is too
+small for them to pay: there a BandDFT maps the retained band to the
+oversampled physical grid and back by dense matrix products.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ class Grid:
         freqs: integer frequencies in FFT order, shape (n,).
         k1, k2: broadcastable wavenumbers, shapes (n, 1) and (1, n/2+1); the
             Nyquist column carries -n/2.
+        kvec: (2, n, n/2+1) wavenumber vector (k1, k2) of every mode.
         k_sq: |xi|^2.
         inv_k_sq: 1/|xi|^2 with the zero mode set to 0.
         keep: mask that removes the Nyquist row/column.
@@ -84,6 +89,7 @@ class Grid:
     freqs: np.ndarray
     k1: np.ndarray
     k2: np.ndarray
+    kvec: np.ndarray
     k_sq: np.ndarray
     inv_k_sq: np.ndarray
     keep: np.ndarray
@@ -97,19 +103,13 @@ class Grid:
     shells: np.ndarray
 
     def __post_init__(self):
-        for name in ("freqs", "k1", "k2", "k_sq", "inv_k_sq", "keep", "dealias", "lift", "curl",
-                     "div", "parseval_w", "vort_w", "shells"):
+        for name in ("freqs", "k1", "k2", "kvec", "k_sq", "inv_k_sq", "keep", "dealias", "lift",
+                     "curl", "div", "parseval_w", "vort_w", "shells"):
             _readonly(getattr(self, name))
 
     def oversample_rows(self, m: int) -> np.ndarray:
         """Row indices embedding this grid's frequencies into an m-point grid."""
         return self.freqs % m
-
-
-def _leray(k1, k2, inv_k_sq, u1, u2):
-    """P(xi) u = u - xi (xi . u) / |xi|^2 on broadcastable wavenumber arrays."""
-    s = (k1 * u1 + k2 * u2) * inv_k_sq
-    return u1 - k1 * s, u2 - k2 * s
 
 
 def make_grid(n: int) -> Grid:
@@ -145,8 +145,9 @@ def make_grid(n: int) -> Grid:
         return np.repeat(a, 2, axis=-1).reshape(a.shape[:-2] + (-1,))
 
     w = TWO_PI ** 2 * col_w * np.stack([np.ones_like(k_sq), k_sq, inv])
-    return Grid(n=n, freqs=freqs, k1=k1, k2=k2, k_sq=k_sq, inv_k_sq=inv, keep=keep,
-                dealias=dealias, k_cut=k_cut, lift=lift, curl=curl, div=lift[:, None] * curl,
+    return Grid(n=n, freqs=freqs, k1=k1, k2=k2, kvec=np.stack(np.broadcast_arrays(k1, k2)),
+                k_sq=k_sq, inv_k_sq=inv, keep=keep, dealias=dealias, k_cut=k_cut, lift=lift,
+                curl=curl, div=lift[:, None] * curl,
                 parseval_w=np.tile(flat(w[:2]), 2), vort_w=flat(w[::-2]),
                 shells=np.tile(flat(np.rint(k_sq).astype(np.int64)), 2))
 
@@ -259,10 +260,10 @@ def validate_field(v: SpectralVelocity, hermitian_tol: float = 1e-12,
 def rfft2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Unnormalised real 2-D transform over the last two axes, as two 1-D passes.
 
-    Every forward transform in the package goes through this function, and
-    no other module calls numpy.fft.  numpy.fft.rfft2 computes the same two
-    passes, but its wrapper costs more per call than a small transform.  out,
-    if given, receives the result.
+    Every forward FFT in the package goes through this function, and no
+    other module calls numpy.fft (the C0 ascent's cap grid uses BandDFT).
+    numpy.fft.rfft2 computes the same two passes, but its wrapper costs more
+    per call than a small transform.  out, if given, receives the result.
     """
     h = np.fft.rfft(x, axis=-1, out=out)
     return np.fft.fft(h, axis=-2, out=h)
@@ -289,6 +290,55 @@ def _analyze(grid: Grid, X: np.ndarray) -> np.ndarray:
     """The grid's rfft-half coefficients of real samples X (..., m, m) on an m-grid, m >= n."""
     m = X.shape[-1]
     return rfft2(X)[..., grid.oversample_rows(m), : grid.n // 2 + 1] / (float(m) * m)
+
+
+@dataclass(frozen=True)
+class BandDFT:
+    """Exact dense DFT between a grid's band and an m x m physical grid, m >= n.
+
+    synthesize is _synthesize and analyze is _analyze, to rounding, as two
+    small matrix products each: rows (m, n) on the rows of the half-spectrum,
+    then cols (n+2, m) on the float view of each half row, whose weights 1 on
+    column 0 and 2 on the others give the real irfft output; analyze runs
+    cols_a (m, n+2), scaled by 1/m^2, and rows_a (n, m).  The Nyquist row and
+    column have zero weight both ways, so they are ignored on input and
+    exactly zero on output.  A stack (..., m, m) is multiplied plane by plane
+    against the shared matrix, so each BLAS call stays far below OpenBLAS's
+    threading threshold.  out and mid, if given, receive the result and the
+    (..., m, n/2+1) complex intermediate.
+    """
+
+    m: int
+    rows: np.ndarray
+    cols: np.ndarray
+    cols_a: np.ndarray
+    rows_a: np.ndarray
+
+    def synthesize(self, h: np.ndarray, out: np.ndarray | None = None,
+                   mid: np.ndarray | None = None) -> np.ndarray:
+        return np.matmul(np.matmul(self.rows, h, out=mid).view(float), self.cols, out=out)
+
+    def analyze(self, X: np.ndarray, out: np.ndarray | None = None,
+                mid: np.ndarray | None = None) -> np.ndarray:
+        if mid is None:
+            mid = np.empty(X.shape[:-1] + (len(self.cols) // 2,), dtype=complex)
+        np.matmul(X, self.cols_a, out=mid.view(float))
+        return np.matmul(self.rows_a, mid, out=out)
+
+
+def band_dft(grid: Grid, m: int) -> BandDFT:
+    """The BandDFT of grid's rfft-half band on the m x m physical grid (m >= n)."""
+    n, x = grid.n, np.arange(m)
+    rows = np.exp(1j * (TWO_PI / m) * (np.outer(x, grid.freqs) % m))
+    rows[:, n // 2] = 0.0
+    angle = (TWO_PI / m) * (np.outer(grid.freqs[: n // 2 + 1], x) % m)
+    wave = np.stack([np.cos(angle), -np.sin(angle)], axis=1).reshape(n + 2, m)
+    wave[-2:] = 0.0  # the Nyquist column
+    w = np.full(n + 2, 2.0)
+    w[:2] = 1.0  # column 0 is self-conjugate; every other one stands for two
+    return BandDFT(m=m, rows=rows, cols=w[:, None] * wave,
+                   cols_a=np.ascontiguousarray(wave.T) / (float(m) * m),
+                   rows_a=np.ascontiguousarray(np.conj(rows.T)))
 
 
 def to_physical(v: SpectralVelocity, oversample: int = 1) -> np.ndarray:
@@ -318,16 +368,29 @@ def transform_roundtrip(v: SpectralVelocity) -> SpectralVelocity:
 # ---------------------------------------------------------------------------
 
 def _clean(grid: Grid, h: np.ndarray) -> np.ndarray:
-    """Coefficient stacks (..., n, n/2+1) with the Nyquist and mean modes zeroed, as a copy."""
-    h = np.where(grid.keep, h, 0.0 + 0.0j)
+    """Zero the Nyquist and mean modes of coefficient stacks h (..., n, n/2+1) in place."""
+    np.copyto(h, 0.0, where=~grid.keep)
     h[..., 0, 0] = 0.0
     return h
 
 
-def _project(grid: Grid, h: np.ndarray) -> np.ndarray:
-    """P h, cleaned, for coefficient stacks h of shape (..., 2, n, n/2+1)."""
-    p = _leray(grid.k1, grid.k2, grid.inv_k_sq, h[..., 0, :, :], h[..., 1, :, :])
-    return _clean(grid, np.stack(p, axis=-3))
+def _project(grid: Grid, h: np.ndarray, out: np.ndarray | None = None,
+             tmp: np.ndarray | None = None) -> np.ndarray:
+    """P h, cleaned, for coefficient stacks h of shape (..., 2, n, n/2+1).
+
+    P(xi) u = u - xi s with s = (xi . u) / |xi|^2, each as one pass over both
+    components.  out (not h) receives the result and holds s on the way;
+    tmp, of h's shape, is scratch.  Fresh arrays are used where not given.
+    """
+    out = np.empty_like(h) if out is None else out
+    tmp = np.empty_like(h) if tmp is None else tmp
+    s = out[..., :1, :, :]
+    np.multiply(grid.kvec, h, out=tmp)
+    np.add(tmp[..., :1, :, :], tmp[..., 1:, :, :], out=s)
+    s *= grid.inv_k_sq
+    np.multiply(grid.kvec, s, out=tmp)
+    np.subtract(h, tmp, out=out)
+    return _clean(grid, out)
 
 
 def leray_project(grid: Grid, uh: np.ndarray) -> SpectralVelocity:

@@ -48,25 +48,55 @@ class C0Estimate:
     seed: int
 
 
-def _rayleigh_batch(g: Grid, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _AscentPlanes:
+    """The arrays of a C0 ascent of S fields on grid g, allocated once per estimate.
+
+    band is g's band DFT on the 2x-oversampled grid; U, q and sq are physical
+    planes, mid the transforms' intermediate, d and tmp spectral scratch and
+    grad the kernel's output.
+    """
+
+    def __init__(self, g: Grid, S: int):
+        m, hc = 2 * g.n, g.n // 2 + 1
+        self.band = spectral.band_dft(g, m)
+        self.U = np.empty((S, 2, m, m))
+        self.q = np.empty((S, 1, m, m))
+        self.sq = np.empty((S, 1, m, m))
+        self.mid = np.empty((S, 2, m, hc), dtype=complex)
+        self.d, self.tmp, self.grad = np.empty((3, S, 2, g.n, hc), dtype=complex)
+
+
+def _rayleigh_batch(g: Grid, Z: np.ndarray,
+                    ws: _AscentPlanes | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Rayleigh ratios |z|_{L4}^2 / (|z|_{L2} |grad z|_{L2}) of a stack Z of
     S field coefficient arrays on grid g, shape (S,), and the projected
-    spectral gradients of their logs, from one transform pair for the whole
-    stack.
+    spectral gradients of their logs, from one band synthesis and one band
+    analysis for the whole stack.
 
     |z|^2 and the cubic |z|^2 z are formed on the 2x-oversampled grid; for
     fields on a cap grid both the quartic integral and the cubic's retained
     modes are exact there.  Every reduction is per row, so no row affects
-    another.
+    another.  The work runs in ws (fresh planes if None), and the gradients
+    returned are its grad.
     """
-    m = 2 * g.n
-    U = spectral._synthesize(g, Z, m)
-    q = U[:, :1] * U[:, :1] + U[:, 1:] * U[:, 1:]
-    l4sq = np.sqrt(np.sum(q * q, axis=(1, 2, 3), keepdims=True)) * (2.0 * np.pi / m)
+    ws = _AscentPlanes(g, len(Z)) if ws is None else ws
+    U, q, sq, d, tmp = ws.U, ws.q, ws.sq, ws.d, ws.tmp
+    ws.band.synthesize(Z, out=U, mid=ws.mid)
+    np.multiply(U[:, :1], U[:, :1], out=q)
+    np.multiply(U[:, 1:], U[:, 1:], out=sq)
+    q += sq
+    np.multiply(q, q, out=sq)
+    l4sq = np.sqrt(np.sum(sq, axis=(1, 2, 3), keepdims=True)) * (2.0 * np.pi / ws.band.m)
     l2sq, g2sq = spectral.parseval(g, Z).T[..., None, None, None]
-    cub = spectral._analyze(g, q * U)
-    d = 2.0 * cub / l4sq ** 2 - Z / l2sq - g.k_sq * Z / g2sq
-    return (l4sq / np.sqrt(l2sq * g2sq)).ravel(), spectral._project(g, d)
+    U *= q
+    ws.band.analyze(U, out=d, mid=ws.mid)
+    # d = 2 cub / l4sq^2 - Z / l2sq - |xi|^2 Z / g2sq
+    d *= 2.0
+    d /= l4sq ** 2
+    d -= np.divide(Z, l2sq, out=tmp)
+    np.multiply(g.k_sq, Z, out=tmp)
+    d -= np.divide(tmp, g2sq, out=tmp)
+    return (l4sq / np.sqrt(l2sq * g2sq)).ravel(), spectral._project(g, d, ws.grad, tmp)
 
 
 def _l2(g: Grid, Z: np.ndarray) -> np.ndarray:
@@ -75,18 +105,22 @@ def _l2(g: Grid, Z: np.ndarray) -> np.ndarray:
 
 
 def _capped_sample(grid: Grid, k_cap: int, seed_pair) -> SpectralVelocity:
-    """Random field drawn mode-by-mode over the cap box in a grid-independent order."""
+    """Random field drawn mode-by-mode over the cap box in a grid-independent order.
+
+    The modes (p, q) of the half box p > 0, or p = 0 < q, are taken with p
+    outer and q inner, each drawing four normals (re u1, im u1, re u2, im u2)
+    scaled by 1/|(p, q)|; the mirror modes get the conjugates.
+    """
     rng = np.random.default_rng(seed_pair)
     n = grid.n
+    p, q = np.divmod(np.arange(k_cap + 1, (k_cap + 1) * (2 * k_cap + 1)), 2 * k_cap + 1)
+    q -= k_cap
+    # sqrt of the exact integer p^2 + q^2 is the correctly rounded |(p, q)|
+    draw = rng.standard_normal((len(p), 4)) / np.sqrt(p * p + q * q)[:, None]
+    c = (draw[:, 0::2] + 1j * draw[:, 1::2]).T
     u = np.zeros((2, n, n), dtype=complex)
-    for p in range(0, k_cap + 1):
-        for q in range(-k_cap, k_cap + 1):
-            if p == 0 and q <= 0:
-                continue
-            draw = rng.standard_normal(4) / math.hypot(p, q)
-            c = draw[0::2] + 1j * draw[1::2]
-            u[:, p % n, q % n] = c
-            u[:, -p % n, -q % n] = np.conj(c)
+    u[:, p % n, q % n] = c
+    u[:, -p % n, -q % n] = np.conj(c)
     return leray(spectral.from_lattice(grid, u))
 
 
@@ -99,8 +133,9 @@ def estimate_c0(grid: Grid, n_samples: int = 6, ascent_steps: int = 120,
     by design rather than by rounding), and random band-limited draws; each
     is refined by normalized gradient ascent on the Rayleigh ratio,
     constrained to |xi|_inf <= k_cap.  All starts are stepped together as
-    one (n_samples, 2, n, n) stack, so each ascent step is one inverse and
-    one forward transform whatever n_samples is; each row keeps its own
+    one (n_samples, 2, n, n/2+1) stack, so each ascent step is one band
+    synthesis and one band analysis (spectral.BandDFT) whatever n_samples
+    is, written into arrays allocated once per call; each row keeps its own
     step, its own best value, and stops where its gradient vanishes.  The
     ascent runs on the cap grid of 2 k_cap + 2 modes, whose retained band
     is exactly the cap box, so the result depends on grid only through the
@@ -123,17 +158,22 @@ def estimate_c0(grid: Grid, n_samples: int = 6, ascent_steps: int = 120,
     starts += [_capped_sample(cg, k_cap, [seed, i]) for i in range(2, n_samples)]
     Z = np.stack([z.uh for z in starts])
     Z *= 1.0 / _l2(cg, Z)
-    best, grad = _rayleigh_batch(cg, Z)
+    ws = _AscentPlanes(cg, n_samples)
+    best, grad = _rayleigh_batch(cg, Z, ws)
     best_Z = Z.copy()
+    step = np.empty_like(Z)
     for _ in range(ascent_steps):
         gn = _l2(cg, grad)
-        live = gn.ravel() > 0.0  # a vanishing (or undefined) gradient stops its row
-        z = Z[live] + (step_size / gn[live]) * grad[live]
-        Z[live] = z * (1.0 / _l2(cg, z))
-        r, grad = _rayleigh_batch(cg, Z)
+        # a vanishing (or undefined) gradient stops its row: its step is discarded
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.multiply(step_size / gn, grad, out=step)
+            step += Z
+            step *= 1.0 / _l2(cg, step)
+        np.copyto(Z, step, where=gn > 0.0)
+        r, grad = _rayleigh_batch(cg, Z, ws)
         up = r > best
-        best[up] = r[up]
-        best_Z[up] = Z[up]
+        np.copyto(best, r, where=up)
+        np.copyto(best_Z, Z, where=up[:, None, None, None])
     i = int(np.argmax(best))
     lams, E = mode_energies(SpectralVelocity(cg, best_Z[i]))
     shells = np.bincount(np.rint(np.sqrt(lams)).astype(int), weights=E)
@@ -314,11 +354,15 @@ def _check_theorem4(config: RunConfig, series: FunctionalSeries, alpha: float, c
                     report: TheoremReport) -> bool:
     """Accelerated decay from the admissible origin t0; False when n/a (no rows).
 
-    |u(t)| is read off the series: L~_0 = |v_0| = |u|.
+    |u(t)| is read off the series: L~_0 = |v_0| = |u|.  The LHS reads every
+    sample time, so the envelope |u(t)| <= K_env t^-gamma is made to hold at
+    each t > 0, not only on the fit window: K_env is the largest |u(t)| t^gamma
+    there, and at least the fitted K_fit when gamma is fitted.
     """
     times, norms = series.times, series.L_tilde[:, 0]
     gamma = config.gamma
     fit = fit_decay(times, norms, config.decay_window)
+    K_env = 0.0
     if gamma is None:
         if fit.gamma_fit <= 0:
             report.status = "n/a"
@@ -327,11 +371,8 @@ def _check_theorem4(config: RunConfig, series: FunctionalSeries, alpha: float, c
         gamma = fit.gamma_fit
         K_env = fit.K_fit
         report.params["fit_residual"] = fit.residual
-    else:
-        # envelope constant for the requested exponent on the fit window
-        a, b = config.decay_window
-        sel_w = (times >= a) & (times <= b)
-        K_env = float(np.max(norms[sel_w] * times[sel_w] ** gamma))
+    pos = times > 0.0
+    K_env = max(K_env, float(np.max(norms[pos] * times[pos] ** gamma)))
     report.params["K_fit"] = K_env
     report.params["gamma_fit"] = gamma
     t0 = theorem4_t0(c0, alpha, K_env, gamma)

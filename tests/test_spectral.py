@@ -53,6 +53,30 @@ class TestTransforms:
         back = spectral.irfft2(h, n)  # overwrites h
         assert np.max(np.abs(back - ref)) <= 1e-15 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("n, m", [(18, 36), (16, 48), (32, 32)])
+    def test_band_dft_matches_the_padded_fft_pair(self, n, m):
+        # random Hermitian batches: synthesis is _synthesize, analysis is _analyze with
+        # its Nyquist row and column exactly zero
+        grid = make_grid(n)
+        band = spectral.band_dft(grid, m)
+        rng = np.random.default_rng(n + m)
+        h = spectral._clean(grid, spectral._analyze(grid, rng.standard_normal((3, 2, n, n))))
+        ref = spectral._synthesize(grid, h, m)
+        U = band.synthesize(h)
+        assert U.shape == ref.shape and U.dtype == float
+        assert np.max(np.abs(U - ref)) <= 1e-14 * np.max(np.abs(ref))
+        X = rng.standard_normal((3, 2, m, m))
+        ref = spectral._analyze(grid, X) * grid.keep
+        H = band.analyze(X)
+        assert H.shape == ref.shape
+        assert np.all(H[..., n // 2, :] == 0.0) and np.all(H[..., -1] == 0.0)
+        assert np.max(np.abs(H - ref)) <= 1e-14 * np.max(np.abs(ref))
+        # out and mid receive the result and the intermediate
+        out, mid = np.empty_like(U), np.empty(U.shape[:-1] + (n // 2 + 1,), dtype=complex)
+        assert band.synthesize(h, out=out, mid=mid) is out and np.array_equal(out, U)
+        out = np.empty_like(H)
+        assert band.analyze(X, out=out, mid=mid) is out and np.array_equal(out, H)
+
     def test_single_mode_roundtrip(self, grid32):
         u1 = np.zeros((32, 32), dtype=complex)
         u1[0, 1] = 0.5

@@ -92,14 +92,11 @@ class TestEstimateC0:
             rhs = c0_32.value * (1.0 + 1e-6) * norm_l2(z) * norm_grad_l2(z)
             assert lhs <= rhs
 
-    def test_one_transform_pair_per_ascent_step_on_the_cap_grid(self, fft_calls):
-        # all six samples ride in one batch, so the count does not grow with n_samples
-        steps = 7
-        estimate_c0(make_grid(128), n_samples=6, ascent_steps=steps)
-        assert fft_calls == {"irfft2": steps + 1, "rfft2": steps + 1}
-        # cap grid 2 k_cap + 2 = 18, oversampled 2x
-        shapes = fft_calls.shapes["irfft2"] + fft_calls.shapes["rfft2"]
-        assert set(shapes) == {(36, 36)}
+    def test_the_ascent_makes_no_fft_call(self, fft_calls):
+        # the cap grid's transforms are spectral.BandDFT products (checked against the
+        # FFT pair in test_spectral), so no FFT runs whatever n is
+        estimate_c0(make_grid(128), n_samples=6, ascent_steps=7)
+        assert fft_calls == {"irfft2": 0, "rfft2": 0}
 
     def test_same_estimate_at_every_resolution(self):
         a, b, c = (estimate_c0(make_grid(n), n_samples=4, ascent_steps=20, seed=2)
@@ -153,9 +150,9 @@ class TestEstimateC0:
         kernel = verify._rayleigh_batch
         first_rows = []
 
-        def first_row_stuck(g, Z):
+        def first_row_stuck(g, Z, ws):
             first_rows.append(Z[0].copy())
-            r, grad = kernel(g, Z)
+            r, grad = kernel(g, Z, ws)
             grad[0] = 0.0
             return r, grad
 
@@ -193,6 +190,33 @@ class TestEstimateC0:
             best = max(best, r)
         est = estimate_c0(make_grid(32), n_samples=2, seed=0)
         assert est.sample_values[1] == pytest.approx(best, rel=1e-9)
+
+    @pytest.mark.parametrize("k_cap", range(3, 9))
+    def test_capped_sample_matches_the_per_mode_draw(self, k_cap):
+        # reference: the draw one mode at a time, four normals per mode
+        from gevrey_ns.spectral import from_lattice
+        from gevrey_ns.verify import _capped_sample
+
+        def per_mode(grid, seed_pair):
+            rng = np.random.default_rng(seed_pair)
+            n = grid.n
+            u = np.zeros((2, n, n), dtype=complex)
+            for p in range(0, k_cap + 1):
+                for q in range(-k_cap, k_cap + 1):
+                    if p == 0 and q <= 0:
+                        continue
+                    draw = rng.standard_normal(4) / math.hypot(p, q)
+                    c = draw[0::2] + 1j * draw[1::2]
+                    u[:, p % n, q % n] = c
+                    u[:, -p % n, -q % n] = np.conj(c)
+            return leray(from_lattice(grid, u))
+
+        for n in (2 * k_cap + 2, 32):
+            grid = make_grid(n)
+            for seed in range(4):
+                for i in (1, 2, 5):
+                    assert np.array_equal(_capped_sample(grid, k_cap, [seed, i]).uh,
+                                          per_mode(grid, [seed, i]).uh)
 
     def test_spectrum_signature_present(self, c0_32):
         assert c0_32.spectrum_signature.sum() == pytest.approx(1.0, rel=1e-8)
@@ -314,6 +338,21 @@ class TestCheckTheorem:
         assert t0 == pytest.approx(expect_t0, rel=1e-12)
         assert all(r["t"] >= t0 - 1e-12 for r in rep.rows)
         assert "integral_from_t0" in rep.extras
+
+    @pytest.mark.parametrize("seed, gamma", [(0, 0.5), (1, 0.5), (2, 0.5), (0, None)])
+    def test_thm4_envelope_holds_at_every_sample_time(self, seed, gamma):
+        # the LHS reads every t > 0, so |u(t)| <= K t^-gamma must hold there and not
+        # only on the fit window [1, 5]: with gamma 0.5, |u| t^gamma peaks before it
+        doc = dict(THM1_CFG, stack_depth=8, seed=seed, t_end=5.0, gamma=gamma,
+                   snapshot_times=[round(0.25 * i, 3) for i in range(21)],
+                   decay_window=[1.0, 5.0])
+        doc["initial_data"] = {"kind": "random_spectrum", "decay": 3.0, "k_max": 6,
+                               "seed": seed, "l2_norm": 1.0}
+        rep = check_theorem(4, config_from_dict(doc))
+        assert rep.status == "ok"
+        t, norms = rep.series.times, rep.series.L_tilde[:, 0]
+        envelope = norms[t > 0] * t[t > 0] ** rep.params["gamma_fit"]
+        assert np.all(envelope <= rep.params["K_fit"])
 
 
 class TestVerdictPath:
@@ -544,6 +583,20 @@ class TestCli:
         rc = main(argv + [str(a)])
         assert rc in (0, 1) and main(argv + [str(b)]) == rc
         for name in ("report.json", "functionals.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    @pytest.mark.parametrize("command", ["check-thm3", "estimate-c0"])
+    def test_byte_identical_reports_with_estimated_c0(self, tmp_path, command):
+        # the C0 ascent runs inside each call, so its matrix products must repeat bit for bit
+        doc = dict(SMALL_BOUNDS[3], c0={"mode": "estimate", "n_samples": 3, "ascent_steps": 20})
+        cfg = self._write_cfg(tmp_path, doc)
+        a, b = tmp_path / "a", tmp_path / "b"
+        argv = [command, "--config", cfg, "--out"]
+        rc = main(argv + [str(a)])
+        assert rc in (0, 1) and main(argv + [str(b)]) == rc
+        names = sorted(p.name for p in a.iterdir())
+        assert "report.json" in names and names == sorted(p.name for p in b.iterdir())
+        for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_thm2_report_is_strict_json(self, tmp_path):
