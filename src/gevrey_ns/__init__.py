@@ -14,12 +14,11 @@ from .functionals import (Ccc0Audit, ConvolutionAudit, DecayFit, FunctionalSerie
                           theorem4_rhs, theorem4_t0, theorem_lhs)
 from .solver import (EnergyLedger, Trajectory, cfl_limit, energy_ledger,
                      integrate, run, step)
-from .spectral import (Grid, SpectralVelocity, divergence_defect, from_lattice,
-                       from_physical, hermitian_defect, inner_l2, laplacian, leray,
-                       leray_project, make_grid, make_initial_data,
-                       mode_energies, nonlinear_symmetric, nonlinear_term,
-                       norm_grad_l2, norm_l2, norm_l4, parseval, physical_grid,
-                       random_spectrum_field, shear_flow, taylor_green,
+from .spectral import (Grid, SpectralVelocity, from_lattice, from_physical,
+                       hermitian_defect, inner_l2, laplacian, leray_project, make_grid,
+                       make_initial_data, mode_energies, nonlinear_symmetric,
+                       nonlinear_term, norm_grad_l2, norm_l2, norm_l4, parseval,
+                       physical_grid, random_spectrum_field, shear_flow, taylor_green,
                        to_physical, transform_roundtrip, validate_field)
 from .stokes import (StokesIdentityReport, dissipation_integral_exact,
                      heat_evolve, stokes_derivative_stack,

@@ -14,13 +14,15 @@ in which the Leibniz coefficients C(k-1, j) cancel:
 The v_k stay bounded whenever the Gevrey-weighted sums converge, so there
 is no depth cap; DerivativeStack.raw(k) rescales back to u^(k).
 
-Cost per stack of depth K: each entry v_0..v_{K-1} is dealiased and taken to
-physical space once (one inverse transform of 2 planes per entry), and each
-level sums all its products there into the two traceless planes
-(T12, T22 - T11) before one forward transform of 2 planes, so a K = 12
-stack makes 12 inverse and 12 forward transforms.  One Workspace per stack
-holds the physical entries and the kernel's planes; a level allocates only
-its new entry.
+Entries are stored, like every field, as vorticity planes, so the
+recursion runs on one (n, n/2+1) plane per entry and the projection is the
+curl of the contraction.  Cost per stack of depth K: each entry
+v_0..v_{K-1} is lifted, dealiased and taken to physical space once (one
+inverse transform of 2 velocity planes per entry), and each level sums all
+its products there into the two traceless planes (T12, T22 - T11) before
+one forward transform of 2 planes, so a K = 12 stack makes 12 inverse and
+12 forward transforms.  One Workspace per stack holds the physical entries
+and the kernel's planes; a level allocates only its new entry.
 """
 
 from __future__ import annotations
@@ -80,11 +82,11 @@ def time_derivative_stack(u: SpectralVelocity, K: int, t: float) -> DerivativeSt
     k_sq = g.k_sq.astype(complex)  # complex: no cast per product
     entries = [u]
     for k in range(1, K + 1):
-        prev = entries[k - 1].uh
-        ws.load(k - 1, prev, ws.band)
+        prev = entries[k - 1].w
+        ws.load(k - 1, prev)
         v = ws.level(k, np.empty_like(prev))
-        np.multiply(k_sq, prev, out=ws.coef)  # ws.coef is free between kernel calls
-        v -= ws.coef
+        lap = np.multiply(k_sq, prev, out=ws.coef[0])  # ws.coef is free between kernel calls
+        v -= lap
         v *= t / (2.0 * k)
         entries.append(SpectralVelocity(g, v))
     return DerivativeStack(t=t, entries=entries)

@@ -89,7 +89,7 @@ def raw_functionals(stack: DerivativeStack) -> tuple[np.ndarray, np.ndarray]:
     """
     K, t = stack.depth, stack.t
     M = max(0, 2 * K - 1)
-    sums = np.array([parseval(e.grid, e.uh) for e in stack.entries])
+    sums = np.array([parseval(e.grid, e.w) for e in stack.entries])
     l2, grad = np.sqrt(sums[:, 0]), np.sqrt(sums[:M // 2 + 1, 1])
     k = np.arange(1, K + 1)
     L = np.empty(M + 1)
@@ -104,7 +104,7 @@ def sample_at_time_zero(u: SpectralVelocity, M: int) -> tuple[np.ndarray, np.nda
     """The t -> 0+ limit as a row pair: only L_0 = |u| and H_0 = |grad u| survive."""
     L = np.zeros(M + 1)
     H = np.zeros(M + 1)
-    L[0], H[0] = np.sqrt(parseval(u.grid, u.uh))
+    L[0], H[0] = np.sqrt(parseval(u.grid, u.w))
     return L, H
 
 

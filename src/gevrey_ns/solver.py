@@ -3,15 +3,15 @@
 The scheme is integrating-factor RK4: the viscous multiplier exp(-|xi|^2 dt)
 is applied exactly, so only the dealiased, Leray-projected advection term is
 integrated explicitly and the step size is limited by advection alone.
-The state is the scalar vorticity: each stage lifts it to the two dealiased
-velocity planes, runs them through the stack-level kernel as a one-entry
-level and contracts the two forward planes with Grid.curl, so a step makes
-8 transforms of 16 planes in all.  A run allocates its stage planes once
-and steps in place; snapshots, the CFL guard and step's result convert back
-to the velocity.  Alongside the snapshots the run accumulates the
-dissipation integral int_0^t |grad u|^2 by composite trapezoid on the step
-grid, reading |grad u|^2 = (2pi)^2 sum |omegahat|^2 off the state, so every
-trajectory carries its own energy ledger.
+The state is the field's own vorticity plane: each stage lifts it to the
+two dealiased velocity planes, runs them through the stack-level kernel as
+a one-entry level and contracts the two forward planes with Grid.curl, so a
+step makes 8 transforms of 16 planes in all.  A run allocates its stage
+planes once and steps a copy of u0's plane in place; a snapshot is a copy
+of the plane, with no conversion.  Alongside the snapshots the run
+accumulates the dissipation integral int_0^t |grad u|^2 by composite
+trapezoid on the step grid, reading |grad u|^2 off the state by Parseval,
+so every trajectory carries its own energy ledger.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, IntegrationError
-from .spectral import (Grid, SpectralVelocity, Workspace, from_vorticity, make_grid,
-                       make_initial_data, norm_l2, to_physical, vorticity,
-                       vorticity_parseval)
+from .spectral import (Grid, SpectralVelocity, Workspace, make_grid, make_initial_data,
+                       norm_l2, parseval, to_physical)
 
 
 @dataclass(frozen=True)
@@ -65,16 +64,11 @@ def cfl_limit(u: SpectralVelocity) -> float:
 
 
 def _stage_coefficients(grid: Grid, dt: float):
-    """IF-RK4 multipliers, computed once per (grid, dt).
-
-    The lift of a vorticity plane to its velocity with the 2/3 mask and the
-    n^2 input scale of irfft2 folded in, e^(-|xi|^2 dt/2), e^(-|xi|^2 dt) and
-    the stage weights.
-    """
+    """IF-RK4 multipliers, computed once per (grid, dt): e^(-|xi|^2 dt/2),
+    e^(-|xi|^2 dt) and the stage weights."""
     e_half = np.exp(-0.5 * dt * grid.k_sq).astype(complex)  # complex: no cast per product
     e_full = np.exp(-dt * grid.k_sq).astype(complex)
-    lift = grid.lift * (grid.dealias * (float(grid.n) * grid.n))
-    return lift, e_half, e_full, dt * e_half, (dt / 3.0) * e_half, 0.5 * dt, dt / 6.0
+    return e_half, e_full, dt * e_half, (dt / 3.0) * e_half, 0.5 * dt, dt / 6.0
 
 
 def _advance(ws: Workspace, w: np.ndarray, coef, planes: np.ndarray) -> None:
@@ -83,25 +77,25 @@ def _advance(ws: Workspace, w: np.ndarray, coef, planes: np.ndarray) -> None:
     Each stage is a one-entry level; planes holds the four stage values and
     two more, so the step allocates no plane.
     """
-    lift, e_half, e_full, dt_half, w_bc, h, sixth = coef
+    e_half, e_full, dt_half, w_bc, h, sixth = coef
     a, b, c, d, s, r = planes
-    ws.load(0, w, lift)
-    ws.curl_level(1, a)
+    ws.load(0, w)
+    ws.level(1, a)
     np.multiply(a, h, out=s)
     s += w
     s *= e_half
-    ws.load(0, s, lift)
-    ws.curl_level(1, b)
+    ws.load(0, s)
+    ws.level(1, b)
     np.multiply(w, e_half, out=s)
     np.multiply(b, h, out=r)
     s += r
-    ws.load(0, s, lift)
-    ws.curl_level(1, c)
+    ws.load(0, s)
+    ws.level(1, c)
     np.multiply(w, e_full, out=s)
     np.multiply(c, dt_half, out=r)
     s += r
-    ws.load(0, s, lift)
-    ws.curl_level(1, d)
+    ws.load(0, s)
+    ws.level(1, d)
     # w <- e_full (w + dt/6 a) + (dt/3) e_half (b + c) + dt/6 d
     np.multiply(a, sixth, out=s)
     w += s
@@ -122,19 +116,18 @@ def _stepper(grid: Grid, dt: float):
 def step(u: SpectralVelocity, dt: float, t: float | None = None) -> SpectralVelocity:
     """Advance one step of size dt > 0.
 
-    Steps the vorticity of u, so a divergent part of u is dropped.  Raises
-    IntegrationError if the result is not finite.  The caller is
+    Raises IntegrationError if the result is not finite.  The caller is
     responsible for the CFL bound (see cfl_limit); run() enforces it.
     """
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     ws, coef, planes = _stepper(u.grid, dt)
-    w = vorticity(u)
+    w = u.w.copy()
     _advance(ws, w, coef, planes)
     if not np.isfinite(w).all():
         where = "" if t is None else f" at t={t!r}"
         raise IntegrationError(f"non-finite state after step{where} with dt={dt!r}")
-    return from_vorticity(u.grid, w)
+    return SpectralVelocity(u.grid, w)
 
 
 def _snapshot_steps(dt: float, t_end: float, snapshot_times, n_steps: int) -> dict[int, float]:
@@ -160,7 +153,8 @@ def integrate(u0: SpectralVelocity, dt: float, t_end: float,
     Snapshot times must be integer multiples of dt (no interpolation, so the
     derivative recursion always sees exact solver states).  The CFL bound is
     checked at t = 0 and re-checked at every snapshot unless enforce_cfl is
-    False.  Deterministic for fixed inputs.
+    False.  Deterministic for fixed inputs.  Each snapshot after t = 0 holds
+    its own copy of the stepped plane.
     """
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
@@ -183,12 +177,12 @@ def integrate(u0: SpectralVelocity, dt: float, t_end: float,
                 f"dt={dt!r} exceeds advective stability bound {bound:.3e} at t={t!r}")
 
     check_cfl(u0, 0.0)
-    w = vorticity(u0)
+    w = u0.w.copy()
     times, fields, diss, grads = [], [], [], []
 
     def grad_energy() -> tuple[float, float]:
         """|grad u|^2 and |u|^2 / 2 of the state."""
-        es, gs = vorticity_parseval(g, w)
+        es, gs = parseval(g, w)
         return float(gs), 0.5 * float(es)
 
     D = 0.0
@@ -210,7 +204,7 @@ def integrate(u0: SpectralVelocity, dt: float, t_end: float,
         e_prev = e_new
         g_prev = g_new
         if i in snaps:
-            u_snap = from_vorticity(g, w)
+            u_snap = SpectralVelocity(g, w.copy())
             check_cfl(u_snap, i * dt)
             times.append(i * dt)
             fields.append(u_snap)

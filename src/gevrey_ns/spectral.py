@@ -4,32 +4,35 @@ The domain is fixed to [0, 2pi)^2, with the convention
 
     u(x) = sum_xi uhat(xi) exp(i xi . x),   xi in {-n/2+1, ..., n/2}^2.
 
-A real field is Hermitian, uhat(-xi) = conj uhat(xi), so a field stores only
-its rfft half-spectrum: one complex (2, n, n/2+1) array, both components on
-rows in FFT order and columns 0..n/2.  Only this module knows that layout.
-The unpaired Nyquist row and column are kept identically zero; columns 0 and
-n/2 hold both members of each conjugate pair, so validate_field checks
-Hermitian symmetry there.  Parseval on the full lattice,
+In 2D such a field is exactly its scalar vorticity omegahat = i (k1 uhat2 -
+k2 uhat1), and a field stores only that: one complex (n, n/2+1) plane, the
+rfft half-spectrum with rows in FFT order and columns 0..n/2.  Only this
+module knows that layout.  Grid.lift takes the plane to the velocity
+coefficients, derived on demand for physical-space work; leray_project is
+the one way in from velocity coefficients, so divergence-freeness is
+structural.  The omegahat(-xi) = conj omegahat(xi) partner of every stored
+mode is implicit except on columns 0 and n/2, which hold both members of
+each conjugate pair, so validate_field checks Hermitian symmetry there; the
+unpaired Nyquist row and column are kept identically zero.  Parseval on the
+full lattice,
 
-    int |u|^2 dx = (2 pi)^2 sum_xi |uhat(xi)|^2,
+    int |u|^2 dx = (2 pi)^2 sum_xi |omegahat(xi)|^2 / |xi|^2,
+    int |grad u|^2 dx = (2 pi)^2 sum_xi |omegahat(xi)|^2,
 
 is one weighted sum over the half, where every column other than 0 and n/2
-also stands for its conjugate and weighs 2.  parseval evaluates it, with its
-|xi|^2-weighted twin for the gradient, and every L2-type norm reads it.  The
-L4 norm is evaluated by quadrature on a 2x-oversampled physical grid so that
-quartic products do not alias.  The quadratic advection term uses the
-2/3-rule: inputs and outputs are truncated to |xi|_inf <= k_cut with
-3 k_cut < n, which makes the retained product modes an exact convolution of
-the truncated inputs.
+also stands for its conjugate and weighs 2.  parseval evaluates both, and
+every L2-type norm reads it.  The L4 norm is evaluated by quadrature on a
+2x-oversampled physical grid so that quartic products do not alias.
 
-In 2D a field is also its scalar vorticity omegahat = i (k1 uhat2 - k2 uhat1),
-one (n, n/2+1) plane, and Grid.lift takes it back to the velocity.  The
-trace of a symmetric product tensor T is a gradient, which P removes, so
-advection reads only the two traceless planes A = T12 and B = T22 - T11.
-Their rfft2 contract with Grid.curl to the vorticity of the dealiased
--P div T, and with Grid.div = lift (x) curl to its velocity.  A Workspace
-holds the planes of that kernel, so a solver run or a stack allocates them
-once and no stage or level allocates a plane.
+The quadratic advection term uses the 2/3-rule: inputs and outputs are
+truncated to |xi|_inf <= k_cut with 3 k_cut < n, which makes the retained
+product modes an exact convolution of the truncated inputs.  The trace of a
+symmetric product tensor T is a gradient, which the projection removes, so
+advection reads only the two traceless planes A = T12 and B = T22 - T11
+(and, for a product of two different fields, its antisymmetric part).  Their
+rfft2 contract with Grid.curl to the vorticity of the dealiased -P div T.  A
+Workspace holds the planes of that kernel, so a solver run or a stack
+allocates them once and no stage or level allocates a plane.
 
 Every FFT goes through rfft2 and irfft2.  The C0 ascent's cap grid is too
 small for them to pay: there a BandDFT maps the retained band to the
@@ -64,7 +67,6 @@ class Grid:
         freqs: integer frequencies in FFT order, shape (n,).
         k1, k2: broadcastable wavenumbers, shapes (n, 1) and (1, n/2+1); the
             Nyquist column carries -n/2.
-        kvec: (2, n, n/2+1) wavenumber vector (k1, k2) of every mode.
         k_sq: |xi|^2.
         inv_k_sq: 1/|xi|^2 with the zero mode set to 0.
         keep: mask that removes the Nyquist row/column.
@@ -72,16 +74,14 @@ class Grid:
         k_cut: dealiasing cutoff, the largest k with 3k < n.
         lift: (2, n, n/2+1) multiplier (i k2, -i k1) / |xi|^2 taking a vorticity
             plane to its velocity (0 at xi = 0).
-        curl: (2, n, n/2+1) table dealias (k1^2 - k2^2, k1 k2) / n^2; (curl * F).sum(axis=0)
-            is the vorticity of the dealiased -P div T / n^2 of the unnormalised
-            rfft2 planes F = (T12, T22 - T11) of a symmetric T.  Its values are
-            real; it is stored complex so that the product needs no cast.
-        div: (2, 2, n, n/2+1) table lift[:, None] * curl; (div * F).sum(axis=1) is
-            that -P div T / n^2 itself.
-        parseval_w: (2, N) weights on the N floats of a field's flattened
-            float view: row 0 gives |u|^2, row 1 |grad u|^2 (see parseval).
-        vort_w: (2, N / 2) weights on the floats of a vorticity plane, giving the
-            same two sums (see vorticity_parseval).
+        curl: (3, n, n/2+1) table dealias (k1^2 - k2^2, k1 k2, |xi|^2) / n^2;
+            (curl * F).sum(axis=0) is the vorticity of the dealiased -P div T / n^2
+            of the unnormalised rfft2 planes F = (T12, T22 - T11[, A12]) of a
+            tensor T with symmetric part (T12, T22 - T11) and antisymmetric part
+            A12 = -A21.  Its values are real; it is stored complex so that the
+            product needs no cast.
+        parseval_w: (2, N) weights on the N floats of a plane's flattened float
+            view: row 0 gives |u|^2, row 1 |grad u|^2 (see parseval).
         shells: the eigenvalue |xi|^2 of each of the N floats, as integers.
     """
 
@@ -89,7 +89,6 @@ class Grid:
     freqs: np.ndarray
     k1: np.ndarray
     k2: np.ndarray
-    kvec: np.ndarray
     k_sq: np.ndarray
     inv_k_sq: np.ndarray
     keep: np.ndarray
@@ -97,14 +96,12 @@ class Grid:
     k_cut: int
     lift: np.ndarray
     curl: np.ndarray
-    div: np.ndarray
     parseval_w: np.ndarray
-    vort_w: np.ndarray
     shells: np.ndarray
 
     def __post_init__(self):
-        for name in ("freqs", "k1", "k2", "kvec", "k_sq", "inv_k_sq", "keep", "dealias", "lift",
-                     "curl", "div", "parseval_w", "vort_w", "shells"):
+        for name in ("freqs", "k1", "k2", "k_sq", "inv_k_sq", "keep", "dealias", "lift", "curl",
+                     "parseval_w", "shells"):
             _readonly(getattr(self, name))
 
     def oversample_rows(self, m: int) -> np.ndarray:
@@ -135,38 +132,41 @@ def make_grid(n: int) -> Grid:
     keep[:, -1] = False
     k_cut = (n - 1) // 3
     dealias = (np.abs(k1) <= k_cut) & (np.abs(k2) <= k_cut) & keep
-    # -P(xi) i xi . T = (i k2, -i k1) ((k1^2 - k2^2) T12 + k1 k2 (T22 - T11)) / |xi|^2
-    lift = np.stack([1j * k2 * inv, -1j * k1 * inv])
-    curl = (dealias * np.stack([k1 * k1 - k2 * k2, k1 * k2]) / (float(n) * n)).astype(complex)
+    # curl of -P(xi) i xi . T = (k1^2 - k2^2) T12 + k1 k2 (T22 - T11) + |xi|^2 A12
+    curl = dealias * np.stack([k1 * k1 - k2 * k2, k1 * k2, k_sq]) / (float(n) * n)
     col_w = np.full(hc, 2.0)
     col_w[[0, -1]] = 1.0  # the self-conjugate columns; every other one stands for two
-
-    def flat(a):  # per-mode values repeated over (real, imag) of one plane
-        return np.repeat(a, 2, axis=-1).reshape(a.shape[:-2] + (-1,))
-
-    w = TWO_PI ** 2 * col_w * np.stack([np.ones_like(k_sq), k_sq, inv])
-    return Grid(n=n, freqs=freqs, k1=k1, k2=k2, kvec=np.stack(np.broadcast_arrays(k1, k2)),
-                k_sq=k_sq, inv_k_sq=inv, keep=keep, dealias=dealias, k_cut=k_cut, lift=lift,
-                curl=curl, div=lift[:, None] * curl,
-                parseval_w=np.tile(flat(w[:2]), 2), vort_w=flat(w[::-2]),
-                shells=np.tile(flat(np.rint(k_sq).astype(np.int64)), 2))
+    w = TWO_PI ** 2 * col_w * np.stack([inv, np.ones_like(k_sq)])
+    return Grid(n=n, freqs=freqs, k1=k1, k2=k2, k_sq=k_sq, inv_k_sq=inv, keep=keep,
+                dealias=dealias, k_cut=k_cut, lift=np.stack([1j * k2 * inv, -1j * k1 * inv]),
+                curl=curl.astype(complex), parseval_w=np.repeat(w, 2, axis=-1).reshape(2, -1),
+                shells=np.repeat(np.rint(k_sq).astype(np.int64), 2, axis=-1).ravel())
 
 
 @dataclass(frozen=True)
 class SpectralVelocity:
-    """Mean-zero, divergence-free velocity field as rfft half-spectrum coefficients.
+    """Mean-zero, divergence-free velocity field stored as its vorticity plane.
 
-    uh has shape (2, n, n/2+1); u1 and u2 are views of its two planes.
-    Instances are immutable; arithmetic returns new fields on the same grid.
-    Construction does not validate; use validate_field for the invariant
-    check (Hermitian symmetry, zero mean, zero divergence, zero Nyquist).
+    w is the read-only (n, n/2+1) plane of omegahat = i (k1 uhat2 - k2 uhat1);
+    uh = grid.lift * w, shape (2, n, n/2+1), and its planes u1 and u2 are
+    derived, read-only, on each access.  Instances are immutable; arithmetic
+    returns new fields on the same grid.  Construction checks only the shape
+    of w (FieldInvariantError otherwise); validate_field checks the rest
+    (Hermitian symmetry, zero mean, zero Nyquist).
     """
 
     grid: Grid
-    uh: np.ndarray
+    w: np.ndarray
 
     def __post_init__(self):
-        _readonly(self.uh)
+        if np.shape(self.w) != self.grid.k_sq.shape:
+            raise FieldInvariantError(f"vorticity plane has shape {np.shape(self.w)}, "
+                                      f"expected {self.grid.k_sq.shape}")
+        _readonly(self.w)
+
+    @property
+    def uh(self) -> np.ndarray:
+        return _readonly(self.grid.lift * self.w)
 
     @property
     def u1(self) -> np.ndarray:
@@ -178,20 +178,21 @@ class SpectralVelocity:
 
     def __add__(self, other: "SpectralVelocity") -> "SpectralVelocity":
         _require_same_grid(self, other)
-        return SpectralVelocity(self.grid, self.uh + other.uh)
+        return SpectralVelocity(self.grid, self.w + other.w)
 
     def __sub__(self, other: "SpectralVelocity") -> "SpectralVelocity":
         _require_same_grid(self, other)
-        return SpectralVelocity(self.grid, self.uh - other.uh)
+        return SpectralVelocity(self.grid, self.w - other.w)
 
     def __mul__(self, c) -> "SpectralVelocity":
-        """Scalar or modewise multiplier (an array broadcasting against one plane)."""
-        return SpectralVelocity(self.grid, self.uh * c)
+        """Scalar or modewise multiplier (an array broadcasting against the plane)."""
+        return SpectralVelocity(self.grid, self.w * c)
 
     __rmul__ = __mul__
 
     def max_amplitude(self) -> float:
-        return float(np.max(np.abs(self.uh)))
+        """The largest vorticity coefficient amplitude max |omegahat|."""
+        return float(np.max(np.abs(self.w)))
 
 
 def _require_same_grid(a: SpectralVelocity, b: SpectralVelocity) -> None:
@@ -199,9 +200,29 @@ def _require_same_grid(a: SpectralVelocity, b: SpectralVelocity) -> None:
         raise GridMismatchError(f"grid mismatch: n={a.grid.n} vs n={b.grid.n}")
 
 
+def _clean(grid: Grid, h: np.ndarray) -> np.ndarray:
+    """Zero the Nyquist and mean modes of coefficient stacks h (..., n, n/2+1) in place."""
+    np.copyto(h, 0.0, where=~grid.keep)
+    h[..., 0, 0] = 0.0
+    return h
+
+
+def leray_project(grid: Grid, uh: np.ndarray) -> SpectralVelocity:
+    """The divergence-free part of velocity coefficients uh (2, n, n/2+1) as a field.
+
+    Its vorticity is i (k1 uh2 - k2 uh1), with the mean and Nyquist modes
+    zeroed; its lift is P(xi) uh with P(xi) = I - xi xi^T / |xi|^2 and
+    P(0) = 0, so gradients are annihilated and divergence-free inputs fixed.
+    """
+    return SpectralVelocity(grid, _clean(grid, 1j * (grid.k1 * uh[1] - grid.k2 * uh[0])))
+
+
 def from_lattice(grid: Grid, u: np.ndarray) -> SpectralVelocity:
-    """The field of Hermitian full-lattice coefficients u, shape (2, n, n) in FFT order."""
-    return SpectralVelocity(grid, np.array(u[..., : grid.n // 2 + 1], dtype=complex))
+    """The field of Hermitian full-lattice velocity coefficients u, shape (2, n, n) in FFT order.
+
+    u goes through leray_project, so a divergent part is dropped.
+    """
+    return leray_project(grid, u[..., : grid.n // 2 + 1])
 
 
 def mirror_coefficients(a: np.ndarray) -> np.ndarray:
@@ -219,38 +240,23 @@ def hermitian_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(c - np.conj(np.roll(c[..., ::-1, :], 1, axis=-2)))))
 
 
-def divergence_defect(v: SpectralVelocity) -> float:
-    """Max |xi . uhat(xi)| over the lattice."""
-    g = v.grid
-    return float(np.max(np.abs(g.k1 * v.u1 + g.k2 * v.u2)))
+def validate_field(v: SpectralVelocity, hermitian_tol: float = 1e-12) -> None:
+    """Check the structural invariants of v.w; raise FieldInvariantError on failure.
 
-
-def validate_field(v: SpectralVelocity, hermitian_tol: float = 1e-12,
-                   div_tol: float = 1e-10) -> None:
-    """Check the structural invariants; raise FieldInvariantError on failure.
-
-    Hermitian symmetry is relative to the largest coefficient amplitude,
-    the mean must vanish exactly, the Nyquist row/column must be exactly
-    zero, and the divergence must satisfy |xi.uhat| <= div_tol * max|uhat|.
+    Hermitian symmetry is relative to the largest coefficient amplitude, and
+    the mean and the Nyquist row/column must be exactly zero.  Zero
+    divergence holds by construction.
     """
-    g = v.grid
-    shape = (2,) + g.k_sq.shape
-    if v.uh.shape != shape:
-        raise FieldInvariantError(f"coefficients have shape {v.uh.shape}, expected {shape}")
+    w = v.w
+    if w[0, 0] != 0:
+        raise FieldInvariantError(f"vorticity mean mode is {w[0, 0]!r}, must be exactly 0")
+    if np.any(w[~v.grid.keep] != 0):
+        raise FieldInvariantError("vorticity has nonzero Nyquist modes")
     scale = max(v.max_amplitude(), 1e-300)
-    for name, a in (("u1", v.u1), ("u2", v.u2)):
-        if a[0, 0] != 0:
-            raise FieldInvariantError(f"{name} mean mode is {a[0, 0]!r}, must be exactly 0")
-        if np.any(a[~g.keep] != 0):
-            raise FieldInvariantError(f"{name} has nonzero Nyquist modes")
-        defect = hermitian_defect(a)
-        if defect > hermitian_tol * scale:
-            raise FieldInvariantError(
-                f"{name} Hermitian defect {defect:.3e} exceeds {hermitian_tol:.1e} * {scale:.3e}")
-    div = divergence_defect(v)
-    if div > div_tol * scale:
+    defect = hermitian_defect(w)
+    if defect > hermitian_tol * scale:
         raise FieldInvariantError(
-            f"divergence defect {div:.3e} exceeds {div_tol:.1e} * {scale:.3e}")
+            f"vorticity Hermitian defect {defect:.3e} exceeds {hermitian_tol:.1e} * {scale:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +353,13 @@ def to_physical(v: SpectralVelocity, oversample: int = 1) -> np.ndarray:
 
 
 def from_physical(grid: Grid, U1: np.ndarray, U2: np.ndarray) -> SpectralVelocity:
-    """Transform real physical-space samples to a coefficient field.
+    """The field of real physical-space velocity samples, through leray_project.
 
-    The result is exactly Hermitian by construction; the mean and Nyquist
-    modes are zeroed.  Divergence-freeness is the caller's responsibility
-    (use leray_project when unsure).
+    A gradient part of (U1, U2) is dropped; the result is exactly Hermitian
+    by construction, with zero mean and Nyquist modes.
     """
     X = np.stack([np.asarray(U1, dtype=float), np.asarray(U2, dtype=float)])
-    return SpectralVelocity(grid, _clean(grid, _analyze(grid, X)))
+    return leray_project(grid, _analyze(grid, X))
 
 
 def transform_roundtrip(v: SpectralVelocity) -> SpectralVelocity:
@@ -364,77 +369,38 @@ def transform_roundtrip(v: SpectralVelocity) -> SpectralVelocity:
 
 
 # ---------------------------------------------------------------------------
-# Projection, norms, advection
+# Norms, advection
 # ---------------------------------------------------------------------------
 
-def _clean(grid: Grid, h: np.ndarray) -> np.ndarray:
-    """Zero the Nyquist and mean modes of coefficient stacks h (..., n, n/2+1) in place."""
-    np.copyto(h, 0.0, where=~grid.keep)
-    h[..., 0, 0] = 0.0
-    return h
-
-
-def _project(grid: Grid, h: np.ndarray, out: np.ndarray | None = None,
-             tmp: np.ndarray | None = None) -> np.ndarray:
-    """P h, cleaned, for coefficient stacks h of shape (..., 2, n, n/2+1).
-
-    P(xi) u = u - xi s with s = (xi . u) / |xi|^2, each as one pass over both
-    components.  out (not h) receives the result and holds s on the way;
-    tmp, of h's shape, is scratch.  Fresh arrays are used where not given.
-    """
-    out = np.empty_like(h) if out is None else out
-    tmp = np.empty_like(h) if tmp is None else tmp
-    s = out[..., :1, :, :]
-    np.multiply(grid.kvec, h, out=tmp)
-    np.add(tmp[..., :1, :, :], tmp[..., 1:, :, :], out=s)
-    s *= grid.inv_k_sq
-    np.multiply(grid.kvec, s, out=tmp)
-    np.subtract(h, tmp, out=out)
-    return _clean(grid, out)
-
-
-def leray_project(grid: Grid, uh: np.ndarray) -> SpectralVelocity:
-    """Modewise orthogonal projection of coefficients uh (2, n, n/2+1) onto divergence-free fields.
-
-    P(xi) = I - xi xi^T / |xi|^2 and P(0) = 0, so the output is mean-zero
-    and divergence-free; gradients are annihilated and divergence-free
-    inputs are fixed.
-    """
-    return SpectralVelocity(grid, _project(grid, uh))
-
-
-def leray(v: SpectralVelocity) -> SpectralVelocity:
-    return leray_project(v.grid, v.uh)
-
-
 def laplacian(v: SpectralVelocity) -> SpectralVelocity:
-    return SpectralVelocity(v.grid, -v.grid.k_sq * v.uh)
+    return SpectralVelocity(v.grid, -v.grid.k_sq * v.w)
 
 
 def parseval(grid: Grid, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Full-lattice Parseval sums of coefficient stacks of shape (..., 2, n, n/2+1), as (..., 2).
+    """Full-lattice Parseval sums of vorticity planes of shape (..., n, n/2+1), as (..., 2).
 
-    [..., 0] is int a . b dx and [..., 1] is int grad a : grad b dx, with b
-    defaulting to a, so parseval(grid, a) is (|a|^2, |grad a|^2).  Both are
-    dot products of the float views' product with grid.parseval_w, which
-    weights each column by how many lattice columns it stands for.  Each
-    field gets its own dot products, so its sums do not depend on the batch
-    it rides in; einsum forms them in one pass and, unlike a BLAS dot, on
-    the calling thread alone.
+    [..., 0] is int u_a . u_b dx and [..., 1] is int grad u_a : grad u_b dx
+    for the fields of planes a and b, with b defaulting to a, so
+    parseval(grid, a) is (|u|^2, |grad u|^2).  Both are dot products of the
+    float views' product with grid.parseval_w, which weights each mode by
+    1/|xi|^2 or 1 and each column by how many lattice columns it stands for.
+    Each field gets its own dot products, so its sums do not depend on the
+    batch it rides in; the three-operand einsum forms them in one pass
+    without a temporary and, unlike a BLAS dot, on the calling thread alone.
     """
-    x = a.view(float)
-    p = x * x if b is None else x * b.view(float)
-    return np.einsum("...i,ji->...j", p.reshape(a.shape[:-3] + (-1,)), grid.parseval_w)
+    x = a.view(float).reshape(a.shape[:-2] + (-1,))
+    y = x if b is None else b.view(float).reshape(b.shape[:-2] + (-1,))
+    return np.einsum("...i,...i,ji->...j", x, y, grid.parseval_w)
 
 
 def norm_l2(v: SpectralVelocity) -> float:
     """L2 norm via Parseval."""
-    return float(np.sqrt(parseval(v.grid, v.uh)[0]))
+    return float(np.sqrt(parseval(v.grid, v.w)[0]))
 
 
 def norm_grad_l2(v: SpectralVelocity) -> float:
-    """L2 norm of the gradient: (2pi)^2 sum |xi|^2 |uhat|^2, square-rooted."""
-    return float(np.sqrt(parseval(v.grid, v.uh)[1]))
+    """L2 norm of the gradient: (2pi)^2 sum |omegahat|^2, square-rooted."""
+    return float(np.sqrt(parseval(v.grid, v.w)[1]))
 
 
 def norm_l4(v: SpectralVelocity) -> float:
@@ -449,29 +415,7 @@ def norm_l4(v: SpectralVelocity) -> float:
 def inner_l2(a: SpectralVelocity, b: SpectralVelocity) -> float:
     """Parseval inner product int a . b dx."""
     _require_same_grid(a, b)
-    return float(parseval(a.grid, a.uh, b.uh)[0])
-
-
-def vorticity(v: SpectralVelocity) -> np.ndarray:
-    """The vorticity coefficients i (k1 uhat2 - k2 uhat1) of v, one (n, n/2+1) plane."""
-    g = v.grid
-    return 1j * (g.k1 * v.u2 - g.k2 * v.u1)
-
-
-def from_vorticity(grid: Grid, w: np.ndarray) -> SpectralVelocity:
-    """The mean-zero, divergence-free field with vorticity coefficients w: grid.lift * w."""
-    return SpectralVelocity(grid, grid.lift * w)
-
-
-def vorticity_parseval(grid: Grid, w: np.ndarray) -> np.ndarray:
-    """(|u|^2, |grad u|^2) of the field with vorticity coefficients w (..., n, n/2+1), as (..., 2).
-
-    |grad u|^2 = (2pi)^2 sum |omegahat|^2 and |u|^2 = (2pi)^2 sum |omegahat|^2 / |xi|^2 over
-    the lattice, weighted by grid.vort_w.  The three-operand einsum squares
-    and sums in one pass without a temporary.
-    """
-    x = w.view(float).reshape(w.shape[:-2] + (-1,))
-    return np.einsum("...i,...i,ji->...j", x, x, grid.vort_w)
+    return float(parseval(a.grid, a.w, b.w)[0])
 
 
 def _scrub(d: np.ndarray, floor: float, mod: np.ndarray, small: np.ndarray) -> np.ndarray:
@@ -519,105 +463,63 @@ def _traceless(phys, P: np.ndarray, S: np.ndarray) -> None:
             P += S[:2]
 
 
-def _project_products(grid: Grid, F: np.ndarray, floor: float, out: np.ndarray,
-                      ws: Workspace) -> np.ndarray:
-    """-P div of a product tensor from its unnormalised rfft2 planes F, into out (2, n, n/2+1).
+def _contract(grid: Grid, F: np.ndarray, floor: float, out: np.ndarray, mod: np.ndarray,
+              small: np.ndarray) -> np.ndarray:
+    """out = (grid.curl * F).sum(axis=0), then one scrub against floor.
 
-    F[:2] = (T12, T22 - T11) of the symmetric part contract with grid.div, bit
-    for bit as (grid.div * F[:2]).sum(axis=1).  An optional F[2] is the
-    antisymmetric part A12 = -A21, whose divergence (-d2 A12, d1 A12) is
-    already divergence-free: it needs only the derivative and the mask.  One
-    scrub against floor follows and the mean mode is set to 0; ws.coef,
-    ws.mod and ws.small serve as scratch.
+    F holds the unnormalised rfft2 planes (T12, T22 - T11) of a product
+    tensor, optionally followed by its antisymmetric part A12, and is
+    overwritten; out (n, n/2+1) receives the vorticity of the dealiased
+    -P div T / n^2.  mod and small, of out's shape, are the scrub's scratch.
     """
-    div = grid.div
-    np.multiply(div[:, 0], F[0], out=out)
-    np.multiply(div[:, 1], F[1], out=ws.coef)
-    out += ws.coef
+    curl = grid.curl
+    np.multiply(curl[1], F[1], out=F[1])
+    np.multiply(curl[0], F[0], out=out)
+    out += F[1]
     if len(F) == 3:
-        curl = (1j / (float(grid.n) * grid.n)) * grid.dealias * F[2]
-        out[0] += grid.k2 * curl
-        out[1] -= grid.k1 * curl
-    _scrub(out, floor, ws.mod, ws.small)
-    out[:, 0, 0] = 0.0
-    return out
+        F[2] *= curl[2]
+        out += F[2]
+    return _scrub(out, floor, mod, small)
 
 
 class Workspace:
     """The planes of the advection kernel on one grid, allocated once per solver run or stack.
 
-    load puts an entry's dealiased physical planes into phys[k]; level and
-    curl_level sum the products of phys[:k] as a stack level, forward-
-    transform the two traceless planes and contract them into a caller's
-    array.  None of them allocates a plane.
+    load puts an entry's dealiased physical velocity planes into phys[k];
+    level sums the products of phys[:k] as a stack level, forward-transforms
+    the two traceless planes and contracts them into a caller's vorticity
+    plane.  Neither allocates a plane.
     """
 
     def __init__(self, grid: Grid, depth: int = 1):
         n, hc = grid.n, grid.n // 2 + 1
         self.grid = grid
-        # the 2/3 mask and irfft2's n^2 scale; complex, like every multiplier of a
-        # complex plane here, since a real one is cast through a temporary per call
-        self.band = grid.dealias * complex(float(n) * n)
+        # lift, 2/3 mask and irfft2's n^2 scale in one complex multiplier, since a
+        # real one is cast through a temporary per call
+        self.lift = grid.lift * (grid.dealias * (float(n) * n))
         self.coef = np.empty((2, n, hc), dtype=complex)
         self.phys = np.empty((depth, 2, n, n))
         self.planes = np.empty((2, n, n))
         self.scratch = np.empty((3, n, n))
         self.fwd = np.empty((2, n, hc), dtype=complex)
         self.mod = np.empty((2, n, hc))
-        self.small = np.empty((2, n, hc), dtype=bool)
+        self.small = np.empty((n, hc), dtype=bool)
 
-    def load(self, k: int, h: np.ndarray, mult: np.ndarray) -> None:
-        """phys[k] = the physical planes of h * mult, whose mult carries the mask and n^2.
-
-        mult is band for a field's coefficients and band * grid.lift for a
-        vorticity plane.
-        """
-        np.multiply(h, mult, out=self.coef)
+    def load(self, k: int, w: np.ndarray) -> None:
+        """phys[k] = the dealiased physical velocity planes of the vorticity plane w."""
+        np.multiply(w, self.lift, out=self.coef)
         irfft2(self.coef, self.grid.n, out=self.phys[k])
 
-    def _forward(self, k: int) -> float:
-        """fwd = rfft2 of level k's traceless planes; returns the scrub floor 1e-12 max|fwd| / n^2."""
-        _traceless(self.phys[:k], self.planes, self.scratch)
-        rfft2(self.planes, out=self.fwd)
-        np.abs(self.fwd, out=self.mod)
-        return 1e-12 * (float(self.mod.max()) / (float(self.grid.n) * self.grid.n))
-
     def level(self, k: int, out: np.ndarray) -> np.ndarray:
-        """out = -P div sum_{j<k} e_j (x) e_{k-1-j}, dealiased, from phys[:k]."""
-        return _project_products(self.grid, self.fwd, self._forward(k), out, self)
+        """out = the vorticity of -P div sum_{j<k} e_j (x) e_{k-1-j}, dealiased, from phys[:k].
 
-    def curl_level(self, k: int, out: np.ndarray) -> np.ndarray:
-        """out = the vorticity (n, n/2+1) of level(k): grid.curl contracted, then one scrub."""
-        floor = self._forward(k)
-        curl, F = self.grid.curl, self.fwd
-        np.multiply(curl[1], F[1], out=F[1])
-        np.multiply(curl[0], F[0], out=out)
-        out += F[1]
-        return _scrub(out, floor, self.mod[0], self.small[0])
-
-
-def _level(grid: Grid, coefs: list[np.ndarray]) -> np.ndarray:
-    """-P div sum_{j<k} e_j (x) e_{k-1-j} of k fields' coefficients, in a workspace of its own."""
-    ws = Workspace(grid, len(coefs))
-    for j, h in enumerate(coefs):
-        ws.load(j, h, ws.band)
-    return ws.level(len(coefs), np.empty_like(coefs[0]))
-
-
-def _advect_pair(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """-P div(a (x) b) of two fields' coefficients, dealiased.
-
-    The planes are T12 and T22 - T11 of the symmetric part of a (x) b and its
-    antisymmetric part (a1 b2 - a2 b1) / 2.
-    """
-    ws = Workspace(grid, 2)
-    ws.load(0, a, ws.band)
-    ws.load(1, b, ws.band)
-    (A1, A2), (B1, B2) = ws.phys
-    cross, swap = A1 * B2, A2 * B1
-    F = rfft2(np.stack([0.5 * (cross + swap), A2 * B2 - A1 * B1, 0.5 * (cross - swap)]))
-    floor = 1e-12 * (float(np.max(np.abs(F))) / (float(grid.n) * grid.n))
-    return _project_products(grid, F, floor, np.empty_like(a), ws)
+        The scrub floor is 1e-12 max |fwd| / n^2 of the level's summed products.
+        """
+        _traceless(self.phys[:k], self.planes, self.scratch)
+        F = rfft2(self.planes, out=self.fwd)
+        np.abs(F, out=self.mod)
+        floor = 1e-12 * (float(self.mod.max()) / (float(self.grid.n) * self.grid.n))
+        return _contract(self.grid, F, floor, out, self.mod[0], self.small)
 
 
 def nonlinear_term(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVelocity:
@@ -626,20 +528,31 @@ def nonlinear_term(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVelocity
     Products are formed in physical space on the n-grid; with inputs
     truncated to |xi|_inf <= k_cut and 3 k_cut < n, the retained output
     modes are the exact convolution of the truncated inputs.  Bilinear in
-    (a, b); the output is divergence-free.  Raises GridMismatchError if the
-    grids differ.
+    (a, b).  For a is b this is a one-entry level; otherwise the planes are
+    T12 and T22 - T11 of the symmetric part of a (x) b and its antisymmetric
+    part (a1 b2 - a2 b1) / 2.  Raises GridMismatchError if the grids differ.
     """
     _require_same_grid(a, b)
     g = a.grid
+    ws = Workspace(g, 2)
+    ws.load(0, a.w)
     if b is a:
-        return SpectralVelocity(g, _level(g, [a.uh]))
-    return SpectralVelocity(g, _advect_pair(g, a.uh, b.uh))
+        return SpectralVelocity(g, ws.level(1, np.empty_like(a.w)))
+    ws.load(1, b.w)
+    (A1, A2), (B1, B2) = ws.phys
+    cross, swap = A1 * B2, A2 * B1
+    F = rfft2(np.stack([0.5 * (cross + swap), A2 * B2 - A1 * B1, 0.5 * (cross - swap)]))
+    floor = 1e-12 * (float(np.max(np.abs(F))) / (float(g.n) * g.n))
+    return SpectralVelocity(g, _contract(g, F, floor, np.empty_like(a.w), ws.mod[0], ws.small))
 
 
 def nonlinear_symmetric(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVelocity:
     """-P div(a (x) b + b (x) a); equals nonlinear_term(a,b) + nonlinear_term(b,a)."""
     _require_same_grid(a, b)
-    return SpectralVelocity(a.grid, _level(a.grid, [a.uh, b.uh]))
+    ws = Workspace(a.grid, 2)
+    ws.load(0, a.w)
+    ws.load(1, b.w)
+    return SpectralVelocity(a.grid, ws.level(2, np.empty_like(a.w)))
 
 
 # ---------------------------------------------------------------------------
@@ -654,26 +567,25 @@ def physical_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
 def taylor_green(grid: Grid, amplitude: float = 1.0) -> SpectralVelocity:
     """The vortex A (sin x cos y, -cos x sin y); its advection is a pure gradient.
 
-    Coefficients are placed analytically (exact zeros off the four corner
-    modes (+-1, +-1), two of which are stored), so derivative stacks built on
-    this field stay clean.
+    Its vorticity 2A sin x sin y is placed analytically (exact zeros off the
+    four corner modes (+-1, +-1), two of which are stored), so derivative
+    stacks built on this field stay clean.
     """
     if amplitude <= 0:
         raise ConfigurationError("taylor_green amplitude must be positive")
-    uh = np.zeros((2,) + grid.k_sq.shape, dtype=complex)
-    q = 0.25j * amplitude
+    w = np.zeros(grid.k_sq.shape, dtype=complex)
     for s1 in (1, -1):
-        uh[:, s1 % grid.n, 1] = (-q * s1, q)
-    return SpectralVelocity(grid, uh)
+        w[s1 % grid.n, 1] = -0.5 * s1 * amplitude
+    return SpectralVelocity(grid, w)
 
 
 def shear_flow(grid: Grid, amplitude: float = 1.0) -> SpectralVelocity:
-    """The single-mode shear A (sin y, 0); u.grad u vanishes identically."""
+    """The single-mode shear A (sin y, 0), vorticity -A cos y; u.grad u vanishes identically."""
     if amplitude <= 0:
         raise ConfigurationError("shear amplitude must be positive")
-    uh = np.zeros((2,) + grid.k_sq.shape, dtype=complex)
-    uh[0, 0, 1] = -0.5j * amplitude
-    return SpectralVelocity(grid, uh)
+    w = np.zeros(grid.k_sq.shape, dtype=complex)
+    w[0, 1] = -0.5 * amplitude
+    return SpectralVelocity(grid, w)
 
 
 def random_spectrum_field(grid: Grid, decay: float, k_max: float, seed: int,
@@ -722,7 +634,7 @@ def make_initial_data(grid: Grid, spec: dict) -> SpectralVelocity:
 
 
 def mode_energies(v: SpectralVelocity) -> tuple[np.ndarray, np.ndarray]:
-    """Energy (2pi)^2 |uhat|^2 grouped by the integer eigenvalue |xi|^2.
+    """Energy (2pi)^2 |omegahat|^2 / |xi|^2 grouped by the integer eigenvalue |xi|^2.
 
     Returns (lams, energies) with lams the sorted distinct |xi|^2 > 0 that
     carry energy: the Parseval sum of norm_l2, split by grid.shells.  Shells
@@ -730,7 +642,7 @@ def mode_energies(v: SpectralVelocity) -> tuple[np.ndarray, np.ndarray]:
     construction and are dropped, so sum(energies) matches norm_l2(v)^2 to
     that relative accuracy.
     """
-    x = v.uh.view(float).ravel()
+    x = v.w.view(float).ravel()
     acc = np.bincount(v.grid.shells, weights=v.grid.parseval_w[0] * (x * x))
     floor = 1e-28 * float(np.sum(acc))
     lams = np.nonzero(acc > floor)[0]

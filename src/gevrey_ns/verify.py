@@ -21,9 +21,8 @@ from .functionals import (FunctionalSeries, TheoremLhs, fit_decay,
                           theorem2_log_rhs, theorem2_rhs, theorem3_rhs,
                           theorem4_rhs, theorem4_t0, theorem_lhs)
 from .solver import Trajectory, integrate
-from .spectral import (Grid, SpectralVelocity, leray, make_grid,
-                       make_initial_data, mode_energies, norm_l2, shear_flow,
-                       taylor_green)
+from .spectral import (Grid, SpectralVelocity, make_grid, make_initial_data,
+                       mode_energies, norm_l2, shear_flow, taylor_green)
 from .stokes import stokes_derivative_stack
 
 
@@ -51,57 +50,64 @@ class C0Estimate:
 class _AscentPlanes:
     """The arrays of a C0 ascent of S fields on grid g, allocated once per estimate.
 
-    band is g's band DFT on the 2x-oversampled grid; U, q and sq are physical
-    planes, mid the transforms' intermediate, d and tmp spectral scratch and
-    grad the kernel's output.
+    band is g's band DFT on the 2x-oversampled grid; uh receives the lifted
+    velocity and then the analysed cubic, U, q and sq are physical planes,
+    mid the transforms' intermediate, tmp vorticity scratch and grad the
+    kernel's output.
     """
 
     def __init__(self, g: Grid, S: int):
         m, hc = 2 * g.n, g.n // 2 + 1
         self.band = spectral.band_dft(g, m)
+        self.uh = np.empty((S, 2, g.n, hc), dtype=complex)
         self.U = np.empty((S, 2, m, m))
         self.q = np.empty((S, 1, m, m))
         self.sq = np.empty((S, 1, m, m))
         self.mid = np.empty((S, 2, m, hc), dtype=complex)
-        self.d, self.tmp, self.grad = np.empty((3, S, 2, g.n, hc), dtype=complex)
+        self.tmp, self.grad = np.empty((2, S, g.n, hc), dtype=complex)
 
 
 def _rayleigh_batch(g: Grid, Z: np.ndarray,
                     ws: _AscentPlanes | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Rayleigh ratios |z|_{L4}^2 / (|z|_{L2} |grad z|_{L2}) of a stack Z of
-    S field coefficient arrays on grid g, shape (S,), and the projected
-    spectral gradients of their logs, from one band synthesis and one band
-    analysis for the whole stack.
+    S vorticity planes on grid g, shape (S,), and the vorticity of the
+    projected spectral gradients of their logs, from one band synthesis and
+    one band analysis for the whole stack.
 
-    |z|^2 and the cubic |z|^2 z are formed on the 2x-oversampled grid; for
-    fields on a cap grid both the quartic integral and the cubic's retained
-    modes are exact there.  Every reduction is per row, so no row affects
-    another.  The work runs in ws (fresh planes if None), and the gradients
-    returned are its grad.
+    The planes are lifted to the velocity, and |z|^2 and the cubic |z|^2 z
+    are formed on the 2x-oversampled grid; for fields on a cap grid both the
+    quartic integral and the cubic's retained modes are exact there.  The
+    projected gradient is the curl of the analysed cubic plus the planes'
+    own terms.  Every reduction is per row, so no row affects another.  The
+    work runs in ws (fresh planes if None), and the gradients returned are
+    its grad.
     """
     ws = _AscentPlanes(g, len(Z)) if ws is None else ws
-    U, q, sq, d, tmp = ws.U, ws.q, ws.sq, ws.d, ws.tmp
-    ws.band.synthesize(Z, out=U, mid=ws.mid)
+    U, q, sq, uh, tmp, grad = ws.U, ws.q, ws.sq, ws.uh, ws.tmp, ws.grad
+    np.multiply(g.lift, Z[:, None], out=uh)
+    ws.band.synthesize(uh, out=U, mid=ws.mid)
     np.multiply(U[:, :1], U[:, :1], out=q)
     np.multiply(U[:, 1:], U[:, 1:], out=sq)
     q += sq
     np.multiply(q, q, out=sq)
-    l4sq = np.sqrt(np.sum(sq, axis=(1, 2, 3), keepdims=True)) * (2.0 * np.pi / ws.band.m)
-    l2sq, g2sq = spectral.parseval(g, Z).T[..., None, None, None]
+    l4sq = np.sqrt(np.sum(sq, axis=(1, 2, 3))) * (2.0 * np.pi / ws.band.m)
+    l2sq, g2sq = spectral.parseval(g, Z).T
     U *= q
-    ws.band.analyze(U, out=d, mid=ws.mid)
-    # d = 2 cub / l4sq^2 - Z / l2sq - |xi|^2 Z / g2sq
-    d *= 2.0
-    d /= l4sq ** 2
-    d -= np.divide(Z, l2sq, out=tmp)
+    cub = ws.band.analyze(U, out=uh, mid=ws.mid)
+    # grad = 2 i (k1 cub2 - k2 cub1) / l4sq^2 - Z / l2sq - |xi|^2 Z / g2sq
+    np.multiply(g.k1, cub[:, 1], out=grad)
+    np.multiply(g.k2, cub[:, 0], out=tmp)
+    grad -= tmp
+    grad *= (2j / l4sq ** 2)[:, None, None]
+    grad -= np.divide(Z, l2sq[:, None, None], out=tmp)
     np.multiply(g.k_sq, Z, out=tmp)
-    d -= np.divide(tmp, g2sq, out=tmp)
-    return (l4sq / np.sqrt(l2sq * g2sq)).ravel(), spectral._project(g, d, ws.grad, tmp)
+    grad -= np.divide(tmp, g2sq[:, None, None], out=tmp)
+    return l4sq / np.sqrt(l2sq * g2sq), grad
 
 
 def _l2(g: Grid, Z: np.ndarray) -> np.ndarray:
-    """Per-row L2 norms, shape (S, 1, 1, 1), of a stack of S fields."""
-    return np.sqrt(spectral.parseval(g, Z)[:, :1, None, None])
+    """Per-row L2 norms, shape (S, 1, 1), of a stack of S vorticity planes."""
+    return np.sqrt(spectral.parseval(g, Z)[:, :1, None])
 
 
 def _capped_sample(grid: Grid, k_cap: int, seed_pair) -> SpectralVelocity:
@@ -121,7 +127,7 @@ def _capped_sample(grid: Grid, k_cap: int, seed_pair) -> SpectralVelocity:
     u = np.zeros((2, n, n), dtype=complex)
     u[:, p % n, q % n] = c
     u[:, -p % n, -q % n] = np.conj(c)
-    return leray(spectral.from_lattice(grid, u))
+    return spectral.from_lattice(grid, u)
 
 
 def estimate_c0(grid: Grid, n_samples: int = 6, ascent_steps: int = 120,
@@ -133,16 +139,17 @@ def estimate_c0(grid: Grid, n_samples: int = 6, ascent_steps: int = 120,
     by design rather than by rounding), and random band-limited draws; each
     is refined by normalized gradient ascent on the Rayleigh ratio,
     constrained to |xi|_inf <= k_cap.  All starts are stepped together as
-    one (n_samples, 2, n, n/2+1) stack, so each ascent step is one band
-    synthesis and one band analysis (spectral.BandDFT) whatever n_samples
-    is, written into arrays allocated once per call; each row keeps its own
-    step, its own best value, and stops where its gradient vanishes.  The
-    ascent runs on the cap grid of 2 k_cap + 2 modes, whose retained band
-    is exactly the cap box, so the result depends on grid only through the
-    clamp k_cap <= grid.n / 2 - 1 and is bit-identical for every
-    n >= 2 k_cap + 2.  Deterministic per seed; the first k sample values do
-    not depend on n_samples >= k, so the estimate is nondecreasing in
-    n_samples.  Raises ConfigurationError if n_samples < 1 or k_cap < 3.
+    one (n_samples, n, n/2+1) stack of vorticity planes, so each ascent step
+    is one band synthesis and one band analysis (spectral.BandDFT) whatever
+    n_samples is, written into arrays allocated once per call; each row
+    keeps its own step, its own best value, and stops where its gradient
+    vanishes.  The ascent runs on the cap grid of 2 k_cap + 2 modes, whose
+    retained band is exactly the cap box, so the result depends on grid
+    only through the clamp k_cap <= grid.n / 2 - 1 and is bit-identical for
+    every n >= 2 k_cap + 2.  Deterministic per seed; the first k sample
+    values do not depend on n_samples >= k, so the estimate is
+    nondecreasing in n_samples.  Raises ConfigurationError if n_samples < 1
+    or k_cap < 3.
     """
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
@@ -156,7 +163,7 @@ def estimate_c0(grid: Grid, n_samples: int = 6, ascent_steps: int = 120,
         # subspace; a small draw 1 (no random start uses index 1) moves it off
         starts.append(taylor_green(cg, 1.0) + 1e-3 * _capped_sample(cg, k_cap, [seed, 1]))
     starts += [_capped_sample(cg, k_cap, [seed, i]) for i in range(2, n_samples)]
-    Z = np.stack([z.uh for z in starts])
+    Z = np.stack([z.w for z in starts])
     Z *= 1.0 / _l2(cg, Z)
     ws = _AscentPlanes(cg, n_samples)
     best, grad = _rayleigh_batch(cg, Z, ws)
@@ -173,7 +180,7 @@ def estimate_c0(grid: Grid, n_samples: int = 6, ascent_steps: int = 120,
         r, grad = _rayleigh_batch(cg, Z, ws)
         up = r > best
         np.copyto(best, r, where=up)
-        np.copyto(best_Z, Z, where=up[:, None, None, None])
+        np.copyto(best_Z, Z, where=up[:, None, None])
     i = int(np.argmax(best))
     lams, E = mode_energies(SpectralVelocity(cg, best_Z[i]))
     shells = np.bincount(np.rint(np.sqrt(lams)).astype(int), weights=E)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gevrey_ns import (ConfigurationError, IntegrationError, SpectralVelocity,
-                       cfl_limit, energy_ledger, from_lattice, integrate, leray,
+                       cfl_limit, energy_ledger, from_lattice, integrate,
                        make_grid, nonlinear_term,
                        norm_grad_l2, norm_l2, random_spectrum_field, run, solver, spectral,
                        step, taylor_green, validate_field)
@@ -33,9 +33,9 @@ class TestStep:
         assert step(z, 1e-3).max_amplitude() == 0.0
 
     def test_nan_input_raises(self, grid32, shear):
-        uh = shear.uh.copy()
-        uh[0, 0, 1] = np.nan
-        bad = SpectralVelocity(grid32, uh)
+        w = shear.w.copy()
+        w[0, 1] = np.nan
+        bad = SpectralVelocity(grid32, w)
         with pytest.raises(IntegrationError):
             step(bad, 1e-3)
 
@@ -49,7 +49,7 @@ class TestStep:
 
         def heat(v, t):
             f = np.exp(-grid32.k_sq * t)
-            return SpectralVelocity(grid32, f * v.uh)
+            return SpectralVelocity(grid32, f * v.w)
 
         def adv(v):
             return nonlinear_term(v, v)
@@ -79,13 +79,13 @@ class TestStep:
         grid = make_grid(128)
         u = random_spectrum_field(grid, 2.0, 8, seed=128, l2_norm=1.0)
         ws, coef, planes = solver._stepper(grid, 1e-3)
-        w = spectral.vorticity(u)
+        w = u.w.copy()
         solver._advance(ws, w, coef, planes)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             solver._advance(ws, w, coef, planes)
-            spectral.vorticity_parseval(grid, w)
+            spectral.parseval(grid, w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -124,7 +124,27 @@ class TestIntegrate:
         traj = integrate(u0, dt=2e-3, t_end=0.5,
                          snapshot_times=[0.0, 0.1, 0.25, 0.5])
         for u in traj.fields:
-            validate_field(u, hermitian_tol=1e-12, div_tol=1e-12)
+            validate_field(u, hermitian_tol=1e-12)
+
+    def test_snapshots_are_independent_read_only_planes(self, grid32):
+        # integrate steps one plane in place; each snapshot must keep its own copy
+        u0 = random_spectrum_field(grid32, 2.0, 8, seed=4, l2_norm=0.8)
+        snaps = [0.0, 0.02, 0.04, 0.1]
+        traj = integrate(u0, dt=2e-3, t_end=0.1, snapshot_times=snaps)
+        planes = [u.w for u in traj.fields]
+        assert len(planes) == len(snaps)
+        for i, w in enumerate(planes):
+            assert not w.flags.writeable
+            with pytest.raises(ValueError):
+                w[0, 1] = 1.0
+            for other in planes[i + 1:]:
+                assert not np.shares_memory(w, other)
+        again = integrate(u0, dt=2e-3, t_end=0.1, snapshot_times=snaps)
+        for a, b in zip(traj.fields, again.fields):
+            assert np.array_equal(a.w, b.w)
+        # the first plane is u0's own; later ones differ from it and from each other
+        assert traj.fields[0] is u0
+        assert not any(np.array_equal(a, b) for a, b in zip(planes, planes[1:]))
 
     def test_grad_sq_matches_gradient_norm_at_every_snapshot(self, grid32):
         u0 = random_spectrum_field(grid32, 2.0, 8, seed=4, l2_norm=0.8)
@@ -177,7 +197,7 @@ class TestEnergyLedger:
 class TestTemporalConvergence:
     def test_order_at_least_three_and_a_half(self, grid32, tg):
         pert = random_spectrum_field(grid32, 2.0, 4, seed=21, l2_norm=0.2)
-        u0 = leray(tg + pert)
+        u0 = tg + pert
         t_end = 0.4
         ref = integrate(u0, dt=1e-3, t_end=t_end).fields[-1]
         dts = [2e-2, 1e-2, 5e-3]

@@ -5,13 +5,12 @@ import pytest
 import scipy.fft as sfft
 
 from gevrey_ns import (ConfigurationError, FieldInvariantError, GridMismatchError,
-                       SpectralVelocity, divergence_defect, from_lattice, from_physical,
-                       hermitian_defect, inner_l2, leray, leray_project, make_grid,
-                       make_initial_data, mode_energies, nonlinear_symmetric,
-                       nonlinear_term, norm_grad_l2, norm_l2, norm_l4, parseval, random_spectrum_field,
-                       shear_flow, spectral, taylor_green, to_physical,
-                       transform_roundtrip, validate_field)
-from gevrey_ns.spectral import Workspace, _project_products, from_vorticity, vorticity
+                       SpectralVelocity, from_lattice, from_physical, hermitian_defect,
+                       inner_l2, leray_project, make_grid, make_initial_data, mode_energies,
+                       nonlinear_symmetric, nonlinear_term, norm_grad_l2, norm_l2, norm_l4,
+                       parseval, random_spectrum_field, shear_flow, spectral, taylor_green,
+                       to_physical, transform_roundtrip, validate_field)
+from gevrey_ns.spectral import _contract
 
 SQRT2_PI = np.pi * np.sqrt(2.0)
 
@@ -107,10 +106,10 @@ class TestLerayProjection:
         rng = np.random.default_rng(0)
         phi = rng.standard_normal((32, 17)) + 1j * rng.standard_normal((32, 17))
         p = leray_project(grid32, np.stack([1j * grid32.k1 * phi, 1j * grid32.k2 * phi]))
-        assert p.max_amplitude() <= 1e-14 * np.max(np.abs(phi))
+        assert np.max(np.abs(p.uh)) <= 1e-14 * np.max(np.abs(phi))
 
     def test_fixes_divergence_free(self, random_field):
-        again = leray(random_field)
+        again = leray_project(random_field.grid, random_field.uh)
         assert (again - random_field).max_amplitude() <= 1e-14 * random_field.max_amplitude()
 
     def test_single_mode_example(self, grid32):
@@ -129,13 +128,18 @@ class TestLerayProjection:
         a, b = rand_field(), rand_field()
         pa = leray_project(grid32, a)
         pb = leray_project(grid32, b)
-        ppa = leray(pa)
+        ppa = leray_project(grid32, pa.uh)
         assert (ppa - pa).max_amplitude() <= 1e-14 * pa.max_amplitude()
-        # self-adjoint: <Pa, b> = <a, Pb> in the Parseval inner product
-        raw_b = SpectralVelocity(grid32, b)
-        raw_a = SpectralVelocity(grid32, a)
-        lhs = inner_l2(pa, raw_b)
-        rhs = inner_l2(raw_a, pb)
+        # self-adjoint on the raw arrays: <Pa, b> = <a, Pb> in the half-spectrum
+        # inner product, each column weighted by the lattice columns it stands for
+        col_w = np.full(17, 2.0)
+        col_w[[0, -1]] = 1.0
+
+        def dot(x, y):
+            return float(np.sum(col_w * (np.conj(x) * y).real))
+
+        lhs = dot(pa.uh, b)
+        rhs = dot(a, pb.uh)
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
@@ -224,29 +228,33 @@ class TestAdvectionTensor:
         grid = make_grid(n)
         hc = n // 2 + 1
         rng = np.random.default_rng(n)
-        # (T11, T12, T22) of a symmetric T; the table reads its traceless planes
-        T = rng.standard_normal((3, n, hc)) + 1j * rng.standard_normal((3, n, hc))
-        F = np.stack([T[1], T[2] - T[0]])
-        d = (grid.div * F).sum(axis=1)
-        # explicit -P(i xi . T) * mask / n^2, with T12 in both off-diagonal slots
+        # (T11, S12, T22, A12) of a tensor with symmetric part S and antisymmetric
+        # part A; the kernel reads the traceless planes and A12
+        T = rng.standard_normal((4, n, hc)) + 1j * rng.standard_normal((4, n, hc))
+        F = np.stack([T[1], T[2] - T[0], T[3]])
         k1, k2 = grid.k1, grid.k2
         mask = grid.dealias
-        a1 = 1j * (k1 * T[0] + k2 * T[1])
-        a2 = 1j * (k1 * T[1] + k2 * T[2])
-        s = (k1 * a1 + k2 * a2) * grid.inv_k_sq
-        ref = -np.stack([a1 - k1 * s, a2 - k2 * s]) * mask / (n * n)
-        assert np.max(np.abs(d - ref)) <= 1e-14 * np.max(np.abs(ref))
-        # zero at xi = 0, on the Nyquist row and column and beyond k_cut
-        assert np.all(d[:, ~mask] == 0)
-        assert np.all(d[:, 0, 0] == 0)
-        assert np.all(d[:, n // 2, :] == 0) and np.all(d[:, :, hc - 1] == 0)
-        assert not mask[np.abs(grid.freqs) > grid.k_cut].any()
-        assert np.max(np.abs(k1 * d[0] + k2 * d[1])) <= 1e-14 * grid.k_cut * np.max(np.abs(d))
-        # the kernel is the same contraction bit for bit, then the roundoff scrub
-        floor = 1e-12 * (np.max(np.abs(F)) / (n * n))
-        d[np.abs(d) < floor] = 0.0
-        out = _project_products(grid, F, floor, np.empty_like(d), Workspace(grid, 0))
-        assert np.array_equal(out, d)
+        for planes in (2, 3):  # the symmetric product, then with its antisymmetric row
+            w = (grid.curl[:planes] * F[:planes]).sum(axis=0)
+            d = grid.lift * w
+            # explicit -P(i xi . T) * mask / n^2 with T12 = S12 + A12, T21 = S12 - A12
+            A = T[3] if planes == 3 else 0.0
+            a1 = 1j * (k1 * T[0] + k2 * (T[1] - A))
+            a2 = 1j * (k1 * (T[1] + A) + k2 * T[2])
+            s = (k1 * a1 + k2 * a2) * grid.inv_k_sq
+            ref = -np.stack([a1 - k1 * s, a2 - k2 * s]) * mask / (n * n)
+            assert np.max(np.abs(d - ref)) <= 1e-14 * np.max(np.abs(ref))
+            # zero at xi = 0, on the Nyquist row and column and beyond k_cut
+            assert np.all(w[~mask] == 0) and w[0, 0] == 0
+            assert np.all(w[n // 2, :] == 0) and np.all(w[:, hc - 1] == 0)
+            assert not mask[np.abs(grid.freqs) > grid.k_cut].any()
+            assert np.max(np.abs(k1 * d[0] + k2 * d[1])) <= 1e-14 * grid.k_cut * np.max(np.abs(d))
+            # the kernel is the same contraction bit for bit, then the roundoff scrub
+            floor = 1e-12 * (np.max(np.abs(F[:planes])) / (n * n))
+            w[np.abs(w) < floor] = 0.0
+            out = _contract(grid, F[:planes].copy(), floor, np.empty_like(w),
+                            np.empty((n, hc)), np.empty((n, hc), dtype=bool))
+            assert np.array_equal(out, w)
 
     @pytest.mark.parametrize("n", [16, 32, 128])
     def test_div_is_lift_times_curl(self, n):
@@ -255,21 +263,26 @@ class TestAdvectionTensor:
         k_sq = k1 * k1 + k2 * k2
         inv = np.divide(1.0, k_sq, out=np.zeros_like(k_sq), where=k_sq > 0)
         lift = np.stack([1j * k2 * inv, -1j * k1 * inv])
-        curl = grid.dealias * np.stack([k1 * k1 - k2 * k2, k1 * k2]) / (n * n)
+        curl = grid.dealias * np.stack([k1 * k1 - k2 * k2, k1 * k2, k_sq]) / (n * n)
         assert np.max(np.abs(grid.lift - lift)) <= 1e-15 * np.max(np.abs(lift))
         assert np.max(np.abs(grid.curl - curl)) <= 1e-15 * np.max(np.abs(curl))
-        div = lift[:, None] * curl
-        assert np.max(np.abs(grid.div - div)) <= 1e-15 * np.max(np.abs(div))
+        # the velocity table lift (x) curl contracts to the lift of the vorticity
+        F = np.random.default_rng(n).standard_normal((3, n, n // 2 + 1)) + 0j
+        div = (lift[:, None] * curl * F).sum(axis=1)
+        d = grid.lift * (grid.curl * F).sum(axis=0)
+        assert np.max(np.abs(d - div)) <= 1e-15 * np.max(np.abs(div))
 
     @pytest.mark.parametrize("n", [16, 32, 128])
     def test_velocity_to_vorticity_and_back(self, n):
         grid = make_grid(n)
         u = random_spectrum_field(grid, 1.0, n // 2, seed=n, l2_norm=1.0)
-        w = vorticity(u)
-        assert w.shape == grid.k_sq.shape
-        back = from_vorticity(grid, w)
+        assert u.w.shape == grid.k_sq.shape
+        uh = u.uh
+        assert uh.shape == (2,) + grid.k_sq.shape and not uh.flags.writeable
+        assert np.max(np.abs(grid.k1 * uh[0] + grid.k2 * uh[1])) <= 1e-15 * np.max(np.abs(uh))
+        back = leray_project(grid, uh)  # the curl of the lift is the identity
         assert (back - u).max_amplitude() <= 1e-15 * u.max_amplitude()
-        validate_field(back, div_tol=1e-15)
+        validate_field(back)
 
     def test_pair_splits_into_symmetric_and_antisymmetric_parts(self, grid32):
         a = random_spectrum_field(grid32, 1.5, 10, seed=8, l2_norm=2.0)
@@ -277,38 +290,40 @@ class TestAdvectionTensor:
         ab, ba = nonlinear_term(a, b), nonlinear_term(b, a)
         sym = nonlinear_symmetric(a, b)
         assert (ab + ba - sym).max_amplitude() <= 1e-13 * sym.max_amplitude()
-        validate_field(ab, div_tol=1e-13)
+        validate_field(ab)
         assert (ab - ba).max_amplitude() > 1e-3 * sym.max_amplitude()
 
 
 class TestParseval:
     @pytest.mark.parametrize("n", [8, 32, 36, 128])
     def test_matches_the_full_lattice_sum(self, n):
-        # reference: (2 pi)^2 sum over the whole lattice of numpy.fft.fft2 of physical fields
+        # reference: (2 pi)^2 sum over the whole lattice of numpy.fft.fft2 of physical
+        # vorticities, |omegahat|^2 / |xi|^2 for |u|^2 and |omegahat|^2 for |grad u|^2
         grid = make_grid(n)
-        X = np.random.default_rng(n).standard_normal((3, 2, n, n))
-        full = np.fft.fft2(X) / (n * n)
+        W = np.random.default_rng(n).standard_normal((3, n, n))
+        full = np.fft.fft2(W) / (n * n)
         k = np.fft.fftfreq(n, 1.0 / n)
         k_sq = k[:, None] ** 2 + k[None, :] ** 2
+        inv = np.divide(1.0, k_sq, out=np.zeros_like(k_sq), where=k_sq > 0)
         sq = np.abs(full) ** 2
-        ref = (2.0 * np.pi) ** 2 * np.stack([np.sum(sq, axis=(1, 2, 3)),
-                                             np.sum(k_sq * sq, axis=(1, 2, 3))], axis=-1)
-        H = np.fft.rfft2(X) / (n * n)  # a batched (3, 2, n, n/2+1) stack
+        ref = (2.0 * np.pi) ** 2 * np.stack([np.sum(inv * sq, axis=(1, 2)),
+                                             np.sum(sq, axis=(1, 2))], axis=-1)
+        H = np.fft.rfft2(W) / (n * n)  # a batched (3, n, n/2+1) stack of planes
         sums = parseval(grid, H)
         assert sums.shape == (3, 2)
         assert sums == pytest.approx(ref, rel=1e-14)
         for s in range(3):  # a field's sums do not depend on the batch it rides in
             assert np.array_equal(parseval(grid, H[s]), sums[s])
-        cross = (2.0 * np.pi) ** 2 * np.sum((np.conj(full[0]) * full[1]).real)
+        cross = (2.0 * np.pi) ** 2 * np.sum(inv * (np.conj(full[0]) * full[1]).real)
         scale = np.sqrt(ref[0, 0] * ref[1, 0])
         assert abs(parseval(grid, H[0], H[1])[0] - cross) <= 1e-14 * scale
 
     def test_every_norm_reads_the_same_sums(self, random_field, tg):
         v = random_field
-        l2_sq, grad_sq = parseval(v.grid, v.uh)
+        l2_sq, grad_sq = parseval(v.grid, v.w)
         assert norm_l2(v) == np.sqrt(l2_sq) and norm_grad_l2(v) == np.sqrt(grad_sq)
         assert inner_l2(v, v) == l2_sq
-        assert inner_l2(v, tg) == parseval(v.grid, v.uh, tg.uh)[0]
+        assert inner_l2(v, tg) == parseval(v.grid, v.w, tg.w)[0]
         lams, E = mode_energies(v)
         assert np.sum(E) == pytest.approx(l2_sq, rel=1e-14)
         assert np.sum(lams * E) == pytest.approx(grad_sq, rel=1e-14)
@@ -366,16 +381,36 @@ class TestInitialData:
         with np.errstate(divide="ignore"):
             u = g * np.where((r > 0) & (r <= k_max), r ** -decay, 0.0)
         inv = np.where(k_sq > 0, 1.0 / np.where(k_sq > 0, k_sq, 1.0), 0.0)
+        w = 1j * (k1 * u[1] - k2 * u[0])
+        w[n // 2, :] = 0.0
+        w[:, n // 2] = 0.0
+        w[0, 0] = 0.0
+        field = random_spectrum_field(grid32, decay, k_max, seed)
+        assert np.array_equal(field.w, w[:, : n // 2 + 1])
         s = (k1 * u[0] + k2 * u[1]) * inv
         u = np.stack([u[0] - k1 * s, u[1] - k2 * s])
         u[:, n // 2, :] = 0.0
         u[:, :, n // 2] = 0.0
         u[:, 0, 0] = 0.0
-        assert np.array_equal(random_spectrum_field(grid32, decay, k_max, seed).uh,
-                              u[..., : n // 2 + 1])
+        half = u[..., : n // 2 + 1]
+        assert np.max(np.abs(field.uh - half)) <= 1e-15 * np.max(np.abs(half))
         scaled = random_spectrum_field(grid32, decay, k_max, seed, l2_norm=2.0)
-        ref = u * (2.0 / (2.0 * np.pi * np.sqrt(np.sum(np.abs(u) ** 2))))
-        assert np.max(np.abs(scaled.uh - ref[..., : n // 2 + 1])) <= 1e-15 * np.max(np.abs(ref))
+        c = 2.0 / (2.0 * np.pi * np.sqrt(np.sum(np.abs(u) ** 2)))
+        assert np.max(np.abs(scaled.w - c * w[:, : n // 2 + 1])) <= 1e-15 * c * np.max(np.abs(w))
+
+    @pytest.mark.parametrize("n", [8, 32, 128])
+    def test_closed_forms_lift_to_their_exact_velocity_coefficients(self, n):
+        # the vorticity is placed so that the lift gives the analytic coefficients exactly
+        grid = make_grid(n)
+        for A in (1.0, 0.37, 2.5):
+            q = 0.25j * A
+            ref = np.zeros((2, n, n // 2 + 1), dtype=complex)
+            for s1 in (1, -1):
+                ref[:, s1 % n, 1] = (-q * s1, q)
+            assert np.array_equal(taylor_green(grid, A).uh, ref)
+            ref = np.zeros_like(ref)
+            ref[0, 0, 1] = -0.5j * A
+            assert np.array_equal(shear_flow(grid, A).uh, ref)
 
     def test_random_spectrum_cutoff(self, grid32):
         v = random_spectrum_field(grid32, 2.0, 5, seed=1)
@@ -406,42 +441,46 @@ class TestInitialData:
 class TestValidation:
     @staticmethod
     def broken(shear, index, value):
-        uh = shear.uh.copy()
-        uh[index] = value
-        return SpectralVelocity(shear.grid, uh)
+        w = shear.w.copy()
+        w[index] = value
+        return SpectralVelocity(shear.grid, w)
 
     def test_detects_nonzero_mean(self, shear):
         with pytest.raises(FieldInvariantError, match="mean"):
-            validate_field(self.broken(shear, (0, 0, 0), 1e-3))
+            validate_field(self.broken(shear, (0, 0), 1e-3))
 
     def test_detects_nyquist(self, shear):
         with pytest.raises(FieldInvariantError, match="Nyquist"):
-            validate_field(self.broken(shear, (0, 16, 3), 1e-3))  # Nyquist row
+            validate_field(self.broken(shear, (16, 3), 1e-3))  # Nyquist row
 
     def test_detects_nyquist_column(self, shear):
         with pytest.raises(FieldInvariantError, match="Nyquist"):
-            validate_field(self.broken(shear, (1, 5, 16), 1e-3))
+            validate_field(self.broken(shear, (5, 16), 1e-3))
 
     def test_detects_hermitian_break(self, shear):
         # column 0 stores both (2, 0) and its partner (-2, 0): the one place
         # where the half layout can break symmetry
         with pytest.raises(FieldInvariantError, match="Hermitian"):
-            validate_field(self.broken(shear, (0, 2, 0), 0.7))
+            validate_field(self.broken(shear, (2, 0), 0.7))
 
     def test_rejects_a_full_lattice_shape(self, grid32):
         with pytest.raises(FieldInvariantError, match="shape"):
-            validate_field(SpectralVelocity(grid32, np.zeros((2, 32, 32), complex)))
+            SpectralVelocity(grid32, np.zeros((32, 32), complex))
 
-    def test_detects_divergence(self, grid32):
-        uh = np.zeros((2, 32, 17), complex)
-        uh[0, 1, 0] = 1.0
-        uh[0, -1, 0] = 1.0
-        with pytest.raises(FieldInvariantError, match="divergence"):
-            validate_field(SpectralVelocity(grid32, uh))
+    def test_rejects_velocity_coefficients(self, grid32, shear):
+        # a (2, n, n/2+1) velocity array would broadcast through every plane operation
+        with pytest.raises(FieldInvariantError, match=r"shape \(2, 32, 17\), expected \(32, 17\)"):
+            SpectralVelocity(grid32, shear.uh.copy())
+        with pytest.raises(FieldInvariantError, match="shape"):
+            shear * grid32.lift
 
     def test_defect_helpers(self, random_field):
-        assert hermitian_defect(random_field.u1) <= 1e-13 * random_field.max_amplitude()
-        assert divergence_defect(random_field) <= 1e-13 * random_field.max_amplitude()
+        assert hermitian_defect(random_field.w) <= 1e-13 * random_field.max_amplitude()
+        uh = random_field.uh
+        scale = np.max(np.abs(uh))
+        assert hermitian_defect(uh) <= 1e-13 * scale
+        assert np.max(np.abs(random_field.grid.k1 * uh[0] + random_field.grid.k2 * uh[1])) \
+            <= 1e-13 * scale
 
 
 def test_from_physical_custom_field(grid32):
@@ -450,10 +489,11 @@ def test_from_physical_custom_field(grid32):
     X, Y = physical_grid(32)
     U1 = np.sin(2 * Y) + 0.3 * np.sin(X) * np.cos(3 * Y)
     U2 = -0.1 * np.cos(X) * np.sin(3 * Y)
-    v = leray(from_physical(grid32, U1, U2))
+    v = from_physical(grid32, U1, U2)
     validate_field(v)
     V1, V2 = to_physical(v)
-    # projection only removed the gradient part; re-projecting is a no-op
-    w = leray(v)
+    # the field was divergence-free, so the projection changed nothing; re-projecting is a no-op
+    assert np.max(np.abs(V1 - U1)) <= 1e-14 and np.max(np.abs(V2 - U2)) <= 1e-14
+    w = leray_project(grid32, v.uh)
     assert (w - v).max_amplitude() <= 1e-14 * v.max_amplitude()
     assert abs(np.mean(V1)) < 1e-14 and abs(np.mean(V2)) < 1e-14
