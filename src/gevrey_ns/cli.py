@@ -20,7 +20,7 @@ from .reporting import (json_dumps, write_ccc0_csv, write_functionals_csv,
 from .solver import energy_ledger, ledger_tolerance, run
 from .spectral import make_grid, make_initial_data, norm_l2
 from .stokes import stokes_gevrey_identity
-from .verify import check_theorem, estimate_c0_from_config
+from .verify import check_theorem, estimate_c0_from_config, stack_series
 
 _SUBCOMMANDS = ("stokes-verify", "estimate-c0", "ns-run", "check-thm1",
                 "check-thm2", "check-thm3", "check-thm4", "audit-lemmas",
@@ -109,9 +109,7 @@ def _cmd_ns_run(args, cfg: RunConfig) -> int:
     if cfg.out_dir:
         write_trajectory_csv(traj, Path(cfg.out_dir) / "trajectory.csv")
         if cfg.stack_depth >= 1:
-            from .verify import _stack_series
-            series = _stack_series(traj, cfg.stack_depth)
-            write_functionals_csv(series, alpha,
+            write_functionals_csv(stack_series(traj, cfg.stack_depth), alpha,
                                   Path(cfg.out_dir) / "functionals.csv")
     _emit(args, doc, cfg.out_dir)
     print(f"ns-run: {'PASS' if ok else 'FAIL'} "

@@ -95,7 +95,8 @@ class RunConfig:
         dt, t_end: step size and horizon; snapshot_times must be multiples
             of dt (defaults to 11 uniform snapshots including 0 and t_end).
         stack_depth: derivative stack depth K at each snapshot (no cap; the
-            stack is built in scaled variables).
+            stack is built in scaled variables).  Bound 2 stacks only to
+            min(K, theorem2_n_max + 1), the depth its rows read.
         truncation: order M for the diffusion-semigroup identity check.
         alphas: weight exponents to audit; exactly one for a check or a run.
         seed: master seed for data generation.
@@ -103,7 +104,8 @@ class RunConfig:
         c0: {"mode": "estimate"} with optional "n_samples" and
             "ascent_steps" (absent keys take estimate_c0's defaults) or
             {"mode": "fixed", "value": ..}.
-        theorem2_n_max: doubling depth for bound 2.
+        theorem2_n_max: doubling depth for bound 2; its row at depth n
+            reads orders <= n, so stack entries v_0..v_{n+1}.
         decay_window: fit window [a, b] for bound 4.
         gamma: decay exponent override (fitted from the trajectory if None).
         out_dir: where reports and CSVs are written (optional).

@@ -362,19 +362,9 @@ def from_physical(grid: Grid, U1: np.ndarray, U2: np.ndarray) -> SpectralVelocit
     return leray_project(grid, _analyze(grid, X))
 
 
-def transform_roundtrip(v: SpectralVelocity) -> SpectralVelocity:
-    """Physical-space roundtrip; reproduces the coefficients to ~1e-15."""
-    U1, U2 = to_physical(v)
-    return from_physical(v.grid, U1, U2)
-
-
 # ---------------------------------------------------------------------------
 # Norms, advection
 # ---------------------------------------------------------------------------
-
-def laplacian(v: SpectralVelocity) -> SpectralVelocity:
-    return SpectralVelocity(v.grid, -v.grid.k_sq * v.w)
-
 
 def parseval(grid: Grid, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Full-lattice Parseval sums of vorticity planes of shape (..., n, n/2+1), as (..., 2).

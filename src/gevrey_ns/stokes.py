@@ -166,16 +166,6 @@ def stokes_gevrey_identity(u0: SpectralVelocity, t: float, M: int = 40) -> Stoke
         residual_state_family=total_l - energy, tail_bound=tail)
 
 
-def dissipation_integral_exact(u0: SpectralVelocity, t: float) -> float:
-    """Closed form of int_0^t |grad l|^2 dtau for the heat flow of u0."""
-    if t < 0:
-        raise ConfigurationError(f"t must be >= 0, got {t}")
-    lams, E = mode_energies(u0)
-    if lams.size == 0:
-        return 0.0
-    return float(np.sum(0.5 * E * (1.0 - np.exp(-2.0 * lams * t))))
-
-
 _K_PAIRS = 60
 _LOG_FACT = log_factorials(2 * _K_PAIRS + 1)
 

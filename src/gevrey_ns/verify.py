@@ -255,7 +255,7 @@ def _add_rows(report: TheoremReport, res: TheoremLhs, k: int, rhs, sel=slice(Non
                             **cols, "quad_err": quad[i], "tail_err": tail[i]})
 
 
-def _stack_series(traj: Trajectory, K: int, fluctuation: bool = False) -> FunctionalSeries:
+def stack_series(traj: Trajectory, K: int, fluctuation: bool = False) -> FunctionalSeries:
     """Functional tables along a trajectory (t = 0 handled as the limit).
 
     With fluctuation=True the rows are of f = u - l, with the heat-flow
@@ -282,7 +282,9 @@ def check_theorem(theorem_id: int, config: RunConfig) -> TheoremReport:
 
     Every bound needs stack_depth >= 1 (ConfigurationError before any work
     otherwise).  Bound 1 requires the smallness condition (N/A otherwise);
-    bound 2 is evaluated for every doubling depth n <= theorem2_n_max; bound 3
+    bound 2 is evaluated for every doubling depth n <= theorem2_n_max, and
+    since the row at depth n reads orders <= n, it stacks only to depth
+    min(stack_depth, theorem2_n_max + 1), recorded as params["K_used"]; bound 3
     rescopes the run to the analytic existence time T0; bound 4 fits the
     decay envelope on the configured window and checks from the admissible
     origin.
@@ -327,7 +329,11 @@ def _run_check(theorem_id: int, config: RunConfig, u0: SpectralVelocity,
         traj = integrate(u0, dt=config.dt, t_end=config.t_end,
                          snapshot_times=config.resolved_snapshots(),
                          enforce_cfl=config.enforce_cfl)
-        series = _stack_series(traj, config.stack_depth)
+        K = config.stack_depth
+        if theorem_id == 2:
+            # the row at depth n reads orders <= n, so entries v_0..v_{n+1}
+            K = report.params["K_used"] = min(K, config.theorem2_n_max + 1)
+        series = stack_series(traj, K)
     if theorem_id == 1:
         _add_rows(report, theorem_lhs(series, 1, alpha), -1, u0n ** 2)
         report.extras["c0_sensitivity"] = {
@@ -421,7 +427,7 @@ def _check_theorem3(config: RunConfig, u0: SpectralVelocity, alpha: float, c0: f
     snapshot_times = [i * (n_steps // snaps) * dt for i in range(snaps + 1)]
     traj = integrate(u0, dt=dt, t_end=T0, snapshot_times=snapshot_times,
                      enforce_cfl=config.enforce_cfl)
-    fl_series = _stack_series(traj, config.stack_depth, fluctuation=True)
+    fl_series = stack_series(traj, config.stack_depth, fluctuation=True)
     res = theorem_lhs(fl_series, 3, alpha)
     _add_rows(report, res, -1, bound.rhs(res.times))
     report.extras["rhs_sensitivity"] = {

@@ -1,9 +1,29 @@
 import numpy as np
 import pytest
 
-from gevrey_ns import make_grid, random_spectrum_field, shear_flow, spectral, taylor_green
+from gevrey_ns import (SpectralVelocity, from_physical, make_grid, mode_energies,
+                       random_spectrum_field, shear_flow, spectral, taylor_green, to_physical)
 
 SQRT2_PI = np.pi * np.sqrt(2.0)
+
+
+# Oracles the package itself does not call; test modules import them from conftest.
+
+def laplacian(v):
+    """Lap v: the plane times -|xi|^2."""
+    return SpectralVelocity(v.grid, -v.grid.k_sq * v.w)
+
+
+def transform_roundtrip(v):
+    """v through physical space and back; reproduces the coefficients to ~1e-15."""
+    U1, U2 = to_physical(v)
+    return from_physical(v.grid, U1, U2)
+
+
+def dissipation_integral_exact(u0, t):
+    """Closed form of int_0^t |grad l|^2 dtau for the heat flow l of u0, t >= 0."""
+    lams, E = mode_energies(u0)
+    return float(np.sum(0.5 * E * (1.0 - np.exp(-2.0 * lams * t))))
 
 
 def _hermitian_lattice(h):

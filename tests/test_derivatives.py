@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import laplacian
 
 from gevrey_ns import (ConfigurationError, fd_convergence_check, from_lattice,
-                       heat_evolve, inner_l2, integrate, laplacian, make_grid,
-                       nonlinear_term, norm_grad_l2, norm_l2, random_spectrum_field,
-                       raw_functionals, stokes_derivative_stack,
-                       time_derivative_stack)
+                       heat_evolve, inner_l2, integrate, make_grid, nonlinear_term,
+                       norm_grad_l2, norm_l2, random_spectrum_field, raw_functionals,
+                       stokes_derivative_stack, time_derivative_stack)
 
 
 def leibniz_recursion(u, K):

@@ -73,3 +73,20 @@ def test_only_spectral_calls_numpy_fft():
     others = {p.name: _numpy_fft_uses(p) for p in sorted(package.glob("*.py"))
               if p.name != "spectral.py"}
     assert others and not any(others.values()), others
+
+
+def _private_sibling_imports(path: Path) -> list[str]:
+    """Underscore-prefixed names that path imports from a sibling module of the package."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            names += [f"{node.lineno}: {node.module}.{a.name}" for a in node.names
+                      if a.name.startswith("_")]
+    return names
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # a name another module needs is public; function-local imports count too
+    package = ROOT / "src" / "gevrey_ns"
+    found = {p.name: _private_sibling_imports(p) for p in sorted(package.glob("*.py"))}
+    assert found and not any(found.values()), found

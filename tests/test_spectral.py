@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 import scipy.fft as sfft
+from conftest import transform_roundtrip
 
 from gevrey_ns import (ConfigurationError, FieldInvariantError, GridMismatchError,
                        SpectralVelocity, from_lattice, from_physical, hermitian_defect,
                        inner_l2, leray_project, make_grid, make_initial_data, mode_energies,
                        nonlinear_symmetric, nonlinear_term, norm_grad_l2, norm_l2, norm_l4,
                        parseval, random_spectrum_field, shear_flow, spectral, taylor_green,
-                       to_physical, transform_roundtrip, validate_field)
+                       to_physical, validate_field)
 from gevrey_ns.spectral import _contract
 
 SQRT2_PI = np.pi * np.sqrt(2.0)

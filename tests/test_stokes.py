@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import dissipation_integral_exact
 from scipy.special import gammainc
 
-from gevrey_ns import (ConfigurationError, FunctionalSeries, dissipation_integral_exact,
-                       from_lattice, heat_evolve, norm_l2, raw_functionals,
-                       stokes_derivative_stack, stokes_gevrey_identity)
+from gevrey_ns import (ConfigurationError, FunctionalSeries, from_lattice, heat_evolve,
+                       norm_l2, raw_functionals, stokes_derivative_stack,
+                       stokes_gevrey_identity)
 from gevrey_ns.stokes import _h_weights, log_factorials, poisson_tail_sum
 
 SQRT2_PI = np.pi * np.sqrt(2.0)

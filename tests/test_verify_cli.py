@@ -270,6 +270,41 @@ class TestCheckTheorem:
             assert [r["tail_err"] for r in rows] == res.trunc_tail[:, k].tolist()
             assert [r["quad_err"] for r in rows] == res.quad_err[:, k].tolist()
 
+    def test_thm2_stacks_only_the_depth_its_rows_read(self):
+        # the row at depth n reads orders <= n, so entries v_0..v_{n+1}: at n_max = 2 a
+        # depth-8 config builds K = 3, and its rows are columns of the depth-8 table
+        doc = dict(THM1_CFG, stack_depth=8, theorem2_n_max=2)
+        rep = check_theorem(2, config_from_dict(doc))
+        assert rep.status == "ok"
+        assert rep.params["K"] == 8 and rep.params["K_used"] == 3 and rep.series.M == 5
+        shallow = check_theorem(2, config_from_dict(dict(doc, stack_depth=3)))
+        assert shallow.params["K_used"] == 3
+        assert json_dumps(rep.rows) == json_dumps(shallow.rows)
+        full = theorem_lhs(verify.stack_series(rep.trajectory, 8), 2, rep.params["alpha"])
+        for n in range(3):
+            rows = [r for r in rep.rows if r["n"] == n]
+            assert [r["lhs"] for r in rows] == full.lhs[:, n].tolist()
+            assert [r["tail_err"] for r in rows] == full.trunc_tail[:, n].tolist()
+            assert [r["quad_err"] for r in rows] == full.quad_err[:, n].tolist()
+
+    @pytest.mark.parametrize("theorem_id,stack_depth,n_max,K", [
+        (2, 4, 1, 2), (2, 2, 4, 2), (1, 4, 1, 4), (3, 4, 1, 4), (4, 4, 1, 4)])
+    def test_stack_depth_per_bound(self, monkeypatch, theorem_id, stack_depth, n_max, K):
+        # bound 2 stacks to min(stack_depth, theorem2_n_max + 1); bounds 1, 3 and 4 read
+        # every order and stack to the full stack_depth
+        depths, real = [], verify.time_derivative_stack
+
+        def stack(u, depth, t):
+            depths.append(depth)
+            return real(u, depth, t)
+
+        monkeypatch.setattr(verify, "time_derivative_stack", stack)
+        doc = dict(SMALL_BOUNDS[theorem_id], stack_depth=stack_depth, theorem2_n_max=n_max)
+        rep = check_theorem(theorem_id, config_from_dict(doc))
+        assert rep.status == "ok" and rep.params["K"] == stack_depth
+        assert len(depths) == len(rep.series.times) - 1 and set(depths) == {K}
+        assert rep.params.get("K_used") == (K if theorem_id == 2 else None)
+
     def test_thm2_large_data(self):
         doc = dict(THM1_CFG)
         doc["initial_data"] = {"kind": "random_spectrum", "decay": 2.0,
@@ -598,6 +633,16 @@ class TestCli:
         assert "report.json" in names and names == sorted(p.name for p in b.iterdir())
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_thm2_functionals_csv_holds_the_orders_it_stacked(self, tmp_path):
+        # n_max = 2 stacks to K_used = 3, so the orders stop at 2 K_used - 1 = 5
+        out = tmp_path / "out"
+        cfg = self._write_cfg(tmp_path, dict(SMALL_BOUNDS[2], stack_depth=8))
+        assert main(["check-thm2", "--config", cfg, "--out", str(out)]) in (0, 1)
+        params = json.loads((out / "report.json").read_text())["params"]
+        assert params["K"] == 8 and params["K_used"] == 3
+        rows = (out / "functionals.csv").read_text().splitlines()[1:]
+        assert sorted({int(r.split(",")[1]) for r in rows}) == list(range(6))
 
     def test_thm2_report_is_strict_json(self, tmp_path):
         # at doubling depth 9 the bound-2 rhs leaves the double range: the
