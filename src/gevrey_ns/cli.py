@@ -9,6 +9,7 @@ Reports are written as report.json plus CSVs under --out.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -159,7 +160,7 @@ def _cmd_audit_lemmas(args, cfg: RunConfig) -> int:
 
 def _cmd_fit_decay(args, cfg: RunConfig) -> int:
     traj = run(cfg)
-    norms = [norm_l2(u) for u in traj.fields]
+    norms = [math.sqrt(e) for e in traj.l2_sq]
     fit = fit_decay(traj.times, norms, cfg.decay_window)
     doc = {"check": "fit-decay", "K_fit": fit.K_fit, "gamma_fit": fit.gamma_fit,
            "window": list(fit.window), "residual": fit.residual,

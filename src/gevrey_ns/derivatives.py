@@ -14,56 +14,65 @@ in which the Leibniz coefficients C(k-1, j) cancel:
 The v_k stay bounded whenever the Gevrey-weighted sums converge, so there
 is no depth cap; DerivativeStack.raw(k) rescales back to u^(k).
 
-Entries are stored, like every field, as vorticity planes, so the
-recursion runs on one (n, n/2+1) plane per entry and the projection is the
-curl of the contraction.  Cost per stack of depth K: each entry
-v_0..v_{K-1} is lifted, dealiased and taken to physical space once (one
-inverse transform of 2 velocity planes per entry), and each level sums all
-its products there into the two traceless planes (T12, T22 - T11) before
-one forward transform of 2 planes, so a K = 12 stack makes 12 inverse and
-12 forward transforms.  One Workspace per stack holds the physical entries
-and the kernel's planes; a level allocates only its new entry.
+A stack is stored as one table of vorticity planes, row k the plane of
+v_k, so the recursion runs on one (n, n/2+1) plane per entry and the
+projection is the curl of the contraction.  Cost per stack of depth K: each
+entry v_0..v_{K-1} is lifted, dealiased and taken to physical space once
+(one inverse transform of 2 velocity planes per entry), and each level sums
+all its products there into the two traceless planes (T12, T22 - T11)
+before one forward transform of 2 planes, so a K = 12 stack makes 12
+inverse and 12 forward transforms.  A stack allocates its table once, and
+one Workspace holds the physical entries and the kernel's planes; each
+level is written into its row in place.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, FieldInvariantError
 from .solver import Trajectory
 # nonlinear_symmetric/nonlinear_term stay bound: bench/run.py --trace 1 wraps them here.
-from .spectral import (SpectralVelocity, Workspace, nonlinear_symmetric,  # noqa: F401
+from .spectral import (Grid, SpectralVelocity, Workspace, nonlinear_symmetric,  # noqa: F401
                        nonlinear_term, norm_l2)
 
 
 @dataclass(frozen=True)
 class DerivativeStack:
-    """Scaled time derivatives v_k = t^k u^(k) / (2^k k!), k = 0..K, at a time t > 0."""
+    """Scaled time derivatives v_k = t^k u^(k) / (2^k k!), k = 0..K, at a time t > 0.
 
+    w is the read-only (K+1, n, n/2+1) table of their vorticity planes, row k
+    the plane of v_k.  Construction checks t and the plane shape
+    (FieldInvariantError otherwise).
+    """
+
+    grid: Grid
     t: float
-    entries: list[SpectralVelocity] = field(default_factory=list)
+    w: np.ndarray
 
     @property
     def depth(self) -> int:
-        return len(self.entries) - 1
+        return len(self.w) - 1
 
     def __post_init__(self):
         if self.t <= 0:
             raise ConfigurationError(f"derivative stacks require t > 0, got {self.t}")
+        if np.ndim(self.w) != 3 or np.shape(self.w)[1:] != self.grid.k_sq.shape:
+            raise FieldInvariantError(f"stack table has shape {np.shape(self.w)}, expected "
+                                      f"(K+1,) + {self.grid.k_sq.shape}")
+        self.w.setflags(write=False)
 
     def raw(self, k: int) -> SpectralVelocity:
         """The unscaled derivative u^(k) = (2^k k! / t^k) v_k."""
-        return (2 ** k * math.factorial(k) / self.t ** k) * self.entries[k]
+        return SpectralVelocity(self.grid, (2 ** k * math.factorial(k) / self.t ** k) * self.w[k])
 
     def __sub__(self, other: "DerivativeStack") -> "DerivativeStack":
-        if self.t != other.t:
-            raise ConfigurationError("stacks evaluated at different times")
-        m = min(len(self.entries), len(other.entries))
-        return DerivativeStack(t=self.t,
-                               entries=[a - b for a, b in zip(self.entries[:m], other.entries[:m])])
+        if self.t != other.t or self.depth != other.depth:
+            raise ConfigurationError("stacks evaluated at different times or depths")
+        return DerivativeStack(self.grid, self.t, self.w - other.w)
 
 
 def time_derivative_stack(u: SpectralVelocity, K: int, t: float) -> DerivativeStack:
@@ -80,16 +89,14 @@ def time_derivative_stack(u: SpectralVelocity, K: int, t: float) -> DerivativeSt
     g = u.grid
     ws = Workspace(g, K)
     k_sq = g.k_sq.astype(complex)  # complex: no cast per product
-    entries = [u]
+    w = np.empty((K + 1,) + g.k_sq.shape, dtype=complex)
+    w[0] = u.w
     for k in range(1, K + 1):
-        prev = entries[k - 1].w
-        ws.load(k - 1, prev)
-        v = ws.level(k, np.empty_like(prev))
-        lap = np.multiply(k_sq, prev, out=ws.coef[0])  # ws.coef is free between kernel calls
-        v -= lap
+        ws.load(k - 1, w[k - 1])
+        v = ws.level(k, out=w[k])
+        v -= np.multiply(k_sq, w[k - 1], out=ws.coef[0])  # ws.coef is free between kernel calls
         v *= t / (2.0 * k)
-        entries.append(SpectralVelocity(g, v))
-    return DerivativeStack(t=t, entries=entries)
+    return DerivativeStack(g, t, w)
 
 
 @dataclass(frozen=True)

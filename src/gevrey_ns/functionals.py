@@ -85,11 +85,12 @@ def raw_functionals(stack: DerivativeStack) -> tuple[np.ndarray, np.ndarray]:
     """The tilde values (L~_m, H~_m), m <= 2K - 1, of a scaled derivative stack.
 
     H_{2K} would need entry K + 1, so the row pair stops at M = 2K - 1
-    (M = 0 for a depth-zero stack).
+    (M = 0 for a depth-zero stack).  Every entry's |v_k|^2 and |grad v_k|^2
+    come from one parseval call on the stack's table.
     """
     K, t = stack.depth, stack.t
     M = max(0, 2 * K - 1)
-    sums = np.array([parseval(e.grid, e.w) for e in stack.entries])
+    sums = parseval(stack.grid, stack.w)
     l2, grad = np.sqrt(sums[:, 0]), np.sqrt(sums[:M // 2 + 1, 1])
     k = np.arange(1, K + 1)
     L = np.empty(M + 1)

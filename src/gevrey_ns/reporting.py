@@ -13,8 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import norm_l2
-
 
 def _fmt_float(x: float) -> str:
     if x != x:
@@ -68,8 +66,8 @@ def _write_csv(path: Path, header: list[str], rows) -> Path:
 
 
 def write_trajectory_csv(traj, path: str | Path) -> Path:
-    rows = [(t, norm_l2(u), g ** 0.5, d)
-            for t, u, g, d in zip(traj.times, traj.fields, traj.grad_sq, traj.dissipation)]
+    rows = [(t, math.sqrt(e), g ** 0.5, d)
+            for t, e, g, d in zip(traj.times, traj.l2_sq, traj.grad_sq, traj.dissipation)]
     return _write_csv(Path(path), ["t", "l2_norm", "grad_l2_norm", "dissipation_accum"], rows)
 
 

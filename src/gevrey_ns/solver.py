@@ -10,8 +10,9 @@ step makes 8 transforms of 16 planes in all.  A run allocates its stage
 planes once and steps a copy of u0's plane in place; a snapshot is a copy
 of the plane, with no conversion.  Alongside the snapshots the run
 accumulates the dissipation integral int_0^t |grad u|^2 by composite
-trapezoid on the step grid, reading |grad u|^2 off the state by Parseval,
-so every trajectory carries its own energy ledger.
+trapezoid on the step grid, reading |u|^2 and |grad u|^2 off the state by
+one Parseval call per step and keeping both at every snapshot, so every
+trajectory carries its own energy ledger.
 """
 
 from __future__ import annotations
@@ -22,12 +23,15 @@ import numpy as np
 
 from .errors import ConfigurationError, IntegrationError
 from .spectral import (Grid, SpectralVelocity, Workspace, make_grid, make_initial_data,
-                       norm_l2, parseval, to_physical)
+                       parseval, to_physical)
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """Snapshots (t_i, u(t_i)) plus the running dissipation accumulator.
+
+    grad_sq and l2_sq hold |grad u(t_i)|^2 and |u(t_i)|^2, the Parseval sums
+    the run takes of every state anyway.
 
     max_step_defect is the largest one-step energy creation,
     max over steps of 0.5|u_new|^2 + trapezoid increment - 0.5|u_old|^2,
@@ -39,6 +43,7 @@ class Trajectory:
     fields: list[SpectralVelocity]
     dissipation: list[float]
     grad_sq: list[float]
+    l2_sq: list[float]
     dt: float
     max_step_defect: float = 0.0
 
@@ -113,21 +118,13 @@ def _stepper(grid: Grid, dt: float):
     return Workspace(grid), _stage_coefficients(grid, dt), planes
 
 
-def step(u: SpectralVelocity, dt: float, t: float | None = None) -> SpectralVelocity:
-    """Advance one step of size dt > 0.
+def step(u: SpectralVelocity, dt: float) -> SpectralVelocity:
+    """Advance one step of size dt > 0: the last snapshot of a one-step integrate.
 
     Raises IntegrationError if the result is not finite.  The caller is
     responsible for the CFL bound (see cfl_limit); run() enforces it.
     """
-    if dt <= 0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
-    ws, coef, planes = _stepper(u.grid, dt)
-    w = u.w.copy()
-    _advance(ws, w, coef, planes)
-    if not np.isfinite(w).all():
-        where = "" if t is None else f" at t={t!r}"
-        raise IntegrationError(f"non-finite state after step{where} with dt={dt!r}")
-    return SpectralVelocity(u.grid, w)
+    return integrate(u, dt, dt, enforce_cfl=False).fields[-1]
 
 
 def _snapshot_steps(dt: float, t_end: float, snapshot_times, n_steps: int) -> dict[int, float]:
@@ -178,30 +175,31 @@ def integrate(u0: SpectralVelocity, dt: float, t_end: float,
 
     check_cfl(u0, 0.0)
     w = u0.w.copy()
-    times, fields, diss, grads = [], [], [], []
+    times, fields, diss, grads, l2s = [], [], [], [], []
 
-    def grad_energy() -> tuple[float, float]:
-        """|grad u|^2 and |u|^2 / 2 of the state."""
+    def norms() -> tuple[float, float]:
+        """|u|^2 and |grad u|^2 of the state."""
         es, gs = parseval(g, w)
-        return float(gs), 0.5 * float(es)
+        return float(es), float(gs)
 
     D = 0.0
-    g_prev, e_prev = grad_energy()
+    es_prev, g_prev = norms()
     step_defect = 0.0
     if 0 in snaps:
         times.append(0.0)
         fields.append(u0)
         diss.append(0.0)
         grads.append(g_prev)
+        l2s.append(es_prev)
     for i in range(1, n_steps + 1):
         _advance(ws, w, coef, planes)
-        g_new, e_new = grad_energy()
+        es_new, g_new = norms()
         if not np.isfinite(g_new):
             raise IntegrationError(f"non-finite state at t={i * dt!r} with dt={dt!r}")
         inc = 0.5 * dt * (g_prev + g_new)
         D += inc
-        step_defect = max(step_defect, e_new + inc - e_prev)
-        e_prev = e_new
+        step_defect = max(step_defect, 0.5 * es_new + inc - 0.5 * es_prev)
+        es_prev = es_new
         g_prev = g_new
         if i in snaps:
             u_snap = SpectralVelocity(g, w.copy())
@@ -210,8 +208,9 @@ def integrate(u0: SpectralVelocity, dt: float, t_end: float,
             fields.append(u_snap)
             diss.append(D)
             grads.append(g_new)
-    return Trajectory(times=times, fields=fields, dissipation=diss,
-                      grad_sq=grads, dt=dt, max_step_defect=step_defect)
+            l2s.append(es_new)
+    return Trajectory(times=times, fields=fields, dissipation=diss, grad_sq=grads,
+                      l2_sq=l2s, dt=dt, max_step_defect=step_defect)
 
 
 def run(config) -> Trajectory:
@@ -241,8 +240,6 @@ def energy_ledger(traj: Trajectory) -> EnergyLedger:
     """
     if not traj.times:
         raise ConfigurationError("empty trajectory")
-    e0 = 0.5 * norm_l2(traj.u0) ** 2
     times = np.asarray(traj.times)
-    res = np.asarray([0.5 * norm_l2(u) ** 2 + d - e0
-                      for u, d in zip(traj.fields, traj.dissipation)])
+    res = 0.5 * np.asarray(traj.l2_sq) + np.asarray(traj.dissipation) - 0.5 * traj.l2_sq[0]
     return EnergyLedger(times=times, residuals=res, max_abs=float(np.max(np.abs(res))))

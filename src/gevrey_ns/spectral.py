@@ -292,26 +292,21 @@ def _synthesize(grid: Grid, h: np.ndarray, m: int) -> np.ndarray:
     return irfft2(pad, m) * (float(m) * m)
 
 
-def _analyze(grid: Grid, X: np.ndarray) -> np.ndarray:
-    """The grid's rfft-half coefficients of real samples X (..., m, m) on an m-grid, m >= n."""
-    m = X.shape[-1]
-    return rfft2(X)[..., grid.oversample_rows(m), : grid.n // 2 + 1] / (float(m) * m)
-
-
 @dataclass(frozen=True)
 class BandDFT:
     """Exact dense DFT between a grid's band and an m x m physical grid, m >= n.
 
-    synthesize is _synthesize and analyze is _analyze, to rounding, as two
-    small matrix products each: rows (m, n) on the rows of the half-spectrum,
-    then cols (n+2, m) on the float view of each half row, whose weights 1 on
-    column 0 and 2 on the others give the real irfft output; analyze runs
-    cols_a (m, n+2), scaled by 1/m^2, and rows_a (n, m).  The Nyquist row and
-    column have zero weight both ways, so they are ignored on input and
-    exactly zero on output.  A stack (..., m, m) is multiplied plane by plane
-    against the shared matrix, so each BLAS call stays far below OpenBLAS's
-    threading threshold.  out and mid, if given, receive the result and the
-    (..., m, n/2+1) complex intermediate.
+    synthesize is _synthesize, and analyze takes m x m samples to the grid's
+    coefficients, the band of their rfft2 scaled by 1/m^2; to rounding, each
+    is two small matrix products.  synthesize runs rows (m, n) on the rows
+    of the half-spectrum, then cols (n+2, m) on the float view of each half
+    row, whose weights 1 on column 0 and 2 on the others give the real irfft
+    output; analyze runs cols_a (m, n+2), scaled by 1/m^2, and rows_a (n, m).
+    The Nyquist row and column have zero weight both ways, so they are
+    ignored on input and exactly zero on output.  A stack (..., m, m) is
+    multiplied plane by plane against the shared matrix, so each BLAS call
+    stays far below OpenBLAS's threading threshold.  out and mid, if given,
+    receive the result and the (..., m, n/2+1) complex intermediate.
     """
 
     m: int
@@ -350,16 +345,6 @@ def band_dft(grid: Grid, m: int) -> BandDFT:
 def to_physical(v: SpectralVelocity, oversample: int = 1) -> np.ndarray:
     """Evaluate the velocity on an (oversample*n)^2 physical grid as a (2, m, m) array."""
     return _synthesize(v.grid, v.uh, oversample * v.grid.n)
-
-
-def from_physical(grid: Grid, U1: np.ndarray, U2: np.ndarray) -> SpectralVelocity:
-    """The field of real physical-space velocity samples, through leray_project.
-
-    A gradient part of (U1, U2) is dropped; the result is exactly Hermitian
-    by construction, with zero mean and Nyquist modes.
-    """
-    X = np.stack([np.asarray(U1, dtype=float), np.asarray(U2, dtype=float)])
-    return leray_project(grid, _analyze(grid, X))
 
 
 # ---------------------------------------------------------------------------

@@ -86,10 +86,12 @@ def stokes_derivative_stack(u0: SpectralVelocity, t: float, K: int) -> Derivativ
         raise ConfigurationError(f"stokes_derivative_stack needs t > 0, got {t}")
     if K < 0:
         raise ConfigurationError("K must be >= 0")
-    entries = [heat_evolve(u0, t)]
+    g = u0.grid
+    w = np.empty((K + 1,) + g.k_sq.shape, dtype=complex)
+    w[0] = heat_evolve(u0, t).w
     for k in range(1, K + 1):
-        entries.append(entries[-1] * (u0.grid.k_sq * (-t / (2.0 * k))))
-    return DerivativeStack(t=t, entries=entries)
+        np.multiply(w[k - 1], g.k_sq * (-t / (2.0 * k)), out=w[k])
+    return DerivativeStack(g, t, w)
 
 
 @dataclass(frozen=True)
@@ -116,24 +118,14 @@ class StokesIdentityReport:
     tail_bound: float
 
 
-def _poisson_log_terms(lam_t: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """log of (lam*t)^m / m! for a column of eigenvalue-times against a row of orders."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_lt = np.where(lam_t > 0, np.log(lam_t), -np.inf)
-        out = m[None, :] * log_lt[:, None] - log_factorials(len(m) - 1)[None, :]
-    # m = 0 must give log 1 even when lam*t = 0 (0 * -inf is NaN otherwise).
-    out[:, 0] = np.where(lam_t > 0, out[:, 0], 0.0)
-    return out
-
-
 def stokes_gevrey_identity(u0: SpectralVelocity, t: float, M: int = 40) -> StokesIdentityReport:
     """Evaluate the truncated weighted-sum identity for the heat flow of u0.
 
     Both the state sum and the time-integral term are closed forms per mode:
     for eigenvalue lam = |xi|^2 the state contribution of order m is
-    (lam t)^m exp(-2 lam t) / m! times the mode energy, and the integral of
-    the H_m^2/m! family is 2^-(m+1) P(m+1, 2 lam t) (regularized lower
-    incomplete gamma).  Requires t >= 0 and even M >= 2.
+    (lam t)^m exp(-2 lam t) / m! = exp(-lam t) pmf_m(lam t) times the mode
+    energy, and the integral of the H_m^2/m! family is 2^-(m+1) P(m+1, 2 lam t)
+    (regularized lower incomplete gamma).  Requires t >= 0 and even M >= 2.
     """
     if t < 0:
         raise ConfigurationError(f"t must be >= 0, got {t}")
@@ -148,8 +140,7 @@ def stokes_gevrey_identity(u0: SpectralVelocity, t: float, M: int = 40) -> Stoke
                                     residual_state_family=0.0, tail_bound=0.0)
     m = np.arange(M + 1, dtype=float)
     lam_t = lams * t
-    log_state = _poisson_log_terms(lam_t, m) - 2.0 * lam_t[:, None]
-    state = float(np.sum(E * np.sum(np.exp(log_state), axis=1)))
+    state = float(np.sum(E * np.exp(-lam_t) * np.sum(_poisson_pmf(lam_t, M), axis=1)))
 
     # integral of H-family: per mode sum_m 2^-(m+1) P(m+1, 2 lam t)
     per_mode = poisson_tail_sum(2.0 * lam_t, np.exp(-(m + 1.0) * LN2))

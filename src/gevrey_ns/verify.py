@@ -259,8 +259,8 @@ def stack_series(traj: Trajectory, K: int, fluctuation: bool = False) -> Functio
     """Functional tables along a trajectory (t = 0 handled as the limit).
 
     With fluctuation=True the rows are of f = u - l, with the heat-flow
-    stack subtracted exactly.  Each stack is reduced to its row as soon as
-    it is built, so at most one stack is alive at a time.
+    stack's table subtracted exactly.  Each stack is reduced to its row as
+    soon as it is built, so at most one stack is alive at a time.
     """
     u0 = traj.u0
     times = np.asarray(traj.times, dtype=float)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gevrey_ns import (SpectralVelocity, from_physical, make_grid, mode_energies,
+from gevrey_ns import (SpectralVelocity, leray_project, make_grid, mode_energies,
                        random_spectrum_field, shear_flow, spectral, taylor_green, to_physical)
 
 SQRT2_PI = np.pi * np.sqrt(2.0)
@@ -12,6 +12,22 @@ SQRT2_PI = np.pi * np.sqrt(2.0)
 def laplacian(v):
     """Lap v: the plane times -|xi|^2."""
     return SpectralVelocity(v.grid, -v.grid.k_sq * v.w)
+
+
+def analyze(grid, X):
+    """The grid's rfft-half coefficients of real samples X (..., m, m) on an m-grid, m >= n."""
+    m = X.shape[-1]
+    return spectral.rfft2(X)[..., grid.oversample_rows(m), : grid.n // 2 + 1] / (float(m) * m)
+
+
+def from_physical(grid, U1, U2):
+    """The field of real physical-space velocity samples, through leray_project.
+
+    A gradient part of (U1, U2) is dropped; the result is exactly Hermitian
+    by construction, with zero mean and Nyquist modes.
+    """
+    X = np.stack([np.asarray(U1, dtype=float), np.asarray(U2, dtype=float)])
+    return leray_project(grid, analyze(grid, X))
 
 
 def transform_roundtrip(v):

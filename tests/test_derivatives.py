@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from conftest import laplacian
 
-from gevrey_ns import (ConfigurationError, fd_convergence_check, from_lattice,
+from gevrey_ns import (ConfigurationError, DerivativeStack, FieldInvariantError,
+                       SpectralVelocity, fd_convergence_check, from_lattice, functionals,
                        heat_evolve, inner_l2, integrate, make_grid, nonlinear_term,
-                       norm_grad_l2, norm_l2, random_spectrum_field, raw_functionals,
-                       stokes_derivative_stack, time_derivative_stack)
+                       norm_grad_l2, norm_l2, parseval, random_spectrum_field,
+                       raw_functionals, stokes_derivative_stack, time_derivative_stack)
+from gevrey_ns.verify import stack_series
 
 
 def leibniz_recursion(u, K):
@@ -38,13 +40,12 @@ class TestRecursionOracles:
 
     def test_depth_zero(self, random_field):
         st = time_derivative_stack(random_field, 0, t=1.0)
-        assert len(st.entries) == 1
-        assert (st.entries[0] - random_field).max_amplitude() == 0.0
+        assert st.depth == 0 and np.array_equal(st.w[0], random_field.w)
 
     def test_deep_stacks_have_no_depth_cap(self, random_field):
         st = time_derivative_stack(random_field, 16, t=0.1)
         assert st.depth == 16
-        assert all(np.isfinite(e.max_amplitude()) for e in st.entries)
+        assert np.isfinite(st.w).all()
 
     def test_rejects_bad_arguments(self, random_field):
         with pytest.raises(ConfigurationError):
@@ -64,8 +65,8 @@ class TestRecursionOracles:
         t = 0.3
         st = time_derivative_stack(heat_evolve(u0, t), 6, t=t)
         ref = stokes_derivative_stack(u0, t, 6)
-        for a, b in zip(st.entries, ref.entries):
-            assert (a - b).max_amplitude() <= 1e-12 * max(b.max_amplitude(), 1e-300)
+        for a, b in zip(st.w, ref.w):
+            assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1e-300)
 
     def test_first_order_energy_identity(self, random_field):
         st = time_derivative_stack(random_field, 1, t=0.1)
@@ -108,18 +109,18 @@ class TestScaledStack:
         st = time_derivative_stack(random_field, K, t=t)
         for k, ref in enumerate(leibniz_recursion(random_field, K)):
             fac = t ** k / (2.0 ** k * math.factorial(k))
-            diff = (st.entries[k] - fac * ref).max_amplitude()
-            assert diff <= 1e-12 * max(st.entries[k].max_amplitude(), 1e-300)
+            diff = np.max(np.abs(st.w[k] - fac * ref.w))
+            assert diff <= 1e-12 * max(np.max(np.abs(st.w[k])), 1e-300)
             diff = (st.raw(k) - ref).max_amplitude()
             assert diff <= 1e-12 * max(ref.max_amplitude(), 1e-300)
 
     def test_deep_stack_stays_finite(self, shear):
         sc = time_derivative_stack(shear, 24, t=1.0)
-        assert all(np.isfinite(e.max_amplitude()) for e in sc.entries)
+        assert np.isfinite(sc.w).all()
         # single mode lambda = 1: |v_k| = e^-t (t/2)^k / k! * |u0|
-        for k, e in enumerate(sc.entries):
+        for k, l2_sq in enumerate(parseval(shear.grid, sc.w)[:, 0]):
             expect = np.exp(-0.0) * (0.5 ** k) / math.factorial(k) * norm_l2(shear)
-            assert norm_l2(e) == pytest.approx(expect, rel=1e-10)
+            assert np.sqrt(l2_sq) == pytest.approx(expect, rel=1e-10)
 
     def test_tilde_identities_match_raw_weights(self):
         # L~, H~ read off v_k against the raw weights t^k, t^(k+1/2) applied to
@@ -139,6 +140,61 @@ class TestScaledStack:
         L_tilde, H_tilde = raw_functionals(st)
         np.testing.assert_allclose(L_tilde, L / div, rtol=1e-13, atol=0)
         np.testing.assert_allclose(H_tilde, H / div, rtol=1e-13, atol=0)
+
+
+class TestStackTable:
+    @pytest.mark.parametrize("n, K", [(32, 0), (32, 5), (64, 3)])
+    def test_stacks_are_read_only_plane_tables(self, n, K):
+        u = random_spectrum_field(make_grid(n), 2.0, 8, seed=n, l2_norm=1.0)
+        for st in (time_derivative_stack(u, K, 0.3), stokes_derivative_stack(u, 0.3, K)):
+            assert st.w.shape == (K + 1, n, n // 2 + 1) and st.w.dtype == complex
+            assert st.depth == K and not st.w.flags.writeable
+            with pytest.raises(ValueError):
+                st.w[0, 1, 1] = 1.0
+
+    def test_rejects_a_wrong_plane_shape(self, random_field):
+        g = random_field.grid
+        for shape in ((2, 32, 32), (2, 16, 9), (32, 17)):
+            with pytest.raises(FieldInvariantError):
+                DerivativeStack(g, 0.5, np.zeros(shape, dtype=complex))
+        with pytest.raises(ConfigurationError):
+            DerivativeStack(g, 0.0, np.zeros((1, 32, 17), dtype=complex))
+
+    def test_raw_functionals_make_one_parseval_call_per_stack(self, monkeypatch, random_field):
+        calls = []
+
+        def counted(grid, a, *args):
+            calls.append(np.shape(a))
+            return parseval(grid, a, *args)
+        monkeypatch.setattr(functionals, "parseval", counted)
+        raw_functionals(time_derivative_stack(random_field, 6, 0.2))
+        assert calls == [(7, 32, 17)]
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_series_rows_match_a_per_entry_reference(self, n):
+        # bound-1 rows of u and bound-3 rows of u - l, against per-entry norms of
+        # each stack's planes: the table and its one Parseval call change no bit
+        u0 = random_spectrum_field(make_grid(n), 2.0, 8, seed=3, l2_norm=1.5)
+        traj = integrate(u0, dt=5e-3, t_end=0.2, snapshot_times=[0.0, 0.1, 0.2])
+        K = 4
+        for fluctuation in (False, True):
+            series = stack_series(traj, K, fluctuation=fluctuation)
+            for i, (t, u) in enumerate(zip(traj.times, traj.fields)):
+                L, H = np.zeros(2 * K), np.zeros(2 * K)
+                if t == 0.0:
+                    f = u - u0 if fluctuation else u
+                    L[0], H[0] = norm_l2(f), norm_grad_l2(f)
+                else:
+                    planes = time_derivative_stack(u, K, t).w
+                    if fluctuation:
+                        planes = planes - stokes_derivative_stack(u0, t, K).w
+                    v = [SpectralVelocity(u.grid, p) for p in planes]
+                    for k in range(K):
+                        L[2 * k], H[2 * k] = norm_l2(v[k]), norm_grad_l2(v[k])
+                        L[2 * k + 1] = math.sqrt(t / (2.0 * (k + 1))) * norm_grad_l2(v[k])
+                        H[2 * k + 1] = math.sqrt(2.0 * (k + 1) / t) * norm_l2(v[k + 1])
+                assert np.array_equal(series.L_tilde[i], L)
+                assert np.array_equal(series.H_tilde[i], H)
 
 
 class TestFdConvergence:

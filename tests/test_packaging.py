@@ -28,22 +28,44 @@ def test_numpy_is_the_only_dependency():
     assert "scipy" in meta["optional-dependencies"]["test"]
 
 
-def test_benchmark_lookup_sites_resolve(monkeypatch):
-    # bench/run.py --trace 1 wraps these module attributes by name; read them, wrap nothing
+def _bench_run(monkeypatch):
+    """bench/run.py, loaded as a module."""
     import importlib.util
 
-    import gevrey_ns.spectral
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
     run = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "bench_run", run)  # its dataclasses look themselves up
     spec.loader.exec_module(run)
+    return run
+
+
+def test_benchmark_lookup_sites_resolve(monkeypatch):
+    # bench/run.py --trace 1 wraps these module attributes by name; read them, wrap nothing
+    import gevrey_ns.spectral
+    run = _bench_run(monkeypatch)
     sites = run.trace_sites(run.Tracer())
     assert sites
     for module, attr, *_ in sites:
         assert callable(getattr(module, attr)), f"{module.__name__}.{attr}"
     for attr in ("rfft2", "irfft2"):
         assert callable(getattr(gevrey_ns.spectral, attr))
+
+
+def test_benchmark_baseline_table_runs(monkeypatch):
+    # --trace 1 times step() and a K = 8 stack through the public API; one call of each
+    # per grid size shows that the table still runs against the package
+    run = _bench_run(monkeypatch)
+    calls = []
+
+    def once(fn, budget_s, min_reps):
+        calls.append(fn())
+        return 0.0
+    monkeypatch.setattr(run, "_median_time", once)
+    table = run.baseline_table()
+    assert set(table) == {f"{layer}.n{n}" for n in (32, 64, 128)
+                          for layer in ("solver.step_ms", "derivatives.stack8_ms")}
+    assert len(calls) == 6 and all(value == (0.0, "ms", None) for value in table.values())
 
 
 def _numpy_fft_uses(path: Path) -> list[int]:

@@ -153,6 +153,14 @@ class TestIntegrate:
             ref = norm_grad_l2(u) ** 2
             assert abs(g_sq - ref) <= 1e-13 * ref
 
+    def test_l2_sq_is_each_snapshot_norm_squared(self, grid32):
+        # the run keeps the Parseval sum it takes of every state; its root is norm_l2 exactly
+        u0 = random_spectrum_field(grid32, 2.0, 8, seed=4, l2_norm=0.8)
+        traj = integrate(u0, dt=2e-3, t_end=0.2, snapshot_times=[0.0, 0.05, 0.1, 0.2])
+        assert len(traj.l2_sq) == len(traj.fields) == 4
+        for u, l2_sq in zip(traj.fields, traj.l2_sq):
+            assert np.sqrt(l2_sq) == norm_l2(u)
+
     def test_run_from_config(self):
         cfg = RunConfig(n=32, dt=2e-3, t_end=0.1, snapshot_times=[0.0, 0.1],
                         initial_data={"kind": "taylor_green", "amplitude": 1.0})
