@@ -7,7 +7,7 @@ from .derivatives import (DerivativeStack, FdConvergence, fd_convergence_check,
 from .errors import (ConfigurationError, FieldInvariantError, GridMismatchError,
                      IntegrationError)
 from .functionals import (Ccc0Audit, ConvolutionAudit, DecayFit, FunctionalSeries,
-                          SmallnessResult, Theorem3Rhs, TheoremLhs, c_alpha,
+                          Theorem3Rhs, TheoremLhs, c_alpha,
                           fit_decay, lemma_audit_ccc0, lemma_audit_convolution,
                           raw_functionals, sample_at_time_zero, smallness_check,
                           theorem2_log_rhs, theorem2_rhs, theorem3_rhs,
@@ -19,8 +19,8 @@ from .spectral import (Grid, SpectralVelocity, from_lattice, hermitian_defect, i
                        nonlinear_symmetric, nonlinear_term, norm_grad_l2, norm_l2, norm_l4,
                        parseval, physical_grid, random_spectrum_field, shear_flow,
                        taylor_green, to_physical, validate_field)
-from .stokes import (StokesIdentityReport, heat_evolve, stokes_derivative_stack,
-                     stokes_gevrey_identity, weighted_h_integral)
+from .stokes import (HeatModes, StokesIdentityReport, heat_evolve, heat_modes,
+                     stokes_derivative_stack, stokes_gevrey_identity, weighted_h_integral)
 from .verify import C0Estimate, TheoremReport, check_theorem, estimate_c0
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -173,9 +173,8 @@ def _cmd_fit_decay(args, cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -190,10 +189,7 @@ def main(argv=None) -> int:
             return _cmd_check_thm(int(args.command[-1]), args, cfg)
         if args.command == "audit-lemmas":
             return _cmd_audit_lemmas(args, cfg)
-        if args.command == "fit-decay":
-            return _cmd_fit_decay(args, cfg)
-        parser.error(f"unknown command {args.command!r}")
-        return 2
+        return _cmd_fit_decay(args, cfg)  # argparse has rejected any other command
     except (ConfigurationError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

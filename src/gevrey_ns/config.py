@@ -104,8 +104,8 @@ class RunConfig:
         c0: {"mode": "estimate"} with optional "n_samples" and
             "ascent_steps" (absent keys take estimate_c0's defaults) or
             {"mode": "fixed", "value": ..}.
-        theorem2_n_max: doubling depth for bound 2; its row at depth n
-            reads orders <= n, so stack entries v_0..v_{n+1}.
+        theorem2_n_max: doubling depth n <= 1023 for bound 2 (2^n is a double);
+            its row at depth n reads orders <= n, so entries v_0..v_{n+1}.
         decay_window: fit window [a, b] for bound 4.
         gamma: decay exponent override (fitted from the trajectory if None).
         out_dir: where reports and CSVs are written (optional).
@@ -150,7 +150,8 @@ class RunConfig:
         check_initial_data(self.initial_data)
         _check_c0(self.c0)
         n_max = self.theorem2_n_max
-        _require(_is_int(n_max) and n_max >= 0, "theorem2_n_max must be an integer >= 0", n_max)
+        _require(_is_int(n_max) and 0 <= n_max <= 1023,
+                 "theorem2_n_max must be an integer in 0..1023 (2^n must be a double)", n_max)
         w = self.decay_window
         _require(isinstance(w, tuple) and len(w) == 2 and all(_is_real(x) for x in w)
                  and 0 < w[0] < w[1], "decay_window must be [a, b] with 0 < a < b", w)

@@ -39,10 +39,11 @@ import numpy as np
 
 from .derivatives import DerivativeStack
 from .errors import ConfigurationError
-from .spectral import SpectralVelocity, norm_l2, parseval
-from .stokes import heat_modes, log_factorials, weighted_h_integral, weighted_h_rate
+from .spectral import SpectralVelocity, parseval
+from .stokes import HeatModes, log_factorials, weighted_h_integral, weighted_h_rate
 
 LN2 = math.log(2.0)
+_LOG_MAX = math.log(np.finfo(float).max)  # exp(x) is a double iff x <= _LOG_MAX
 _NEWTON_STEPS = 8  # safeguarded Newton steps before the closing bisection
 _NEWTON_TOL = 1e-7  # |log step| after which the error, ~step^2, is inside the closing bracket
 
@@ -51,7 +52,10 @@ def c_alpha(alpha: float) -> float:
     """The sequence constant sqrt(1 / (1 - 2^(-2 alpha)))."""
     if alpha <= 0:
         raise ConfigurationError("alpha must be positive")
-    return math.sqrt(1.0 / (1.0 - 2.0 ** (-2.0 * alpha)))
+    gap = 1.0 - 2.0 ** (-2.0 * alpha)
+    if gap == 0.0:
+        raise ConfigurationError(f"alpha = {alpha!r} is too small: 1 - 2^(-2 alpha) rounds to 0")
+    return math.sqrt(1.0 / gap)
 
 
 # ---------------------------------------------------------------------------
@@ -73,11 +77,11 @@ def _tilde_factors(M: int) -> np.ndarray:
 
 
 def _c_divisors(M: int, alpha: float) -> np.ndarray:
-    """(k!)^alpha with k the pair index (m+1)//2, index by m."""
+    """(k!)^alpha with k the pair index (m+1)//2, index by m; inf past the double range."""
     out = np.empty(M + 1)
     for m in range(M + 1):
-        k = (m + 1) // 2
-        out[m] = math.exp(alpha * math.lgamma(k + 1))
+        x = alpha * math.lgamma((m + 1) // 2 + 1)
+        out[m] = math.exp(x) if x <= _LOG_MAX else math.inf
     return out
 
 
@@ -162,16 +166,13 @@ class FunctionalSeries:
 
 @dataclass(frozen=True)
 class TheoremLhs:
-    """State term, cumulative integral term, and their sum along a series.
+    """Cumulative integral term and the bound (state plus integral) along a series.
 
     The tables are (T, k_cap + 1): column k is the bound truncated at order
     k, and trunc_tail[:, k] is the order-k term by itself.
     """
 
-    theorem_id: int
-    alpha: float
     times: np.ndarray
-    state: np.ndarray
     integral: np.ndarray
     lhs: np.ndarray
     quad_err: np.ndarray
@@ -265,8 +266,7 @@ def theorem_lhs(series: FunctionalSeries, theorem_id: int, alpha: float,
         state_k, integrand_k = state_k * tfac, integrand_k * tfac
     state = np.cumsum(state_k, axis=1)
     cum, quad_err = _cumtrapz_with_error(times, np.cumsum(integrand_k, axis=1))
-    return TheoremLhs(theorem_id=theorem_id, alpha=alpha, times=times, state=state,
-                      integral=cum, lhs=state + cum, quad_err=quad_err,
+    return TheoremLhs(times=times, integral=cum, lhs=state + cum, quad_err=quad_err,
                       trunc_tail=state_k + _cumtrapz(times, integrand_k))
 
 
@@ -278,8 +278,8 @@ def theorem2_log_rhs(u0_l2: float, c0: float, alpha: float, n: int) -> float:
     """log of C_alpha^(2^n - 1) (|u0|^2 exp(C0^2 |u0|^2 / 2))^(2^n)."""
     if u0_l2 <= 0 or c0 <= 0:
         raise ConfigurationError("u0_l2 and c0 must be positive")
-    if n < 0:
-        raise ConfigurationError("n must be >= 0")
+    if not 0 <= n <= 1023:
+        raise ConfigurationError(f"n must be in 0..1023 (2^n must be a double), got {n}")
     ca = c_alpha(alpha)
     p = 2.0 ** n
     return (p - 1.0) * math.log(ca) + p * (2.0 * math.log(u0_l2) + 0.5 * (c0 * u0_l2) ** 2)
@@ -288,33 +288,26 @@ def theorem2_log_rhs(u0_l2: float, c0: float, alpha: float, n: int) -> float:
 def theorem2_rhs(u0_l2: float, c0: float, alpha: float, n: int) -> float:
     """Doubling bound for general data; +inf when it exceeds double range."""
     log_rhs = theorem2_log_rhs(u0_l2, c0, alpha, n)
-    if log_rhs > math.log(np.finfo(float).max):
+    if log_rhs > _LOG_MAX:
         return math.inf
     return math.exp(log_rhs)
 
 
-@dataclass(frozen=True)
-class SmallnessResult:
-    value: float
-    satisfied: bool
-
-
-def smallness_check(u0_l2: float, c0: float, alpha: float) -> SmallnessResult:
-    """Whether 8 C0 C_alpha |u0| < 1 (strict), the small-data threshold."""
+def smallness_check(u0_l2: float, c0: float, alpha: float) -> float:
+    """The small-data quantity 8 C0 C_alpha |u0|; the condition is that it is < 1."""
     if u0_l2 < 0 or c0 <= 0:
         raise ConfigurationError("u0_l2 must be >= 0 and c0 positive")
-    value = 8.0 * c0 * c_alpha(alpha) * u0_l2
-    return SmallnessResult(value=value, satisfied=bool(value < 1.0))
+    return 8.0 * c0 * c_alpha(alpha) * u0_l2
 
 
 @dataclass(frozen=True)
 class Theorem3Rhs:
-    """Fluctuation bound: T0 and RHS(t) = 64 C0^2 C_alpha^2 |u0|^2 I(t) on [0, T0]."""
+    """Fluctuation bound: T0 and RHS(t) = scale I(t) on [0, T0] with scale =
+    64 C0^2 C_alpha^2 |u0|^2; I(t) reads modes, so rhs() does not rebuild the spectrum."""
 
     T0: float
     capped_at_horizon: bool
-    u0: SpectralVelocity
-    alpha: float
+    modes: HeatModes
     scale: float
 
     def rhs(self, times) -> np.ndarray:
@@ -322,10 +315,10 @@ class Theorem3Rhs:
         times = np.asarray(times, dtype=float)
         if np.any(times < 0) or np.any(times > self.T0 * (1 + 1e-12)):
             raise ConfigurationError("requested times fall outside [0, T0]")
-        return self.scale * weighted_h_integral(self.u0, self.alpha, times)
+        return self.scale * weighted_h_integral(self.modes, times)
 
 
-def theorem3_rhs(u0: SpectralVelocity, c0: float, alpha: float, horizon: float) -> Theorem3Rhs:
+def theorem3_rhs(modes: HeatModes, u0_l2: float, c0: float, horizon: float) -> Theorem3Rhs:
     """Short-time fluctuation bound from the analytic heat-flow integral.
 
     I(T) = int_0^T sum_m (H_m of the heat flow)^2 dtau is monotone, so T0,
@@ -338,32 +331,31 @@ def theorem3_rhs(u0: SpectralVelocity, c0: float, alpha: float, horizon: float) 
     adjacent doubles, from a bracket 2e-13 T wide around the Newton root,
     ends the solve, so condition(T0) < 0 <= condition(nextafter(T0)) as
     for a bisection from [0, horizon].  If the condition still holds at the
-    horizon, T0 is reported as the horizon with a flag.  Every evaluation
-    reads one heat_modes(u0, alpha), built once per solve.
+    horizon, T0 is reported as the horizon with a flag.  u0 enters only
+    through modes = heat_modes(u0, alpha) and u0_l2 = |u0|, both computed
+    once by the caller, so its solves at C0 and C0 +- 10% share them.
     """
-    if c0 <= 0 or horizon <= 0:
-        raise ConfigurationError("c0 and horizon must be positive")
-    ca = c_alpha(alpha)
-    u0n = norm_l2(u0)
+    if u0_l2 < 0 or c0 <= 0 or horizon <= 0:
+        raise ConfigurationError("u0_l2 must be >= 0 and c0 and horizon positive")
+    ca = c_alpha(modes.alpha)
     threshold = 1.0 / (32.0 * c0 * ca)
-    scale = 64.0 * (c0 * ca * u0n) ** 2
-    modes = heat_modes(u0, alpha)
+    scale = 64.0 * (c0 * ca * u0_l2) ** 2
 
     def below(I: float) -> bool:
         """condition(T) < 0, read off I = I(T)."""
-        return 8.0 * c0 * ca * u0n * math.sqrt(max(I, 0.0)) - threshold < 0.0
+        return 8.0 * c0 * ca * u0_l2 * math.sqrt(max(I, 0.0)) - threshold < 0.0
 
-    if u0n == 0.0 or below(weighted_h_integral(modes, alpha, horizon)):
-        return Theorem3Rhs(T0=horizon, capped_at_horizon=True, u0=u0, alpha=alpha, scale=scale)
-    log_theta = 2.0 * math.log(threshold / (8.0 * c0 * ca * u0n))
+    if u0_l2 == 0.0 or below(weighted_h_integral(modes, horizon)):
+        return Theorem3Rhs(T0=horizon, capped_at_horizon=True, modes=modes, scale=scale)
+    log_theta = 2.0 * math.log(threshold / (8.0 * c0 * ca * u0_l2))
     lo, hi = 0.0, horizon
-    T = math.exp(log_theta) / weighted_h_rate(modes, alpha, 0.0)
+    T = math.exp(log_theta) / weighted_h_rate(modes, 0.0)
     for _ in range(_NEWTON_STEPS):
         if not lo < T < hi:
             T = 0.5 * (lo + hi)
-        I = weighted_h_integral(modes, alpha, T)
+        I = weighted_h_integral(modes, T)
         lo, hi = (T, hi) if below(I) else (lo, T)
-        slope = T * weighted_h_rate(modes, alpha, T) / I if I > 0.0 else 0.0
+        slope = T * weighted_h_rate(modes, T) / I if I > 0.0 else 0.0
         if not slope > 0.0:
             continue  # no Newton step from here: the next pass bisects
         # Newton on log I = log theta in the variable log T; an overflowing
@@ -374,26 +366,33 @@ def theorem3_rhs(u0: SpectralVelocity, c0: float, alpha: float, horizon: float) 
             break
     for end in (T * (1.0 - 1e-13), T * (1.0 + 1e-13)):
         if lo < end < hi:
-            lo, hi = (end, hi) if below(weighted_h_integral(modes, alpha, end)) else (lo, end)
+            lo, hi = (end, hi) if below(weighted_h_integral(modes, end)) else (lo, end)
     while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # lo and hi are adjacent doubles
-        lo, hi = (mid, hi) if below(weighted_h_integral(modes, alpha, mid)) else (lo, mid)
-    return Theorem3Rhs(T0=lo, capped_at_horizon=False, u0=u0, alpha=alpha, scale=scale)
+        lo, hi = (mid, hi) if below(weighted_h_integral(modes, mid)) else (lo, mid)
+    return Theorem3Rhs(T0=lo, capped_at_horizon=False, modes=modes, scale=scale)
 
 
 def theorem4_t0(c0: float, alpha: float, K_fit: float, gamma_fit: float) -> float:
-    """First admissible origin 2 (8 C0 C_alpha K)^(1/gamma) for the decay bound."""
+    """First admissible origin 2 (8 C0 C_alpha K)^(1/gamma) of the decay bound; +inf past range."""
     if gamma_fit <= 0:
         raise ConfigurationError("gamma must be positive")
     if K_fit <= 0:
         return 0.0
-    return 2.0 * (8.0 * c0 * c_alpha(alpha) * K_fit) ** (1.0 / gamma_fit)
+    try:
+        return 2.0 * (8.0 * c0 * c_alpha(alpha) * K_fit) ** (1.0 / gamma_fit)
+    except OverflowError:
+        return math.inf
 
 
 def theorem4_rhs(K_fit: float, gamma_fit: float) -> float:
-    return 2.0 ** (2.0 * gamma_fit) * K_fit ** 2
+    """Decay bound 2^(2 gamma) K^2; +inf past the double range."""
+    try:
+        return 2.0 ** (2.0 * gamma_fit) * K_fit ** 2
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +432,8 @@ def fit_decay(times, norms, window) -> DecayFit:
         keep = y > 1e-300
         t, y = t[keep], y[keep]
     if len(t) < 4:
-        raise ConfigurationError("decay fit needs at least 4 usable points in the window")
+        raise ConfigurationError(f"decay fit needs at least 4 usable snapshots in the window "
+                                 f"[{a:g}, {b:g}], found {len(t)}")
     lx, ly = np.log(t), np.log(y)
     slope, intercept = np.polyfit(lx, ly, 1)
     gamma = -float(slope)

@@ -25,6 +25,8 @@ from .errors import ConfigurationError, IntegrationError
 from .spectral import (Grid, SpectralVelocity, Workspace, make_grid, make_initial_data,
                        parseval, to_physical)
 
+_DT_REF = 1e-4  # the step at which the ledger tolerance is tol_energy
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -175,7 +177,6 @@ def integrate(u0: SpectralVelocity, dt: float, t_end: float,
 
     check_cfl(u0, 0.0)
     w = u0.w.copy()
-    times, fields, diss, grads, l2s = [], [], [], [], []
 
     def norms() -> tuple[float, float]:
         """|u|^2 and |grad u|^2 of the state."""
@@ -185,12 +186,8 @@ def integrate(u0: SpectralVelocity, dt: float, t_end: float,
     D = 0.0
     es_prev, g_prev = norms()
     step_defect = 0.0
-    if 0 in snaps:
-        times.append(0.0)
-        fields.append(u0)
-        diss.append(0.0)
-        grads.append(g_prev)
-        l2s.append(es_prev)
+    # _snapshot_steps always holds step 0
+    times, fields, diss, grads, l2s = [0.0], [u0], [0.0], [g_prev], [es_prev]
     for i in range(1, n_steps + 1):
         _advance(ws, w, coef, planes)
         es_new, g_new = norms()
@@ -222,14 +219,14 @@ def run(config) -> Trajectory:
                      enforce_cfl=config.enforce_cfl)
 
 
-def ledger_tolerance(dt: float, tol_energy: float = 1e-7, dt_ref: float = 1e-4) -> float:
-    """Energy-ledger tolerance: tol_energy at dt_ref, scaled with dt^2.
+def ledger_tolerance(dt: float, tol_energy: float = 1e-7) -> float:
+    """Energy-ledger tolerance: tol_energy at the reference step 1e-4, scaled with dt^2.
 
     The ledger defect is trapezoid quadrature error, second order in the
     step size, so a single base tolerance is meaningful only relative to a
     reference step.
     """
-    return tol_energy * (dt / dt_ref) ** 2
+    return tol_energy * (dt / _DT_REF) ** 2
 
 
 def energy_ledger(traj: Trajectory) -> EnergyLedger:

@@ -68,7 +68,6 @@ class Grid:
         k1, k2: broadcastable wavenumbers, shapes (n, 1) and (1, n/2+1); the
             Nyquist column carries -n/2.
         k_sq: |xi|^2.
-        inv_k_sq: 1/|xi|^2 with the zero mode set to 0.
         keep: mask that removes the Nyquist row/column.
         dealias: 2/3-rule mask |xi|_inf <= k_cut (Nyquist removed as well).
         k_cut: dealiasing cutoff, the largest k with 3k < n.
@@ -90,7 +89,6 @@ class Grid:
     k1: np.ndarray
     k2: np.ndarray
     k_sq: np.ndarray
-    inv_k_sq: np.ndarray
     keep: np.ndarray
     dealias: np.ndarray
     k_cut: int
@@ -100,8 +98,8 @@ class Grid:
     shells: np.ndarray
 
     def __post_init__(self):
-        for name in ("freqs", "k1", "k2", "k_sq", "inv_k_sq", "keep", "dealias", "lift", "curl",
-                     "parseval_w", "shells"):
+        for name in ("freqs", "k1", "k2", "k_sq", "keep", "dealias", "lift", "curl", "parseval_w",
+                     "shells"):
             _readonly(getattr(self, name))
 
     def oversample_rows(self, m: int) -> np.ndarray:
@@ -137,7 +135,7 @@ def make_grid(n: int) -> Grid:
     col_w = np.full(hc, 2.0)
     col_w[[0, -1]] = 1.0  # the self-conjugate columns; every other one stands for two
     w = TWO_PI ** 2 * col_w * np.stack([inv, np.ones_like(k_sq)])
-    return Grid(n=n, freqs=freqs, k1=k1, k2=k2, k_sq=k_sq, inv_k_sq=inv, keep=keep,
+    return Grid(n=n, freqs=freqs, k1=k1, k2=k2, k_sq=k_sq, keep=keep,
                 dealias=dealias, k_cut=k_cut, lift=np.stack([1j * k2 * inv, -1j * k1 * inv]),
                 curl=curl.astype(complex), parseval_w=np.repeat(w, 2, axis=-1).reshape(2, -1),
                 shells=np.repeat(np.rint(k_sq).astype(np.int64), 2, axis=-1).ravel())

@@ -100,8 +100,8 @@ class StokesIdentityReport:
 
     state_term is sum_{m<=M} L_m^2(t)/m!, evaluated per mode in closed form.
     integral_term carries the dissipation family H_m in the integrand (this
-    variant sums exactly to the initial energy); integral_term_state_family
-    carries L_m instead, as an alternative reading, with its own residual.
+    variant sums exactly to the initial energy); residual_state_family is
+    the residual of the alternative reading that carries L_m instead.
     tail_bound is energy * P(X > M) for X ~ Poisson(lambda_max * t).
     """
 
@@ -112,8 +112,6 @@ class StokesIdentityReport:
     integral_term: float
     total: float
     residual: float
-    integral_term_state_family: float
-    total_state_family: float
     residual_state_family: float
     tail_bound: float
 
@@ -132,12 +130,7 @@ def stokes_gevrey_identity(u0: SpectralVelocity, t: float, M: int = 40) -> Stoke
     if M < 2 or M % 2 != 0:
         raise ConfigurationError(f"truncation order must be even and >= 2, got {M}")
     energy = norm_l2(u0) ** 2
-    lams, E = mode_energies(u0)
-    if lams.size == 0:
-        return StokesIdentityReport(time=t, truncation=M, energy=0.0, state_term=0.0,
-                                    integral_term=0.0, total=0.0, residual=0.0,
-                                    integral_term_state_family=0.0, total_state_family=0.0,
-                                    residual_state_family=0.0, tail_bound=0.0)
+    lams, E = mode_energies(u0)  # empty for zero data, which makes every sum 0
     m = np.arange(M + 1, dtype=float)
     lam_t = lams * t
     state = float(np.sum(E * np.exp(-lam_t) * np.sum(_poisson_pmf(lam_t, M), axis=1)))
@@ -148,13 +141,11 @@ def stokes_gevrey_identity(u0: SpectralVelocity, t: float, M: int = 40) -> Stoke
     integral_l = float(np.sum((E / lams) * per_mode))
 
     total = state + integral_h
-    total_l = state + integral_l
-    tail = energy * float(poisson_tail_sum(np.max(lam_t), (m == M).astype(float)))
+    tail = energy * float(poisson_tail_sum(np.max(lam_t, initial=0.0), (m == M).astype(float)))
     return StokesIdentityReport(
         time=t, truncation=M, energy=energy, state_term=state,
         integral_term=integral_h, total=total, residual=total - energy,
-        integral_term_state_family=integral_l, total_state_family=total_l,
-        residual_state_family=total_l - energy, tail_bound=tail)
+        residual_state_family=state + integral_l - energy, tail_bound=tail)
 
 
 _K_PAIRS = 60
@@ -183,55 +174,45 @@ class HeatModes:
     weights: np.ndarray
 
 
-def heat_modes(u0: SpectralVelocity | HeatModes, alpha: float) -> HeatModes:
-    """The HeatModes of u0 for one alpha > 0; given HeatModes of that alpha, returns them.
+def heat_modes(u0: SpectralVelocity, alpha: float) -> HeatModes:
+    """The HeatModes of u0 for one alpha > 0: mode_energies(u0) and _h_weights(alpha).
 
-    weighted_h_integral and weighted_h_rate accept them in place of u0, so a
-    T0 solve, which evaluates both 15-23 times on the same data, computes
-    mode_energies(u0) and _h_weights(alpha) once.
+    A bound-3 check builds them once and hands them to every I(T) and I'(T)
+    evaluation of its three T0 solves and to its right-hand side.
     """
-    if isinstance(u0, HeatModes):
-        if u0.alpha != alpha:
-            raise ConfigurationError(f"heat modes built for alpha={u0.alpha!r}, not {alpha!r}")
-        return u0
     if alpha <= 0:
         raise ConfigurationError("alpha must be positive")
     lams, E = mode_energies(u0)
     return HeatModes(lams=lams, energies=E, alpha=alpha, weights=_h_weights(alpha))
 
 
-def weighted_h_integral(u0: SpectralVelocity | HeatModes, alpha: float, T):
-    """Closed form of int_0^T sum_m H_m^2 dtau for the heat flow of u0.
+def weighted_h_integral(modes: HeatModes, T):
+    """Closed form of int_0^T sum_m H_m^2 dtau for the heat flow behind modes.
 
     H_m here are the fully normalized dissipation functionals (factorial and
-    (j!)^alpha renormalizations applied).  Per eigenvalue lam the orders
-    integrate to sum_a c_a P(a, 2 lam T) with a = 2k + 1 for the even family
-    and a = 2k for the odd one; the k-sum decays like 4^-k / (k!)^(2 alpha),
-    so k_pairs = 60 leaves a negligible tail.  T is a time or a 1-D array of
-    times, each entry bit-identical to its scalar call.  u0 may be given as
-    heat_modes(u0, alpha), with the same result bit for bit.
+    (j!)^alpha renormalizations applied, alpha that of the modes).  Per
+    eigenvalue lam the orders integrate to sum_a c_a P(a, 2 lam T) with
+    a = 2k + 1 for the even family and a = 2k for the odd one; the k-sum
+    decays like 4^-k / (k!)^(2 alpha), so k_pairs = 60 leaves a negligible
+    tail.  T is a time or a 1-D array of times, each entry bit-identical to
+    its scalar call.
     """
-    if alpha <= 0:
-        raise ConfigurationError("alpha must be positive")
     times = np.asarray(T, dtype=float)
     if np.any(times < 0):
         raise ConfigurationError(f"T must be >= 0, got {T}")
-    m = heat_modes(u0, alpha)
-    total = np.sum(m.energies * poisson_tail_sum(2.0 * m.lams * times[..., None], m.weights),
-                   axis=-1)
+    total = np.sum(modes.energies * poisson_tail_sum(2.0 * modes.lams * times[..., None],
+                                                     modes.weights), axis=-1)
     return float(total) if times.ndim == 0 else total
 
 
-def weighted_h_rate(u0: SpectralVelocity | HeatModes, alpha: float, T: float) -> float:
+def weighted_h_rate(modes: HeatModes, T: float) -> float:
     """The rate I'(T) = sum_m H_m(T)^2 of weighted_h_integral I(T), in closed form.
 
     d/dx P(a, x) = pmf_{a-1}(x), so I'(T) = sum_lam E_lam 2 lam sum_a c_a
     pmf_{a-1}(2 lam T) with the same weights c_a; every term is positive,
-    and at T = 0 it is sum_lam 2 lam E_lam c_1.  u0 may be given as
-    heat_modes(u0, alpha).
+    and at T = 0 it is sum_lam 2 lam E_lam c_1.
     """
     if T < 0:
         raise ConfigurationError(f"T must be >= 0, got {T}")
-    m = heat_modes(u0, alpha)
-    pmf = _poisson_pmf(2.0 * m.lams * T, len(m.weights) - 1)
-    return float(np.sum(2.0 * m.lams * m.energies * (pmf @ m.weights)))
+    pmf = _poisson_pmf(2.0 * modes.lams * T, len(modes.weights) - 1)
+    return float(np.sum(2.0 * modes.lams * modes.energies * (pmf @ modes.weights)))

@@ -8,17 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from gevrey_ns import (ConfigurationError, c_alpha, fit_decay, functionals,
-                       lemma_audit_ccc0, lemma_audit_convolution, make_grid,
+from gevrey_ns import (ConfigurationError, c_alpha, check_theorem, config_from_dict,
+                       fit_decay, functionals, lemma_audit_ccc0,
+                       lemma_audit_convolution, make_grid, make_initial_data,
                        norm_grad_l2, norm_l2, random_spectrum_field,
                        raw_functionals, sample_at_time_zero, shear_flow,
                        smallness_check, stokes, stokes_derivative_stack,
                        taylor_green, theorem2_log_rhs, theorem2_rhs, theorem3_rhs,
-                       theorem_lhs, time_derivative_stack)
+                       theorem4_rhs, theorem4_t0, theorem_lhs, time_derivative_stack)
 from gevrey_ns.functionals import (FunctionalSeries, convolution_bound,
                                    convolution_pairing)
 from gevrey_ns.spectral import mode_energies
-from gevrey_ns.stokes import _h_weights, weighted_h_integral, weighted_h_rate
+from gevrey_ns.stokes import _h_weights, heat_modes, weighted_h_integral, weighted_h_rate
 
 SQRT2_PI = np.pi * np.sqrt(2.0)
 HYP = dict(deadline=None, derandomize=True, max_examples=60)
@@ -299,6 +300,20 @@ class TestRhsPieces:
         assert theorem2_rhs(10.0, 1.0, 1.0, 12) == math.inf
         assert np.isfinite(theorem2_log_rhs(10.0, 1.0, 1.0, 12))
 
+    def test_values_past_the_double_range(self, grid32):
+        # 2^n, 2^(2 gamma), (8 C0 C_a K)^(1/gamma) and (k!)^alpha past 1.8e308
+        assert theorem2_rhs(10.0, 1.0, 1.0, 1023) == math.inf  # 2^1023 is a double
+        with pytest.raises(ConfigurationError, match="0..1023"):
+            theorem2_log_rhs(10.0, 1.0, 1.0, 1024)
+        with pytest.raises(ConfigurationError, match="rounds to 0"):
+            c_alpha(1e-17)
+        assert theorem4_rhs(1.0, 511.0) == 2.0 ** 1022 and theorem4_rhs(1.0, 512.0) == math.inf
+        assert theorem4_rhs(1e200, 1.0) == math.inf
+        assert theorem4_t0(0.23, 1.0, 10.0, 1e-4) == math.inf
+        # 100 ln 6! < 709.78 < 100 ln 7!: orders m = 13..15 have pair index k >= 7
+        L_c, H_c = shear_sample(grid32, 1.0).normalized(100.0)
+        assert not L_c[0, 13:].any() and not H_c[0, 13:].any() and L_c[0, 12] > 0.0
+
     @settings(**HYP)
     @given(u0=st.floats(0.1, 10.0), c0=st.floats(0.05, 2.0),
            n=st.integers(0, 8), bump=st.floats(1.001, 2.0))
@@ -312,32 +327,47 @@ class TestRhsPieces:
             assert theorem2_log_rhs(u0, c0, 1.0, n + 1) > base
 
     def test_smallness_examples(self):
-        assert smallness_check(0.0, 1.0, 1.0).satisfied
+        assert smallness_check(0.0, 1.0, 1.0) < 1.0
         val = 0.125 / c_alpha(2.0)  # makes the product exactly 1
-        assert not smallness_check(val, 1.0, 2.0).satisfied
+        assert not smallness_check(val, 1.0, 2.0) < 1.0
         res = smallness_check(0.5, 0.2, 1.0)
-        assert res.value == pytest.approx(0.9237604, rel=1e-6)
-        assert res.satisfied
+        assert res == pytest.approx(0.9237604, rel=1e-6)
+        assert res < 1.0
+
+
+def solve_t0(u0, c0, alpha, horizon):
+    """theorem3_rhs on u0's own heat modes and norm."""
+    return theorem3_rhs(heat_modes(u0, alpha), norm_l2(u0), c0, horizon)
+
+
+def integral(u0, alpha, T):
+    """I(T) of u0 at one alpha, its modes built for this call."""
+    return weighted_h_integral(heat_modes(u0, alpha), T)
+
+
+def rate(u0, alpha, T):
+    """I'(T) of u0 at one alpha, its modes built for this call."""
+    return weighted_h_rate(heat_modes(u0, alpha), T)
 
 
 class TestTheorem3Rhs:
     def test_vanishing_data_caps_at_horizon(self, grid32):
         tiny = shear_flow(grid32, 1e-12)
-        res = theorem3_rhs(tiny, 0.3, 1.0, horizon=5.0)
+        res = solve_t0(tiny, 0.3, 1.0, horizon=5.0)
         assert res.capped_at_horizon
         assert res.T0 == 5.0
 
     def test_rhs_zero_at_origin(self, unit_mode):
-        res = theorem3_rhs(unit_mode, 0.3, 1.0, horizon=5.0)
+        res = solve_t0(unit_mode, 0.3, 1.0, horizon=5.0)
         rhs = res.rhs(np.linspace(0.0, res.T0, 9))
         assert rhs[0] == 0.0 and np.all(np.diff(rhs) > 0)
 
     def test_rhs_is_the_scaled_integral_inside_zero_to_t0(self, random_field):
         c0, alpha = 0.3, 1.0
-        res = theorem3_rhs(random_field, c0, alpha, horizon=1.0)
+        res = solve_t0(random_field, c0, alpha, horizon=1.0)
         times = np.linspace(0.0, res.T0, 5)
         scale = 64.0 * (c0 * c_alpha(alpha) * norm_l2(random_field)) ** 2
-        expect = [scale * weighted_h_integral(random_field, alpha, float(t)) for t in times]
+        expect = [scale * integral(random_field, alpha, float(t)) for t in times]
         assert np.array_equal(res.rhs(times), expect)
         for bad in ([-1e-3], [0.0, 1.01 * res.T0]):
             with pytest.raises(ConfigurationError, match="outside"):
@@ -349,20 +379,20 @@ class TestTheorem3Rhs:
         for seed in range(6):
             u0 = random_spectrum_field(grid32, 2.0, 8, seed=seed, l2_norm=1.0 + seed)
             times = np.concatenate([[0.0], np.sort(rng.random(8)) * 10.0 ** -seed])
-            scalar = [weighted_h_integral(u0, alpha, float(t)) for t in times]
-            assert np.array_equal(weighted_h_integral(u0, alpha, times), scalar)
+            scalar = [integral(u0, alpha, float(t)) for t in times]
+            assert np.array_equal(integral(u0, alpha, times), scalar)
         zero = shear_flow(grid32, 1.0) * 0.0
-        assert weighted_h_integral(zero, alpha, times).tolist() == [0.0] * len(times)
+        assert integral(zero, alpha, times).tolist() == [0.0] * len(times)
 
     def test_bisection_brackets_the_condition(self, unit_mode):
         c0, alpha = 0.4, 1.0
-        res = theorem3_rhs(unit_mode, c0, alpha, horizon=10.0)
+        res = solve_t0(unit_mode, c0, alpha, horizon=10.0)
         assert not res.capped_at_horizon
         ca = c_alpha(alpha)
         thr = 1.0 / (32.0 * c0 * ca)
 
         def cond(T):
-            return 8.0 * c0 * ca * math.sqrt(weighted_h_integral(unit_mode, alpha, T)) - thr
+            return 8.0 * c0 * ca * math.sqrt(integral(unit_mode, alpha, T)) - thr
 
         assert cond(res.T0 * 0.999) < 0.0
         assert cond(res.T0 * 1.001) > 0.0
@@ -380,7 +410,7 @@ class TestTheorem3Rhs:
 
         monkeypatch.setattr(functionals, "weighted_h_integral", counted(weighted_h_integral))
         monkeypatch.setattr(functionals, "weighted_h_rate", counted(weighted_h_rate))
-        res = theorem3_rhs(u0, c0, alpha, horizon=1.0)
+        res = solve_t0(u0, c0, alpha, horizon=1.0)
         assert not res.capped_at_horizon
         assert len(calls) <= 30  # I(T) and I'(T) evaluations alike
         ca = c_alpha(alpha)
@@ -388,20 +418,23 @@ class TestTheorem3Rhs:
         thr = 1.0 / (32.0 * c0 * ca)
 
         def cond(T):
-            return 8.0 * c0 * ca * u0n * math.sqrt(max(weighted_h_integral(u0, alpha, T), 0.0)) \
-                - thr
+            return 8.0 * c0 * ca * u0n * math.sqrt(max(integral(u0, alpha, T), 0.0)) - thr
 
         assert cond(res.T0) < 0.0 <= cond(np.nextafter(res.T0, np.inf))
 
-    def test_one_mode_energies_call_per_solve(self, grid32, monkeypatch):
-        u0 = random_spectrum_field(grid32, 2.0, 8, seed=3, l2_norm=5.0)
-        c0, alpha = 0.3, 1.0
+    def test_one_mode_energies_call_per_check(self, monkeypatch):
+        # a bound-3 check builds one HeatModes for its three T0 solves and its rows
+        cfg = config_from_dict({"n": 32, "dt": 0.01, "t_end": 0.2, "stack_depth": 2,
+                                "c0": {"mode": "fixed", "value": 0.3},
+                                "initial_data": {"kind": "random_spectrum", "decay": 2.0,
+                                                 "k_max": 8, "seed": 3, "l2_norm": 5.0}})
+        u0 = make_initial_data(make_grid(cfg.n), cfg.initial_data)
         # reference: every evaluation takes u0 and recomputes its modes and weights
         monkeypatch.setattr(functionals, "weighted_h_integral",
-                            lambda modes, a, T: weighted_h_integral(u0, a, T))
+                            lambda modes, T: integral(u0, modes.alpha, T))
         monkeypatch.setattr(functionals, "weighted_h_rate",
-                            lambda modes, a, T: weighted_h_rate(u0, a, T))
-        ref = theorem3_rhs(u0, c0, alpha, horizon=1.0)
+                            lambda modes, T: rate(u0, modes.alpha, T))
+        ref = check_theorem(3, cfg)
         monkeypatch.undo()
         calls = []
 
@@ -410,19 +443,20 @@ class TestTheorem3Rhs:
             return mode_energies(v)
 
         monkeypatch.setattr(stokes, "mode_energies", counted)
-        res = theorem3_rhs(u0, c0, alpha, horizon=1.0)
-        assert calls == [u0]
-        assert not res.capped_at_horizon and res.T0 == ref.T0
-        times = np.linspace(0.0, res.T0, 9)
-        assert np.array_equal(res.rhs(times), ref.rhs(times))
+        rep = check_theorem(3, cfg)
+        assert len(calls) == 1 and np.array_equal(calls[0].w, u0.w)
+        assert not rep.params["T0_capped_at_horizon"] and rep.params["T0"] == ref.params["T0"]
+        assert rep.extras["rhs_sensitivity"] == ref.extras["rhs_sensitivity"]
+        assert len(rep.rows) == 9
+        assert [row["rhs"] for row in rep.rows] == [row["rhs"] for row in ref.rows]
 
     def test_t0_equals_a_bisection_from_zero_to_the_horizon(self, grid32):
         def bisection(u0, c0, alpha, horizon):
             ca, u0n = c_alpha(alpha), norm_l2(u0)
 
             def cond(T):
-                return 8.0 * c0 * ca * u0n * math.sqrt(max(weighted_h_integral(u0, alpha, T),
-                                                           0.0)) - 1.0 / (32.0 * c0 * ca)
+                return 8.0 * c0 * ca * u0n * math.sqrt(max(integral(u0, alpha, T), 0.0)) \
+                    - 1.0 / (32.0 * c0 * ca)
 
             if u0n == 0.0 or cond(horizon) < 0.0:
                 return horizon
@@ -441,7 +475,7 @@ class TestTheorem3Rhs:
                   (random_spectrum_field(grid32, 2.0, 8, seed=1, l2_norm=2.0), 0.227, 2.0)]
         capped = 0
         for u0, c0, alpha in cases:
-            res = theorem3_rhs(u0, c0, alpha, horizon=1.0)
+            res = solve_t0(u0, c0, alpha, horizon=1.0)
             assert res.T0 == bisection(u0, c0, alpha, 1.0)
             capped += res.capped_at_horizon
         assert capped == 2
@@ -450,12 +484,12 @@ class TestTheorem3Rhs:
     def test_rate_is_the_derivative_of_the_integral(self, random_field, alpha):
         for T in (1e-4, 1e-2, 0.3, 2.0):
             h = 1e-5 * T
-            fd = (weighted_h_integral(random_field, alpha, T + h)
-                  - weighted_h_integral(random_field, alpha, T - h)) / (2.0 * h)
-            assert weighted_h_rate(random_field, alpha, T) == pytest.approx(fd, rel=1e-7)
+            fd = (integral(random_field, alpha, T + h)
+                  - integral(random_field, alpha, T - h)) / (2.0 * h)
+            assert rate(random_field, alpha, T) == pytest.approx(fd, rel=1e-7)
         lams, E = mode_energies(random_field)
         c1 = _h_weights(alpha)[0]
-        assert weighted_h_rate(random_field, alpha, 0.0) == pytest.approx(
+        assert rate(random_field, alpha, 0.0) == pytest.approx(
             float(np.sum(2.0 * lams * E * c1)), rel=1e-15)
 
     def test_integral_matches_independent_quadrature(self, unit_mode):
@@ -477,7 +511,7 @@ class TestTheorem3Rhs:
 
         taus = np.linspace(0.0, T, 4001)
         quad = np.trapezoid([sum_h_sq(float(x)) for x in taus], taus)
-        closed = weighted_h_integral(unit_mode, alpha, T)
+        closed = integral(unit_mode, alpha, T)
         assert closed == pytest.approx(quad, rel=1e-6)
 
 
@@ -518,6 +552,9 @@ class TestDecayFit:
     def test_needs_enough_points(self):
         with pytest.raises(ConfigurationError):
             fit_decay([1.0, 2.0, 3.0], [1.0, 0.5, 0.3], (1.0, 3.0))
+        # the bare config's window [1, 5] past its t_end 1: the message names both
+        with pytest.raises(ConfigurationError, match=r"window \[1, 5\], found 1$"):
+            fit_decay([0.0, 0.5, 1.0], [1.0, 0.5, 0.3], (1.0, 5.0))
 
 
 class TestCcc0Audit:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gevrey_ns import (ConfigurationError, RunConfig, SpectralVelocity,
@@ -337,17 +337,17 @@ class TestCheckTheorem:
         # T0 at C0 and C0 +- 10%; the rows' right-hand side comes from one I(t) call
         c0s, solving, inside, outside = [], [], [], []
 
-        def solve(u0, c0, alpha, horizon):
+        def solve(modes, u0_l2, c0, horizon):
             c0s.append(c0)
             solving.append(c0)
             try:
-                return theorem3_rhs(u0, c0, alpha, horizon)
+                return theorem3_rhs(modes, u0_l2, c0, horizon)
             finally:
                 solving.pop()
 
-        def integral(u0, alpha, T):
+        def integral(modes, T):
             (inside if solving else outside).append(np.size(T))
-            return weighted_h_integral(u0, alpha, T)
+            return weighted_h_integral(modes, T)
 
         monkeypatch.setattr(verify, "theorem3_rhs", solve)
         monkeypatch.setattr(functionals, "weighted_h_integral", integral)
@@ -690,6 +690,18 @@ class TestCli:
         assert report["verdict"] is False and report["rows"] == []
         assert sorted(p.name for p in out.iterdir()) == ["report.json"]
 
+    def test_bound4_past_the_double_range_exits_2_with_one_line(self, tmp_path, capsys):
+        # 2^(2 gamma) overflows at gamma >= 512: an error, not a row decided by an inf
+        out = tmp_path / "out"
+        doc = dict(SMALL_BOUNDS[4], gamma=600.0)
+        assert main(["check-thm4", "--config", self._write_cfg(tmp_path, doc),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: bound 4 leaves the double range")
+        report = strict_loads((out / "report.json").read_text())
+        assert report["status"] == "error" and report["rows"] == []
+
     def test_bad_c0_block_exits_2(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path, {"c0": {"mode": "estimate", "n_samples": 1.7}})
         assert main(["estimate-c0", "--config", cfg]) == 2
@@ -745,14 +757,15 @@ class TestCli:
         assert "fit-decay" in capsys.readouterr().out
 
 
-# Small runs through the CLI: n <= 16, t_end <= 0.04, stack_depth <= 2, fixed c0
+# Small runs through the CLI: n <= 16, t_end <= 0.04, stack_depth <= 2, fixed c0; the
+# bound parameters span what RunConfig accepts
 _RUN_DOC = st.fixed_dictionaries({
     "n": st.sampled_from([8, 16]),
     "dt": st.just(0.01),
     "t_end": st.sampled_from([0.0, 0.02, 0.04]),
     "stack_depth": st.integers(0, 2),
     "c0": st.just({"mode": "fixed", "value": 0.23}),
-    "alphas": st.floats(0.25, 3.0).map(lambda a: [a]) | st.sampled_from([[], [1.0, 2.0]]),
+    "alphas": st.floats(1e-18, 1e3).map(lambda a: [a]) | st.sampled_from([[], [1.0, 2.0]]),
     "initial_data": st.one_of(
         st.fixed_dictionaries({"kind": st.sampled_from(["taylor_green", "shear"]),
                                "amplitude": st.floats(0.01, 5.0)}),
@@ -760,16 +773,25 @@ _RUN_DOC = st.fixed_dictionaries({
                                "decay": st.floats(0.0, 4.0), "k_max": st.integers(1, 8),
                                "seed": st.integers(0, 99),
                                "l2_norm": st.none() | st.floats(0.01, 10.0)})),
-    "theorem2_n_max": st.integers(0, 3),
-    "gamma": st.none() | st.floats(0.1, 3.0),
+    "theorem2_n_max": st.integers(0, 3) | st.integers(0, 2048),
+    "gamma": st.none() | st.floats(1e-6, 1e3),
     "decay_window": st.sampled_from([[0.01, 0.04], [0.02, 0.03], [1.0, 5.0]]),
 })
+
+
+_CRASH_BASE = {"n": 16, "dt": 0.01, "t_end": 0.04, "stack_depth": 2,
+               "c0": {"mode": "fixed", "value": 0.23}}
 
 
 class TestCliProperty:
     @settings(deadline=None, derandomize=True, max_examples=150)
     @given(doc=_RUN_DOC, command=st.sampled_from(
-        ["check-thm1", "check-thm2", "check-thm3", "check-thm4", "ns-run"]))
+        ["check-thm1", "check-thm2", "check-thm3", "check-thm4", "ns-run", "fit-decay"]))
+    # 2^n, 2^(2 gamma) and (k!)^alpha past the double range, and 1 - 2^(-2 alpha) == 0
+    @example(doc=dict(_CRASH_BASE, theorem2_n_max=1024), command="check-thm2")
+    @example(doc=dict(_CRASH_BASE, gamma=600.0, decay_window=[0.01, 0.04]), command="check-thm4")
+    @example(doc=dict(_CRASH_BASE, alphas=[1e-17]), command="check-thm1")
+    @example(doc=dict(_CRASH_BASE, alphas=[100.0], stack_depth=8), command="ns-run")
     def test_small_runs_exit_0_1_or_2_without_traceback(self, doc, command):
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as d:
