@@ -9,6 +9,7 @@ Reports are written as report.json plus CSVs under --out.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -23,16 +24,12 @@ from .spectral import make_grid, make_initial_data, norm_l2
 from .stokes import stokes_gevrey_identity
 from .verify import check_theorem, estimate_c0_from_config, stack_series
 
-_SUBCOMMANDS = ("stokes-verify", "estimate-c0", "ns-run", "check-thm1",
-                "check-thm2", "check-thm3", "check-thm4", "audit-lemmas",
-                "fit-decay")
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gevrey-ns",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS:
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--out", type=str, default=None, help="output directory")
@@ -45,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    doc = cfg.to_dict()
+    doc = dataclasses.asdict(cfg)
     if args.seed is not None:
         doc["seed"] = args.seed
     if args.alpha:
@@ -118,7 +115,8 @@ def _cmd_ns_run(args, cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _cmd_check_thm(theorem_id: int, args, cfg: RunConfig) -> int:
+def _cmd_check_thm(args, cfg: RunConfig) -> int:
+    theorem_id = int(args.command[-1])
     report = check_theorem(theorem_id, cfg)
     _emit(args, report.to_dict(), cfg.out_dir)
     if cfg.out_dir and report.series is not None:
@@ -172,24 +170,18 @@ def _cmd_fit_decay(args, cfg: RunConfig) -> int:
     return 0
 
 
+_COMMANDS = {"stokes-verify": _cmd_stokes_verify, "estimate-c0": _cmd_estimate_c0,
+             "ns-run": _cmd_ns_run, **{f"check-thm{i}": _cmd_check_thm for i in range(1, 5)},
+             "audit-lemmas": _cmd_audit_lemmas, "fit-decay": _cmd_fit_decay}
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _resolve_config(args)
-        if args.command == "stokes-verify":
-            return _cmd_stokes_verify(args, cfg)
-        if args.command == "estimate-c0":
-            return _cmd_estimate_c0(args, cfg)
-        if args.command == "ns-run":
-            return _cmd_ns_run(args, cfg)
-        if args.command.startswith("check-thm"):
-            return _cmd_check_thm(int(args.command[-1]), args, cfg)
-        if args.command == "audit-lemmas":
-            return _cmd_audit_lemmas(args, cfg)
-        return _cmd_fit_decay(args, cfg)  # argparse has rejected any other command
+        return _COMMANDS[args.command](args, _resolve_config(args))
     except (ConfigurationError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -182,19 +182,6 @@ class RunConfig:
             idx.append(n_steps)
         return [i * self.dt for i in idx]
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "dt": self.dt, "t_end": self.t_end,
-            "snapshot_times": self.snapshot_times,
-            "stack_depth": self.stack_depth, "truncation": self.truncation,
-            "alphas": list(self.alphas), "seed": self.seed,
-            "initial_data": dict(self.initial_data), "c0": dict(self.c0),
-            "theorem2_n_max": self.theorem2_n_max,
-            "decay_window": list(self.decay_window), "gamma": self.gamma,
-            "out_dir": self.out_dir, "tol_energy": self.tol_energy,
-            "enforce_cfl": self.enforce_cfl,
-        }
-
 
 _FIELD_NAMES = set(RunConfig.__dataclass_fields__)
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .derivatives import DerivativeStack
 from .errors import ConfigurationError
-from .spectral import SpectralVelocity, parseval
+from .spectral import parseval
 from .stokes import HeatModes, log_factorials, weighted_h_integral, weighted_h_rate
 
 LN2 = math.log(2.0)
@@ -102,14 +102,6 @@ def raw_functionals(stack: DerivativeStack) -> tuple[np.ndarray, np.ndarray]:
     L[0::2], H[0::2] = l2[:M // 2 + 1], grad
     L[1::2] = np.sqrt(t / (2.0 * k)) * grad[:K]
     H[1::2] = np.sqrt(2.0 * k / t) * l2[1:]
-    return L, H
-
-
-def sample_at_time_zero(u: SpectralVelocity, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """The t -> 0+ limit as a row pair: only L_0 = |u| and H_0 = |grad u| survive."""
-    L = np.zeros(M + 1)
-    H = np.zeros(M + 1)
-    L[0], H[0] = np.sqrt(parseval(u.grid, u.w))
     return L, H
 
 
@@ -275,14 +267,17 @@ def theorem_lhs(series: FunctionalSeries, theorem_id: int, alpha: float,
 # ---------------------------------------------------------------------------
 
 def theorem2_log_rhs(u0_l2: float, c0: float, alpha: float, n: int) -> float:
-    """log of C_alpha^(2^n - 1) (|u0|^2 exp(C0^2 |u0|^2 / 2))^(2^n)."""
+    """log of C_alpha^(2^n - 1) (|u0|^2 exp(C0^2 |u0|^2 / 2))^(2^n); never NaN."""
     if u0_l2 <= 0 or c0 <= 0:
         raise ConfigurationError("u0_l2 and c0 must be positive")
     if not 0 <= n <= 1023:
         raise ConfigurationError(f"n must be in 0..1023 (2^n must be a double), got {n}")
-    ca = c_alpha(alpha)
+    log_ca = math.log(c_alpha(alpha))
     p = 2.0 ** n
-    return (p - 1.0) * math.log(ca) + p * (2.0 * math.log(u0_l2) + 0.5 * (c0 * u0_l2) ** 2)
+    log_rhs = (p - 1.0) * log_ca + p * (2.0 * math.log(u0_l2) + 0.5 * (c0 * u0_l2) ** 2)
+    if math.isnan(log_rhs):  # the terms overflowed to +-inf (small alpha and data): factor 2^n
+        log_rhs = p * (log_ca + 2.0 * math.log(u0_l2) + 0.5 * (c0 * u0_l2) ** 2) - log_ca
+    return log_rhs
 
 
 def theorem2_rhs(u0_l2: float, c0: float, alpha: float, n: int) -> float:

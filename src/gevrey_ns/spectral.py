@@ -21,8 +21,9 @@ full lattice,
 
 is one weighted sum over the half, where every column other than 0 and n/2
 also stands for its conjugate and weighs 2.  parseval evaluates both, and
-every L2-type norm reads it.  The L4 norm is evaluated by quadrature on a
-2x-oversampled physical grid so that quartic products do not alias.
+every L2-type norm reads it.  The L4 norm is evaluated by quadrature on the
+2n x 2n physical grid, where quartic products do not alias; a BandDFT
+synthesizes it there, the same path as the C0 ascent's quartic.
 
 The quadratic advection term uses the 2/3-rule: inputs and outputs are
 truncated to |xi|_inf <= k_cut with 3 k_cut < n, which makes the retained
@@ -34,9 +35,10 @@ rfft2 contract with Grid.curl to the vorticity of the dealiased -P div T.  A
 Workspace holds the planes of that kernel, so a solver run or a stack
 allocates them once and no stage or level allocates a plane.
 
-Every FFT goes through rfft2 and irfft2.  The C0 ascent's cap grid is too
-small for them to pay: there a BandDFT maps the retained band to the
-oversampled physical grid and back by dense matrix products.
+Every FFT goes through rfft2 and irfft2, and every one runs on the n x n
+grid.  The 2n x 2n grid belongs to BandDFT alone: it maps the retained band
+there and back by dense matrix products, for norm_l4 and for the C0
+ascent's small cap grid.
 """
 
 from __future__ import annotations
@@ -102,10 +104,6 @@ class Grid:
                      "shells"):
             _readonly(getattr(self, name))
 
-    def oversample_rows(self, m: int) -> np.ndarray:
-        """Row indices embedding this grid's frequencies into an m-point grid."""
-        return self.freqs % m
-
 
 def make_grid(n: int) -> Grid:
     """Build the wavenumber lattice for n modes per dimension.
@@ -146,11 +144,11 @@ class SpectralVelocity:
     """Mean-zero, divergence-free velocity field stored as its vorticity plane.
 
     w is the read-only (n, n/2+1) plane of omegahat = i (k1 uhat2 - k2 uhat1);
-    uh = grid.lift * w, shape (2, n, n/2+1), and its planes u1 and u2 are
-    derived, read-only, on each access.  Instances are immutable; arithmetic
-    returns new fields on the same grid.  Construction checks only the shape
-    of w (FieldInvariantError otherwise); validate_field checks the rest
-    (Hermitian symmetry, zero mean, zero Nyquist).
+    uh = grid.lift * w, shape (2, n, n/2+1), is derived, read-only, on each
+    access.  Instances are immutable; arithmetic returns new fields on the
+    same grid.  Construction checks only the shape of w (FieldInvariantError
+    otherwise); validate_field checks the rest (Hermitian symmetry, zero
+    mean, zero Nyquist).
     """
 
     grid: Grid
@@ -165,14 +163,6 @@ class SpectralVelocity:
     @property
     def uh(self) -> np.ndarray:
         return _readonly(self.grid.lift * self.w)
-
-    @property
-    def u1(self) -> np.ndarray:
-        return self.uh[0]
-
-    @property
-    def u2(self) -> np.ndarray:
-        return self.uh[1]
 
     def __add__(self, other: "SpectralVelocity") -> "SpectralVelocity":
         _require_same_grid(self, other)
@@ -238,11 +228,11 @@ def hermitian_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(c - np.conj(np.roll(c[..., ::-1, :], 1, axis=-2)))))
 
 
-def validate_field(v: SpectralVelocity, hermitian_tol: float = 1e-12) -> None:
+def validate_field(v: SpectralVelocity) -> None:
     """Check the structural invariants of v.w; raise FieldInvariantError on failure.
 
-    Hermitian symmetry is relative to the largest coefficient amplitude, and
-    the mean and the Nyquist row/column must be exactly zero.  Zero
+    The Hermitian defect must be at most 1e-12 of the largest coefficient
+    amplitude, and the mean and the Nyquist row/column exactly zero.  Zero
     divergence holds by construction.
     """
     w = v.w
@@ -252,9 +242,9 @@ def validate_field(v: SpectralVelocity, hermitian_tol: float = 1e-12) -> None:
         raise FieldInvariantError("vorticity has nonzero Nyquist modes")
     scale = max(v.max_amplitude(), 1e-300)
     defect = hermitian_defect(w)
-    if defect > hermitian_tol * scale:
+    if defect > 1e-12 * scale:
         raise FieldInvariantError(
-            f"vorticity Hermitian defect {defect:.3e} exceeds {hermitian_tol:.1e} * {scale:.3e}")
+            f"vorticity Hermitian defect {defect:.3e} exceeds 1.0e-12 * {scale:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +254,8 @@ def validate_field(v: SpectralVelocity, hermitian_tol: float = 1e-12) -> None:
 def rfft2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Unnormalised real 2-D transform over the last two axes, as two 1-D passes.
 
-    Every forward FFT in the package goes through this function, and no
-    other module calls numpy.fft (the C0 ascent's cap grid uses BandDFT).
+    Every forward FFT in the package goes through this function, on the n x n
+    grid, and no other module calls numpy.fft (the 2n grid uses BandDFT).
     numpy.fft.rfft2 computes the same two passes, but its wrapper costs more
     per call than a small transform.  out, if given, receives the result.
     """
@@ -283,22 +273,17 @@ def irfft2(h: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     return np.fft.irfft(np.fft.ifft(h, axis=-2, out=h), n, axis=-1, out=out)
 
 
-def _synthesize(grid: Grid, h: np.ndarray, m: int) -> np.ndarray:
-    """Values on the m x m physical grid (m >= n) of coefficient stacks h (..., n, n/2+1)."""
-    pad = np.zeros(h.shape[:-2] + (m, m // 2 + 1), dtype=complex)
-    pad[..., grid.oversample_rows(m), : grid.n // 2 + 1] = h
-    return irfft2(pad, m) * (float(m) * m)
-
-
 @dataclass(frozen=True)
 class BandDFT:
     """Exact dense DFT between a grid's band and an m x m physical grid, m >= n.
 
-    synthesize is _synthesize, and analyze takes m x m samples to the grid's
-    coefficients, the band of their rfft2 scaled by 1/m^2; to rounding, each
-    is two small matrix products.  synthesize runs rows (m, n) on the rows
-    of the half-spectrum, then cols (n+2, m) on the float view of each half
-    row, whose weights 1 on column 0 and 2 on the others give the real irfft
+    synthesize gives the values on the m x m grid of coefficient stacks
+    (..., n, n/2+1), the irfft2 of their zero-padded m-grid spectrum scaled
+    by m^2, and analyze takes m x m samples to the grid's coefficients, the
+    band of their rfft2 scaled by 1/m^2; to rounding, each is two small
+    matrix products.  synthesize runs rows (m, n) on the rows of the
+    half-spectrum, then cols (n+2, m) on the float view of each half row,
+    whose weights 1 on column 0 and 2 on the others give the real irfft
     output; analyze runs cols_a (m, n+2), scaled by 1/m^2, and rows_a (n, m).
     The Nyquist row and column have zero weight both ways, so they are
     ignored on input and exactly zero on output.  A stack (..., m, m) is
@@ -340,9 +325,10 @@ def band_dft(grid: Grid, m: int) -> BandDFT:
                    rows_a=np.ascontiguousarray(np.conj(rows.T)))
 
 
-def to_physical(v: SpectralVelocity, oversample: int = 1) -> np.ndarray:
-    """Evaluate the velocity on an (oversample*n)^2 physical grid as a (2, m, m) array."""
-    return _synthesize(v.grid, v.uh, oversample * v.grid.n)
+def to_physical(v: SpectralVelocity) -> np.ndarray:
+    """Evaluate the velocity on the n x n physical grid as a (2, n, n) array."""
+    n = v.grid.n
+    return irfft2(v.grid.lift * v.w, n) * (float(n) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +363,9 @@ def norm_grad_l2(v: SpectralVelocity) -> float:
 
 
 def norm_l4(v: SpectralVelocity) -> float:
-    """L4 norm by quadrature on a 2x-oversampled physical grid."""
-    U1, U2 = to_physical(v, oversample=2)
+    """L4 norm by quadrature on the 2n x 2n physical grid, synthesized by a BandDFT."""
     m = 2 * v.grid.n
+    U1, U2 = band_dft(v.grid, m).synthesize(v.uh)
     q = U1 * U1 + U2 * U2
     integral = float(np.sum(q * q)) * (TWO_PI / m) ** 2
     return integral ** 0.25
@@ -531,11 +517,6 @@ def nonlinear_symmetric(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVel
 # ---------------------------------------------------------------------------
 # Initial data
 # ---------------------------------------------------------------------------
-
-def physical_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x = np.arange(n) * (TWO_PI / n)
-    return np.meshgrid(x, x, indexing="ij")
-
 
 def taylor_green(grid: Grid, amplitude: float = 1.0) -> SpectralVelocity:
     """The vortex A (sin x cos y, -cos x sin y); its advection is a pure gradient.

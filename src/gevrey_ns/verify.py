@@ -16,9 +16,8 @@ from . import spectral
 from .config import RunConfig
 from .derivatives import time_derivative_stack
 from .errors import ConfigurationError, IntegrationError
-from .functionals import (FunctionalSeries, TheoremLhs, fit_decay,
-                          raw_functionals, sample_at_time_zero, smallness_check,
-                          theorem2_log_rhs, theorem2_rhs, theorem3_rhs,
+from .functionals import (FunctionalSeries, TheoremLhs, fit_decay, raw_functionals,
+                          smallness_check, theorem2_log_rhs, theorem2_rhs, theorem3_rhs,
                           theorem4_rhs, theorem4_t0, theorem_lhs)
 from .solver import Trajectory, integrate
 from .spectral import (Grid, SpectralVelocity, make_grid, make_initial_data,
@@ -26,6 +25,7 @@ from .spectral import (Grid, SpectralVelocity, make_grid, make_initial_data,
 from .stokes import heat_modes, stokes_derivative_stack
 
 _ASCENT_STEP = 0.2  # L2 length of each normalized C0 ascent step, on unit fields
+_K_CAP = 8  # the C0 ascent's band |xi|_inf <= k_cap, clamped to n/2 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -52,10 +52,10 @@ class C0Estimate:
 class _AscentPlanes:
     """The arrays of a C0 ascent of S fields on grid g, allocated once per estimate.
 
-    band is g's band DFT on the 2x-oversampled grid; uh receives the lifted
-    velocity and then the analysed cubic, U, q and sq are physical planes,
-    mid the transforms' intermediate, tmp vorticity scratch and grad the
-    kernel's output.
+    band is g's band DFT on the 2n x 2n grid; uh receives the lifted velocity
+    and then the analysed cubic, U, q and sq are physical planes, mid the
+    transforms' intermediate, tmp vorticity scratch and grad the kernel's
+    output.
     """
 
     def __init__(self, g: Grid, S: int):
@@ -69,22 +69,19 @@ class _AscentPlanes:
         self.tmp, self.grad = np.empty((2, S, g.n, hc), dtype=complex)
 
 
-def _rayleigh_batch(g: Grid, Z: np.ndarray,
-                    ws: _AscentPlanes | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _rayleigh_batch(g: Grid, Z: np.ndarray, ws: _AscentPlanes) -> tuple[np.ndarray, np.ndarray]:
     """Rayleigh ratios |z|_{L4}^2 / (|z|_{L2} |grad z|_{L2}) of a stack Z of
     S vorticity planes on grid g, shape (S,), and the vorticity of the
     projected spectral gradients of their logs, from one band synthesis and
     one band analysis for the whole stack.
 
     The planes are lifted to the velocity, and |z|^2 and the cubic |z|^2 z
-    are formed on the 2x-oversampled grid; for fields on a cap grid both the
-    quartic integral and the cubic's retained modes are exact there.  The
+    are formed on the 2n x 2n grid; for fields on a cap grid both the quartic
+    integral and the cubic's retained modes are exact there.  The
     projected gradient is the curl of the analysed cubic plus the planes'
     own terms.  Every reduction is per row, so no row affects another.  The
-    work runs in ws (fresh planes if None), and the gradients returned are
-    its grad.
+    work runs in ws, and the gradients returned are its grad.
     """
-    ws = _AscentPlanes(g, len(Z)) if ws is None else ws
     U, q, sq, uh, tmp, grad = ws.U, ws.q, ws.sq, ws.uh, ws.tmp, ws.grad
     np.multiply(g.lift, Z[:, None], out=uh)
     ws.band.synthesize(uh, out=U, mid=ws.mid)
@@ -133,7 +130,7 @@ def _capped_sample(grid: Grid, k_cap: int, seed_pair) -> SpectralVelocity:
 
 
 def estimate_c0(grid: Grid, n_samples: int = 6, ascent_steps: int = 120,
-                seed: int = 0, k_cap: int = 8) -> C0Estimate:
+                seed: int = 0) -> C0Estimate:
     """Estimate the optimal constant in |z|_{L4}^2 <= C0 |z|_{L2} |grad z|_{L2}.
 
     Starting fields are the shear mode, the cellular vortex (perturbed by a
@@ -150,14 +147,11 @@ def estimate_c0(grid: Grid, n_samples: int = 6, ascent_steps: int = 120,
     only through the clamp k_cap <= grid.n / 2 - 1 and is bit-identical for
     every n >= 2 k_cap + 2.  Deterministic per seed; the first k sample
     values do not depend on n_samples >= k, so the estimate is
-    nondecreasing in n_samples.  Raises ConfigurationError if n_samples < 1
-    or k_cap < 3.
+    nondecreasing in n_samples.  Raises ConfigurationError if n_samples < 1.
     """
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
-    k_cap = min(k_cap, grid.n // 2 - 1)
-    if k_cap < 3:
-        raise ConfigurationError(f"k_cap must be >= 3, got {k_cap}")
+    k_cap = min(_K_CAP, grid.n // 2 - 1)  # >= 3, since make_grid requires n >= 8
     cg = make_grid(2 * k_cap + 2)
     starts = [shear_flow(cg, 1.0)]
     if n_samples >= 2:
@@ -243,14 +237,14 @@ class TheoremReport:
 def _add_rows(report: TheoremReport, res: TheoremLhs, k: int, rhs, sel=slice(None),
               **cols) -> None:
     """Append a row per selected time of res truncated at order k (column k):
-    margin = rhs - lhs (inf where rhs is not finite), err_budget = quad_err +
+    margin = rhs - lhs (inf where rhs is +inf), err_budget = quad_err +
     tail_err, ok = margin >= -err_budget; cols are constants written into
     every row."""
     lhs, quad, tail = res.lhs[:, k], res.quad_err[:, k], res.trunc_tail[:, k]
     budget = quad + tail
     rhs = np.broadcast_to(np.asarray(rhs, dtype=float), np.shape(lhs))
     for i in np.arange(len(res.times))[sel]:
-        margin = float(rhs[i] - lhs[i]) if math.isfinite(rhs[i]) else math.inf
+        margin = math.inf if rhs[i] == math.inf else float(rhs[i] - lhs[i])
         report.rows.append({"t": float(res.times[i]), "lhs": float(lhs[i]),
                             "rhs": float(rhs[i]), "margin": margin,
                             "err_budget": float(budget[i]), "ok": margin >= -float(budget[i]),
@@ -258,20 +252,21 @@ def _add_rows(report: TheoremReport, res: TheoremLhs, k: int, rhs, sel=slice(Non
 
 
 def stack_series(traj: Trajectory, K: int, fluctuation: bool = False) -> FunctionalSeries:
-    """Functional tables along a trajectory (t = 0 handled as the limit).
+    """Functional tables along a trajectory, whose first sample is t = 0.
 
-    With fluctuation=True the rows are of f = u - l, with the heat-flow
-    stack's table subtracted exactly.  Each stack is reduced to its row as
-    soon as it is built, so at most one stack is alive at a time.
+    Row 0 is the t -> 0+ limit, where only L~_0 = |u0| and H~_0 = |grad u0|
+    survive; both are read off the trajectory's own Parseval sums.  With
+    fluctuation=True the rows are of f = u - l, with the heat-flow stack's
+    table subtracted exactly, and row 0 is zero.  Each stack is reduced to
+    its row as soon as it is built, so at most one stack is alive at a time.
     """
     u0 = traj.u0
     times = np.asarray(traj.times, dtype=float)
     M = max(0, 2 * K - 1)
     L, H = np.zeros((len(times), M + 1)), np.zeros((len(times), M + 1))
-    for i, (t, u) in enumerate(zip(traj.times, traj.fields)):
-        if t == 0.0:
-            L[i], H[i] = sample_at_time_zero(u - u0 if fluctuation else u, M)
-            continue
+    if not fluctuation:
+        L[0, 0], H[0, 0] = np.sqrt(traj.l2_sq[0]), np.sqrt(traj.grad_sq[0])
+    for i, (t, u) in enumerate(zip(traj.times[1:], traj.fields[1:]), start=1):
         st = time_derivative_stack(u, K, t)
         if fluctuation:
             st = st - stokes_derivative_stack(u0, t, K)

@@ -14,10 +14,18 @@ def laplacian(v):
     return SpectralVelocity(v.grid, -v.grid.k_sq * v.w)
 
 
+def synthesize(grid, h, m):
+    """Values on the m x m physical grid (m >= n) of coefficient stacks h (..., n, n/2+1),
+    by the zero-padded inverse FFT: the reference for spectral.BandDFT.synthesize."""
+    pad = np.zeros(h.shape[:-2] + (m, m // 2 + 1), dtype=complex)
+    pad[..., grid.freqs % m, : grid.n // 2 + 1] = h
+    return spectral.irfft2(pad, m) * (float(m) * m)
+
+
 def analyze(grid, X):
     """The grid's rfft-half coefficients of real samples X (..., m, m) on an m-grid, m >= n."""
     m = X.shape[-1]
-    return spectral.rfft2(X)[..., grid.oversample_rows(m), : grid.n // 2 + 1] / (float(m) * m)
+    return spectral.rfft2(X)[..., grid.freqs % m, : grid.n // 2 + 1] / (float(m) * m)
 
 
 def from_physical(grid, U1, U2):

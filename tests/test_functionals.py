@@ -9,17 +9,17 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from gevrey_ns import (ConfigurationError, c_alpha, check_theorem, config_from_dict,
-                       fit_decay, functionals, lemma_audit_ccc0,
+                       fit_decay, functionals, integrate, lemma_audit_ccc0,
                        lemma_audit_convolution, make_grid, make_initial_data,
-                       norm_grad_l2, norm_l2, random_spectrum_field,
-                       raw_functionals, sample_at_time_zero, shear_flow,
-                       smallness_check, stokes, stokes_derivative_stack,
+                       norm_grad_l2, norm_l2, random_spectrum_field, raw_functionals,
+                       shear_flow, smallness_check, stokes, stokes_derivative_stack,
                        taylor_green, theorem2_log_rhs, theorem2_rhs, theorem3_rhs,
                        theorem4_rhs, theorem4_t0, theorem_lhs, time_derivative_stack)
 from gevrey_ns.functionals import (FunctionalSeries, convolution_bound,
                                    convolution_pairing)
 from gevrey_ns.spectral import mode_energies
 from gevrey_ns.stokes import _h_weights, heat_modes, weighted_h_integral, weighted_h_rate
+from gevrey_ns.verify import stack_series
 
 SQRT2_PI = np.pi * np.sqrt(2.0)
 HYP = dict(deadline=None, derandomize=True, max_examples=60)
@@ -29,6 +29,13 @@ def one_row(t, pair):
     """A one-sample series from an (L~, H~) row pair."""
     L, H = pair
     return FunctionalSeries(times=np.array([t]), L_tilde=L[None], H_tilde=H[None])
+
+
+def time_zero_row(u, M):
+    """The t -> 0+ row pair of u: only L~_0 = |u| and H~_0 = |grad u| survive."""
+    L, H = np.zeros(M + 1), np.zeros(M + 1)
+    L[0], H[0] = norm_l2(u), norm_grad_l2(u)
+    return L, H
 
 
 def shear_sample(grid, t, K=8):
@@ -60,7 +67,10 @@ class TestRawFunctionals:
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(lhs)
 
     def test_time_zero_limit(self, random_field):
-        s = one_row(0.0, sample_at_time_zero(random_field, 11))
+        # row 0 of a series is read off the trajectory's own Parseval sums
+        traj = integrate(random_field, dt=1e-3, t_end=0.0)
+        s = stack_series(traj, 6)
+        assert s.M == 11 and s.times.tolist() == [0.0]
         assert s.L_raw[0, 0] == norm_l2(random_field)
         assert s.H_raw[0, 0] == norm_grad_l2(random_field)
         assert not s.L_raw[0, 1:].any()
@@ -159,7 +169,7 @@ def heat_series():
     grid = make_grid(32)
     u0 = shear_flow(grid, 1.0) * (1.0 / SQRT2_PI)
     times = np.concatenate([[0.0], np.linspace(0.125, 2.0, 16)])
-    rows = [sample_at_time_zero(u0, 15)]
+    rows = [time_zero_row(u0, 15)]
     for t in times[1:]:
         u = np.exp(-t) * shear_flow(grid, 1.0 / SQRT2_PI)
         rows.append(raw_functionals(time_derivative_stack(u, 8, t=float(t))))
@@ -279,7 +289,7 @@ class TestTheoremLhs:
 
     @pytest.mark.parametrize("theorem_id", [1, 2, 3, 4])
     def test_depth_zero_series_is_an_error(self, unit_mode, theorem_id):
-        series = one_row(0.0, sample_at_time_zero(unit_mode, 0))
+        series = one_row(0.0, time_zero_row(unit_mode, 0))
         assert series.k_cap == -1
         with pytest.raises(ConfigurationError, match="stack_depth >= 1"):
             theorem_lhs(series, theorem_id, 1.0, gamma=0.5)
@@ -299,6 +309,16 @@ class TestRhsPieces:
     def test_rhs_overflow_indicator(self):
         assert theorem2_rhs(10.0, 1.0, 1.0, 12) == math.inf
         assert np.isfinite(theorem2_log_rhs(10.0, 1.0, 1.0, 12))
+
+    def test_log_rhs_of_opposite_infinities_is_the_factored_form(self):
+        # (2^n - 1) ln C_a overflows to +inf and 2^n (2 ln|u0| + (C0 |u0|)^2 / 2) to -inf;
+        # their sum would be NaN, the factored form is finite and negative
+        ln_ca = math.log(c_alpha(0.001))
+        p = 2.0 ** 1023
+        factored = p * (ln_ca + 2.0 * math.log(0.1) + 0.5 * (0.23 * 0.1) ** 2) - ln_ca
+        assert theorem2_log_rhs(0.1, 0.23, 0.001, 1023) == factored
+        assert -math.inf < factored < -1e308
+        assert theorem2_rhs(0.1, 0.23, 0.001, 1023) == 0.0
 
     def test_values_past_the_double_range(self, grid32):
         # 2^n, 2^(2 gamma), (8 C0 C_a K)^(1/gamma) and (k!)^alpha past 1.8e308

@@ -1,8 +1,10 @@
 """The package runs on numpy alone (no scipy at import time or in its metadata), keeps
-the names the benchmark looks up, and calls numpy.fft from spectral.py only."""
+the names the benchmark looks up, calls numpy.fft from spectral.py only, and its README
+lists the CLI's subcommands."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -112,3 +114,10 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     package = ROOT / "src" / "gevrey_ns"
     found = {p.name: _private_sibling_imports(p) for p in sorted(package.glob("*.py"))}
     assert found and not any(found.values()), found
+
+
+def test_readme_lists_every_subcommand_in_order():
+    from gevrey_ns import cli
+    text = (ROOT / "README.md").read_text()
+    listed = re.search(r"^Subcommands: (.*?)\.$", text, re.M | re.S).group(1)
+    assert re.findall(r"`([^`]+)`", listed) == list(cli._COMMANDS)

@@ -124,7 +124,7 @@ class TestIntegrate:
         traj = integrate(u0, dt=2e-3, t_end=0.5,
                          snapshot_times=[0.0, 0.1, 0.25, 0.5])
         for u in traj.fields:
-            validate_field(u, hermitian_tol=1e-12)
+            validate_field(u)
 
     def test_snapshots_are_independent_read_only_planes(self, grid32):
         # integrate steps one plane in place; each snapshot must keep its own copy

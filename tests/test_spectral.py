@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.fft as sfft
-from conftest import analyze, from_physical, transform_roundtrip
+from conftest import analyze, from_physical, synthesize, transform_roundtrip
 
 from gevrey_ns import (ConfigurationError, FieldInvariantError, GridMismatchError,
                        SpectralVelocity, from_lattice, hermitian_defect,
@@ -55,13 +55,14 @@ class TestTransforms:
 
     @pytest.mark.parametrize("n, m", [(18, 36), (16, 48), (32, 32)])
     def test_band_dft_matches_the_padded_fft_pair(self, n, m):
-        # random Hermitian batches: synthesis is _synthesize, analysis is the oracle analyze with
-        # its Nyquist row and column exactly zero
+        # random Hermitian batches against the padded FFT pair: synthesis against the oracle
+        # synthesize, analysis against the oracle analyze with its Nyquist row and column
+        # exactly zero
         grid = make_grid(n)
         band = spectral.band_dft(grid, m)
         rng = np.random.default_rng(n + m)
         h = spectral._clean(grid, analyze(grid, rng.standard_normal((3, 2, n, n))))
-        ref = spectral._synthesize(grid, h, m)
+        ref = synthesize(grid, h, m)
         U = band.synthesize(h)
         assert U.shape == ref.shape and U.dtype == float
         assert np.max(np.abs(U - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -119,8 +120,8 @@ class TestLerayProjection:
         uh[:, 1, 0] = 1.0
         uh[:, -1, 0] = 1.0
         p = leray_project(grid32, uh)
-        assert abs(p.u1[1, 0]) < 1e-15
-        assert abs(p.u2[1, 0] - 1.0) < 1e-15
+        assert abs(p.uh[0][1, 0]) < 1e-15
+        assert abs(p.uh[1][1, 0] - 1.0) < 1e-15
 
     def test_idempotent_and_self_adjoint(self, grid32):
         rng = np.random.default_rng(3)
@@ -191,7 +192,7 @@ class TestNonlinearTerm:
         out = nonlinear_term(a, b)
 
         m = 64
-        rows = grid32.oversample_rows(m)
+        rows = grid32.freqs % m
 
         def embed(h):
             full = np.zeros((m, m), dtype=complex)
@@ -349,6 +350,19 @@ class TestNorms:
         assert norm_grad_l2(z) == 0.0
         assert norm_l4(z) == 0.0
 
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_l4_is_a_band_dft_quadrature_matching_the_padded_fft(self, n, fft_calls):
+        # the 2n grid is BandDFT's alone: no FFT runs, and the quadrature agrees with
+        # the zero-padded inverse FFT on the same grid
+        v = random_spectrum_field(make_grid(n), decay=1.0, k_max=n // 3, seed=n, l2_norm=1.0)
+        l4 = norm_l4(v)
+        assert fft_calls == {"irfft2": 0, "rfft2": 0}
+        m = 2 * n
+        U1, U2 = synthesize(v.grid, v.uh, m)
+        q = U1 * U1 + U2 * U2
+        ref = (float(np.sum(q * q)) * (2 * np.pi / m) ** 2) ** 0.25
+        assert abs(l4 - ref) <= 1e-14 * ref
+
 
 class TestInitialData:
     def test_shear_norm(self, grid32):
@@ -417,8 +431,8 @@ class TestInitialData:
     def test_random_spectrum_cutoff(self, grid32):
         v = random_spectrum_field(grid32, 2.0, 5, seed=1)
         r = np.sqrt(grid32.k_sq)
-        assert np.all(v.u1[r > 5.0] == 0)
-        assert np.all(v.u2[r > 5.0] == 0)
+        assert np.all(v.uh[0][r > 5.0] == 0)
+        assert np.all(v.uh[1][r > 5.0] == 0)
 
     @pytest.mark.parametrize("bad", [
         {"kind": "vortex_sheet"},
@@ -487,8 +501,8 @@ class TestValidation:
 
 def test_from_physical_custom_field(grid32):
     # an analytic divergence-free field defined on the collocation grid
-    from gevrey_ns import physical_grid
-    X, Y = physical_grid(32)
+    x = np.arange(32) * (2 * np.pi / 32)
+    X, Y = np.meshgrid(x, x, indexing="ij")
     U1 = np.sin(2 * Y) + 0.3 * np.sin(X) * np.cos(3 * Y)
     U2 = -0.1 * np.cos(X) * np.sin(3 * Y)
     v = from_physical(grid32, U1, U2)

@@ -1,6 +1,7 @@
 """Orchestration layer: constant estimation, theorem reports, CLI, file formats."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import synthesize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,8 +18,7 @@ from gevrey_ns import (ConfigurationError, RunConfig, SpectralVelocity,
                        check_theorem, config_from_dict, estimate_c0,
                        functionals, inner_l2, leray_project, make_grid,
                        make_initial_data, norm_grad_l2, norm_l2, norm_l4,
-                       random_spectrum_field, taylor_green, to_physical,
-                       verify)
+                       random_spectrum_field, taylor_green, verify)
 from gevrey_ns.cli import main
 from gevrey_ns.functionals import theorem3_rhs, theorem_lhs
 from gevrey_ns.reporting import json_dumps
@@ -59,6 +60,11 @@ def strict_loads(text):
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
     return json.loads(text, parse_constant=reject)
+
+
+def rayleigh_batch(g, Z):
+    """verify._rayleigh_batch of the stack Z in fresh ascent planes."""
+    return verify._rayleigh_batch(g, Z, verify._AscentPlanes(g, len(Z)))
 
 
 @pytest.fixture(scope="module")
@@ -106,10 +112,6 @@ class TestEstimateC0:
             assert other.sample_values == a.sample_values
             assert np.array_equal(other.spectrum_signature, a.spectrum_signature)
 
-    def test_cap_below_three_rejected(self):
-        with pytest.raises(ConfigurationError, match="k_cap"):
-            estimate_c0(make_grid(32), k_cap=2)
-
     def test_first_samples_do_not_depend_on_n_samples(self):
         grid = make_grid(32)
         six = estimate_c0(grid, n_samples=6, ascent_steps=40, seed=1).sample_values
@@ -117,7 +119,7 @@ class TestEstimateC0:
 
     def test_gradient_matches_central_difference(self):
         # every row of a batch against a central difference of its own log ratio
-        from gevrey_ns.verify import _capped_sample, _rayleigh_batch
+        from gevrey_ns.verify import _capped_sample
         cg = make_grid(18)
 
         def batch(*fields):
@@ -125,22 +127,22 @@ class TestEstimateC0:
 
         Z = batch(_capped_sample(cg, 8, [0, 2]), _capped_sample(cg, 8, [0, 4]))
         W = batch(_capped_sample(cg, 8, [0, 3]), _capped_sample(cg, 8, [0, 5]))
-        _, grad = _rayleigh_batch(cg, Z)
+        _, grad = rayleigh_batch(cg, Z)
         eps = 1e-6
-        fd = (np.log(_rayleigh_batch(cg, Z + eps * W)[0])
-              - np.log(_rayleigh_batch(cg, Z - eps * W)[0])) / (2.0 * eps)
+        fd = (np.log(rayleigh_batch(cg, Z + eps * W)[0])
+              - np.log(rayleigh_batch(cg, Z - eps * W)[0])) / (2.0 * eps)
         for row in range(2):
             g, w = (SpectralVelocity(cg, a[row]) for a in (grad, W))
             assert fd[row] == pytest.approx(inner_l2(g, w), rel=1e-7)
 
     def test_rows_of_a_batch_do_not_mix(self):
         # a degenerate row (the zero field: 0/0 everywhere) keeps its NaNs to itself
-        from gevrey_ns.verify import _capped_sample, _rayleigh_batch
+        from gevrey_ns.verify import _capped_sample
         cg = make_grid(18)
         z = _capped_sample(cg, 8, [0, 2])
-        alone_r, alone_g = _rayleigh_batch(cg, np.stack([z.w]))
+        alone_r, alone_g = rayleigh_batch(cg, np.stack([z.w]))
         with np.errstate(divide="ignore", invalid="ignore"):
-            r, g = _rayleigh_batch(cg, np.stack([z.w, 0 * z.w]))
+            r, g = rayleigh_batch(cg, np.stack([z.w, 0 * z.w]))
         assert r[0] == alone_r[0] and np.array_equal(g[0], alone_g[0])
         assert np.isnan(r[1])
 
@@ -170,12 +172,12 @@ class TestEstimateC0:
 
         def ratio_and_gradient(z):
             g, m = z.grid, 2 * z.grid.n
-            U = to_physical(z, oversample=2)
+            U = synthesize(g, z.uh, m)
             q = U[0] * U[0] + U[1] * U[1]
             quartic = float(np.sum(q * q)) * (2.0 * math.pi / m) ** 2
             l2, g2 = norm_l2(z), norm_grad_l2(z)
             h = np.fft.rfft2(q * U)  # the rfft half layout of a field
-            cub = h[:, g.oversample_rows(m), :g.n // 2 + 1] / (m * m)
+            cub = h[:, g.freqs % m, :g.n // 2 + 1] / (m * m)
             d = 2.0 * cub / quartic - z.uh / l2 ** 2 - g.k_sq * z.uh / g2 ** 2
             return math.sqrt(quartic) / (l2 * g2), leray_project(g, d)
 
@@ -304,6 +306,27 @@ class TestCheckTheorem:
         assert rep.status == "ok" and rep.params["K"] == stack_depth
         assert len(depths) == len(rep.series.times) - 1 and set(depths) == {K}
         assert rep.params.get("K_used") == (K if theorem_id == 2 else None)
+
+    def test_thm2_rows_at_the_double_edge_fail_on_a_zero_rhs(self):
+        # small alpha and small data: at n = 1022 and 1023 the log RHS terms overflow;
+        # the RHS is 0 (never NaN), so those rows fail
+        doc = dict(SMALL_BASE, initial_data=_small_data(0.1), alphas=[0.001],
+                   theorem2_n_max=1023)
+        rep = check_theorem(2, config_from_dict(doc))
+        assert rep.status == "ok" and not rep.verdict
+        assert not any(math.isnan(r["rhs"]) or math.isnan(r["margin"]) for r in rep.rows)
+        edge = [r for r in rep.rows if r["n"] >= 1022]
+        assert len(edge) == 2 * len(rep.series.times)
+        assert all(r["rhs"] == 0.0 and not r["ok"] for r in edge)
+        assert all(math.isfinite(r["log_rhs"]) for r in edge if r["n"] == 1023)
+
+    def test_a_nan_rhs_never_passes_a_row(self):
+        rep = check_theorem(2, config_from_dict(SMALL_BOUNDS[2]))
+        res = theorem_lhs(rep.series, 2, rep.params["alpha"])
+        for rhs, ok in ((math.nan, False), (math.inf, True)):
+            report = verify.TheoremReport(theorem_id=2, params={})
+            verify._add_rows(report, res, 1, rhs)
+            assert [r["ok"] for r in report.rows] == [ok] * len(res.times)
 
     def test_thm2_large_data(self):
         doc = dict(THM1_CFG)
@@ -468,7 +491,7 @@ class TestConfig:
 
     def test_roundtrip(self):
         cfg = config_from_dict(THM1_CFG)
-        again = config_from_dict(cfg.to_dict())
+        again = config_from_dict(dataclasses.asdict(cfg))
         assert again == cfg
 
     @pytest.mark.parametrize("key, bad", [
@@ -807,10 +830,9 @@ class TestConcurrencyContract:
     def test_fields_are_immutable(self):
         grid = make_grid(32)
         u0 = random_spectrum_field(grid, 2.0, 8, seed=9, l2_norm=1.0)
-        for plane in (u0.w, u0.uh, u0.u1):
+        for plane in (u0.w, u0.uh, u0.uh[0]):
             with pytest.raises((ValueError, RuntimeError)):
                 plane[0, 1] = 5.0
-        import dataclasses
         with pytest.raises(dataclasses.FrozenInstanceError):
             u0.w = 2.0 * u0.w
 
