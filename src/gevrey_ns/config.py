@@ -110,7 +110,8 @@ class RunConfig:
         gamma: decay exponent override (fitted from the trajectory if None).
         out_dir: where reports and CSVs are written (optional).
         tol_energy: energy ledger tolerance.
-        enforce_cfl: advective step-size guard.
+
+    Config-driven runs always keep solver.integrate's CFL guard; no key switches it off.
     """
 
     n: int = 32
@@ -128,7 +129,6 @@ class RunConfig:
     gamma: float | None = None
     out_dir: str | None = None
     tol_energy: float = 1e-7
-    enforce_cfl: bool = True
 
     def __post_init__(self):
         _require(_is_int(self.n) and self.n >= 8 and self.n % 2 == 0,
@@ -161,8 +161,6 @@ class RunConfig:
                  "out_dir must be null or a string", self.out_dir)
         _require(_is_real(self.tol_energy) and self.tol_energy > 0,
                  "tol_energy must be a finite number > 0", self.tol_energy)
-        _require(isinstance(self.enforce_cfl, bool), "enforce_cfl must be true or false",
-                 self.enforce_cfl)
 
     @property
     def alpha(self) -> float:

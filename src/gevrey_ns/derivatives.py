@@ -94,7 +94,7 @@ def time_derivative_stack(u: SpectralVelocity, K: int, t: float) -> DerivativeSt
     for k in range(1, K + 1):
         ws.load(k - 1, w[k - 1])
         v = ws.level(k, out=w[k])
-        v -= np.multiply(k_sq, w[k - 1], out=ws.coef[0])  # ws.coef is free between kernel calls
+        v -= k_sq * w[k - 1]
         v *= t / (2.0 * k)
     return DerivativeStack(g, t, w)
 

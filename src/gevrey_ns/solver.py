@@ -114,12 +114,6 @@ def _advance(ws: Workspace, w: np.ndarray, coef, planes: np.ndarray) -> None:
     w += s
 
 
-def _stepper(grid: Grid, dt: float):
-    """(workspace, multipliers, six stage planes) for steps of size dt on grid."""
-    planes = np.empty((6,) + grid.k_sq.shape, dtype=complex)
-    return Workspace(grid), _stage_coefficients(grid, dt), planes
-
-
 def step(u: SpectralVelocity, dt: float) -> SpectralVelocity:
     """Advance one step of size dt > 0: the last snapshot of a one-step integrate.
 
@@ -165,7 +159,8 @@ def integrate(u0: SpectralVelocity, dt: float, t_end: float,
     snaps = _snapshot_steps(dt, t_end, snapshot_times, n_steps)
 
     g = u0.grid
-    ws, coef, planes = _stepper(g, dt)
+    ws, coef = Workspace(g), _stage_coefficients(g, dt)
+    planes = np.empty((6,) + g.k_sq.shape, dtype=complex)
 
     def check_cfl(u: SpectralVelocity, t: float) -> None:
         if not enforce_cfl:
@@ -215,8 +210,7 @@ def run(config) -> Trajectory:
     grid = make_grid(config.n)
     u0 = make_initial_data(grid, config.initial_data)
     return integrate(u0, dt=config.dt, t_end=config.t_end,
-                     snapshot_times=config.resolved_snapshots(),
-                     enforce_cfl=config.enforce_cfl)
+                     snapshot_times=config.resolved_snapshots())
 
 
 def ledger_tolerance(dt: float, tol_energy: float = 1e-7) -> float:

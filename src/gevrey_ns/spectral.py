@@ -21,9 +21,9 @@ full lattice,
 
 is one weighted sum over the half, where every column other than 0 and n/2
 also stands for its conjugate and weighs 2.  parseval evaluates both, and
-every L2-type norm reads it.  The L4 norm is evaluated by quadrature on the
-2n x 2n physical grid, where quartic products do not alias; a BandDFT
-synthesizes it there, the same path as the C0 ascent's quartic.
+every L2-type norm reads it.  l4_quadrature is the one L4 norm: a Riemann
+sum on a BandDFT's physical grid, fine enough that the quartic does not
+alias; norm_l4 (on the 2n x 2n grid) and the C0 ascent both read it.
 
 The quadratic advection term uses the 2/3-rule: inputs and outputs are
 truncated to |xi|_inf <= k_cut with 3 k_cut < n, which makes the retained
@@ -279,17 +279,16 @@ class BandDFT:
 
     synthesize gives the values on the m x m grid of coefficient stacks
     (..., n, n/2+1), the irfft2 of their zero-padded m-grid spectrum scaled
-    by m^2, and analyze takes m x m samples to the grid's coefficients, the
-    band of their rfft2 scaled by 1/m^2; to rounding, each is two small
-    matrix products.  synthesize runs rows (m, n) on the rows of the
-    half-spectrum, then cols (n+2, m) on the float view of each half row,
-    whose weights 1 on column 0 and 2 on the others give the real irfft
-    output; analyze runs cols_a (m, n+2), scaled by 1/m^2, and rows_a (n, m).
-    The Nyquist row and column have zero weight both ways, so they are
-    ignored on input and exactly zero on output.  A stack (..., m, m) is
-    multiplied plane by plane against the shared matrix, so each BLAS call
-    stays far below OpenBLAS's threading threshold.  out and mid, if given,
-    receive the result and the (..., m, n/2+1) complex intermediate.
+    by m^2; analyze takes m x m samples to the grid's coefficients, the band
+    of their rfft2 scaled by 1/m^2.  Each is two matrix products, to
+    rounding.  synthesize runs rows (m, n) on the rows of the half-spectrum,
+    then cols (n+2, m) on the float view of each half row; the weights 1 on
+    column 0 and 2 on the others give the real irfft output.  analyze runs
+    cols_a (m, n+2), scaled by 1/m^2, then rows_a (n, m).  The Nyquist row
+    and column have zero weight both ways, so they are ignored on input and
+    exactly zero on output.  A stack (..., m, m) is multiplied plane by
+    plane against the shared matrix, so each BLAS call stays far below
+    OpenBLAS's threading threshold.
     """
 
     m: int
@@ -298,16 +297,11 @@ class BandDFT:
     cols_a: np.ndarray
     rows_a: np.ndarray
 
-    def synthesize(self, h: np.ndarray, out: np.ndarray | None = None,
-                   mid: np.ndarray | None = None) -> np.ndarray:
-        return np.matmul(np.matmul(self.rows, h, out=mid).view(float), self.cols, out=out)
+    def synthesize(self, h: np.ndarray) -> np.ndarray:
+        return (self.rows @ h).view(float) @ self.cols
 
-    def analyze(self, X: np.ndarray, out: np.ndarray | None = None,
-                mid: np.ndarray | None = None) -> np.ndarray:
-        if mid is None:
-            mid = np.empty(X.shape[:-1] + (len(self.cols) // 2,), dtype=complex)
-        np.matmul(X, self.cols_a, out=mid.view(float))
-        return np.matmul(self.rows_a, mid, out=out)
+    def analyze(self, X: np.ndarray) -> np.ndarray:
+        return self.rows_a @ (X @ self.cols_a).view(complex)
 
 
 def band_dft(grid: Grid, m: int) -> BandDFT:
@@ -362,13 +356,24 @@ def norm_grad_l2(v: SpectralVelocity) -> float:
     return float(np.sqrt(parseval(v.grid, v.w)[1]))
 
 
+def l4_quadrature(band: BandDFT, grid: Grid,
+                  w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, q, |u|_{L4}^2) of the fields of vorticity planes w (..., n, n/2+1) on band's m-grid.
+
+    U (..., 2, m, m) is the velocity there, q (..., m, m) is |u|^2 and the
+    last entry, shape (...), is sqrt(int |u|^4 dx) by the m x m Riemann sum,
+    which is exact once m exceeds four times the band's largest frequency
+    (|u|^4 then has no alias on the mean).  This is the one L4 quadrature:
+    norm_l4 and the C0 ascent read it.
+    """
+    U = band.synthesize(grid.lift * w[..., None, :, :])
+    q = np.einsum("...kij,...kij->...ij", U, U)
+    return U, q, np.sqrt(np.sum(q * q, axis=(-2, -1))) * (TWO_PI / band.m)
+
+
 def norm_l4(v: SpectralVelocity) -> float:
-    """L4 norm by quadrature on the 2n x 2n physical grid, synthesized by a BandDFT."""
-    m = 2 * v.grid.n
-    U1, U2 = band_dft(v.grid, m).synthesize(v.uh)
-    q = U1 * U1 + U2 * U2
-    integral = float(np.sum(q * q)) * (TWO_PI / m) ** 2
-    return integral ** 0.25
+    """L4 norm by l4_quadrature on the 2n x 2n physical grid."""
+    return float(np.sqrt(l4_quadrature(band_dft(v.grid, 2 * v.grid.n), v.grid, v.w)[2]))
 
 
 def inner_l2(a: SpectralVelocity, b: SpectralVelocity) -> float:

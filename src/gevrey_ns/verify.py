@@ -49,58 +49,23 @@ class C0Estimate:
     seed: int
 
 
-class _AscentPlanes:
-    """The arrays of a C0 ascent of S fields on grid g, allocated once per estimate.
-
-    band is g's band DFT on the 2n x 2n grid; uh receives the lifted velocity
-    and then the analysed cubic, U, q and sq are physical planes, mid the
-    transforms' intermediate, tmp vorticity scratch and grad the kernel's
-    output.
-    """
-
-    def __init__(self, g: Grid, S: int):
-        m, hc = 2 * g.n, g.n // 2 + 1
-        self.band = spectral.band_dft(g, m)
-        self.uh = np.empty((S, 2, g.n, hc), dtype=complex)
-        self.U = np.empty((S, 2, m, m))
-        self.q = np.empty((S, 1, m, m))
-        self.sq = np.empty((S, 1, m, m))
-        self.mid = np.empty((S, 2, m, hc), dtype=complex)
-        self.tmp, self.grad = np.empty((2, S, g.n, hc), dtype=complex)
-
-
-def _rayleigh_batch(g: Grid, Z: np.ndarray, ws: _AscentPlanes) -> tuple[np.ndarray, np.ndarray]:
+def _rayleigh_batch(g: Grid, band: spectral.BandDFT,
+                    Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rayleigh ratios |z|_{L4}^2 / (|z|_{L2} |grad z|_{L2}) of a stack Z of
     S vorticity planes on grid g, shape (S,), and the vorticity of the
-    projected spectral gradients of their logs, from one band synthesis and
-    one band analysis for the whole stack.
+    projected spectral gradients of their logs.
 
-    The planes are lifted to the velocity, and |z|^2 and the cubic |z|^2 z
-    are formed on the 2n x 2n grid; for fields on a cap grid both the quartic
-    integral and the cubic's retained modes are exact there.  The
+    band is g's BandDFT on the 2n x 2n grid, where spectral.l4_quadrature
+    forms |z|^2 and the cubic |z|^2 z; for fields on a cap grid both the
+    quartic integral and the cubic's retained modes are exact there.  The
     projected gradient is the curl of the analysed cubic plus the planes'
-    own terms.  Every reduction is per row, so no row affects another.  The
-    work runs in ws, and the gradients returned are its grad.
+    own terms.  Every reduction is per row, so no row affects another.
     """
-    U, q, sq, uh, tmp, grad = ws.U, ws.q, ws.sq, ws.uh, ws.tmp, ws.grad
-    np.multiply(g.lift, Z[:, None], out=uh)
-    ws.band.synthesize(uh, out=U, mid=ws.mid)
-    np.multiply(U[:, :1], U[:, :1], out=q)
-    np.multiply(U[:, 1:], U[:, 1:], out=sq)
-    q += sq
-    np.multiply(q, q, out=sq)
-    l4sq = np.sqrt(np.sum(sq, axis=(1, 2, 3))) * (2.0 * np.pi / ws.band.m)
+    U, q, l4sq = spectral.l4_quadrature(band, g, Z)
     l2sq, g2sq = spectral.parseval(g, Z).T
-    U *= q
-    cub = ws.band.analyze(U, out=uh, mid=ws.mid)
-    # grad = 2 i (k1 cub2 - k2 cub1) / l4sq^2 - Z / l2sq - |xi|^2 Z / g2sq
-    np.multiply(g.k1, cub[:, 1], out=grad)
-    np.multiply(g.k2, cub[:, 0], out=tmp)
-    grad -= tmp
-    grad *= (2j / l4sq ** 2)[:, None, None]
-    grad -= np.divide(Z, l2sq[:, None, None], out=tmp)
-    np.multiply(g.k_sq, Z, out=tmp)
-    grad -= np.divide(tmp, g2sq[:, None, None], out=tmp)
+    cub = band.analyze(U * q[:, None])
+    curl = (g.k1 * cub[:, 1] - g.k2 * cub[:, 0]) * (2j / l4sq ** 2)[:, None, None]
+    grad = curl - Z / l2sq[:, None, None] - g.k_sq * Z / g2sq[:, None, None]
     return l4sq / np.sqrt(l2sq * g2sq), grad
 
 
@@ -139,15 +104,15 @@ def estimate_c0(grid: Grid, n_samples: int = 6, ascent_steps: int = 120,
     is refined by normalized gradient ascent on the Rayleigh ratio,
     constrained to |xi|_inf <= k_cap.  All starts are stepped together as
     one (n_samples, n, n/2+1) stack of vorticity planes, so each ascent step
-    is one band synthesis and one band analysis (spectral.BandDFT) whatever
-    n_samples is, written into arrays allocated once per call; each row
-    keeps its own step, its own best value, and stops where its gradient
-    vanishes.  The ascent runs on the cap grid of 2 k_cap + 2 modes, whose
-    retained band is exactly the cap box, so the result depends on grid
-    only through the clamp k_cap <= grid.n / 2 - 1 and is bit-identical for
-    every n >= 2 k_cap + 2.  Deterministic per seed; the first k sample
-    values do not depend on n_samples >= k, so the estimate is
-    nondecreasing in n_samples.  Raises ConfigurationError if n_samples < 1.
+    is one band synthesis and one band analysis (spectral.BandDFT, built
+    once per call) whatever n_samples is; each row keeps its own step, its
+    own best value, and stops where its gradient vanishes.  The ascent runs
+    on the cap grid of 2 k_cap + 2 modes, whose retained band is exactly the
+    cap box, so the result depends on grid only through the clamp
+    k_cap <= grid.n / 2 - 1 and is bit-identical for every n >= 2 k_cap + 2.
+    Deterministic per seed; the first k sample values do not depend on
+    n_samples >= k, so the estimate is nondecreasing in n_samples.  Raises
+    ConfigurationError if n_samples < 1.
     """
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
@@ -161,22 +126,20 @@ def estimate_c0(grid: Grid, n_samples: int = 6, ascent_steps: int = 120,
     starts += [_capped_sample(cg, k_cap, [seed, i]) for i in range(2, n_samples)]
     Z = np.stack([z.w for z in starts])
     Z *= 1.0 / _l2(cg, Z)
-    ws = _AscentPlanes(cg, n_samples)
-    best, grad = _rayleigh_batch(cg, Z, ws)
-    best_Z = Z.copy()
-    step = np.empty_like(Z)
+    band = spectral.band_dft(cg, 2 * cg.n)
+    best, grad = _rayleigh_batch(cg, band, Z)
+    best_Z = Z
     for _ in range(ascent_steps):
         gn = _l2(cg, grad)
         # a vanishing (or undefined) gradient stops its row: its step is discarded
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.multiply(_ASCENT_STEP / gn, grad, out=step)
-            step += Z
-            step *= 1.0 / _l2(cg, step)
-        np.copyto(Z, step, where=gn > 0.0)
-        r, grad = _rayleigh_batch(cg, Z, ws)
+            step = _ASCENT_STEP / gn * grad + Z
+            step = step * (1.0 / _l2(cg, step))
+        Z = np.where(gn > 0.0, step, Z)
+        r, grad = _rayleigh_batch(cg, band, Z)
         up = r > best
-        np.copyto(best, r, where=up)
-        np.copyto(best_Z, Z, where=up[:, None, None])
+        best = np.where(up, r, best)
+        best_Z = np.where(up[:, None, None], Z, best_Z)
     i = int(np.argmax(best))
     lams, E = mode_energies(SpectralVelocity(cg, best_Z[i]))
     shells = np.bincount(np.rint(np.sqrt(lams)).astype(int), weights=E)
@@ -322,8 +285,7 @@ def _run_check(theorem_id: int, config: RunConfig, u0: SpectralVelocity,
         traj, series = _check_theorem3(config, u0, alpha, c0, u0n, report)
     else:
         traj = integrate(u0, dt=config.dt, t_end=config.t_end,
-                         snapshot_times=config.resolved_snapshots(),
-                         enforce_cfl=config.enforce_cfl)
+                         snapshot_times=config.resolved_snapshots())
         K = config.stack_depth
         if theorem_id == 2:
             # the row at depth n reads orders <= n, so entries v_0..v_{n+1}
@@ -425,8 +387,7 @@ def _check_theorem3(config: RunConfig, u0: SpectralVelocity, alpha: float, c0: f
     n_steps = (n_steps // snaps) * snaps
     dt = T0 / n_steps
     snapshot_times = [i * (n_steps // snaps) * dt for i in range(snaps + 1)]
-    traj = integrate(u0, dt=dt, t_end=T0, snapshot_times=snapshot_times,
-                     enforce_cfl=config.enforce_cfl)
+    traj = integrate(u0, dt=dt, t_end=T0, snapshot_times=snapshot_times)
     fl_series = stack_series(traj, config.stack_depth, fluctuation=True)
     res = theorem_lhs(fl_series, 3, alpha)
     _add_rows(report, res, -1, bound.rhs(res.times))

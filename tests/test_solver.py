@@ -78,7 +78,8 @@ class TestStep:
         # one pass of integrate's loop: the step in place, then the ledger's Parseval sums
         grid = make_grid(128)
         u = random_spectrum_field(grid, 2.0, 8, seed=128, l2_norm=1.0)
-        ws, coef, planes = solver._stepper(grid, 1e-3)
+        ws, coef = spectral.Workspace(grid), solver._stage_coefficients(grid, 1e-3)
+        planes = np.empty((6,) + grid.k_sq.shape, dtype=complex)  # as integrate allocates them
         w = u.w.copy()
         solver._advance(ws, w, coef, planes)
         tracemalloc.start()

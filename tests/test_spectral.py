@@ -72,11 +72,9 @@ class TestTransforms:
         assert H.shape == ref.shape
         assert np.all(H[..., n // 2, :] == 0.0) and np.all(H[..., -1] == 0.0)
         assert np.max(np.abs(H - ref)) <= 1e-14 * np.max(np.abs(ref))
-        # out and mid receive the result and the intermediate
-        out, mid = np.empty_like(U), np.empty(U.shape[:-1] + (n // 2 + 1,), dtype=complex)
-        assert band.synthesize(h, out=out, mid=mid) is out and np.array_equal(out, U)
-        out = np.empty_like(H)
-        assert band.analyze(X, out=out, mid=mid) is out and np.array_equal(out, H)
+        # a stack is transformed plane by plane: each plane alone gives the same bits
+        assert np.array_equal(band.synthesize(h[1]), U[1])
+        assert np.array_equal(band.analyze(X[1]), H[1])
 
     def test_single_mode_roundtrip(self, grid32):
         u1 = np.zeros((32, 32), dtype=complex)

@@ -18,7 +18,7 @@ from gevrey_ns import (ConfigurationError, RunConfig, SpectralVelocity,
                        check_theorem, config_from_dict, estimate_c0,
                        functionals, inner_l2, leray_project, make_grid,
                        make_initial_data, norm_grad_l2, norm_l2, norm_l4,
-                       random_spectrum_field, taylor_green, verify)
+                       random_spectrum_field, spectral, taylor_green, verify)
 from gevrey_ns.cli import main
 from gevrey_ns.functionals import theorem3_rhs, theorem_lhs
 from gevrey_ns.reporting import json_dumps
@@ -63,8 +63,8 @@ def strict_loads(text):
 
 
 def rayleigh_batch(g, Z):
-    """verify._rayleigh_batch of the stack Z in fresh ascent planes."""
-    return verify._rayleigh_batch(g, Z, verify._AscentPlanes(g, len(Z)))
+    """verify._rayleigh_batch of the stack Z, with g's band on the 2n x 2n grid."""
+    return verify._rayleigh_batch(g, spectral.band_dft(g, 2 * g.n), Z)
 
 
 @pytest.fixture(scope="module")
@@ -152,9 +152,9 @@ class TestEstimateC0:
         kernel = verify._rayleigh_batch
         first_rows = []
 
-        def first_row_stuck(g, Z, ws):
+        def first_row_stuck(g, band, Z):
             first_rows.append(Z[0].copy())
-            r, grad = kernel(g, Z, ws)
+            r, grad = kernel(g, band, Z)
             grad[0] = 0.0
             return r, grad
 
@@ -502,7 +502,7 @@ class TestConfig:
         ("alphas", 1.0), ("alphas", [True]), ("seed", "a"), ("seed", -1),
         ("decay_window", [2, 1]), ("decay_window", [1]), ("gamma", "x"), ("gamma", 0.0),
         ("out_dir", 3), ("tol_energy", "x"), ("tol_energy", math.nan),
-        ("enforce_cfl", "no"), ("enforce_cfl", 1),
+        ("enforce_cfl", True),  # not a key: config-driven runs always keep the CFL guard
     ])
     def test_bad_field(self, key, bad):
         with pytest.raises(ConfigurationError, match=key):
