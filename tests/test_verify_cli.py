@@ -502,7 +502,8 @@ class TestConfig:
         ("alphas", 1.0), ("alphas", [True]), ("seed", "a"), ("seed", -1),
         ("decay_window", [2, 1]), ("decay_window", [1]), ("gamma", "x"), ("gamma", 0.0),
         ("out_dir", 3), ("tol_energy", "x"), ("tol_energy", math.nan),
-        ("enforce_cfl", True),  # not a key: config-driven runs always keep the CFL guard
+        # not a key: config-driven runs always keep the CFL guard, so any value is refused
+        ("enforce_cfl", 1), ("enforce_cfl", "no"), ("enforce_cfl", True),
     ])
     def test_bad_field(self, key, bad):
         with pytest.raises(ConfigurationError, match=key):
