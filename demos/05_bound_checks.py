@@ -42,7 +42,8 @@ large["initial_data"] = {"kind": "random_spectrum", "decay": 2.0, "k_max": 8,
 large["theorem2_n_max"] = 3
 show(check_theorem(2, config_from_dict(large)), "bound 2 (large data, doubling RHS)")
 
-# fluctuation bound: the run is rescoped to the analytic existence time T0
+# fluctuation bound: the run is rescoped to the analytic existence time T0, in
+# 8 snapshot intervals with dt as the largest step (here T0 < 8 dt: 8 steps)
 rep3 = check_theorem(3, config_from_dict(large))
 show(rep3, f"bound 3 (fluctuation, T0 = {rep3.params['T0']:.3e})")
 

@@ -94,6 +94,8 @@ class RunConfig:
         n: grid modes per dimension.
         dt, t_end: step size and horizon; snapshot_times must be multiples
             of dt (defaults to 11 uniform snapshots including 0 and t_end).
+            Bound 3 reads dt as the largest step on its window [0, T0],
+            makes its own 9 snapshot times and ignores snapshot_times.
         stack_depth: derivative stack depth K at each snapshot (no cap; the
             stack is built in scaled variables).  Bound 2 stacks only to
             min(K, theorem2_n_max + 1), the depth its rows read.

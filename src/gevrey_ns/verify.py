@@ -245,7 +245,9 @@ def check_theorem(theorem_id: int, config: RunConfig) -> TheoremReport:
     bound 2 is evaluated for every doubling depth n <= theorem2_n_max, and
     since the row at depth n reads orders <= n, it stacks only to depth
     min(stack_depth, theorem2_n_max + 1), recorded as params["K_used"]; bound 3
-    rescopes the run to the analytic existence time T0; bound 4 fits the
+    rescopes the run to the analytic existence time T0, stepped in 8 equal
+    snapshot intervals with config.dt as the largest step (the count is
+    params["window_steps"]); bound 4 fits the
     decay envelope on the configured window and checks from the admissible
     origin.
     """
@@ -374,19 +376,28 @@ def _check_theorem4(config: RunConfig, series: FunctionalSeries, alpha: float, c
 def _check_theorem3(config: RunConfig, u0: SpectralVelocity, alpha: float, c0: float,
                     u0n: float, report: TheoremReport) -> tuple[Trajectory, FunctionalSeries]:
     """Fluctuation bound on [0, T0], with the run rescoped to that window; one
-    heat_modes(u0, alpha) serves the three T0 solves and the rows' right-hand side."""
+    heat_modes(u0, alpha) serves the three T0 solves and the rows' right-hand side.
+
+    The window is cut into 8 equal snapshot intervals and stepped with
+    n_steps = min(8 ceil(T0 / (8 config.dt)), 4096) equal steps, so config.dt
+    is the largest step (unless the 4096 cap binds); n_steps is recorded as
+    params["window_steps"].  Short windows (T0 < 8 dt) take one step per
+    interval: IF-RK4 treats the heat part exactly, and more steps only add
+    rounding to f = u - l.  config.snapshot_times is not read.
+    """
     horizon = config.t_end if config.t_end > 0 else 1.0
     modes = heat_modes(u0, alpha)
     bound = theorem3_rhs(modes, u0n, c0, horizon)
     T0 = bound.T0
     report.params["T0"] = T0
     report.params["T0_capped_at_horizon"] = bound.capped_at_horizon
-    n_steps = max(8, round(config.t_end / config.dt)) if config.t_end > 0 else 64
-    n_steps = min(n_steps, 4096)
     snaps = 8
-    n_steps = (n_steps // snaps) * snaps
+    # min before ceil keeps an infinite quotient (tiny dt) out of ceil; max
+    # keeps T0 = 0 off a zero step count, so integrate reports the zero step
+    per_snap = max(1, math.ceil(min(T0 / (snaps * config.dt), 4096 // snaps)))
+    n_steps = report.params["window_steps"] = snaps * per_snap
     dt = T0 / n_steps
-    snapshot_times = [i * (n_steps // snaps) * dt for i in range(snaps + 1)]
+    snapshot_times = [i * per_snap * dt for i in range(snaps + 1)]
     traj = integrate(u0, dt=dt, t_end=T0, snapshot_times=snapshot_times)
     fl_series = stack_series(traj, config.stack_depth, fluctuation=True)
     res = theorem_lhs(fl_series, 3, alpha)

@@ -380,6 +380,48 @@ class TestCheckTheorem:
         assert outside == [len(rep.rows)] and len(rep.rows) > 1
         assert set(inside) == {1} and len(inside) <= 3 * 75
 
+    @pytest.mark.parametrize("doc, capped", [
+        (SMALL_BOUNDS[3], False),
+        (dict(SMALL_BASE, initial_data=_small_data(0.3)), True),
+    ], ids=["T0-solved", "T0-capped"])
+    def test_thm3_window_steps_keep_dt_the_largest_step(self, doc, capped):
+        cfg = config_from_dict(doc)
+        rep = check_theorem(3, cfg)
+        T0, steps = rep.params["T0"], rep.params["window_steps"]
+        assert rep.status == "ok" and rep.params["T0_capped_at_horizon"] is capped
+        assert steps == min(8 * math.ceil(T0 / (8 * cfg.dt)), 4096)
+        assert rep.trajectory.dt <= cfg.dt
+        assert len(rep.rows) == 9
+        assert rep.rows[-1]["t"] == pytest.approx(T0)
+
+    @pytest.mark.parametrize("data_seed, u0_norm", [(40, 2.0), (45, 5.0)])
+    def test_thm3_more_window_steps_move_the_lhs_by_rounding_only(self, c0_32, data_seed,
+                                                                   u0_norm):
+        # acceptance-7 data sets: 8 window steps against 16 (dt = T0 / 12)
+        doc = {"n": 32, "dt": 0.002, "t_end": 1.0, "stack_depth": 8, "seed": data_seed,
+               "initial_data": {"kind": "random_spectrum", "decay": 2.0, "k_max": 8,
+                                "seed": data_seed, "l2_norm": u0_norm},
+               "c0": {"mode": "fixed", "value": c0_32.value}}
+        rep = check_theorem(3, config_from_dict(doc))
+        fine = check_theorem(3, config_from_dict(dict(doc, dt=rep.params["T0"] / 12)))
+        assert (rep.params["window_steps"], fine.params["window_steps"]) == (8, 16)
+        assert fine.params["T0"] == rep.params["T0"]
+        assert len(rep.rows) == len(fine.rows) == 9
+        for a, b in zip(rep.rows, fine.rows):
+            assert abs(a["lhs"] - b["lhs"]) <= 1e-2 * a["quad_err"]
+            assert a["ok"] == b["ok"]
+
+    def test_thm3_cellular_vortex_fluctuation_stays_at_the_rounding_floor(self, c0_32):
+        # the vortex at |u0| = 2 solves the heat equation, so f = u - l is rounding only
+        doc = {"n": 32, "dt": 0.002, "t_end": 0.1, "stack_depth": 8,
+               "initial_data": {"kind": "taylor_green",
+                                "amplitude": 2.0 / (math.pi * math.sqrt(2.0))},
+               "c0": {"mode": "fixed", "value": c0_32.value}}
+        rep = check_theorem(3, config_from_dict(doc))
+        u0n = rep.params["u0_l2"]
+        assert rep.status == "ok" and len(rep.rows) == 9
+        assert all(row["lhs"] <= 1e-26 * u0n ** 2 for row in rep.rows)
+
     def test_thm4_fit_and_origin(self):
         doc = dict(THM1_CFG)
         doc["initial_data"] = {"kind": "random_spectrum", "decay": 3.0,
