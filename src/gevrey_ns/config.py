@@ -111,7 +111,6 @@ class RunConfig:
         decay_window: fit window [a, b] for bound 4.
         gamma: decay exponent override (fitted from the trajectory if None).
         out_dir: where reports and CSVs are written (optional).
-        tol_energy: energy ledger tolerance.
 
     Config-driven runs always keep solver.integrate's CFL guard; no key switches it off.
     """
@@ -127,10 +126,9 @@ class RunConfig:
     initial_data: dict = field(default_factory=lambda: {"kind": "taylor_green", "amplitude": 1.0})
     c0: dict = field(default_factory=lambda: {"mode": "estimate"})
     theorem2_n_max: int = 4
-    decay_window: tuple[float, float] = (1.0, 5.0)
+    decay_window: tuple[float, float] = (0.5, 1.0)
     gamma: float | None = None
     out_dir: str | None = None
-    tol_energy: float = 1e-7
 
     def __post_init__(self):
         _require(_is_int(self.n) and self.n >= 8 and self.n % 2 == 0,
@@ -161,8 +159,6 @@ class RunConfig:
                  "gamma must be null or a finite number > 0", self.gamma)
         _require(self.out_dir is None or isinstance(self.out_dir, str),
                  "out_dir must be null or a string", self.out_dir)
-        _require(_is_real(self.tol_energy) and self.tol_energy > 0,
-                 "tol_energy must be a finite number > 0", self.tol_energy)
 
     @property
     def alpha(self) -> float:

@@ -12,7 +12,8 @@ of the plane, with no conversion.  Alongside the snapshots the run
 accumulates the dissipation integral int_0^t |grad u|^2 by composite
 trapezoid on the step grid, reading |u|^2 and |grad u|^2 off the state by
 one Parseval call per step and keeping both at every snapshot, so every
-trajectory carries its own energy ledger.
+trajectory carries its own energy ledger; energy_ledger reads the
+trapezoid's own error off the snapshots, so what is left is the solver's.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ import numpy as np
 from .errors import ConfigurationError, IntegrationError
 from .spectral import (Grid, SpectralVelocity, Workspace, make_grid, make_initial_data,
                        parseval, to_physical)
-
-_DT_REF = 1e-4  # the step at which the ledger tolerance is tol_energy
 
 
 @dataclass(frozen=True)
@@ -56,11 +55,15 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class EnergyLedger:
-    """Residuals r(t_i) = 0.5|u(t_i)|^2 + D(t_i) - 0.5|u0|^2."""
+    """Residuals r(t_i) = 0.5|u(t_i)|^2 + D(t_i) - 0.5|u0|^2 at traj.times (max_abs = max |r|),
+    the trapezoid's own error q(t_i) (quadrature), the defect max |r - q| left unexplained
+    and its tolerance 1e-2 max |q| + n_steps eps |u0|^2 (a share of q plus rounding)."""
 
-    times: np.ndarray
     residuals: np.ndarray
     max_abs: float
+    quadrature: np.ndarray
+    defect: float
+    tolerance: float
 
 
 def cfl_limit(u: SpectralVelocity) -> float:
@@ -213,24 +216,24 @@ def run(config) -> Trajectory:
                      snapshot_times=config.resolved_snapshots())
 
 
-def ledger_tolerance(dt: float, tol_energy: float = 1e-7) -> float:
-    """Energy-ledger tolerance: tol_energy at the reference step 1e-4, scaled with dt^2.
-
-    The ledger defect is trapezoid quadrature error, second order in the
-    step size, so a single base tolerance is meaningful only relative to a
-    reference step.
-    """
-    return tol_energy * (dt / _DT_REF) ** 2
-
-
 def energy_ledger(traj: Trajectory) -> EnergyLedger:
-    """Residual series of the discrete energy balance.
+    """Residual series of the discrete energy balance, with the trapezoid's own error.
 
-    r(t_i) = 0.5 |u(t_i)|^2 + D(t_i) - 0.5 |u0|^2, where D is the trapezoid
-    dissipation accumulator; max |r| is the ledger defect.
+    r(t_i) = 0.5 |u(t_i)|^2 + D(t_i) - 0.5 |u0|^2, D the trapezoid accumulator.  At step h
+    the trapezoid overstates a heat mode's dissipation by lam h coth(lam h), so
+    q(t_i) = 0.5 sum_xi (lam h coth(lam h) - 1)(e_xi(0) - e_xi(t_i)) over the snapshots'
+    Parseval energies e_xi: exact for heat modes at any h, (h^2/12)(f'(t) - f'(0)) with
+    f = |grad u|^2 as h -> 0; its cancellation at small lam h costs about eps |u0|^2.
     """
     if not traj.times:
         raise ConfigurationError("empty trajectory")
-    times = np.asarray(traj.times)
     res = 0.5 * np.asarray(traj.l2_sq) + np.asarray(traj.dissipation) - 0.5 * traj.l2_sq[0]
-    return EnergyLedger(times=times, residuals=res, max_abs=float(np.max(np.abs(res))))
+    g = traj.u0.grid
+    x = np.stack([u.w for u in traj.fields]).view(float).reshape(len(traj.fields), -1)
+    lam_h = np.maximum(traj.dt * g.shells, 1e-300)  # the mean mode (lam = 0) carries no energy
+    quad = 0.5 * (g.parseval_w[0] * (x[0] ** 2 - x ** 2)) @ (lam_h / np.tanh(lam_h) - 1.0)
+    n_steps = round(traj.times[-1] / traj.dt)
+    tol = 1e-2 * np.max(np.abs(quad)) + n_steps * np.finfo(float).eps * traj.l2_sq[0]
+    return EnergyLedger(residuals=res, max_abs=float(np.max(np.abs(res))),
+                        quadrature=quad, defect=float(np.max(np.abs(res - quad))),
+                        tolerance=float(tol))

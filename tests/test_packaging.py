@@ -1,6 +1,6 @@
 """The package runs on numpy alone (no scipy at import time or in its metadata), keeps
 the names the benchmark looks up, calls numpy.fft from spectral.py only, and its README
-lists the CLI's subcommands."""
+lists the CLI's subcommands and the config's keys."""
 
 import ast
 import os
@@ -121,3 +121,10 @@ def test_readme_lists_every_subcommand_in_order():
     text = (ROOT / "README.md").read_text()
     listed = re.search(r"^Subcommands: (.*?)\.$", text, re.M | re.S).group(1)
     assert re.findall(r"`([^`]+)`", listed) == list(cli._COMMANDS)
+
+
+def test_readme_config_table_lists_every_key_in_order():
+    from gevrey_ns import RunConfig
+    text = (ROOT / "README.md").read_text()
+    table = re.search(r"^### Config schema$(.*?)^###", text, re.M | re.S).group(1)
+    assert re.findall(r"^\| `(\w+)` \|", table, re.M) == list(RunConfig.__dataclass_fields__)

@@ -11,7 +11,6 @@ from gevrey_ns import (ConfigurationError, IntegrationError, SpectralVelocity,
                        norm_grad_l2, norm_l2, random_spectrum_field, run, solver, spectral,
                        step, taylor_green, validate_field)
 from gevrey_ns.config import RunConfig
-from gevrey_ns.solver import ledger_tolerance
 
 SQRT2_PI = np.pi * np.sqrt(2.0)
 
@@ -198,9 +197,36 @@ class TestEnergyLedger:
             r.append(energy_ledger(traj).max_abs)
         assert r[0] / r[1] >= 3.5
 
-    def test_ledger_tolerance_scaling(self):
-        assert ledger_tolerance(1e-4) == pytest.approx(1e-7)
-        assert ledger_tolerance(2e-4) == pytest.approx(4e-7)
+    def test_quadrature_is_the_vortex_closed_form(self, tg):
+        # one shell, lam = 2: q(T) = (2h coth 2h - 1)(E0 - E(T)) / 2, and at small h
+        # the Euler-Maclaurin term (h^2/12) 8 E0 (1 - e^-4T); the coth form itself
+        # loses about five digits to cancellation at 2h = 0.01
+        T = 1.0
+        for h in (5e-3, 2.5e-2):
+            traj = integrate(tg, dt=h, t_end=T, snapshot_times=[0.0, T])
+            closed = (2 * h / np.tanh(2 * h) - 1) * (traj.l2_sq[0] - traj.l2_sq[-1]) / 2
+            assert energy_ledger(traj).quadrature[-1] == pytest.approx(closed, rel=1e-10)
+        h = 1e-3
+        led = energy_ledger(integrate(tg, dt=h, t_end=T, snapshot_times=[0.0, T]))
+        E0 = norm_l2(tg) ** 2
+        assert led.quadrature[-1] == pytest.approx(
+            (h ** 2 / 12.0) * 8.0 * E0 * (1.0 - np.exp(-4.0 * T)), rel=1e-6)
+        assert led.defect <= 1e-8 * led.max_abs
+
+    def test_first_order_step_fails_the_ledger(self, grid32, monkeypatch):
+        # an integrating-factor Euler step leaves most of its residual unexplained
+        # by the trapezoid's error; the IF-RK4 step leaves ~1e-7 of it
+        def euler(ws, w, coef, planes):
+            ws.load(0, w)
+            ws.level(1, planes[0])
+            w += 2 * coef[4] * planes[0]  # coef[4] is dt / 2
+            w *= coef[1]
+        u0 = random_spectrum_field(grid32, 2.0, 8, seed=1, l2_norm=5.0)
+        led = energy_ledger(integrate(u0, dt=1e-3, t_end=0.2))
+        assert led.defect <= 1e-6 * led.max_abs and led.defect <= led.tolerance
+        monkeypatch.setattr(solver, "_advance", euler)
+        led = energy_ledger(integrate(u0, dt=1e-3, t_end=0.2))
+        assert led.defect > 0.5 * abs(led.quadrature).max() > led.tolerance
 
 
 class TestTemporalConvergence:
@@ -219,8 +245,9 @@ class TestStepwiseDissipation:
     def test_per_step_energy_never_created_beyond_quadrature(self, grid32):
         u0 = random_spectrum_field(grid32, 2.0, 8, seed=4, l2_norm=0.8)
         traj = integrate(u0, dt=5e-4, t_end=0.5, snapshot_times=[0.0, 0.5])
-        # one-step defect is bounded by the per-step trapezoid error scale
-        assert traj.max_step_defect <= ledger_tolerance(traj.dt)
+        # one-step defect is bounded by the per-step trapezoid error scale,
+        # 1e-7 (dt / 1e-4)^2 at this step
+        assert traj.max_step_defect <= 2.5e-6
 
 
 def test_tiny_random_data_ledger(grid32):

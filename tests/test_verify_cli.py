@@ -543,9 +543,11 @@ class TestConfig:
         ("stack_depth", "3"), ("truncation", "x"), ("truncation", 3),
         ("alphas", 1.0), ("alphas", [True]), ("seed", "a"), ("seed", -1),
         ("decay_window", [2, 1]), ("decay_window", [1]), ("gamma", "x"), ("gamma", 0.0),
-        ("out_dir", 3), ("tol_energy", "x"), ("tol_energy", math.nan),
-        # not a key: config-driven runs always keep the CFL guard, so any value is refused
+        ("out_dir", 3),
+        # not keys: config-driven runs always keep the CFL guard, and the energy ledger
+        # works out its own tolerance, so any value is refused
         ("enforce_cfl", 1), ("enforce_cfl", "no"), ("enforce_cfl", True),
+        ("tol_energy", "x"), ("tol_energy", math.nan),
     ])
     def test_bad_field(self, key, bad):
         with pytest.raises(ConfigurationError, match=key):
@@ -810,6 +812,30 @@ class TestCli:
         assert main(["ns-run", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "trajectory.csv").exists()
         assert (out / "functionals.csv").exists()
+
+    @pytest.mark.parametrize("doc", [None, {
+        "n": 32, "dt": 0.002,
+        "initial_data": {"kind": "random_spectrum", "decay": 2.0, "k_max": 8, "seed": 1,
+                         "l2_norm": 5.0},
+    }], ids=["bare", "random-5"])
+    def test_ns_run_ledger_explains_the_trapezoid_residual(self, tmp_path, capsys, doc):
+        # the residual (3.2e-4, 7.3e-4) is the trapezoid's error, which the ledger
+        # works out from the snapshots; what it leaves unexplained is ~1e-10 of it
+        args = ["ns-run", "--json"] + (["--config", self._write_cfg(tmp_path, doc)] if doc else [])
+        assert main(args) == 0
+        report = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert report["verdict"] is True and report["ledger_max_residual"] > 1e-4
+        assert report["ledger_defect"] <= 1e-6 * report["ledger_quadrature_error"]
+        assert report["ledger_defect"] <= report["ledger_tolerance"]
+
+    def test_bare_fit_decay_and_check_thm4(self, capsys):
+        # the default decay window [0.5, 1.0] lies inside the default horizon
+        assert main(["fit-decay"]) == 0
+        assert "on [0.5, 1.0]" in capsys.readouterr().out
+        assert main(["check-thm4"]) == 2
+        assert capsys.readouterr().out == (
+            "check-thm4: N/A (admissible origin t0 = 2.5 lies beyond the horizon 1.0; "
+            "no snapshots to check)\n")
 
     def test_fit_decay_runs(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path, {
