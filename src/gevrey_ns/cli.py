@@ -47,14 +47,18 @@ def _resolve_config(args) -> RunConfig:
         doc["seed"] = args.seed
     if args.alpha:
         doc["alphas"] = list(args.alpha)
-    if args.out is not None:
-        doc["out_dir"] = args.out
     return config_from_dict(doc)
 
 
-def _emit(args, doc: dict, out_dir: str | None) -> None:
-    if out_dir:
-        write_json(doc, Path(out_dir) / "report.json")
+def _emit(args, doc: dict, traj=None, series=None, alpha: float | None = None) -> None:
+    """report.json, plus the run's CSVs when given, under --out; --json prints the report."""
+    if args.out:
+        out = Path(args.out)
+        write_json(doc, out / "report.json")
+        if traj is not None:
+            write_trajectory_csv(traj, out / "trajectory.csv")
+        if series is not None:
+            write_functionals_csv(series, alpha, out / "functionals.csv")
     if args.json:
         sys.stdout.write(json_dumps(doc))
 
@@ -77,7 +81,7 @@ def _cmd_stokes_verify(args, cfg: RunConfig) -> int:
                      "tail_bound": rep.tail_bound, "ok": ok})
     doc = {"check": "stokes-identity", "truncation": cfg.truncation,
            "energy": norm_l2(u0) ** 2, "rows": rows, "verdict": ok_all}
-    _emit(args, doc, cfg.out_dir)
+    _emit(args, doc)
     print(f"stokes-verify: {'PASS' if ok_all else 'FAIL'} "
           f"(max |residual| = {max(abs(r['residual']) for r in rows):.3e})")
     return 0 if ok_all else 1
@@ -90,7 +94,7 @@ def _cmd_estimate_c0(args, cfg: RunConfig) -> int:
            "spectrum_signature": list(est.spectrum_signature),
            "n_samples": est.n_samples, "ascent_steps": est.ascent_steps,
            "seed": est.seed}
-    _emit(args, doc, cfg.out_dir)
+    _emit(args, doc)
     print(f"estimate-c0: C0 ~ {est.value:.6f} over {est.n_samples} samples")
     return 0
 
@@ -104,12 +108,8 @@ def _cmd_ns_run(args, cfg: RunConfig) -> int:
            "ledger_max_residual": ledger.max_abs, "ledger_defect": ledger.defect,
            "ledger_quadrature_error": float(abs(ledger.quadrature).max()),
            "ledger_tolerance": ledger.tolerance}
-    if cfg.out_dir:
-        write_trajectory_csv(traj, Path(cfg.out_dir) / "trajectory.csv")
-        if cfg.stack_depth >= 1:
-            write_functionals_csv(stack_series(traj, cfg.stack_depth), alpha,
-                                  Path(cfg.out_dir) / "functionals.csv")
-    _emit(args, doc, cfg.out_dir)
+    series = stack_series(traj, cfg.stack_depth) if args.out and cfg.stack_depth >= 1 else None
+    _emit(args, doc, traj, series, alpha)
     print(f"ns-run: {'PASS' if ok else 'FAIL'} (energy ledger residual {ledger.max_abs:.3e}, "
           f"unexplained by quadrature {ledger.defect:.3e}, tol {ledger.tolerance:.1e})")
     return 0 if ok else 1
@@ -118,11 +118,7 @@ def _cmd_ns_run(args, cfg: RunConfig) -> int:
 def _cmd_check_thm(args, cfg: RunConfig) -> int:
     theorem_id = int(args.command[-1])
     report = check_theorem(theorem_id, cfg)
-    _emit(args, report.to_dict(), cfg.out_dir)
-    if cfg.out_dir and report.series is not None:
-        write_trajectory_csv(report.trajectory, Path(cfg.out_dir) / "trajectory.csv")
-        write_functionals_csv(report.series, cfg.alpha,
-                              Path(cfg.out_dir) / "functionals.csv")
+    _emit(args, report.to_dict(), report.trajectory, report.series, cfg.alpha)
     if report.status == "error":
         print(f"error: {report.message}", file=sys.stderr)
         return 2
@@ -147,9 +143,9 @@ def _cmd_audit_lemmas(args, cfg: RunConfig) -> int:
                     "printed_violations_sample": [list(v) for v in ccc0.printed_violations[:20]],
                     "corrected_violation_count": len(ccc0.corrected_violations)},
            "verdict": conv_ok and corrected_ok}
-    if cfg.out_dir:
-        write_ccc0_csv(ccc0, Path(cfg.out_dir) / "audit_ccc0.csv")
-    _emit(args, doc, cfg.out_dir)
+    if args.out:
+        write_ccc0_csv(ccc0, Path(args.out) / "audit_ccc0.csv")
+    _emit(args, doc)
     print(f"audit-lemmas: {'PASS' if doc['verdict'] else 'FAIL'} "
           f"(convolution worst ratio {conv.worst_ratio:.6f}; printed-bound findings: "
           f"{len(ccc0.printed_violations)}, informational)")
@@ -164,7 +160,7 @@ def _cmd_fit_decay(args, cfg: RunConfig) -> int:
            "window": list(fit.window), "residual": fit.residual,
            "super_algebraic": fit.super_algebraic,
            "truncated_window": fit.truncated_window}
-    _emit(args, doc, cfg.out_dir)
+    _emit(args, doc)
     print(f"fit-decay: |u(t)| <= {fit.K_fit:.6g} t^-{fit.gamma_fit:.4g} "
           f"on {list(fit.window)} (residual {fit.residual:.3e})")
     return 0

@@ -6,6 +6,7 @@ Unknown keys are rejected so that a config file pins an experiment exactly.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,6 +34,16 @@ def _is_real(x) -> bool:
 def _require(ok: bool, what: str, value) -> None:
     if not ok:
         raise ConfigurationError(f"{what}, got {value!r}")
+
+
+def step_count(t: float, dt: float, what: str) -> int:
+    """The step n with n dt = t (to 1e-9 relative), or ConfigurationError naming t by what."""
+    if not math.isfinite(t / dt):
+        raise ConfigurationError(f"{what} over dt={dt!r} is not a finite step count")
+    n = round(t / dt)
+    if abs(n * dt - t) > 1e-9 * max(dt, abs(t), 1.0):
+        raise ConfigurationError(f"{what} is not an integer multiple of dt={dt!r}")
+    return n
 
 
 def _check_c0(c0) -> None:
@@ -110,7 +121,6 @@ class RunConfig:
             its row at depth n reads orders <= n, so entries v_0..v_{n+1}.
         decay_window: fit window [a, b] for bound 4.
         gamma: decay exponent override (fitted from the trajectory if None).
-        out_dir: where reports and CSVs are written (optional).
 
     Config-driven runs always keep solver.integrate's CFL guard; no key switches it off.
     """
@@ -128,7 +138,6 @@ class RunConfig:
     theorem2_n_max: int = 4
     decay_window: tuple[float, float] = (0.5, 1.0)
     gamma: float | None = None
-    out_dir: str | None = None
 
     def __post_init__(self):
         _require(_is_int(self.n) and self.n >= 8 and self.n % 2 == 0,
@@ -157,8 +166,6 @@ class RunConfig:
                  and 0 < w[0] < w[1], "decay_window must be [a, b] with 0 < a < b", w)
         _require(self.gamma is None or (_is_real(self.gamma) and self.gamma > 0),
                  "gamma must be null or a finite number > 0", self.gamma)
-        _require(self.out_dir is None or isinstance(self.out_dir, str),
-                 "out_dir must be null or a string", self.out_dir)
 
     @property
     def alpha(self) -> float:
@@ -169,9 +176,7 @@ class RunConfig:
     def resolved_snapshots(self) -> list[float]:
         if self.snapshot_times is not None:
             return list(self.snapshot_times)
-        if self.t_end == 0:
-            return [0.0]
-        n_steps = round(self.t_end / self.dt)
+        n_steps = step_count(self.t_end, self.dt, f"t_end={self.t_end!r}")
         stride = max(1, n_steps // 10)
         idx = list(range(0, n_steps + 1, stride))
         if idx[-1] != n_steps:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import step_count
 from .errors import ConfigurationError, IntegrationError
 from .spectral import (Grid, SpectralVelocity, Workspace, make_grid, make_initial_data,
                        parseval, to_physical)
@@ -131,10 +132,7 @@ def _snapshot_steps(dt: float, t_end: float, snapshot_times, n_steps: int) -> di
         snapshot_times = [0.0, t_end] if t_end > 0 else [0.0]
     out: dict[int, float] = {}
     for s in snapshot_times:
-        idx = round(s / dt)
-        if abs(idx * dt - s) > 1e-9 * max(dt, abs(s), 1.0):
-            raise ConfigurationError(
-                f"snapshot time {s!r} is not an integer multiple of dt={dt!r}")
+        idx = step_count(s, dt, f"snapshot time {s!r}")
         if idx < 0 or idx > n_steps:
             raise ConfigurationError(f"snapshot time {s!r} outside [0, {t_end}]")
         out[idx] = idx * dt
@@ -156,9 +154,7 @@ def integrate(u0: SpectralVelocity, dt: float, t_end: float,
         raise ConfigurationError(f"dt must be positive, got {dt}")
     if t_end < 0:
         raise ConfigurationError(f"t_end must be >= 0, got {t_end}")
-    n_steps = round(t_end / dt)
-    if abs(n_steps * dt - t_end) > 1e-9 * max(dt, t_end, 1.0):
-        raise ConfigurationError(f"t_end={t_end!r} is not an integer multiple of dt={dt!r}")
+    n_steps = step_count(t_end, dt, f"t_end={t_end!r}")
     snaps = _snapshot_steps(dt, t_end, snapshot_times, n_steps)
 
     g = u0.grid

@@ -195,14 +195,19 @@ def _clean(grid: Grid, h: np.ndarray) -> np.ndarray:
     return h
 
 
+def xi_cross(grid: Grid, c: np.ndarray) -> np.ndarray:
+    """k1 c2 - k2 c1, the curl over i, of velocity coefficient stacks c (..., 2, n, n/2+1)."""
+    return grid.k1 * c[..., 1, :, :] - grid.k2 * c[..., 0, :, :]
+
+
 def leray_project(grid: Grid, uh: np.ndarray) -> SpectralVelocity:
     """The divergence-free part of velocity coefficients uh (2, n, n/2+1) as a field.
 
-    Its vorticity is i (k1 uh2 - k2 uh1), with the mean and Nyquist modes
+    Its vorticity is i xi_cross(grid, uh), with the mean and Nyquist modes
     zeroed; its lift is P(xi) uh with P(xi) = I - xi xi^T / |xi|^2 and
     P(0) = 0, so gradients are annihilated and divergence-free inputs fixed.
     """
-    return SpectralVelocity(grid, _clean(grid, 1j * (grid.k1 * uh[1] - grid.k2 * uh[0])))
+    return SpectralVelocity(grid, _clean(grid, 1j * xi_cross(grid, uh)))
 
 
 def from_lattice(grid: Grid, u: np.ndarray) -> SpectralVelocity:
@@ -492,16 +497,14 @@ def nonlinear_term(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVelocity
     Products are formed in physical space on the n-grid; with inputs
     truncated to |xi|_inf <= k_cut and 3 k_cut < n, the retained output
     modes are the exact convolution of the truncated inputs.  Bilinear in
-    (a, b).  For a is b this is a one-entry level; otherwise the planes are
-    T12 and T22 - T11 of the symmetric part of a (x) b and its antisymmetric
-    part (a1 b2 - a2 b1) / 2.  Raises GridMismatchError if the grids differ.
+    (a, b).  The planes are T12 and T22 - T11 of the symmetric part of a (x) b
+    and its antisymmetric part (a1 b2 - a2 b1) / 2 (zero for a = b); stacks and
+    the solver run Workspace.level instead.  Raises GridMismatchError if the grids differ.
     """
     _require_same_grid(a, b)
     g = a.grid
     ws = Workspace(g, 2)
     ws.load(0, a.w)
-    if b is a:
-        return SpectralVelocity(g, ws.level(1, np.empty_like(a.w)))
     ws.load(1, b.w)
     (A1, A2), (B1, B2) = ws.phys
     cross, swap = A1 * B2, A2 * B1

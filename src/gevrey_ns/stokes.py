@@ -116,7 +116,7 @@ class StokesIdentityReport:
     tail_bound: float
 
 
-def stokes_gevrey_identity(u0: SpectralVelocity, t: float, M: int = 40) -> StokesIdentityReport:
+def stokes_gevrey_identity(u0: SpectralVelocity, t: float, M: int) -> StokesIdentityReport:
     """Evaluate the truncated weighted-sum identity for the heat flow of u0.
 
     Both the state sum and the time-integral term are closed forms per mode:

@@ -64,7 +64,7 @@ def _rayleigh_batch(g: Grid, band: spectral.BandDFT,
     U, q, l4sq = spectral.l4_quadrature(band, g, Z)
     l2sq, g2sq = spectral.parseval(g, Z).T
     cub = band.analyze(U * q[:, None])
-    curl = (g.k1 * cub[:, 1] - g.k2 * cub[:, 0]) * (2j / l4sq ** 2)[:, None, None]
+    curl = spectral.xi_cross(g, cub) * (2j / l4sq ** 2)[:, None, None]
     grad = curl - Z / l2sq[:, None, None] - g.k_sq * Z / g2sq[:, None, None]
     return l4sq / np.sqrt(l2sq * g2sq), grad
 
@@ -221,7 +221,8 @@ def stack_series(traj: Trajectory, K: int, fluctuation: bool = False) -> Functio
     survive; both are read off the trajectory's own Parseval sums.  With
     fluctuation=True the rows are of f = u - l, with the heat-flow stack's
     table subtracted exactly, and row 0 is zero.  Each stack is reduced to
-    its row as soon as it is built, so at most one stack is alive at a time.
+    its row as soon as it is built: a row holds one table, or three for a
+    fluctuation row (the two stacks and their difference).
     """
     u0 = traj.u0
     times = np.asarray(traj.times, dtype=float)
@@ -241,7 +242,7 @@ def check_theorem(theorem_id: int, config: RunConfig) -> TheoremReport:
     """Run the full pipeline for one bound and render its report.
 
     Every bound needs stack_depth >= 1 (ConfigurationError before any work
-    otherwise).  Bound 1 requires the smallness condition (N/A otherwise);
+    otherwise).  Bound 1 requires the smallness condition (N/A before the run otherwise);
     bound 2 is evaluated for every doubling depth n <= theorem2_n_max, and
     since the row at depth n reads orders <= n, it stacks only to depth
     min(stack_depth, theorem2_n_max + 1), recorded as params["K_used"]; bound 3
@@ -264,14 +265,6 @@ def check_theorem(theorem_id: int, config: RunConfig) -> TheoremReport:
     params = {"alpha": alpha, "c0": c0_info, "u0_l2": u0n, "seed": config.seed,
               "K": config.stack_depth, "n_grid": config.n}
     report = TheoremReport(theorem_id=theorem_id, params=params)
-
-    if theorem_id == 1:
-        small = params["smallness_value"] = smallness_check(u0n, c0, alpha)
-        if not small < 1.0:
-            report.status = "n/a"
-            report.message = f"smallness condition fails: 8 C0 C_alpha |u0| = {small:.6g} >= 1"
-            return report
-
     try:
         _run_check(theorem_id, config, u0, alpha, c0, u0n, report)
     except (IntegrationError, ConfigurationError) as exc:
@@ -283,6 +276,12 @@ def check_theorem(theorem_id: int, config: RunConfig) -> TheoremReport:
 
 def _run_check(theorem_id: int, config: RunConfig, u0: SpectralVelocity,
                alpha: float, c0: float, u0n: float, report: TheoremReport) -> None:
+    if theorem_id == 1:
+        small = report.params["smallness_value"] = smallness_check(u0n, c0, alpha)
+        if not small < 1.0:
+            report.status = "n/a"
+            report.message = f"smallness condition fails: 8 C0 C_alpha |u0| = {small:.6g} >= 1"
+            return
     if theorem_id == 3:
         traj, series = _check_theorem3(config, u0, alpha, c0, u0n, report)
     else:

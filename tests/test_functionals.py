@@ -272,6 +272,33 @@ class TestTheoremLhs:
             ref = lhs_exact(float(t))
             assert abs(res.lhs[i, -1] - ref) <= res.quad_err[i, -1] + 1e-8 * ref
 
+    def test_bound4_single_mode_oracle(self, heat_series):
+        # lambda = 1, gamma = 1/2: every raw L_m^2 and H_m^2 is t^m e^(-2t) |u0|^2,
+        # so t^(2 gamma) makes every order an integer and the integrals close:
+        # int_0^t s^(m+1) e^(-2s) ds = gamma(m+2, 2t) / 2^(m+2)
+        series, u0 = heat_series
+        alpha = 1.0
+        kmax = (series.M - 1) // 2
+        from scipy.special import gammainc
+        E = norm_l2(u0) ** 2
+        ln2 = math.log(2.0)
+
+        def lhs_exact(t):
+            tot = 0.0
+            for k in range(kmax + 1):
+                we = math.exp(-(4 * k) * ln2 - (2 + alpha) * gammaln(k + 1))
+                wo = math.exp(-(4 * k + 1) * ln2 - gammaln(k + 1) - (1 + alpha) * gammaln(k + 2))
+                tot += t * (we * t ** (2 * k) + wo * t ** (2 * k + 1)) * math.exp(-2 * t) * E
+                for (w, m) in ((we, 2 * k), (wo, 2 * k + 1)):
+                    integral = math.exp(gammaln(m + 2) - (m + 2) * ln2) * gammainc(m + 2, 2 * t)
+                    tot += w * integral * E
+            return tot
+
+        res = theorem_lhs(series, 4, alpha, gamma=0.5)
+        for i, t in enumerate(series.times):
+            ref = lhs_exact(float(t))
+            assert abs(res.lhs[i, -1] - ref) <= res.quad_err[i, -1] + 1e-8 * ref
+
     def test_accumulators_monotone(self, heat_series):
         series, _ = heat_series
         res = theorem_lhs(series, 2, 0.7)

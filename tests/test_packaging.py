@@ -1,6 +1,6 @@
 """The package runs on numpy alone (no scipy at import time or in its metadata), keeps
 the names the benchmark looks up, calls numpy.fft from spectral.py only, and its README
-lists the CLI's subcommands and the config's keys."""
+lists the CLI's subcommands and the config's keys, and every config key is read."""
 
 import ast
 import os
@@ -128,3 +128,15 @@ def test_readme_config_table_lists_every_key_in_order():
     text = (ROOT / "README.md").read_text()
     table = re.search(r"^### Config schema$(.*?)^###", text, re.M | re.S).group(1)
     assert re.findall(r"^\| `(\w+)` \|", table, re.M) == list(RunConfig.__dataclass_fields__)
+
+
+def test_every_config_key_is_read_outside_config():
+    # no config key that nothing reads: each RunConfig field is read as cfg.<key> or
+    # config.<key> by some module other than config.py
+    from gevrey_ns import RunConfig
+    package = ROOT / "src" / "gevrey_ns"
+    read = set()
+    for p in package.glob("*.py"):
+        if p.name != "config.py":
+            read |= set(re.findall(r"\b(?:cfg|config)\.(\w+)\b", p.read_text()))
+    assert set(RunConfig.__dataclass_fields__) - read == set()

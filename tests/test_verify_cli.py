@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from gevrey_ns import (ConfigurationError, RunConfig, SpectralVelocity,
                        check_theorem, config_from_dict, estimate_c0,
-                       functionals, inner_l2, leray_project, make_grid,
+                       functionals, inner_l2, integrate, leray_project, make_grid,
                        make_initial_data, norm_grad_l2, norm_l2, norm_l4,
                        random_spectrum_field, spectral, taylor_green, verify)
 from gevrey_ns.cli import main
@@ -543,9 +543,10 @@ class TestConfig:
         ("stack_depth", "3"), ("truncation", "x"), ("truncation", 3),
         ("alphas", 1.0), ("alphas", [True]), ("seed", "a"), ("seed", -1),
         ("decay_window", [2, 1]), ("decay_window", [1]), ("gamma", "x"), ("gamma", 0.0),
+        # not keys: config-driven runs always keep the CFL guard, the energy ledger
+        # works out its own tolerance and --out alone sets the output directory, so
+        # any value is refused
         ("out_dir", 3),
-        # not keys: config-driven runs always keep the CFL guard, and the energy ledger
-        # works out its own tolerance, so any value is refused
         ("enforce_cfl", 1), ("enforce_cfl", "no"), ("enforce_cfl", True),
         ("tol_energy", "x"), ("tol_energy", math.nan),
     ])
@@ -884,6 +885,11 @@ class TestCliProperty:
     @example(doc=dict(_CRASH_BASE, gamma=600.0, decay_window=[0.01, 0.04]), command="check-thm4")
     @example(doc=dict(_CRASH_BASE, alphas=[1e-17]), command="check-thm1")
     @example(doc=dict(_CRASH_BASE, alphas=[100.0], stack_depth=8), command="ns-run")
+    # t_end / dt overflows to inf, which has no step count
+    @example(doc=dict(_CRASH_BASE, dt=1e-320), command="check-thm2")
+    @example(doc=dict(_CRASH_BASE, dt=1e-320), command="check-thm4")
+    @example(doc=dict(_CRASH_BASE, dt=1e-320), command="ns-run")
+    @example(doc=dict(_CRASH_BASE, dt=1e-320), command="fit-decay")
     def test_small_runs_exit_0_1_or_2_without_traceback(self, doc, command):
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as d:
@@ -936,6 +942,32 @@ class TestStructuredErrors:
         report = json.loads((out / "report.json").read_text())
         assert report["status"] == "error"
         assert captured.err == f"error: {report['message']}\n"
+
+    def test_thm1_smallness_error_writes_an_error_report(self, tmp_path, capsys):
+        # C_alpha is undefined at alpha = 1e-17; bound 1 decides its smallness
+        # precondition inside the check, so it reports the error like bounds 2-4
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(_CRASH_BASE, alphas=[1e-17])))
+        out = tmp_path / "out"
+        assert main(["check-thm1", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "error" and report["verdict"] is False
+        assert "smallness_value" not in report["params"]
+        assert captured.err == f"error: {report['message']}\n"
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
+    # t_end / dt overflows in resolved_snapshots, then in integrate, then a snapshot time
+    @pytest.mark.parametrize("doc", [
+        {"dt": 1e-320}, {"dt": 1e-320, "snapshot_times": [0.0]},
+        {"dt": 1e-320, "t_end": 0.0, "snapshot_times": [0.0, 1.0]}])
+    def test_step_count_overflow_is_a_configuration_error(self, doc):
+        cfg = config_from_dict(doc)
+        with pytest.raises(ConfigurationError, match="not a finite step count"):
+            integrate(make_initial_data(make_grid(cfg.n), cfg.initial_data), cfg.dt,
+                      cfg.t_end, cfg.resolved_snapshots())
 
 
 class TestShearSingleModeEndToEnd:
