@@ -3,7 +3,8 @@
 Subcommands: stokes-verify, estimate-c0, ns-run, check-thm1..4,
 audit-lemmas, fit-decay.  Exit codes: 0 all verdicts pass, 1 at least one
 inequality fails beyond its error budget, 2 configuration or runtime error.
-Reports are written as report.json plus CSVs under --out.
+A run's inputs come from the --config file alone (RunConfig's defaults
+without one).  Reports are written as report.json plus CSVs under --out.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import math
 import sys
 from pathlib import Path
 
-from .config import RunConfig, config_from_dict, load_config
+# config_from_dict stays bound: bench/run.py --trace 1 wraps it here.
+from .config import RunConfig, config_from_dict, load_config  # noqa: F401
 from .errors import ConfigurationError, IntegrationError
 from .functionals import fit_decay, lemma_audit_ccc0, lemma_audit_convolution
 from .reporting import (json_dumps, write_ccc0_csv, write_functionals_csv,
@@ -23,6 +25,9 @@ from .solver import energy_ledger, run
 from .spectral import make_grid, make_initial_data, norm_l2
 from .stokes import stokes_gevrey_identity
 from .verify import check_theorem, estimate_c0_from_config, stack_series
+
+_STOKES_ORDER = 40  # truncation order M of stokes-verify's identity
+_STOKES_RTOL = 1e-8  # its tolerance per unit energy, on top of the Poisson tail bound
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,21 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--alpha", type=float, action="append", default=None,
-                       help="override alphas (repeatable)")
         p.add_argument("--json", action="store_true", help="print report JSON to stdout")
     return parser
-
-
-def _resolve_config(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    doc = dataclasses.asdict(cfg)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.alpha:
-        doc["alphas"] = list(args.alpha)
-    return config_from_dict(doc)
 
 
 def _emit(args, doc: dict, traj=None, series=None, alpha: float | None = None) -> None:
@@ -67,19 +59,19 @@ def _cmd_stokes_verify(args, cfg: RunConfig) -> int:
     grid = make_grid(cfg.n)
     u0 = make_initial_data(grid, cfg.initial_data)
     times = cfg.resolved_snapshots() if cfg.snapshot_times else [cfg.t_end]
-    tol = 1e-8
     rows = []
     ok_all = True
     for t in times:
-        rep = stokes_gevrey_identity(u0, float(t), cfg.truncation)
-        ok = abs(rep.residual) <= tol + rep.tail_bound
+        rep = stokes_gevrey_identity(u0, float(t), _STOKES_ORDER)
+        # the identity is homogeneous of degree 2 in u0, so its tolerance scales with the energy
+        ok = abs(rep.residual) <= _STOKES_RTOL * rep.energy + rep.tail_bound
         ok_all = ok_all and ok
         rows.append({"t": rep.time, "state_term": rep.state_term,
                      "integral_term": rep.integral_term, "total": rep.total,
                      "residual": rep.residual,
                      "residual_state_family": rep.residual_state_family,
                      "tail_bound": rep.tail_bound, "ok": ok})
-    doc = {"check": "stokes-identity", "truncation": cfg.truncation,
+    doc = {"check": "stokes-identity", "truncation": _STOKES_ORDER,
            "energy": norm_l2(u0) ** 2, "rows": rows, "verdict": ok_all}
     _emit(args, doc)
     print(f"stokes-verify: {'PASS' if ok_all else 'FAIL'} "
@@ -89,12 +81,7 @@ def _cmd_stokes_verify(args, cfg: RunConfig) -> int:
 
 def _cmd_estimate_c0(args, cfg: RunConfig) -> int:
     est = estimate_c0_from_config(cfg, make_grid(cfg.n))
-    doc = {"check": "estimate-c0", "value": est.value,
-           "sample_values": est.sample_values,
-           "spectrum_signature": list(est.spectrum_signature),
-           "n_samples": est.n_samples, "ascent_steps": est.ascent_steps,
-           "seed": est.seed}
-    _emit(args, doc)
+    _emit(args, {"check": "estimate-c0", **dataclasses.asdict(est)})
     print(f"estimate-c0: C0 ~ {est.value:.6f} over {est.n_samples} samples")
     return 0
 
@@ -131,8 +118,7 @@ def _cmd_check_thm(args, cfg: RunConfig) -> int:
 
 
 def _cmd_audit_lemmas(args, cfg: RunConfig) -> int:
-    alphas = list(cfg.alphas) if cfg.alphas else [0.5, 1.0, 2.0]
-    ccc0 = lemma_audit_ccc0(20, alphas)
+    ccc0 = lemma_audit_ccc0(20, list(cfg.alphas))
     conv = lemma_audit_convolution(10_000, 32, cfg.seed)
     conv_ok = conv.worst_ratio <= 1.0 + 1e-12
     corrected_ok = not ccc0.corrected_violations
@@ -156,11 +142,7 @@ def _cmd_fit_decay(args, cfg: RunConfig) -> int:
     traj = run(cfg)
     norms = [math.sqrt(e) for e in traj.l2_sq]
     fit = fit_decay(traj.times, norms, cfg.decay_window)
-    doc = {"check": "fit-decay", "K_fit": fit.K_fit, "gamma_fit": fit.gamma_fit,
-           "window": list(fit.window), "residual": fit.residual,
-           "super_algebraic": fit.super_algebraic,
-           "truncated_window": fit.truncated_window}
-    _emit(args, doc)
+    _emit(args, {"check": "fit-decay", **dataclasses.asdict(fit)})
     print(f"fit-decay: |u(t)| <= {fit.K_fit:.6g} t^-{fit.gamma_fit:.4g} "
           f"on {list(fit.window)} (residual {fit.residual:.3e})")
     return 0
@@ -177,7 +159,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args, _resolve_config(args))
+        cfg = load_config(args.config) if args.config else RunConfig()
+        return _COMMANDS[args.command](args, cfg)
     except (ConfigurationError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,6 @@ Unknown keys are rejected so that a config file pins an experiment exactly.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,10 +35,15 @@ def _require(ok: bool, what: str, value) -> None:
         raise ConfigurationError(f"{what}, got {value!r}")
 
 
+_STEP_BUDGET = 10 ** 6  # steps per run, about 60x the longest acceptance run (16 000)
+
+
 def step_count(t: float, dt: float, what: str) -> int:
-    """The step n with n dt = t (to 1e-9 relative), or ConfigurationError naming t by what."""
-    if not math.isfinite(t / dt):
-        raise ConfigurationError(f"{what} over dt={dt!r} is not a finite step count")
+    """The step n <= 10^6 with n dt = t (to 1e-9 relative), or ConfigurationError naming t
+    by what."""
+    if not t / dt < _STEP_BUDGET + 0.5:  # round(t / dt) past the budget, or inf
+        raise ConfigurationError(f"{what} over dt={dt!r} is not a finite step count "
+                                 f"within the budget of {_STEP_BUDGET} steps")
     n = round(t / dt)
     if abs(n * dt - t) > 1e-9 * max(dt, abs(t), 1.0):
         raise ConfigurationError(f"{what} is not an integer multiple of dt={dt!r}")
@@ -103,16 +107,17 @@ class RunConfig:
 
     Fields:
         n: grid modes per dimension.
-        dt, t_end: step size and horizon; snapshot_times must be multiples
-            of dt (defaults to 11 uniform snapshots including 0 and t_end).
+        dt, t_end: step size and horizon, at most 10^6 steps; snapshot_times
+            must be multiples of dt (defaults to 11 uniform snapshots including
+            0 and t_end).  t_end is also bound 3's horizon for T0.
             Bound 3 reads dt as the largest step on its window [0, T0],
             makes its own 9 snapshot times and ignores snapshot_times.
         stack_depth: derivative stack depth K at each snapshot (no cap; the
             stack is built in scaled variables).  Bound 2 stacks only to
             min(K, theorem2_n_max + 1), the depth its rows read.
-        truncation: order M for the diffusion-semigroup identity check.
-        alphas: weight exponents to audit; exactly one for a check or a run.
-        seed: master seed for data generation.
+        alphas: weight exponents, at least one; exactly one for a check or a run.
+        seed: seed of the C0 ascent's random starts and of audit-lemmas'
+            convolution trials; random initial data read initial_data's seed.
         initial_data: spec dict for make_initial_data.
         c0: {"mode": "estimate"} with optional "n_samples" and
             "ascent_steps" (absent keys take estimate_c0's defaults) or
@@ -130,7 +135,6 @@ class RunConfig:
     t_end: float = 1.0
     snapshot_times: list[float] | None = None
     stack_depth: int = 8
-    truncation: int = 40
     alphas: tuple[float, ...] = (1.0,)
     seed: int = 0
     initial_data: dict = field(default_factory=lambda: {"kind": "taylor_green", "amplitude": 1.0})
@@ -151,10 +155,9 @@ class RunConfig:
                  "snapshot_times must be null or a list of finite numbers >= 0", snaps)
         _require(_is_int(self.stack_depth) and self.stack_depth >= 0,
                  "stack_depth must be an integer >= 0", self.stack_depth)
-        _require(_is_int(self.truncation) and self.truncation >= 2 and self.truncation % 2 == 0,
-                 "truncation must be an even integer >= 2", self.truncation)
-        _require(isinstance(self.alphas, tuple) and all(_is_real(a) and a > 0 for a in self.alphas),
-                 "alphas must be a list of finite numbers > 0", self.alphas)
+        _require(isinstance(self.alphas, tuple) and len(self.alphas) >= 1
+                 and all(_is_real(a) and a > 0 for a in self.alphas),
+                 "alphas must be a non-empty list of finite numbers > 0", self.alphas)
         _require(_is_int(self.seed) and self.seed >= 0, "seed must be an integer >= 0", self.seed)
         check_initial_data(self.initial_data)
         _check_c0(self.c0)

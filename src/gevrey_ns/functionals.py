@@ -331,7 +331,8 @@ def theorem3_rhs(modes: HeatModes, u0_l2: float, c0: float, horizon: float) -> T
     once by the caller, so its solves at C0 and C0 +- 10% share them.
     """
     if u0_l2 < 0 or c0 <= 0 or horizon <= 0:
-        raise ConfigurationError("u0_l2 must be >= 0 and c0 and horizon positive")
+        raise ConfigurationError(f"bound 3 needs |u0| >= 0, c0 > 0 and a horizon t_end > 0, "
+                                 f"got {u0_l2!r}, {c0!r} and {horizon!r}")
     ca = c_alpha(modes.alpha)
     threshold = 1.0 / (32.0 * c0 * ca)
     scale = 64.0 * (c0 * ca * u0_l2) ** 2

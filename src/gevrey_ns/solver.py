@@ -228,7 +228,7 @@ def energy_ledger(traj: Trajectory) -> EnergyLedger:
     x = np.stack([u.w for u in traj.fields]).view(float).reshape(len(traj.fields), -1)
     lam_h = np.maximum(traj.dt * g.shells, 1e-300)  # the mean mode (lam = 0) carries no energy
     quad = 0.5 * (g.parseval_w[0] * (x[0] ** 2 - x ** 2)) @ (lam_h / np.tanh(lam_h) - 1.0)
-    n_steps = round(traj.times[-1] / traj.dt)
+    n_steps = step_count(traj.times[-1], traj.dt, "the last snapshot time")
     tol = 1e-2 * np.max(np.abs(quad)) + n_steps * np.finfo(float).eps * traj.l2_sq[0]
     return EnergyLedger(residuals=res, max_abs=float(np.max(np.abs(res))),
                         quadrature=quad, defect=float(np.max(np.abs(res - quad))),

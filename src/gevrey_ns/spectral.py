@@ -582,17 +582,22 @@ def make_initial_data(grid: Grid, spec: dict) -> SpectralVelocity:
 
     spec is a dict with key "kind" in {taylor_green, shear, random_spectrum}
     plus that generator's parameters; config.check_initial_data rejects
-    unknown kinds or keys and malformed values.
+    unknown kinds or keys and malformed values, and data whose Parseval sums
+    |u|^2, |grad u|^2 leave the double range is refused here.
     """
     check_initial_data(spec)
     kind = spec["kind"]
-    if kind == "taylor_green":
-        return taylor_green(grid, float(spec.get("amplitude", 1.0)))
-    if kind == "shear":
-        return shear_flow(grid, float(spec.get("amplitude", 1.0)))
-    l2 = spec.get("l2_norm")
-    return random_spectrum_field(grid, float(spec["decay"]), float(spec["k_max"]),
-                                 spec["seed"], None if l2 is None else float(l2))
+    if kind == "random_spectrum":
+        l2 = spec.get("l2_norm")
+        u = random_spectrum_field(grid, float(spec["decay"]), float(spec["k_max"]),
+                                  spec["seed"], None if l2 is None else float(l2))
+    else:
+        make = taylor_green if kind == "taylor_green" else shear_flow
+        u = make(grid, float(spec.get("amplitude", 1.0)))
+    if not np.all(np.isfinite(parseval(grid, u.w))):
+        raise ConfigurationError(f"{kind} data leaves the double range: "
+                                 "|u|^2 or |grad u|^2 is not finite")
+    return u
 
 
 def mode_energies(v: SpectralVelocity) -> tuple[np.ndarray, np.ndarray]:

@@ -374,8 +374,9 @@ def _check_theorem4(config: RunConfig, series: FunctionalSeries, alpha: float, c
 
 def _check_theorem3(config: RunConfig, u0: SpectralVelocity, alpha: float, c0: float,
                     u0n: float, report: TheoremReport) -> tuple[Trajectory, FunctionalSeries]:
-    """Fluctuation bound on [0, T0], with the run rescoped to that window; one
-    heat_modes(u0, alpha) serves the three T0 solves and the rows' right-hand side.
+    """Fluctuation bound on [0, T0], T0 <= config.t_end, with the run rescoped to that
+    window; one heat_modes(u0, alpha) serves the three T0 solves and the rows' right-hand
+    side.  t_end = 0 leaves no window, and theorem3_rhs refuses it.
 
     The window is cut into 8 equal snapshot intervals and stepped with
     n_steps = min(8 ceil(T0 / (8 config.dt)), 4096) equal steps, so config.dt
@@ -384,9 +385,8 @@ def _check_theorem3(config: RunConfig, u0: SpectralVelocity, alpha: float, c0: f
     interval: IF-RK4 treats the heat part exactly, and more steps only add
     rounding to f = u - l.  config.snapshot_times is not read.
     """
-    horizon = config.t_end if config.t_end > 0 else 1.0
     modes = heat_modes(u0, alpha)
-    bound = theorem3_rhs(modes, u0n, c0, horizon)
+    bound = theorem3_rhs(modes, u0n, c0, config.t_end)
     T0 = bound.T0
     report.params["T0"] = T0
     report.params["T0_capped_at_horizon"] = bound.capped_at_horizon
@@ -402,7 +402,7 @@ def _check_theorem3(config: RunConfig, u0: SpectralVelocity, alpha: float, c0: f
     res = theorem_lhs(fl_series, 3, alpha)
     _add_rows(report, res, -1, bound.rhs(res.times))
     report.extras["rhs_sensitivity"] = {
-        "c0_minus_10pct_T0": theorem3_rhs(modes, u0n, 0.9 * c0, horizon).T0,
-        "c0_plus_10pct_T0": theorem3_rhs(modes, u0n, 1.1 * c0, horizon).T0,
+        "c0_minus_10pct_T0": theorem3_rhs(modes, u0n, 0.9 * c0, config.t_end).T0,
+        "c0_plus_10pct_T0": theorem3_rhs(modes, u0n, 1.1 * c0, config.t_end).T0,
     }
     return traj, fl_series

@@ -1,7 +1,9 @@
 """The package runs on numpy alone (no scipy at import time or in its metadata), keeps
 the names the benchmark looks up, calls numpy.fft from spectral.py only, and its README
-lists the CLI's subcommands and the config's keys, and every config key is read."""
+lists the CLI's subcommands, their options and the config's keys, and every config key
+is read."""
 
+import argparse
 import ast
 import os
 import re
@@ -140,3 +142,15 @@ def test_every_config_key_is_read_outside_config():
         if p.name != "config.py":
             read |= set(re.findall(r"\b(?:cfg|config)\.(\w+)\b", p.read_text()))
     assert set(RunConfig.__dataclass_fields__) - read == set()
+
+
+def test_readme_synopsis_lists_every_option_in_order():
+    from gevrey_ns import cli
+    text = (ROOT / "README.md").read_text()
+    synopsis = re.search(r"^gevrey-ns <subcommand> (.*?)\n```", text, re.M | re.S).group(1)
+    listed = re.findall(r"\[(--[\w-]+)", synopsis)
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for name, parser in subparsers.choices.items():
+        options = [a.option_strings[-1] for a in parser._actions if a.dest != "help"]
+        assert options == listed, name

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -540,6 +541,7 @@ class TestConfig:
         ("n", 30.0), ("n", 7), ("n", True),
         ("dt", "x"), ("dt", math.nan), ("dt", True), ("t_end", "1"), ("t_end", math.inf),
         ("snapshot_times", 0.5), ("snapshot_times", [0.0, "a"]),
+        # truncation is not a key (stokes-verify's order M is a constant): any value is refused
         ("stack_depth", "3"), ("truncation", "x"), ("truncation", 3),
         ("alphas", 1.0), ("alphas", [True]), ("seed", "a"), ("seed", -1),
         ("decay_window", [2, 1]), ("decay_window", [1]), ("gamma", "x"), ("gamma", 0.0),
@@ -549,6 +551,8 @@ class TestConfig:
         ("out_dir", 3),
         ("enforce_cfl", 1), ("enforce_cfl", "no"), ("enforce_cfl", True),
         ("tol_energy", "x"), ("tol_energy", math.nan),
+        # alphas must hold at least one value: audit-lemmas has no default set
+        pytest.param("alphas", [], id="alphas-empty"),
     ])
     def test_bad_field(self, key, bad):
         with pytest.raises(ConfigurationError, match=key):
@@ -612,7 +616,7 @@ class TestCli:
 
     def test_stokes_verify_single_mode(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path, {
-            "n": 32, "t_end": 1.0, "truncation": 40,
+            "n": 32, "t_end": 1.0,
             "initial_data": {"kind": "shear", "amplitude": 1.0 / (np.pi * np.sqrt(2.0))},
         })
         code = main(["stokes-verify", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -622,7 +626,7 @@ class TestCli:
         assert abs(report["rows"][0]["residual"]) <= 1e-10
 
     def test_audit_lemmas_outputs(self, tmp_path):
-        code = main(["audit-lemmas", "--alpha", "1", "--out", str(tmp_path / "r")])
+        code = main(["audit-lemmas", "--out", str(tmp_path / "r")])
         assert code == 0
         csv_text = (tmp_path / "r" / "audit_ccc0.csv").read_text().splitlines()
         assert csv_text[0] == "k,j,alpha,ratio,printed_bound,corrected_bound,printed_ok,corrected_ok"
@@ -781,12 +785,82 @@ class TestCli:
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["stokes-verify", "--frobnicate"]) == 2
 
+    @pytest.mark.parametrize("flag", [["--seed", "5"], ["--alpha", "1"]], ids=["seed", "alpha"])
+    def test_no_flag_overrides_the_config(self, capsys, flag):
+        # a config file pins the run, so --seed and --alpha are unknown flags
+        assert main(["check-thm1"] + flag) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ns-run", "check-thm1", "check-thm2", "check-thm4",
+                                         "fit-decay"])
+    def test_step_budget_refuses_before_any_step(self, tmp_path, capsys, monkeypatch,
+                                                 command):
+        # t_end / dt = 1e300 is a finite quotient, far past the 10^6-step budget
+        from gevrey_ns import solver
+        monkeypatch.setattr(solver, "_advance", lambda *args: pytest.fail("took a step"))
+        cfg = self._write_cfg(tmp_path, dict(SMALL_BOUNDS[1], dt=1e-300, t_end=1.0))
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: t_end=1.0 over dt=1e-300 is not a finite step "
+                                       "count within the budget of 1000000 steps")
+
+    @pytest.mark.parametrize("data", [
+        {"kind": "taylor_green", "amplitude": 1e154},
+        {"kind": "random_spectrum", "decay": 2.0, "k_max": 8, "seed": 3, "l2_norm": 1e160},
+    ], ids=lambda data: data["kind"])
+    @pytest.mark.parametrize("command", ["stokes-verify", "ns-run", "check-thm1", "check-thm2",
+                                         "check-thm3", "check-thm4", "fit-decay"])
+    def test_data_past_the_double_range_exits_2_with_one_line(self, tmp_path, capsys, command,
+                                                              data):
+        # |u0|^2 overflows to inf: the data is refused before any solve, bound or CFL check
+        out = tmp_path / "out"
+        cfg = self._write_cfg(tmp_path, dict(SMALL_BASE, initial_data=data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would be a second stderr line
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (f"error: {data['kind']} data leaves the double range: "
+                                "|u|^2 or |grad u|^2 is not finite\n")
+
+    def test_thm3_horizon_is_t_end(self, tmp_path, capsys):
+        # t_end = 0 leaves bound 3 no window to solve T0 in: an error report, one line
+        out = tmp_path / "out"
+        cfg = self._write_cfg(tmp_path, dict(SMALL_BOUNDS[3], t_end=0.0))
+        assert main(["check-thm3", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        report = strict_loads((out / "report.json").read_text())
+        assert report["status"] == "error" and report["rows"] == []
+        assert captured.err == f"error: {report['message']}\n" and "t_end > 0" in captured.err
+
+    @pytest.mark.parametrize("l2_norm", [1e-3, 1.0, 1e3, 1e4, 1e5])
+    def test_stokes_verify_tolerance_scales_with_the_energy(self, tmp_path, capsys,
+                                                             monkeypatch, l2_norm):
+        # the identity is homogeneous of degree 2 in u0: its rounding (~1e-15 of the
+        # energy) passes at every scale, and a total off by 1e-6 of the energy fails
+        from gevrey_ns import cli
+        cfg = self._write_cfg(tmp_path, {"n": 16, "t_end": 0.1, "initial_data": {
+            "kind": "random_spectrum", "decay": 2.0, "k_max": 8, "seed": 3, "l2_norm": l2_norm}})
+        assert main(["stokes-verify", "--config", cfg]) == 0
+        exact = cli.stokes_gevrey_identity
+
+        def off(u0, t, M):
+            rep = exact(u0, t, M)
+            shift = 1e-6 * rep.energy
+            return dataclasses.replace(rep, total=rep.total + shift,
+                                       residual=rep.residual + shift)
+        monkeypatch.setattr(cli, "stokes_gevrey_identity", off)
+        assert main(["stokes-verify", "--config", cfg]) == 1
+        assert capsys.readouterr().out.splitlines()[-1].startswith("stokes-verify: FAIL")
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["transmogrify"]) == 2
 
     def test_json_flag_prints_report(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path, {
-            "n": 32, "t_end": 0.5, "truncation": 40,
+            "n": 32, "t_end": 0.5,
             "initial_data": {"kind": "taylor_green", "amplitude": 1.0},
         })
         code = main(["stokes-verify", "--config", cfg, "--json"])
@@ -890,6 +964,12 @@ class TestCliProperty:
     @example(doc=dict(_CRASH_BASE, dt=1e-320), command="check-thm4")
     @example(doc=dict(_CRASH_BASE, dt=1e-320), command="ns-run")
     @example(doc=dict(_CRASH_BASE, dt=1e-320), command="fit-decay")
+    # t_end / dt is finite but far past the 10^6-step budget
+    @example(doc=dict(_CRASH_BASE, dt=1e-300, initial_data=_small_data(0.3)), command="check-thm1")
+    @example(doc=dict(_CRASH_BASE, dt=1e-300), command="check-thm2")
+    @example(doc=dict(_CRASH_BASE, dt=1e-300), command="check-thm4")
+    @example(doc=dict(_CRASH_BASE, dt=1e-300), command="ns-run")
+    @example(doc=dict(_CRASH_BASE, dt=1e-300), command="fit-decay")
     def test_small_runs_exit_0_1_or_2_without_traceback(self, doc, command):
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as d:
