@@ -15,15 +15,17 @@ The v_k stay bounded whenever the Gevrey-weighted sums converge, so there
 is no depth cap; DerivativeStack.raw(k) rescales back to u^(k).
 
 A stack is stored as one table of vorticity planes, row k the plane of
-v_k, so the recursion runs on one (n, n/2+1) plane per entry and the
-projection is the curl of the contraction.  Cost per stack of depth K: each
-entry v_0..v_{K-1} is lifted, dealiased and taken to physical space once
-(one inverse transform of 2 velocity planes per entry), and each level sums
-all its products there into the two traceless planes (T12, T22 - T11)
-before one forward transform of 2 planes, so a K = 12 stack makes 12
-inverse and 12 forward transforms.  A stack allocates its table once, and
-one Workspace holds the physical entries and the kernel's planes; each
-level is written into its row in place.
+v_k, and the projection is the curl of the contraction.  The recursion runs
+on the packed dealiased band of each entry (spectral.pack), where the
+products live, and each level is unpacked into its row of the table; modes
+of u outside the band follow the heat recursion v_k = -(t / 2k) |xi|^2
+v_{k-1}.  Cost per stack of depth K: each entry v_0..v_{K-1} is lifted,
+dealiased and taken to physical space once (one band synthesis of 2
+velocity planes per entry), and each level sums all its products there into
+the two traceless planes (T12, T22 - T11) before one band analysis of 2
+planes, so a K = 12 stack makes 12 syntheses and 12 analyses.  A stack
+allocates its table and two band planes once, and one Workspace holds the
+physical entries and the kernel's planes.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .errors import ConfigurationError, FieldInvariantError
 from .solver import Trajectory
 # nonlinear_symmetric/nonlinear_term stay bound: bench/run.py --trace 1 wraps them here.
 from .spectral import (Grid, SpectralVelocity, Workspace, nonlinear_symmetric,  # noqa: F401
-                       nonlinear_term, norm_l2)
+                       nonlinear_term, norm_l2, pack, unpack)
 
 
 @dataclass(frozen=True)
@@ -87,15 +89,22 @@ def time_derivative_stack(u: SpectralVelocity, K: int, t: float) -> DerivativeSt
     if t <= 0:
         raise ConfigurationError(f"stack time must be positive, got {t}")
     g = u.grid
-    ws = Workspace(g, K)
     k_sq = g.k_sq.astype(complex)  # complex: no cast per product
-    w = np.empty((K + 1,) + g.k_sq.shape, dtype=complex)
+    w = np.zeros((K + 1,) + g.k_sq.shape, dtype=complex)
     w[0] = u.w
+    if np.any(u.w[~g.dealias]):  # outside the band only the heat recursion acts
+        for k in range(1, K + 1):
+            np.multiply(k_sq, w[k - 1], out=w[k])
+            w[k] *= -t / (2.0 * k)
+    ws, k_sq = Workspace(g, K), pack(g, k_sq)
+    prev, v = pack(g, u.w), np.empty_like(k_sq)
     for k in range(1, K + 1):
-        ws.load(k - 1, w[k - 1])
-        v = ws.level(k, out=w[k])
-        v -= k_sq * w[k - 1]
+        ws.load(k - 1, prev)
+        ws.level(k, out=v)
+        v -= k_sq * prev
         v *= t / (2.0 * k)
+        unpack(g, v, w[k])
+        prev, v = v, prev
     return DerivativeStack(g, t, w)
 
 

@@ -3,17 +3,20 @@
 The scheme is integrating-factor RK4: the viscous multiplier exp(-|xi|^2 dt)
 is applied exactly, so only the dealiased, Leray-projected advection term is
 integrated explicitly and the step size is limited by advection alone.
-The state is the field's own vorticity plane: each stage lifts it to the
-two dealiased velocity planes, runs them through the stack-level kernel as
-a one-entry level and contracts the two forward planes with Grid.curl, so a
-step makes 8 transforms of 16 planes in all.  A run allocates its stage
-planes once and steps a copy of u0's plane in place; a snapshot is a copy
-of the plane, with no conversion.  Alongside the snapshots the run
-accumulates the dissipation integral int_0^t |grad u|^2 by composite
-trapezoid on the step grid, reading |u|^2 and |grad u|^2 off the state by
-one Parseval call per step and keeping both at every snapshot, so every
-trajectory carries its own energy ledger; energy_ledger reads the
-trapezoid's own error off the snapshots, so what is left is the solver's.
+Advection lives on the dealiased band, so a run steps the field's packed
+band plane (spectral.pack) in place: each stage lifts it to the two
+dealiased velocity planes, runs them through the stack-level kernel as a
+one-entry level and contracts the two forward planes on the band, so a step
+makes 4 band syntheses and 4 band analyses of 2 planes each, 16 planes in
+all.  Modes of u0 outside the band only decay, by the same heat factor per
+step.  A run allocates its stage planes once; after each step the band is
+unpacked into the state's full plane, which one Parseval call per step reads
+for |u|^2 and |grad u|^2, and a snapshot is a copy of that plane.  Alongside
+the snapshots the run accumulates the dissipation integral
+int_0^t |grad u|^2 by composite trapezoid on the step grid, keeping both
+sums at every snapshot, so every trajectory carries its own energy ledger;
+energy_ledger reads the trapezoid's own error off the snapshots, so what is
+left is the solver's.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ import numpy as np
 
 from .config import step_count
 from .errors import ConfigurationError, IntegrationError
-from .spectral import (Grid, SpectralVelocity, Workspace, make_grid, make_initial_data,
-                       parseval, to_physical)
+from .spectral import (Grid, SpectralVelocity, Workspace, band_shape, make_grid,
+                       make_initial_data, pack, parseval, to_physical, unpack)
 
 
 @dataclass(frozen=True)
@@ -75,15 +78,16 @@ def cfl_limit(u: SpectralVelocity) -> float:
 
 
 def _stage_coefficients(grid: Grid, dt: float):
-    """IF-RK4 multipliers, computed once per (grid, dt): e^(-|xi|^2 dt/2),
-    e^(-|xi|^2 dt) and the stage weights."""
+    """IF-RK4 multipliers on the packed band, computed once per (grid, dt):
+    e^(-|xi|^2 dt/2), e^(-|xi|^2 dt) and the stage weights."""
     e_half = np.exp(-0.5 * dt * grid.k_sq).astype(complex)  # complex: no cast per product
     e_full = np.exp(-dt * grid.k_sq).astype(complex)
-    return e_half, e_full, dt * e_half, (dt / 3.0) * e_half, 0.5 * dt, dt / 6.0
+    return (pack(grid, e_half), pack(grid, e_full), pack(grid, dt * e_half),
+            pack(grid, (dt / 3.0) * e_half), 0.5 * dt, dt / 6.0)
 
 
 def _advance(ws: Workspace, w: np.ndarray, coef, planes: np.ndarray) -> None:
-    """One IF-RK4 step of the vorticity coefficients w, in place.
+    """One IF-RK4 step of the packed band plane w, in place.
 
     Each stage is a one-entry level; planes holds the four stage values and
     two more, so the step allocates no plane.
@@ -159,7 +163,7 @@ def integrate(u0: SpectralVelocity, dt: float, t_end: float,
 
     g = u0.grid
     ws, coef = Workspace(g), _stage_coefficients(g, dt)
-    planes = np.empty((6,) + g.k_sq.shape, dtype=complex)
+    planes = np.empty((6,) + band_shape(g), dtype=complex)
 
     def check_cfl(u: SpectralVelocity, t: float) -> None:
         if not enforce_cfl:
@@ -170,7 +174,10 @@ def integrate(u0: SpectralVelocity, dt: float, t_end: float,
                 f"dt={dt!r} exceeds advective stability bound {bound:.3e} at t={t!r}")
 
     check_cfl(u0, 0.0)
-    w = u0.w.copy()
+    w = u0.w.copy()  # the state's full plane
+    band = pack(g, w)  # the stepped band
+    # modes outside the band only decay: the heat factor per step, as no stage writes there
+    heat = np.exp(-dt * g.k_sq) if np.any(w[~g.dealias]) else None
 
     def norms() -> tuple[float, float]:
         """|u|^2 and |grad u|^2 of the state."""
@@ -183,7 +190,10 @@ def integrate(u0: SpectralVelocity, dt: float, t_end: float,
     # _snapshot_steps always holds step 0
     times, fields, diss, grads, l2s = [0.0], [u0], [0.0], [g_prev], [es_prev]
     for i in range(1, n_steps + 1):
-        _advance(ws, w, coef, planes)
+        _advance(ws, band, coef, planes)
+        if heat is not None:
+            w *= heat
+        unpack(g, band, w)
         es_new, g_new = norms()
         if not np.isfinite(g_new):
             raise IntegrationError(f"non-finite state at t={i * dt!r} with dt={dt!r}")

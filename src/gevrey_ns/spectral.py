@@ -31,18 +31,28 @@ product modes an exact convolution of the truncated inputs.  The trace of a
 symmetric product tensor T is a gradient, which the projection removes, so
 advection reads only the two traceless planes A = T12 and B = T22 - T11
 (and, for a product of two different fields, its antisymmetric part).  Their
-rfft2 contract with Grid.curl to the vorticity of the dealiased -P div T.  A
-Workspace holds the planes of that kernel, so a solver run or a stack
-allocates them once and no stage or level allocates a plane.
+band coefficients contract with a band curl table to the vorticity of the
+dealiased -P div T.  Advection therefore works on the band alone: pack takes
+the band of a plane to one contiguous (2 k_cut + 1, k_cut + 1) plane, rows
+|k1| <= k_cut in FFT order and columns 0..k_cut, and unpack writes it back;
+the solver steps and the stacks recurse on packed planes.  A Workspace holds
+the planes of that kernel, so a solver run or a stack allocates them once
+and no stage or level allocates a plane.
 
-Every FFT goes through rfft2 and irfft2, and every one runs on the n x n
-grid.  The 2n x 2n grid belongs to BandDFT alone: it maps the retained band
-there and back by dense matrix products, for norm_l4 and for the C0
-ascent's small cap grid.
+The kernel maps the band to the n x n grid and back in one of two ways,
+chosen by n alone.  Below n = 64 it is a BandDFT on the n-grid: dense
+matrix products on the band, each below OpenBLAS's one-thread size.  From
+n = 64 up it is a BandFFT: rfft2 and irfft2 with their column pass run on
+the k_cut + 1 retained columns only.  Its band tables, and the dense
+matrices, are built once per grid size.
+Every FFT goes through rfft2 and irfft2 and runs on the n x n grid; a
+BandDFT also serves norm_l4 on the 2n x 2n grid and the C0 ascent's small
+cap grid.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,47 +263,91 @@ def validate_field(v: SpectralVelocity) -> None:
 
 
 # ---------------------------------------------------------------------------
+# The dealiased band
+# ---------------------------------------------------------------------------
+
+def band_shape(grid: Grid) -> tuple[int, int]:
+    """(2 k_cut + 1, k_cut + 1), the shape of a packed band plane."""
+    return 2 * grid.k_cut + 1, grid.k_cut + 1
+
+
+def pack(grid: Grid, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The band |xi|_inf <= k_cut of planes a (..., n, n/2+1) as contiguous packed planes.
+
+    A packed plane has shape band_shape(grid): rows k1 = 0..k_cut, then
+    -k_cut..-1 (FFT order), and columns k2 = 0..k_cut.  It is the support of
+    grid.dealias.  out, if given, receives the result.
+    """
+    k = grid.k_cut
+    if out is None:
+        out = np.empty(a.shape[:-2] + band_shape(grid), dtype=a.dtype)
+    out[..., : k + 1, :] = a[..., : k + 1, : k + 1]
+    out[..., k + 1 :, :] = a[..., grid.n - k :, : k + 1]
+    return out
+
+
+def unpack(grid: Grid, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write packed band planes b into the band of planes out (..., n, n/2+1); the rest of
+    out is left as it is."""
+    k = grid.k_cut
+    out[..., : k + 1, : k + 1] = b[..., : k + 1, :]
+    out[..., grid.n - k :, : k + 1] = b[..., k + 1 :, :]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Transforms
 # ---------------------------------------------------------------------------
 
-def rfft2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def rfft2(x: np.ndarray, out: np.ndarray | None = None, cols: int | None = None) -> np.ndarray:
     """Unnormalised real 2-D transform over the last two axes, as two 1-D passes.
 
     Every forward FFT in the package goes through this function, on the n x n
-    grid, and no other module calls numpy.fft (the 2n grid uses BandDFT).
-    numpy.fft.rfft2 computes the same two passes, but its wrapper costs more
-    per call than a small transform.  out, if given, receives the result.
+    grid, and no other module calls numpy.fft.  numpy.fft.rfft2 computes the
+    same two passes, but its wrapper costs more per call than a small
+    transform.  With cols, the column pass runs on the first cols columns
+    only and the others hold the row pass alone.  out, if given, receives
+    the result.
     """
     h = np.fft.rfft(x, axis=-1, out=out)
-    return np.fft.fft(h, axis=-2, out=h)
+    c = h[..., :cols]
+    np.fft.fft(c, axis=-2, out=c)
+    return h
 
 
-def irfft2(h: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+def irfft2(h: np.ndarray, n: int, out: np.ndarray | None = None,
+           cols: int | None = None) -> np.ndarray:
     """Inverse of rfft2 onto n x n planes (scaled by 1/n^2); every inverse goes through it.
 
     h is overwritten: the first pass runs in place, because a fresh complex
-    temporary per call costs more than the pass itself at n = 128.  out, if
-    given, receives the real planes.
+    temporary per call costs more than the pass itself at n = 128.  With
+    cols, that pass runs on the first cols columns only, so the others must
+    be zero.  out, if given, receives the real planes.
     """
-    return np.fft.irfft(np.fft.ifft(h, axis=-2, out=h), n, axis=-1, out=out)
+    c = h[..., :cols]
+    np.fft.ifft(c, axis=-2, out=c)
+    return np.fft.irfft(h, n, axis=-1, out=out)
 
 
 @dataclass(frozen=True)
 class BandDFT:
-    """Exact dense DFT between a grid's band and an m x m physical grid, m >= n.
+    """Exact dense DFT between a grid's band |xi|_inf <= k and an m x m physical grid, m >= n.
 
-    synthesize gives the values on the m x m grid of coefficient stacks
-    (..., n, n/2+1), the irfft2 of their zero-padded m-grid spectrum scaled
-    by m^2; analyze takes m x m samples to the grid's coefficients, the band
-    of their rfft2 scaled by 1/m^2.  Each is two matrix products, to
-    rounding.  synthesize runs rows (m, n) on the rows of the half-spectrum,
-    then cols (n+2, m) on the float view of each half row; the weights 1 on
+    The band is held as packed planes (..., R, k+1): rows |k1| <= k in FFT
+    order (R = 2k+1, or all n rows when k = n/2, the whole rfft half), and
+    columns 0..k.  synthesize gives the values on the m x m grid of such
+    coefficient stacks, the irfft2 of their zero-padded m-grid spectrum
+    scaled by m^2; analyze takes m x m samples to the band's coefficients,
+    the band of their rfft2 scaled by 1/m^2.  Each is two matrix products,
+    to rounding.  synthesize runs rows (m, R) on the rows of the band, then
+    cols (2k+2, m) on the float view of each band row; the weights 1 on
     column 0 and 2 on the others give the real irfft output.  analyze runs
-    cols_a (m, n+2), scaled by 1/m^2, then rows_a (n, m).  The Nyquist row
-    and column have zero weight both ways, so they are ignored on input and
-    exactly zero on output.  A stack (..., m, m) is multiplied plane by
-    plane against the shared matrix, so each BLAS call stays far below
-    OpenBLAS's threading threshold.
+    cols_a (m, 2k+2), scaled by 1/m^2, then rows_a (R, m).  A Nyquist row or
+    column has zero weight both ways, so it is ignored on input and exactly
+    zero on output.  A stack (..., m, m) is multiplied plane by plane against
+    the shared matrix, so each BLAS call stays far below OpenBLAS's threading
+    threshold.  tmp, if given, receives the intermediate product (see
+    scratch), and out the result.
     """
 
     m: int
@@ -302,26 +356,95 @@ class BandDFT:
     cols_a: np.ndarray
     rows_a: np.ndarray
 
-    def synthesize(self, h: np.ndarray) -> np.ndarray:
-        return (self.rows @ h).view(float) @ self.cols
+    def __post_init__(self):
+        for a in (self.rows, self.cols, self.cols_a, self.rows_a):
+            _readonly(a)
 
-    def analyze(self, X: np.ndarray) -> np.ndarray:
-        return self.rows_a @ (X @ self.cols_a).view(complex)
+    def synthesize(self, h: np.ndarray, out: np.ndarray | None = None,
+                   tmp: np.ndarray | None = None) -> np.ndarray:
+        return np.matmul(np.matmul(self.rows, h, out=tmp).view(float), self.cols, out=out)
+
+    def analyze(self, X: np.ndarray, out: np.ndarray | None = None,
+                tmp: np.ndarray | None = None) -> np.ndarray:
+        return np.matmul(self.rows_a, np.matmul(X, self.cols_a, out=tmp).view(complex), out=out)
+
+    def scratch(self, inverse: int, forward: int) -> tuple[np.ndarray, np.ndarray]:
+        """tmp buffers of synthesize and analyze for stacks of that many planes."""
+        width = len(self.cols)
+        return (np.empty((inverse, self.m, width // 2), dtype=complex),
+                np.empty((forward, self.m, width)))
 
 
-def band_dft(grid: Grid, m: int) -> BandDFT:
-    """The BandDFT of grid's rfft-half band on the m x m physical grid (m >= n)."""
+def band_dft(grid: Grid, m: int, k: int | None = None) -> BandDFT:
+    """The BandDFT of grid's band |xi|_inf <= k (default n/2: the whole rfft half) on the
+    m x m physical grid (m >= n)."""
     n, x = grid.n, np.arange(m)
-    rows = np.exp(1j * (TWO_PI / m) * (np.outer(x, grid.freqs) % m))
-    rows[:, n // 2] = 0.0
-    angle = (TWO_PI / m) * (np.outer(grid.freqs[: n // 2 + 1], x) % m)
-    wave = np.stack([np.cos(angle), -np.sin(angle)], axis=1).reshape(n + 2, m)
-    wave[-2:] = 0.0  # the Nyquist column
-    w = np.full(n + 2, 2.0)
+    k = n // 2 if k is None else k
+    p, q = grid.freqs[np.abs(grid.freqs) <= k], grid.freqs[: k + 1]
+    rows = np.exp(1j * (TWO_PI / m) * (np.outer(x, p) % m))
+    rows[:, np.abs(p) == n // 2] = 0.0
+    angle = (TWO_PI / m) * (np.outer(q, x) % m)
+    wave = np.stack([np.cos(angle), -np.sin(angle)], axis=1).reshape(2 * k + 2, m)
+    wave[np.repeat(np.abs(q) == n // 2, 2)] = 0.0  # the Nyquist column
+    w = np.full(2 * k + 2, 2.0)
     w[:2] = 1.0  # column 0 is self-conjugate; every other one stands for two
     return BandDFT(m=m, rows=rows, cols=w[:, None] * wave,
                    cols_a=np.ascontiguousarray(wave.T) / (float(m) * m),
                    rows_a=np.ascontiguousarray(np.conj(rows.T)))
+
+
+@dataclass(frozen=True)
+class BandFFT:
+    """A grid's dealiased band and its n x n physical grid by pruned FFTs.
+
+    synthesize takes packed band planes to irfft2 of the zero-padded half
+    plane and analyze takes n x n planes to the band of their rfft2: the
+    maps of band_dft(grid, n, k_cut), scaled by 1/n^2 and n^2.  Both run
+    the column pass on the k_cut + 1 retained columns only, and give the
+    bits of the unpruned rfft2/irfft2 there.  tmp (see scratch) is a half
+    plane per plane; synthesize's must start zero, and only the band's
+    columns are written to it.
+    """
+
+    grid: Grid
+
+    def synthesize(self, h: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        g, k = self.grid, self.grid.k_cut
+        unpack(g, h, tmp)
+        tmp[..., k + 1 : g.n - k, : k + 1] = 0.0  # the rows the last column pass filled
+        return irfft2(tmp, g.n, out=out, cols=k + 1)
+
+    def analyze(self, X: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        return pack(self.grid, rfft2(X, out=tmp, cols=self.grid.k_cut + 1), out=out)
+
+    def scratch(self, inverse: int, forward: int) -> tuple[np.ndarray, np.ndarray]:
+        """tmp buffers of synthesize and analyze for stacks of that many planes."""
+        half = (self.grid.n, self.grid.n // 2 + 1)
+        return (np.zeros((inverse,) + half, dtype=complex),
+                np.empty((forward,) + half, dtype=complex))
+
+
+DENSE_BELOW = 64  # grids below this size run the advection kernel on a BandDFT
+
+
+@functools.cache
+def _band_kernel(n: int, dense: bool) -> tuple:
+    """(BandDFT or None, lift, curl, scale) of the advection kernel on the n-grid, built once
+    per n.
+
+    The transform is band_dft(grid, n, k_cut) when dense, else a BandFFT,
+    whose maps carry the factors 1/n^2 and n^2 more; scale is 1 or n^2 to
+    match.  lift (2, R, C) is Grid.lift on the band times scale, since a
+    real multiplier is cast through a temporary per call; curl (3, R, C) is
+    Grid.curl on the band times n^2 / scale.  A level's scrub floor is
+    1e-12 max |F| / scale over its band planes F.  No grid is kept.
+    """
+    grid = make_grid(n)
+    scale = 1.0 if dense else float(n) * n
+    lift = pack(grid, grid.lift * (grid.dealias * scale))
+    curl = pack(grid, grid.curl) * (float(n) * n / scale)
+    return (band_dft(grid, n, grid.k_cut) if dense else None, _readonly(lift), _readonly(curl),
+            scale)
 
 
 def to_physical(v: SpectralVelocity) -> np.ndarray:
@@ -432,16 +555,16 @@ def _traceless(phys, P: np.ndarray, S: np.ndarray) -> None:
             P += S[:2]
 
 
-def _contract(grid: Grid, F: np.ndarray, floor: float, out: np.ndarray, mod: np.ndarray,
+def _contract(curl: np.ndarray, F: np.ndarray, floor: float, out: np.ndarray, mod: np.ndarray,
               small: np.ndarray) -> np.ndarray:
-    """out = (grid.curl * F).sum(axis=0), then one scrub against floor.
+    """out = (curl * F).sum(axis=0), then one scrub against floor.
 
-    F holds the unnormalised rfft2 planes (T12, T22 - T11) of a product
-    tensor, optionally followed by its antisymmetric part A12, and is
-    overwritten; out (n, n/2+1) receives the vorticity of the dealiased
-    -P div T / n^2.  mod and small, of out's shape, are the scrub's scratch.
+    F holds the transformed planes (T12, T22 - T11) of a product tensor,
+    optionally followed by its antisymmetric part A12, and is overwritten;
+    curl is a table like Grid.curl on F's modes, so out receives the
+    vorticity of the dealiased -P div T.  mod and small, of out's shape, are
+    the scrub's scratch.
     """
-    curl = grid.curl
     np.multiply(curl[1], F[1], out=F[1])
     np.multiply(curl[0], F[0], out=out)
     out += F[1]
@@ -455,40 +578,65 @@ class Workspace:
     """The planes of the advection kernel on one grid, allocated once per solver run or stack.
 
     load puts an entry's dealiased physical velocity planes into phys[k];
-    level sums the products of phys[:k] as a stack level, forward-transforms
-    the two traceless planes and contracts them into a caller's vorticity
-    plane.  Neither allocates a plane.
+    level sums the products of phys[:k] as a stack level and contract takes
+    such product planes to a caller's vorticity plane.  Both read and write
+    packed band planes (see pack) and transform them with the grid size's
+    band kernel (see DENSE_BELOW); neither allocates a plane.
     """
 
-    def __init__(self, grid: Grid, depth: int = 1):
-        n, hc = grid.n, grid.n // 2 + 1
-        self.grid = grid
-        # lift, 2/3 mask and irfft2's n^2 scale in one complex multiplier, since a
-        # real one is cast through a temporary per call
-        self.lift = grid.lift * (grid.dealias * (float(n) * n))
-        self.coef = np.empty((2, n, hc), dtype=complex)
+    def __init__(self, grid: Grid, depth: int = 1, products: int = 2):
+        n, dense = grid.n, grid.n < DENSE_BELOW
+        dft, self.lift, self.curl, self.scale = _band_kernel(n, dense)
+        self.transform = dft if dense else BandFFT(grid)
+        band = band_shape(grid)
+        self.coef = np.empty((2,) + band, dtype=complex)
         self.phys = np.empty((depth, 2, n, n))
         self.planes = np.empty((2, n, n))
         self.scratch = np.empty((3, n, n))
-        self.fwd = np.empty((2, n, hc), dtype=complex)
-        self.mod = np.empty((2, n, hc))
-        self.small = np.empty((n, hc), dtype=bool)
+        self.fwd = np.empty((products,) + band, dtype=complex)
+        self.mod = np.empty((products,) + band)
+        self.small = np.empty(band, dtype=bool)
+        self.tmp_in, self.tmp_out = self.transform.scratch(2, products)
 
-    def load(self, k: int, w: np.ndarray) -> None:
-        """phys[k] = the dealiased physical velocity planes of the vorticity plane w."""
-        np.multiply(w, self.lift, out=self.coef)
-        irfft2(self.coef, self.grid.n, out=self.phys[k])
+    def load(self, k: int, b: np.ndarray) -> None:
+        """phys[k] = the dealiased physical velocity planes of the packed vorticity plane b."""
+        np.multiply(b, self.lift, out=self.coef)
+        self.transform.synthesize(self.coef, out=self.phys[k], tmp=self.tmp_in)
 
     def level(self, k: int, out: np.ndarray) -> np.ndarray:
-        """out = the vorticity of -P div sum_{j<k} e_j (x) e_{k-1-j}, dealiased, from phys[:k].
-
-        The scrub floor is 1e-12 max |fwd| / n^2 of the level's summed products.
-        """
+        """out = the vorticity of -P div sum_{j<k} e_j (x) e_{k-1-j}, dealiased, from phys[:k]."""
         _traceless(self.phys[:k], self.planes, self.scratch)
-        F = rfft2(self.planes, out=self.fwd)
-        np.abs(F, out=self.mod)
-        floor = 1e-12 * (float(self.mod.max()) / (float(self.grid.n) * self.grid.n))
-        return _contract(self.grid, F, floor, out, self.mod[0], self.small)
+        return self.contract(self.planes, out)
+
+    def contract(self, P: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = the packed vorticity of the dealiased -P div T of physical planes P.
+
+        P holds (T12, T22 - T11) of a product tensor T, optionally followed by
+        its antisymmetric part A12 (a Workspace built with products=3).  The
+        scrub floor is 1e-12 of the largest band coefficient of P, in the
+        transform's scale.
+        """
+        p = len(P)
+        F = self.transform.analyze(P, out=self.fwd[:p], tmp=self.tmp_out[:p])
+        mod = self.mod[:p]
+        np.abs(F, out=mod)
+        floor = 1e-12 * (float(mod.max()) / self.scale)
+        return _contract(self.curl, F, floor, out, mod[0], self.small)
+
+
+def _products(a: SpectralVelocity, b: SpectralVelocity) -> tuple[Workspace, np.ndarray]:
+    """A Workspace with the physical planes of a and b loaded, and a packed output plane."""
+    _require_same_grid(a, b)
+    g = a.grid
+    ws = Workspace(g, 2, products=3)
+    ws.load(0, pack(g, a.w))
+    ws.load(1, pack(g, b.w))
+    return ws, np.empty(band_shape(g), dtype=complex)
+
+
+def _field(grid: Grid, b: np.ndarray) -> SpectralVelocity:
+    """The field of the packed vorticity plane b, zero outside the band."""
+    return SpectralVelocity(grid, unpack(grid, b, np.zeros(grid.k_sq.shape, dtype=complex)))
 
 
 def nonlinear_term(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVelocity:
@@ -498,28 +646,21 @@ def nonlinear_term(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVelocity
     truncated to |xi|_inf <= k_cut and 3 k_cut < n, the retained output
     modes are the exact convolution of the truncated inputs.  Bilinear in
     (a, b).  The planes are T12 and T22 - T11 of the symmetric part of a (x) b
-    and its antisymmetric part (a1 b2 - a2 b1) / 2 (zero for a = b); stacks and
-    the solver run Workspace.level instead.  Raises GridMismatchError if the grids differ.
+    and its antisymmetric part (a1 b2 - a2 b1) / 2 (zero for a = b), run
+    through Workspace.contract, the kernel of the solver and the stacks.
+    Raises GridMismatchError if the grids differ.
     """
-    _require_same_grid(a, b)
-    g = a.grid
-    ws = Workspace(g, 2)
-    ws.load(0, a.w)
-    ws.load(1, b.w)
+    ws, out = _products(a, b)
     (A1, A2), (B1, B2) = ws.phys
     cross, swap = A1 * B2, A2 * B1
-    F = rfft2(np.stack([0.5 * (cross + swap), A2 * B2 - A1 * B1, 0.5 * (cross - swap)]))
-    floor = 1e-12 * (float(np.max(np.abs(F))) / (float(g.n) * g.n))
-    return SpectralVelocity(g, _contract(g, F, floor, np.empty_like(a.w), ws.mod[0], ws.small))
+    P = np.stack([0.5 * (cross + swap), A2 * B2 - A1 * B1, 0.5 * (cross - swap)])
+    return _field(a.grid, ws.contract(P, out))
 
 
 def nonlinear_symmetric(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVelocity:
     """-P div(a (x) b + b (x) a); equals nonlinear_term(a,b) + nonlinear_term(b,a)."""
-    _require_same_grid(a, b)
-    ws = Workspace(a.grid, 2)
-    ws.load(0, a.w)
-    ws.load(1, b.w)
-    return SpectralVelocity(a.grid, ws.level(2, np.empty_like(a.w)))
+    ws, out = _products(a, b)
+    return _field(a.grid, ws.level(2, out))
 
 
 # ---------------------------------------------------------------------------

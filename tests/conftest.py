@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -120,4 +122,27 @@ def fft_calls(monkeypatch):
             calls.arrays[_name].append(np.shape(physical))
             return out
         monkeypatch.setattr(spectral, name, counted)
+    return calls
+
+
+class BandCalls(list):
+    """One (method, implementation, physical array shape) record per band transform call."""
+
+    def counts(self) -> Counter:
+        return Counter(method for method, _, _ in self)
+
+
+@pytest.fixture
+def band_calls(monkeypatch):
+    """The advection kernel's band transforms (synthesize / analyze of spectral.BandDFT or
+    spectral.BandFFT) made while the test runs; below n = 64 no rfft2 call runs."""
+    calls = BandCalls()
+    for cls in (spectral.BandDFT, spectral.BandFFT):
+        for name in ("synthesize", "analyze"):
+            def counted(self, x, *args, _name=name, _fn=getattr(cls, name), **kwargs):
+                out = _fn(self, x, *args, **kwargs)
+                physical = out if _name == "synthesize" else x
+                calls.append((_name, type(self).__name__, np.shape(physical)))
+                return out
+            monkeypatch.setattr(cls, name, counted)
     return calls

@@ -10,7 +10,8 @@ from gevrey_ns import (ConfigurationError, DerivativeStack, FieldInvariantError,
                        SpectralVelocity, fd_convergence_check, from_lattice, functionals,
                        heat_evolve, inner_l2, integrate, make_grid, nonlinear_term,
                        norm_grad_l2, norm_l2, parseval, random_spectrum_field,
-                       raw_functionals, stokes_derivative_stack, time_derivative_stack)
+                       raw_functionals, spectral, stokes_derivative_stack, theorem_lhs,
+                       time_derivative_stack)
 from gevrey_ns.verify import stack_series
 
 
@@ -93,13 +94,15 @@ class TestRecursionOracles:
             diff = (fl.raw(k) - rhs).max_amplitude()
             assert diff <= 1e-9 * max(st_u.raw(k).max_amplitude(), 1e-300)
 
-    def test_one_inverse_transform_per_entry_one_forward_per_level(self, fft_calls,
-                                                                    random_field):
-        time_derivative_stack(random_field, 12, t=0.1)
-        assert fft_calls == {"irfft2": 12, "rfft2": 12}
-        # two velocity planes in, the two traceless product planes out
-        assert set(fft_calls.arrays["irfft2"]) == {(2, 32, 32)}
-        assert set(fft_calls.arrays["rfft2"]) == {(2, 32, 32)}
+    def test_one_inverse_transform_per_entry_one_forward_per_level(self, band_calls):
+        # the kernel's band transforms under both implementations: two velocity planes in
+        # per entry, the two traceless product planes out per level
+        for n, kind in ((32, "BandDFT"), (128, "BandFFT")):
+            u = random_spectrum_field(make_grid(n), 2.0, 8, seed=7, l2_norm=1.0)
+            band_calls.clear()
+            time_derivative_stack(u, 12, t=0.1)
+            assert band_calls.counts() == {"synthesize": 12, "analyze": 12}
+            assert {(k, shape) for _, k, shape in band_calls} == {(kind, (2, n, n))}
 
 
 class TestScaledStack:
@@ -195,6 +198,64 @@ class TestStackTable:
                         H[2 * k + 1] = math.sqrt(2.0 * (k + 1) / t) * norm_l2(v[k + 1])
                 assert np.array_equal(series.L_tilde[i], L)
                 assert np.array_equal(series.H_tilde[i], H)
+
+
+class TestAcrossTheKernelSwitch:
+    """The advection kernel runs dense band products below spectral.DENSE_BELOW and pruned
+    FFTs from there up; both must give the same stacks and trajectories."""
+
+    def test_zero_padding_from_dense_to_fft(self):
+        # k_max 2 keeps every product of a K = 8 stack inside both bands (2 (K+1) = 18 =
+        # k_cut(56)), so the two grids compute the same finite convolutions
+        g56, g64 = make_grid(56), make_grid(64)
+        assert spectral.Workspace(g56).transform.__class__ is spectral.BandDFT
+        assert spectral.Workspace(g64).transform.__class__ is spectral.BandFFT
+        u = random_spectrum_field(g56, 2.0, 2, seed=5, l2_norm=0.36)
+        rows = g56.freqs[np.abs(g56.freqs) < 28]
+
+        def pad(w):
+            out = np.zeros(w.shape[:-2] + g64.k_sq.shape, dtype=complex)
+            out[..., rows % 64, :28] = w[..., rows % 56, :28]
+            return out
+
+        v = SpectralVelocity(g64, pad(u.w))
+        a, b = pad(time_derivative_stack(u, 8, 0.5).w), time_derivative_stack(v, 8, 0.5).w
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+        pa, pb = parseval(g64, a), parseval(g64, b)  # each entry's |v_k|^2, |grad v_k|^2
+        assert np.all(np.abs(pa - pb) <= 1e-13 * pb)
+        kw = dict(dt=0.005, t_end=1.0, snapshot_times=[0.0, 0.25, 0.5, 0.75, 1.0])
+        lhs = [theorem_lhs(stack_series(integrate(x, **kw), 8), 1, 1.0).lhs[:, -1]
+               for x in (u, v)]
+        assert np.all(np.abs(lhs[0] - lhs[1]) <= 1e-13 * lhs[1])
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_modes_outside_the_band_only_decay(self, dense, monkeypatch):
+        # k_max 8 > k_cut 5 at n = 16: the band evolves as if the rest were absent, and the
+        # rest by the exact heat factor per step and the heat recursion in the stack
+        monkeypatch.setattr(spectral, "DENSE_BELOW", 64 if dense else 0)
+        g, dt, K = make_grid(16), 1e-3, 8
+        u0 = random_spectrum_field(g, 2.0, 8, seed=3, l2_norm=1.0)
+        outside = ~g.dealias
+        assert parseval(g, u0.w * outside)[0] > 1e-3 * norm_l2(u0) ** 2
+        inside = SpectralVelocity(g, u0.w * g.dealias)
+        kw = dict(dt=dt, t_end=0.1, snapshot_times=[0.0, 0.05, 0.1])
+        traj, ref = integrate(u0, **kw), integrate(inside, **kw)
+        rest, heat = u0.w * outside, np.exp(-dt * g.k_sq)
+        for i, (u, r) in enumerate(zip(traj.fields, ref.fields)):
+            assert np.array_equal(u.w[g.dealias], r.w[g.dealias])
+            assert np.array_equal(u.w[outside], rest[outside])
+            assert traj.l2_sq[i] == parseval(g, u.w)[0]
+            assert traj.grad_sq[i] == parseval(g, u.w)[1]
+            for _ in range(50):
+                rest = rest * heat
+        t = traj.times[-1]
+        st, st_ref = time_derivative_stack(traj.fields[-1], K, t), time_derivative_stack(
+            ref.fields[-1], K, t)
+        assert np.array_equal(st.w[:, g.dealias], st_ref.w[:, g.dealias])
+        rest = traj.fields[-1].w * outside
+        for k in range(K + 1):
+            assert np.array_equal(st.w[k][outside], rest[outside])
+            rest = (0.0 - g.k_sq * rest) * (t / (2.0 * (k + 1)))
 
 
 class TestFdConvergence:

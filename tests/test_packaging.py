@@ -92,8 +92,8 @@ def _numpy_fft_uses(path: Path) -> list[int]:
 
 
 def test_only_spectral_calls_numpy_fft():
-    # every FFT goes through spectral.rfft2/irfft2, which the fft_calls fixture and the
-    # benchmark's tracer count; the C0 ascent's cap grid uses spectral.BandDFT products
+    # every FFT goes through spectral.rfft2/irfft2, which the fft_calls fixture counts; the
+    # advection kernel below n = 64 and the C0 ascent's cap grid use spectral.BandDFT products
     package = ROOT / "src" / "gevrey_ns"
     assert _numpy_fft_uses(package / "spectral.py")
     others = {p.name: _numpy_fft_uses(p) for p in sorted(package.glob("*.py"))

@@ -62,34 +62,40 @@ class TestStep:
         assert (out - ref).max_amplitude() <= 1e-12 * ref.max_amplitude()
         assert (out - heat(u, dt)).max_amplitude() > 1e-4 * ref.max_amplitude()
 
-    def test_eight_transforms_sixteen_planes_per_step(self, monkeypatch, random_field):
-        calls = {"irfft2": 0, "rfft2": 0, "planes": 0}
-        for name in ("irfft2", "rfft2"):
-            def counted(x, *args, _name=name, _fft=getattr(spectral, name), **kwargs):
-                calls[_name] += 1
-                calls["planes"] += int(np.prod(np.shape(x)[:-2]))
-                return _fft(x, *args, **kwargs)
-            monkeypatch.setattr(spectral, name, counted)
-        step(random_field, 1e-3)
-        assert calls == {"irfft2": 4, "rfft2": 4, "planes": 16}
+    def test_eight_transforms_sixteen_planes_per_step(self, band_calls):
+        # the kernel's band transforms under both implementations: each of the 4 stages
+        # synthesizes the 2 velocity planes and analyzes the 2 traceless planes
+        for n, kind in ((32, "BandDFT"), (128, "BandFFT")):
+            u = random_spectrum_field(make_grid(n), 2.0, 8, seed=7, l2_norm=1.0)
+            band_calls.clear()
+            step(u, 1e-3)
+            assert band_calls.counts() == {"synthesize": 4, "analyze": 4}
+            assert sum(int(np.prod(shape[:-2])) for _, _, shape in band_calls) == 16
+            assert {(k, shape[-2:]) for _, k, shape in band_calls} == {(kind, (n, n))}
 
     def test_a_warmed_step_allocates_at_most_three_planes(self):
-        # one pass of integrate's loop: the step in place, then the ledger's Parseval sums
-        grid = make_grid(128)
-        u = random_spectrum_field(grid, 2.0, 8, seed=128, l2_norm=1.0)
-        ws, coef = spectral.Workspace(grid), solver._stage_coefficients(grid, 1e-3)
-        planes = np.empty((6,) + grid.k_sq.shape, dtype=complex)  # as integrate allocates them
-        w = u.w.copy()
-        solver._advance(ws, w, coef, planes)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            solver._advance(ws, w, coef, planes)
-            spectral.parseval(grid, w)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - base <= 3 * w.nbytes
+        # one pass of integrate's loop on packed band planes: the step in place, then the
+        # band unpacked into the state's plane for the ledger's Parseval sums
+        for n in (32, 128):
+            grid = make_grid(n)
+            u = random_spectrum_field(grid, 2.0, 8, seed=n, l2_norm=1.0)
+            ws, coef = spectral.Workspace(grid), solver._stage_coefficients(grid, 1e-3)
+            shape = spectral.band_shape(grid)
+            planes = np.empty((6,) + shape, dtype=complex)  # as integrate allocates them
+            w = u.w.copy()
+            band = spectral.pack(grid, w)
+            assert band.shape == coef[0].shape == shape
+            solver._advance(ws, band, coef, planes)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                solver._advance(ws, band, coef, planes)
+                spectral.unpack(grid, band, w)
+                spectral.parseval(grid, w)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - base <= 3 * band.nbytes, n
 
 
 class TestIntegrate:

@@ -76,6 +76,57 @@ class TestTransforms:
         assert np.array_equal(band.synthesize(h[1]), U[1])
         assert np.array_equal(band.analyze(X[1]), H[1])
 
+    @pytest.mark.parametrize("n, m", [(16, 16), (32, 32), (62, 62), (18, 36)])
+    def test_band_dft_on_the_dealiased_band_matches_the_padded_fft_pair(self, n, m):
+        # the kernel's dense transform: packed band planes, |xi|_inf <= k_cut, against the
+        # padded FFT pair restricted to the band
+        grid = make_grid(n)
+        band = spectral.band_dft(grid, m, grid.k_cut)
+        rng = np.random.default_rng(n + m)
+        h = spectral._clean(grid, analyze(grid, rng.standard_normal((3, 2, n, n))))
+        h *= grid.dealias
+        ref = synthesize(grid, h, m)
+        U = band.synthesize(spectral.pack(grid, h))
+        assert np.max(np.abs(U - ref)) <= 1e-14 * np.max(np.abs(ref))
+        X = rng.standard_normal((3, 2, m, m))
+        ref = spectral.pack(grid, analyze(grid, X))
+        H = band.analyze(X)
+        assert H.shape == ref.shape
+        assert np.max(np.abs(H - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_dense_band_products_stay_on_one_blas_thread(self):
+        # OpenBLAS runs a gemm on one thread while M N K <= 4 * 65536; every product of the
+        # dense kernel, per plane, must stay there on each grid below the switch, so that a
+        # later move of spectral.DENSE_BELOW cannot wake a second thread on the hot path
+        one_thread = 4 * 65536
+        for n in range(8, spectral.DENSE_BELOW, 2):
+            band = spectral.Workspace(make_grid(n)).transform
+            assert isinstance(band, spectral.BandDFT)
+            (m, r), (c2, _) = band.rows.shape, band.cols.shape
+            assert band.cols_a.shape == (m, c2) and band.rows_a.shape == (r, m)
+            products = {"synthesize rows": m * r * (c2 // 2), "synthesize cols": m * c2 * m,
+                        "analyze cols": m * m * c2, "analyze rows": r * m * (c2 // 2)}
+            assert max(products.values()) <= one_thread, (n, products)
+        assert isinstance(spectral.Workspace(make_grid(spectral.DENSE_BELOW)).transform,
+                          spectral.BandFFT)
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128])
+    def test_band_kernel_is_built_once_per_grid_size(self, n):
+        a, b = spectral.Workspace(make_grid(n)), spectral.Workspace(make_grid(n), 3)
+        assert a.lift is b.lift and a.curl is b.curl
+        assert (a.transform is b.transform) == (n < spectral.DENSE_BELOW)
+
+    @pytest.mark.parametrize("n", [16, 62, 64, 96])
+    def test_pack_and_unpack_the_dealiased_band(self, n):
+        grid = make_grid(n)
+        h = np.random.default_rng(n).standard_normal((3,) + grid.k_sq.shape) + 0j
+        b = spectral.pack(grid, h)
+        k = grid.k_cut
+        assert b.shape == (3, 2 * k + 1, k + 1) == (3,) + spectral.band_shape(grid)
+        rows = grid.freqs[np.abs(grid.freqs) <= k]
+        assert np.array_equal(b, h[:, rows % n, : k + 1])
+        assert np.array_equal(spectral.unpack(grid, b, np.zeros_like(h)), h * grid.dealias)
+
     def test_single_mode_roundtrip(self, grid32):
         u1 = np.zeros((32, 32), dtype=complex)
         u1[0, 1] = 0.5
@@ -181,8 +232,9 @@ class TestNonlinearTerm:
         for v in (random_spectrum_field(g, 2.0, 8, seed=3, l2_norm=5.0),
                   taylor_green(g, 1.3), shear_flow(g, 0.7)):
             ws = Workspace(g)
-            ws.load(0, v.w)
-            ref = ws.level(1, np.empty_like(v.w))
+            ws.load(0, spectral.pack(g, v.w))
+            ref = spectral.unpack(g, ws.level(1, np.empty(spectral.band_shape(g), complex)),
+                                  np.zeros_like(v.w))
             assert nonlinear_term(v, v).w.tobytes() == ref.tobytes()
 
     def test_output_divergence_free(self, random_field):
@@ -265,7 +317,7 @@ class TestAdvectionTensor:
             # the kernel is the same contraction bit for bit, then the roundoff scrub
             floor = 1e-12 * (np.max(np.abs(F[:planes])) / (n * n))
             w[np.abs(w) < floor] = 0.0
-            out = _contract(grid, F[:planes].copy(), floor, np.empty_like(w),
+            out = _contract(grid.curl, F[:planes].copy(), floor, np.empty_like(w),
                             np.empty((n, hc)), np.empty((n, hc), dtype=bool))
             assert np.array_equal(out, w)
 
