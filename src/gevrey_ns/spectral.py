@@ -39,12 +39,16 @@ the solver steps and the stacks recurse on packed planes.  A Workspace holds
 the planes of that kernel, so a solver run or a stack allocates them once
 and no stage or level allocates a plane.
 
+Every transform maps coefficients to grid values, sum_xi uhat(xi) exp(i xi . x),
+and m x m samples back with the factor 1/m^2: band_dft's matrices carry it, and
+rfft2 and irfft2 pass norm="forward" to both 1-D passes, so no caller scales.
+
 The kernel maps the band to the n x n grid and back in one of two ways,
 chosen by n alone.  Below n = 64 it is a BandDFT on the n-grid: dense
 matrix products on the band, each below OpenBLAS's one-thread size.  From
-n = 64 up it is a BandFFT: rfft2 and irfft2 with their column pass run on
-the k_cut + 1 retained columns only.  Its band tables, and the dense
-matrices, are built once per grid size.
+n = 64 up it is a BandFFT, the maps of band_dft(grid, n, k_cut): rfft2 and
+irfft2 with their column pass run on the k_cut + 1 retained columns only.
+Its band tables, and the dense matrices, are built once per grid size.
 Every FFT goes through rfft2 and irfft2 and runs on the n x n grid; a
 BandDFT also serves norm_l4 on the 2n x 2n grid and the C0 ascent's small
 cap grid.
@@ -85,10 +89,10 @@ class Grid:
         k_cut: dealiasing cutoff, the largest k with 3k < n.
         lift: (2, n, n/2+1) multiplier (i k2, -i k1) / |xi|^2 taking a vorticity
             plane to its velocity (0 at xi = 0).
-        curl: (3, n, n/2+1) table dealias (k1^2 - k2^2, k1 k2, |xi|^2) / n^2;
-            (curl * F).sum(axis=0) is the vorticity of the dealiased -P div T / n^2
-            of the unnormalised rfft2 planes F = (T12, T22 - T11[, A12]) of a
-            tensor T with symmetric part (T12, T22 - T11) and antisymmetric part
+        curl: (3, n, n/2+1) table dealias (k1^2 - k2^2, k1 k2, |xi|^2);
+            (curl * F).sum(axis=0) is the vorticity of the dealiased -P div T
+            of the coefficient planes F = (T12, T22 - T11[, A12]) of a tensor T
+            with symmetric part (T12, T22 - T11) and antisymmetric part
             A12 = -A21.  Its values are real; it is stored complex so that the
             product needs no cast.
         parseval_w: (2, N) weights on the N floats of a plane's flattened float
@@ -125,7 +129,7 @@ def make_grid(n: int) -> Grid:
     n = int(n)
     if n % 2 != 0 or n < 8:
         raise ConfigurationError(f"grid size must be even and >= 8, got {n}")
-    freqs = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(np.int64)
+    freqs = (np.arange(n) + n // 2) % n - n // 2  # FFT order: 0..n/2-1, then -n/2..-1
     hc = n // 2 + 1
     k1 = freqs.astype(float).reshape(n, 1)
     k2 = freqs[:hc].astype(float).reshape(1, hc)
@@ -139,7 +143,7 @@ def make_grid(n: int) -> Grid:
     k_cut = (n - 1) // 3
     dealias = (np.abs(k1) <= k_cut) & (np.abs(k2) <= k_cut) & keep
     # curl of -P(xi) i xi . T = (k1^2 - k2^2) T12 + k1 k2 (T22 - T11) + |xi|^2 A12
-    curl = dealias * np.stack([k1 * k1 - k2 * k2, k1 * k2, k_sq]) / (float(n) * n)
+    curl = dealias * np.stack([k1 * k1 - k2 * k2, k1 * k2, k_sq])
     col_w = np.full(hc, 2.0)
     col_w[[0, -1]] = 1.0  # the self-conjugate columns; every other one stands for two
     w = TWO_PI ** 2 * col_w * np.stack([inv, np.ones_like(k_sq)])
@@ -300,7 +304,7 @@ def unpack(grid: Grid, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def rfft2(x: np.ndarray, out: np.ndarray | None = None, cols: int | None = None) -> np.ndarray:
-    """Unnormalised real 2-D transform over the last two axes, as two 1-D passes.
+    """Coefficients of real planes over the last two axes, as two norm="forward" 1-D passes.
 
     Every forward FFT in the package goes through this function, on the n x n
     grid, and no other module calls numpy.fft.  numpy.fft.rfft2 computes the
@@ -309,15 +313,16 @@ def rfft2(x: np.ndarray, out: np.ndarray | None = None, cols: int | None = None)
     only and the others hold the row pass alone.  out, if given, receives
     the result.
     """
-    h = np.fft.rfft(x, axis=-1, out=out)
+    h = np.fft.rfft(x, axis=-1, norm="forward", out=out)
     c = h[..., :cols]
-    np.fft.fft(c, axis=-2, out=c)
+    np.fft.fft(c, axis=-2, norm="forward", out=c)
     return h
 
 
 def irfft2(h: np.ndarray, n: int, out: np.ndarray | None = None,
            cols: int | None = None) -> np.ndarray:
-    """Inverse of rfft2 onto n x n planes (scaled by 1/n^2); every inverse goes through it.
+    """Inverse of rfft2: the values on the n x n grid of coefficients h; every inverse goes
+    through it.
 
     h is overwritten: the first pass runs in place, because a fresh complex
     temporary per call costs more than the pass itself at n = 128.  With
@@ -325,8 +330,8 @@ def irfft2(h: np.ndarray, n: int, out: np.ndarray | None = None,
     be zero.  out, if given, receives the real planes.
     """
     c = h[..., :cols]
-    np.fft.ifft(c, axis=-2, out=c)
-    return np.fft.irfft(h, n, axis=-1, out=out)
+    np.fft.ifft(c, axis=-2, norm="forward", out=c)
+    return np.fft.irfft(h, n, axis=-1, norm="forward", out=out)
 
 
 @dataclass(frozen=True)
@@ -336,13 +341,13 @@ class BandDFT:
     The band is held as packed planes (..., R, k+1): rows |k1| <= k in FFT
     order (R = 2k+1, or all n rows when k = n/2, the whole rfft half), and
     columns 0..k.  synthesize gives the values on the m x m grid of such
-    coefficient stacks, the irfft2 of their zero-padded m-grid spectrum
-    scaled by m^2; analyze takes m x m samples to the band's coefficients,
-    the band of their rfft2 scaled by 1/m^2.  Each is two matrix products,
-    to rounding.  synthesize runs rows (m, R) on the rows of the band, then
-    cols (2k+2, m) on the float view of each band row; the weights 1 on
-    column 0 and 2 on the others give the real irfft output.  analyze runs
-    cols_a (m, 2k+2), scaled by 1/m^2, then rows_a (R, m).  A Nyquist row or
+    coefficient stacks, the irfft2 of their zero-padded m-grid spectrum;
+    analyze takes m x m samples to the band's coefficients, the band of
+    their rfft2.  Each is two matrix products, to rounding.  synthesize
+    runs rows (m, R) on the rows of the band, then cols (2k+2, m) on the
+    float view of each band row; the weights 1 on column 0 and 2 on the
+    others give the real irfft output.  analyze runs cols_a (m, 2k+2),
+    scaled by 1/m^2, then rows_a (R, m).  A Nyquist row or
     column has zero weight both ways, so it is ignored on input and exactly
     zero on output.  A stack (..., m, m) is multiplied plane by plane against
     the shared matrix, so each BLAS call stays far below OpenBLAS's threading
@@ -399,11 +404,11 @@ class BandFFT:
 
     synthesize takes packed band planes to irfft2 of the zero-padded half
     plane and analyze takes n x n planes to the band of their rfft2: the
-    maps of band_dft(grid, n, k_cut), scaled by 1/n^2 and n^2.  Both run
-    the column pass on the k_cut + 1 retained columns only, and give the
-    bits of the unpruned rfft2/irfft2 there.  tmp (see scratch) is a half
-    plane per plane; synthesize's must start zero, and only the band's
-    columns are written to it.
+    maps of band_dft(grid, n, k_cut).  Both run the column pass on the
+    k_cut + 1 retained columns only, and give the bits of the unpruned
+    rfft2/irfft2 there.  tmp (see scratch) is a half plane per plane;
+    synthesize's must start zero, and only the band's columns are written
+    to it.
     """
 
     grid: Grid
@@ -429,28 +434,21 @@ DENSE_BELOW = 64  # grids below this size run the advection kernel on a BandDFT
 
 @functools.cache
 def _band_kernel(n: int, dense: bool) -> tuple:
-    """(BandDFT or None, lift, curl, scale) of the advection kernel on the n-grid, built once
-    per n.
+    """(BandDFT or None, lift, curl) of the advection kernel on the n-grid, built once per n.
 
-    The transform is band_dft(grid, n, k_cut) when dense, else a BandFFT,
-    whose maps carry the factors 1/n^2 and n^2 more; scale is 1 or n^2 to
-    match.  lift (2, R, C) is Grid.lift on the band times scale, since a
-    real multiplier is cast through a temporary per call; curl (3, R, C) is
-    Grid.curl on the band times n^2 / scale.  A level's scrub floor is
-    1e-12 max |F| / scale over its band planes F.  No grid is kept.
+    The transform is band_dft(grid, n, k_cut) when dense, else a BandFFT with
+    the same maps.  lift (2, R, C) is Grid.lift on the dealiased band and
+    curl (3, R, C) is Grid.curl on the band.  No grid is kept.
     """
     grid = make_grid(n)
-    scale = 1.0 if dense else float(n) * n
-    lift = pack(grid, grid.lift * (grid.dealias * scale))
-    curl = pack(grid, grid.curl) * (float(n) * n / scale)
-    return (band_dft(grid, n, grid.k_cut) if dense else None, _readonly(lift), _readonly(curl),
-            scale)
+    lift = pack(grid, grid.lift * grid.dealias)
+    return (band_dft(grid, n, grid.k_cut) if dense else None, _readonly(lift),
+            _readonly(pack(grid, grid.curl)))
 
 
 def to_physical(v: SpectralVelocity) -> np.ndarray:
     """Evaluate the velocity on the n x n physical grid as a (2, n, n) array."""
-    n = v.grid.n
-    return irfft2(v.grid.lift * v.w, n) * (float(n) * n)
+    return irfft2(v.grid.lift * v.w, v.grid.n)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +584,7 @@ class Workspace:
 
     def __init__(self, grid: Grid, depth: int = 1, products: int = 2):
         n, dense = grid.n, grid.n < DENSE_BELOW
-        dft, self.lift, self.curl, self.scale = _band_kernel(n, dense)
+        dft, self.lift, self.curl = _band_kernel(n, dense)
         self.transform = dft if dense else BandFFT(grid)
         band = band_shape(grid)
         self.coef = np.empty((2,) + band, dtype=complex)
@@ -613,15 +611,13 @@ class Workspace:
 
         P holds (T12, T22 - T11) of a product tensor T, optionally followed by
         its antisymmetric part A12 (a Workspace built with products=3).  The
-        scrub floor is 1e-12 of the largest band coefficient of P, in the
-        transform's scale.
+        scrub floor is 1e-12 of the largest band coefficient of P.
         """
         p = len(P)
         F = self.transform.analyze(P, out=self.fwd[:p], tmp=self.tmp_out[:p])
         mod = self.mod[:p]
         np.abs(F, out=mod)
-        floor = 1e-12 * (float(mod.max()) / self.scale)
-        return _contract(self.curl, F, floor, out, mod[0], self.small)
+        return _contract(self.curl, F, 1e-12 * float(mod.max()), out, mod[0], self.small)
 
 
 def _products(a: SpectralVelocity, b: SpectralVelocity) -> tuple[Workspace, np.ndarray]:

@@ -33,15 +33,24 @@ def log_factorials(k_max: int) -> np.ndarray:
     return np.array([math.lgamma(k + 1.0) for k in range(k_max + 1)])
 
 
-def _poisson_pmf(x: np.ndarray, J: int) -> np.ndarray:
+def _poisson_pmf(x: np.ndarray, J: int, start: int = 0) -> np.ndarray:
     """pmf_j = e^-x x^j / j! for j = 0..J along a new last axis, elementwise in x >= 0.
 
     The product recurrence from e^-x is accurate to about sqrt(j) ulps;
     where e^-x leaves the normal range (x > 700) the terms are taken in log
-    space instead.
+    space instead.  Orders past start + x_max + 10 sqrt(x_max) + 20, with
+    x_max the largest x, are left 0 without being computed: in a sum that
+    reads orders from start on, their terms are below 1e-20 of the sum, and
+    the zeros keep the summation order, so the sum rounds as the full one
+    does.  A non-finite x_max keeps every order.
     """
     x = np.asarray(x, dtype=float)[..., None]
-    pmf = np.cumprod(np.concatenate([np.exp(-x), x / np.arange(1, J + 1)], axis=-1), axis=-1)
+    x_max = float(np.max(x, initial=0.0))
+    cut = start + math.ceil(x_max + 10.0 * math.sqrt(x_max)) + 20 if math.isfinite(x_max) else J
+    J_cut = min(J, cut)
+    pmf = np.zeros(x.shape[:-1] + (J + 1,))
+    np.cumprod(np.concatenate([np.exp(-x), x / np.arange(1, J_cut + 1)], axis=-1), axis=-1,
+               out=pmf[..., : J_cut + 1])
     far = x[..., 0] > 700.0
     if np.any(far):
         xf = x[far]
@@ -56,15 +65,19 @@ def poisson_tail_sum(x, c) -> np.ndarray:
     sum_j pmf_j C_min(j, A), taken from positive terms only: directly over
     j <= A + 10 sqrt(A) + 20 (the rest is below 1e-20 of the sum) when x < A,
     and as C_A - sum_{j<A} pmf_j (C_A - C_j) when x >= A, where the result
-    is at least C_A / 2.
+    is at least C_A / 2.  When every x is below A, the pmf is cut past the
+    lowest order of nonzero weight (see _poisson_pmf), and the upper sum,
+    which nothing reads then, is skipped.
     """
     x = np.asarray(x, dtype=float)
     C = np.cumsum(c)
     A = len(C)
     J = A + math.ceil(10.0 * math.sqrt(A)) + 20
     j = np.arange(1, J + 1)
-    pmf = _poisson_pmf(x, J)
+    pmf = _poisson_pmf(x, J, start=int(np.argmax(C > 0)) + 1)
     direct = np.sum(pmf[..., 1:] * C[np.minimum(j, A) - 1], axis=-1)
+    if np.all(x < A):
+        return direct
     upper = C[-1] - np.sum(pmf[..., :A] * (C[-1] - np.concatenate([[0.0], C[:-1]])), axis=-1)
     return np.where(x < A, direct, upper)
 

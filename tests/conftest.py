@@ -21,13 +21,13 @@ def synthesize(grid, h, m):
     by the zero-padded inverse FFT: the reference for spectral.BandDFT.synthesize."""
     pad = np.zeros(h.shape[:-2] + (m, m // 2 + 1), dtype=complex)
     pad[..., grid.freqs % m, : grid.n // 2 + 1] = h
-    return spectral.irfft2(pad, m) * (float(m) * m)
+    return spectral.irfft2(pad, m)
 
 
 def analyze(grid, X):
     """The grid's rfft-half coefficients of real samples X (..., m, m) on an m-grid, m >= n."""
     m = X.shape[-1]
-    return spectral.rfft2(X)[..., grid.freqs % m, : grid.n // 2 + 1] / (float(m) * m)
+    return spectral.rfft2(X)[..., grid.freqs % m, : grid.n // 2 + 1]
 
 
 def from_physical(grid, U1, U2):

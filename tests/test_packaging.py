@@ -91,6 +91,28 @@ def _numpy_fft_uses(path: Path) -> list[int]:
     return lines
 
 
+def _numpy_fft_calls(path: Path) -> list[ast.Call]:
+    """The calls np.fft.<name>(...) and numpy.fft.<name>(...) in path."""
+    return [node for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "fft"
+            and isinstance(node.func.value.value, ast.Name)
+            and node.func.value.value.id in ("np", "numpy")]
+
+
+def test_every_numpy_fft_call_passes_norm_forward():
+    # one normalisation: coefficients map to grid values and back as band_dft does, so every
+    # 1-D pass in spectral.py takes norm="forward" and no caller scales a transform; every
+    # use of numpy.fft there is such a call, so no alias or import slips past the scan
+    path = ROOT / "src" / "gevrey_ns" / "spectral.py"
+    calls = _numpy_fft_calls(path)
+    assert calls and sorted(c.lineno for c in calls) == sorted(_numpy_fft_uses(path))
+    for call in calls:
+        norm = [k.value for k in call.keywords if k.arg == "norm"]
+        assert len(norm) == 1 and isinstance(norm[0], ast.Constant) \
+            and norm[0].value == "forward", f"spectral.py:{call.lineno}: {ast.unparse(call)}"
+
+
 def test_only_spectral_calls_numpy_fft():
     # every FFT goes through spectral.rfft2/irfft2, which the fft_calls fixture counts; the
     # advection kernel below n = 64 and the C0 ascent's cap grid use spectral.BandDFT products

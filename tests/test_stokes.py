@@ -10,7 +10,8 @@ from scipy.special import gammainc
 from gevrey_ns import (ConfigurationError, FunctionalSeries, from_lattice, heat_evolve,
                        norm_l2, raw_functionals, stokes_derivative_stack,
                        stokes_gevrey_identity)
-from gevrey_ns.stokes import _h_weights, log_factorials, poisson_tail_sum
+from gevrey_ns.stokes import (_h_weights, heat_modes, log_factorials, poisson_tail_sum,
+                              weighted_h_rate)
 
 SQRT2_PI = np.pi * np.sqrt(2.0)
 
@@ -186,6 +187,46 @@ class TestPoissonTailSum:
         x = np.array([650.0, 750.0, 900.0])
         ref = gammainc(801, x)
         assert np.max(np.abs(poisson_tail_sum(x, np.eye(801)[800]) - ref) / ref) <= 1e-10
+
+    @staticmethod
+    def full_j(x, c):
+        """poisson_tail_sum with every pmf order up to J = A + 10 sqrt(A) + 20 and both
+        branches, for 0 <= x <= 700."""
+        x = np.asarray(x, dtype=float)
+        C = np.cumsum(c)
+        A = len(C)
+        J = A + math.ceil(10.0 * math.sqrt(A)) + 20
+        pmf = np.cumprod(np.concatenate([np.exp(-x[..., None]),
+                                         x[..., None] / np.arange(1, J + 1)], axis=-1), axis=-1)
+        direct = np.sum(pmf[..., 1:] * C[np.minimum(np.arange(1, J + 1), A) - 1], axis=-1)
+        upper = C[-1] - np.sum(pmf[..., :A] * (C[-1] - np.concatenate([[0.0], C[:-1]])),
+                               axis=-1)
+        return np.where(x < A, direct, upper)
+
+    @pytest.mark.parametrize("weights", [_h_weights(0.5), _h_weights(2.0),
+                                         np.exp(-np.arange(1.0, 42.0) * math.log(2.0)),
+                                         np.eye(41)[40]],
+                             ids=["alpha0.5", "alpha2", "two^-a", "P(41)"])
+    def test_the_cut_pmf_sums_to_the_full_j_bits(self, weights):
+        # below A the pmf stops where its terms vanish; each x alone, and every batch of
+        # them, gives the bits of the sum over all J orders
+        A = len(weights)
+        x = np.linspace(0.0, 2.0 * A, 1201)
+        ref = self.full_j(x, weights)
+        assert np.array_equal([poisson_tail_sum(v, weights) for v in x], ref)
+        for top in (0.01, 0.5, 3.0, A / 2, A - 0.5, 2.0 * A):
+            sel = x <= top
+            assert np.array_equal(poisson_tail_sum(x[sel], weights), ref[sel])
+
+    def test_the_cut_rate_has_the_full_j_bits(self, random_field):
+        modes = heat_modes(random_field, 1.0)
+        J = len(modes.weights) - 1
+        for T in (0.0, 1e-6, 1e-3, 0.05, 0.3, 2.0):
+            x = 2.0 * modes.lams * T
+            ratios = x[:, None] / np.arange(1, J + 1)
+            pmf = np.cumprod(np.concatenate([np.exp(-x[:, None]), ratios], axis=-1), axis=-1)
+            ref = float(np.sum(2.0 * modes.lams * modes.energies * (pmf @ modes.weights)))
+            assert weighted_h_rate(modes, T) == ref
 
     def test_log_factorials_any_depth(self):
         lf = log_factorials(300)
