@@ -23,9 +23,10 @@ v_{k-1}.  Cost per stack of depth K: each entry v_0..v_{K-1} is lifted,
 dealiased and taken to physical space once (one band synthesis of 2
 velocity planes per entry), and each level sums all its products there into
 the two traceless planes (T12, T22 - T11) before one band analysis of 2
-planes, so a K = 12 stack makes 12 syntheses and 12 analyses.  A stack
-allocates its table and two band planes once, and one Workspace holds the
-physical entries and the kernel's planes.
+planes, so a K = 12 stack makes 12 syntheses and 12 analyses.  Level k is
+one Workspace.level call, which loads v_{k-1} and contracts the level.  A
+stack allocates its table and two band planes once, and one Workspace holds
+the physical entries and the kernel's planes.
 """
 
 from __future__ import annotations
@@ -89,18 +90,17 @@ def time_derivative_stack(u: SpectralVelocity, K: int, t: float) -> DerivativeSt
     if t <= 0:
         raise ConfigurationError(f"stack time must be positive, got {t}")
     g = u.grid
-    k_sq = g.k_sq.astype(complex)  # complex: no cast per product
     w = np.zeros((K + 1,) + g.k_sq.shape, dtype=complex)
     w[0] = u.w
     if np.any(u.w[~g.dealias]):  # outside the band only the heat recursion acts
+        k_sq = g.k_sq.astype(complex)  # complex: no cast per product
         for k in range(1, K + 1):
             np.multiply(k_sq, w[k - 1], out=w[k])
             w[k] *= -t / (2.0 * k)
-    ws, k_sq = Workspace(g, K), pack(g, k_sq)
+    ws, k_sq = Workspace(g, K), pack(g, g.k_sq).astype(complex)
     prev, v = pack(g, u.w), np.empty_like(k_sq)
     for k in range(1, K + 1):
-        ws.load(k - 1, prev)
-        ws.level(k, out=v)
+        ws.level(k, prev, v)
         v -= k_sq * prev
         v *= t / (2.0 * k)
         unpack(g, v, w[k])

@@ -4,11 +4,10 @@ The scheme is integrating-factor RK4: the viscous multiplier exp(-|xi|^2 dt)
 is applied exactly, so only the dealiased, Leray-projected advection term is
 integrated explicitly and the step size is limited by advection alone.
 Advection lives on the dealiased band, so a run steps the field's packed
-band plane (spectral.pack) in place: each stage lifts it to the two
-dealiased velocity planes, runs them through the stack-level kernel as a
-one-entry level and contracts the two forward planes on the band, so a step
-makes 4 band syntheses and 4 band analyses of 2 planes each, 16 planes in
-all.  Modes of u0 outside the band only decay, by the same heat factor per
+band plane (spectral.pack) in place: each stage is one Workspace.level call,
+a one-entry level that lifts it to the two dealiased velocity planes and
+contracts the two forward planes on the band, so a step makes 4 band
+syntheses and 4 band analyses of 2 planes each, 16 planes in all.  Modes of u0 outside the band only decay, by the same heat factor per
 step.  A run allocates its stage planes once; after each step the band is
 unpacked into the state's full plane, which one Parseval call per step reads
 for |u|^2 and |grad u|^2, and a snapshot is a copy of that plane.  Alongside
@@ -89,28 +88,24 @@ def _stage_coefficients(grid: Grid, dt: float):
 def _advance(ws: Workspace, w: np.ndarray, coef, planes: np.ndarray) -> None:
     """One IF-RK4 step of the packed band plane w, in place.
 
-    Each stage is a one-entry level; planes holds the four stage values and
-    two more, so the step allocates no plane.
+    Each stage is one ws.level call, a one-entry level; planes holds the four
+    stage values and two more, so the step allocates no plane.
     """
     e_half, e_full, dt_half, w_bc, h, sixth = coef
     a, b, c, d, s, r = planes
-    ws.load(0, w)
-    ws.level(1, a)
+    ws.level(1, w, a)
     np.multiply(a, h, out=s)
     s += w
     s *= e_half
-    ws.load(0, s)
-    ws.level(1, b)
+    ws.level(1, s, b)
     np.multiply(w, e_half, out=s)
     np.multiply(b, h, out=r)
     s += r
-    ws.load(0, s)
-    ws.level(1, c)
+    ws.level(1, s, c)
     np.multiply(w, e_full, out=s)
     np.multiply(c, dt_half, out=r)
     s += r
-    ws.load(0, s)
-    ws.level(1, d)
+    ws.level(1, s, d)
     # w <- e_full (w + dt/6 a) + (dt/3) e_half (b + c) + dt/6 d
     np.multiply(a, sixth, out=s)
     w += s

@@ -36,8 +36,12 @@ dealiased -P div T.  Advection therefore works on the band alone: pack takes
 the band of a plane to one contiguous (2 k_cut + 1, k_cut + 1) plane, rows
 |k1| <= k_cut in FFT order and columns 0..k_cut, and unpack writes it back;
 the solver steps and the stacks recurse on packed planes.  A Workspace holds
-the planes of that kernel, so a solver run or a stack allocates them once
-and no stage or level allocates a plane.
+the planes of that kernel and has one entry per job: level loads a packed
+plane as a stack entry and contracts the level's summed products, and
+contract analyzes product planes, contracts them on the band and scrubs the
+roundoff.  Both read planes and views bound when the Workspace is built, so
+a solver run or a stack allocates them once, and a solver stage or a stack
+level is one level call that allocates no plane.
 
 Every transform maps coefficients to grid values, sum_xi uhat(xi) exp(i xi . x),
 and m x m samples back with the factor 1/m^2: band_dft's matrices carry it, and
@@ -508,78 +512,18 @@ def inner_l2(a: SpectralVelocity, b: SpectralVelocity) -> float:
     return float(parseval(a.grid, a.w, b.w)[0])
 
 
-def _scrub(d: np.ndarray, floor: float, mod: np.ndarray, small: np.ndarray) -> np.ndarray:
-    """Zero the coefficients of d below floor, the FFT roundoff floor of the product transform.
-
-    The floor is 1e-12 of the largest product coefficient: amplitudes below
-    it are pure rounding noise (the transforms are accurate to ~1e-15
-    relative); left in place they sit at high wavenumbers and get amplified
-    by |xi|^2 per level of the derivative recursion, which would destroy the
-    closed-form flows.  Scrubbing is positively homogeneous, so bilinearity
-    holds exactly under scaling and to 1e-12 relative under addition.  It runs
-    once after each contraction: the solver and the public products scrub
-    once per product, derivative stacks once per level against the largest
-    coefficient of the level's summed products.  mod and small, of d's shape,
-    receive |d| and the mask.
-    """
-    if floor > 0.0:
-        np.abs(d, out=mod)
-        np.less(mod, floor, out=small)
-        np.copyto(d, 0.0, where=small)
-    return d
-
-
-def _traceless(phys, P: np.ndarray, S: np.ndarray) -> None:
-    """P = (A, B) = (T12, T22 - T11) of T = sum_{j<k} e_j (x) e_{k-1-j} from k physical entries.
-
-    Each pair j < k-1-j enters once, as A += a1 b2 + a2 b1 and
-    B += 2 (a2 b2 - a1 b1), and a middle entry once, as a1 a2 and
-    a2^2 - a1^2.  The first term is written into P and the rest summed
-    through the three scratch planes S, so no temporary is allocated.
-    """
-    top = len(phys) - 1
-    for j in range(top // 2 + 1):
-        a, b = phys[j], phys[top - j]
-        T = P if j == 0 else S[:2]
-        np.multiply(a[0], b[1], out=T[0])
-        np.multiply(a[1], b[1], out=T[1])
-        np.multiply(a[0], b[0], out=S[2])
-        T[1] -= S[2]
-        if j < top - j:
-            np.multiply(a[1], b[0], out=S[2])
-            T[0] += S[2]
-            T[1] *= 2.0
-        if j > 0:
-            P += S[:2]
-
-
-def _contract(curl: np.ndarray, F: np.ndarray, floor: float, out: np.ndarray, mod: np.ndarray,
-              small: np.ndarray) -> np.ndarray:
-    """out = (curl * F).sum(axis=0), then one scrub against floor.
-
-    F holds the transformed planes (T12, T22 - T11) of a product tensor,
-    optionally followed by its antisymmetric part A12, and is overwritten;
-    curl is a table like Grid.curl on F's modes, so out receives the
-    vorticity of the dealiased -P div T.  mod and small, of out's shape, are
-    the scrub's scratch.
-    """
-    np.multiply(curl[1], F[1], out=F[1])
-    np.multiply(curl[0], F[0], out=out)
-    out += F[1]
-    if len(F) == 3:
-        F[2] *= curl[2]
-        out += F[2]
-    return _scrub(out, floor, mod, small)
-
-
 class Workspace:
     """The planes of the advection kernel on one grid, allocated once per solver run or stack.
 
-    load puts an entry's dealiased physical velocity planes into phys[k];
-    level sums the products of phys[:k] as a stack level and contract takes
-    such product planes to a caller's vorticity plane.  Both read and write
-    packed band planes (see pack) and transform them with the grid size's
-    band kernel (see DENSE_BELOW); neither allocates a plane.
+    It has one entry per job, and both read and write packed band planes (see
+    pack), transformed with the grid size's band kernel (see DENSE_BELOW).
+    level(k, b, out) loads the packed vorticity plane b as entry k - 1 (its
+    dealiased physical velocity planes go into phys[k - 1]), sums the
+    products of phys[:k] as a stack level and hands them to contract.
+    contract(P, out) analyzes product planes, contracts them with the band
+    curl table and scrubs the result.  Every plane and view the two touch is
+    bound when the Workspace is built, so a solver stage or a stack level is
+    one call and allocates no plane.
     """
 
     def __init__(self, grid: Grid, depth: int = 1, products: int = 2):
@@ -587,47 +531,95 @@ class Workspace:
         dft, self.lift, self.curl = _band_kernel(n, dense)
         self.transform = dft if dense else BandFFT(grid)
         band = band_shape(grid)
-        self.coef = np.empty((2,) + band, dtype=complex)
         self.phys = np.empty((depth, 2, n, n))
-        self.planes = np.empty((2, n, n))
-        self.scratch = np.empty((3, n, n))
-        self.fwd = np.empty((products,) + band, dtype=complex)
-        self.mod = np.empty((products,) + band)
-        self.small = np.empty(band, dtype=bool)
-        self.tmp_in, self.tmp_out = self.transform.scratch(2, products)
+        P, S = np.empty((2, n, n)), np.empty((3, n, n))
+        fwd = np.empty((products,) + band, dtype=complex)
+        mod = np.empty((products,) + band)
+        tmp_in, tmp_out = self.transform.scratch(2, products)
+        # level k: entry k - 1, then each pair (e_j, e_{k-1-j}) with j <= k-1-j as its
+        # velocity planes, the two planes it writes (P for j = 0, then S[:2]), whether
+        # its entries differ and whether it is summed into P
+        levels = [None]
+        for k in range(1, depth + 1):
+            levels.append((self.phys[k - 1], [
+                (*self.phys[j], *self.phys[k - 1 - j], *(S[:2] if j else P), 2 * j < k - 1, j > 0)
+                for j in range((k - 1) // 2 + 1)]))
+        coef = np.empty((2,) + band, dtype=complex)
+        self._level = (self.transform.synthesize, *self.lift, coef, *coef, tmp_in, levels, P,
+                       S[:2], S[2])
+        # per plane count p: the analyzed planes, their scratch, |F| and the antisymmetric plane
+        self._contract = (self.transform.analyze, *self.curl, *fwd[:2], mod[0],
+                          np.empty(band, dtype=bool),
+                          {p: (fwd[:p], tmp_out[:p], mod[:p], fwd[2] if p == 3 else None)
+                           for p in range(2, products + 1)})
 
-    def load(self, k: int, b: np.ndarray) -> None:
-        """phys[k] = the dealiased physical velocity planes of the packed vorticity plane b."""
-        np.multiply(b, self.lift, out=self.coef)
-        self.transform.synthesize(self.coef, out=self.phys[k], tmp=self.tmp_in)
+    def level(self, k: int, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = the vorticity of -P div sum_{j<k} e_j (x) e_{k-1-j}, dealiased, with e_{k-1} the
+        field of the packed vorticity plane b and e_0..e_{k-2} as earlier calls loaded them.
 
-    def level(self, k: int, out: np.ndarray) -> np.ndarray:
-        """out = the vorticity of -P div sum_{j<k} e_j (x) e_{k-1-j}, dealiased, from phys[:k]."""
-        _traceless(self.phys[:k], self.planes, self.scratch)
-        return self.contract(self.planes, out)
+        b's dealiased physical velocity planes go into phys[k - 1].  The level
+        is summed into P = (A, B) = (T12, T22 - T11): each pair j < k-1-j
+        enters once, as A += a1 b2 + a2 b1 and B += 2 (a2 b2 - a1 b1), and a
+        middle entry once, as a1 a2 and a2^2 - a1^2.  The first pair is
+        written into P and the rest summed through the scratch planes S.
+        """
+        synthesize, lift1, lift2, coef, u1, u2, tmp_in, levels, P, S, S2 = self._level
+        entry, pairs = levels[k]
+        np.multiply(b, lift1, out=u1)  # plane by plane: a broadcast b would be buffered
+        np.multiply(b, lift2, out=u2)
+        synthesize(coef, out=entry, tmp=tmp_in)
+        for a1, a2, b1, b2, A, B, distinct, summed in pairs:
+            np.multiply(a1, b2, out=A)
+            np.multiply(a2, b2, out=B)
+            np.multiply(a1, b1, out=S2)
+            B -= S2
+            if distinct:
+                np.multiply(a2, b1, out=S2)
+                A += S2
+                B *= 2.0
+            if summed:
+                P += S
+        return self.contract(P, out)
 
     def contract(self, P: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = the packed vorticity of the dealiased -P div T of physical planes P.
 
         P holds (T12, T22 - T11) of a product tensor T, optionally followed by
-        its antisymmetric part A12 (a Workspace built with products=3).  The
-        scrub floor is 1e-12 of the largest band coefficient of P.
+        its antisymmetric part A12 (a Workspace built with products=3).  Their
+        band coefficients F are contracted with the band curl table, and then
+        every coefficient of out below 1e-12 of max |F| is zeroed: amplitudes
+        below that are rounding noise of the transforms (accurate to ~1e-15
+        relative), which the derivative recursion would amplify by |xi|^2 per
+        level and so destroy the closed-form flows.  Scrubbing is positively
+        homogeneous, so bilinearity holds exactly under scaling and to 1e-12
+        relative under addition.
         """
-        p = len(P)
-        F = self.transform.analyze(P, out=self.fwd[:p], tmp=self.tmp_out[:p])
-        mod = self.mod[:p]
+        analyze, c0, c1, c2, F0, F1, m0, small, views = self._contract
+        F, tmp, mod, F2 = views[len(P)]
+        analyze(P, out=F, tmp=tmp)
         np.abs(F, out=mod)
-        return _contract(self.curl, F, 1e-12 * float(mod.max()), out, mod[0], self.small)
+        floor = 1e-12 * float(mod.max())
+        np.multiply(c1, F1, out=F1)
+        np.multiply(c0, F0, out=out)
+        out += F1
+        if F2 is not None:
+            F2 *= c2
+            out += F2
+        if floor > 0.0:
+            np.abs(out, out=m0)
+            np.less(m0, floor, out=small)
+            np.copyto(out, 0.0, where=small)
+        return out
 
 
 def _products(a: SpectralVelocity, b: SpectralVelocity) -> tuple[Workspace, np.ndarray]:
-    """A Workspace with the physical planes of a and b loaded, and a packed output plane."""
+    """A Workspace with a and b loaded as entries 0 and 1 by level, and the packed plane
+    of the two-entry level, -P div(a (x) b + b (x) a)."""
     _require_same_grid(a, b)
     g = a.grid
-    ws = Workspace(g, 2, products=3)
-    ws.load(0, pack(g, a.w))
-    ws.load(1, pack(g, b.w))
-    return ws, np.empty(band_shape(g), dtype=complex)
+    ws, out = Workspace(g, 2, products=3), np.empty(band_shape(g), dtype=complex)
+    ws.level(1, pack(g, a.w), out)
+    return ws, ws.level(2, pack(g, b.w), out)
 
 
 def _field(grid: Grid, b: np.ndarray) -> SpectralVelocity:
@@ -655,8 +647,7 @@ def nonlinear_term(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVelocity
 
 def nonlinear_symmetric(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVelocity:
     """-P div(a (x) b + b (x) a); equals nonlinear_term(a,b) + nonlinear_term(b,a)."""
-    ws, out = _products(a, b)
-    return _field(a.grid, ws.level(2, out))
+    return _field(a.grid, _products(a, b)[1])
 
 
 # ---------------------------------------------------------------------------

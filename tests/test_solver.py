@@ -42,13 +42,16 @@ class TestStep:
         with pytest.raises(ConfigurationError):
             step(tg, 0.0)
 
-    def test_matches_reference_if_rk4(self, grid32):
-        u = random_spectrum_field(grid32, 2.0, 8, seed=17, l2_norm=5.0)
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_matches_reference_if_rk4(self, n):
+        # the stage kernel on both paths, BandDFT below n = 64 and BandFFT from 64 up
+        grid = make_grid(n)
+        u = random_spectrum_field(grid, 2.0, 8, seed=17, l2_norm=5.0)
         dt = 2e-3
 
         def heat(v, t):
-            f = np.exp(-grid32.k_sq * t)
-            return SpectralVelocity(grid32, f * v.w)
+            f = np.exp(-grid.k_sq * t)
+            return SpectralVelocity(grid, f * v.w)
 
         def adv(v):
             return nonlinear_term(v, v)
@@ -96,6 +99,28 @@ class TestStep:
             finally:
                 tracemalloc.stop()
             assert peak - base <= 3 * band.nbytes, n
+
+    def test_a_warmed_stack_sweep_allocates_no_plane(self):
+        # every level of a K = 8 stack is one Workspace.level call on bound planes and views
+        for n in (32, 128):
+            grid = make_grid(n)
+            u = random_spectrum_field(grid, 2.0, 8, seed=n, l2_norm=1.0)
+            ws = spectral.Workspace(grid, 8)
+            b = spectral.pack(grid, u.w)
+            out = np.empty_like(b)
+
+            def sweep():
+                for k in range(1, 9):
+                    ws.level(k, b, out)
+            sweep()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                sweep()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - base < b.nbytes, n
 
 
 class TestIntegrate:
@@ -223,8 +248,7 @@ class TestEnergyLedger:
         # an integrating-factor Euler step leaves most of its residual unexplained
         # by the trapezoid's error; the IF-RK4 step leaves ~1e-7 of it
         def euler(ws, w, coef, planes):
-            ws.load(0, w)
-            ws.level(1, planes[0])
+            ws.level(1, w, planes[0])
             w += 2 * coef[4] * planes[0]  # coef[4] is dt / 2
             w *= coef[1]
         u0 = random_spectrum_field(grid32, 2.0, 8, seed=1, l2_norm=5.0)

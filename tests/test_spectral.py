@@ -11,7 +11,7 @@ from gevrey_ns import (ConfigurationError, FieldInvariantError, GridMismatchErro
                        nonlinear_symmetric, nonlinear_term, norm_grad_l2, norm_l2, norm_l4,
                        parseval, random_spectrum_field, shear_flow, spectral, taylor_green,
                        to_physical, validate_field)
-from gevrey_ns.spectral import Workspace, _contract
+from gevrey_ns.spectral import Workspace
 
 SQRT2_PI = np.pi * np.sqrt(2.0)
 
@@ -255,9 +255,8 @@ class TestNonlinearTerm:
         g = make_grid(n)
         for v in (random_spectrum_field(g, 2.0, 8, seed=3, l2_norm=5.0),
                   taylor_green(g, 1.3), shear_flow(g, 0.7)):
-            ws = Workspace(g)
-            ws.load(0, spectral.pack(g, v.w))
-            ref = spectral.unpack(g, ws.level(1, np.empty(spectral.band_shape(g), complex)),
+            ref = spectral.unpack(g, Workspace(g).level(1, spectral.pack(g, v.w),
+                                                        np.empty(spectral.band_shape(g), complex)),
                                   np.zeros_like(v.w))
             assert nonlinear_term(v, v).w.tobytes() == ref.tobytes()
 
@@ -338,12 +337,16 @@ class TestAdvectionTensor:
             assert np.all(w[n // 2, :] == 0) and np.all(w[:, hc - 1] == 0)
             assert not mask[np.abs(grid.freqs) > grid.k_cut].any()
             assert np.max(np.abs(k1 * d[0] + k2 * d[1])) <= 1e-14 * grid.k_cut * np.max(np.abs(d))
-            # the kernel is the same contraction bit for bit, then the roundoff scrub
-            floor = 1e-12 * np.max(np.abs(F[:planes]))
-            w[np.abs(w) < floor] = 0.0
-            out = _contract(grid.curl, F[:planes].copy(), floor, np.empty_like(w),
-                            np.empty((n, hc)), np.empty((n, hc), dtype=bool))
-            assert np.array_equal(out, w)
+            # Workspace.contract is the same contraction bit for bit on the packed band
+            # coefficients of physical planes, then the roundoff scrub
+            ws = Workspace(grid, products=3)
+            X = rng.standard_normal((planes, n, n))
+            band = ws.transform.analyze(X, np.empty((planes,) + spectral.band_shape(grid), complex),
+                                        ws.transform.scratch(0, planes)[1])
+            ref = (spectral.pack(grid, grid.curl)[:planes] * band).sum(axis=0)
+            ref[np.abs(ref) < 1e-12 * np.max(np.abs(band))] = 0.0
+            out = ws.contract(X, np.empty_like(ref))
+            assert np.array_equal(out, ref)
 
     @pytest.mark.parametrize("n", [16, 32, 128])
     def test_div_is_lift_times_curl(self, n):
