@@ -24,9 +24,9 @@ dealiased and taken to physical space once (one band synthesis of 2
 velocity planes per entry), and each level sums all its products there into
 the two traceless planes (T12, T22 - T11) before one band analysis of 2
 planes, so a K = 12 stack makes 12 syntheses and 12 analyses.  Level k is
-one Workspace.level call, which loads v_{k-1} and contracts the level.  A
-stack allocates its table and two band planes once, and one Workspace holds
-the physical entries and the kernel's planes.
+one Workspace.level call, which loads v_{k-1} and contracts the level, and
+one product with the Workspace's band |xi|^2.  A stack allocates its table
+and three band planes once, and one Workspace holds the rest.
 """
 
 from __future__ import annotations
@@ -97,11 +97,12 @@ def time_derivative_stack(u: SpectralVelocity, K: int, t: float) -> DerivativeSt
         for k in range(1, K + 1):
             np.multiply(k_sq, w[k - 1], out=w[k])
             w[k] *= -t / (2.0 * k)
-    ws, k_sq = Workspace(g, K), pack(g, g.k_sq).astype(complex)
-    prev, v = pack(g, u.w), np.empty_like(k_sq)
+    ws = Workspace(g, K)
+    prev, v, r = pack(g, u.w), np.empty_like(ws.k_sq), np.empty_like(ws.k_sq)
     for k in range(1, K + 1):
         ws.level(k, prev, v)
-        v -= k_sq * prev
+        np.multiply(ws.k_sq, prev, out=r)
+        v -= r
         v *= t / (2.0 * k)
         unpack(g, v, w[k])
         prev, v = v, prev

@@ -7,15 +7,17 @@ Advection lives on the dealiased band, so a run steps the field's packed
 band plane (spectral.pack) in place: each stage is one Workspace.level call,
 a one-entry level that lifts it to the two dealiased velocity planes and
 contracts the two forward planes on the band, so a step makes 4 band
-syntheses and 4 band analyses of 2 planes each, 16 planes in all.  Modes of u0 outside the band only decay, by the same heat factor per
-step.  A run allocates its stage planes once; after each step the band is
-unpacked into the state's full plane, which one Parseval call per step reads
-for |u|^2 and |grad u|^2, and a snapshot is a copy of that plane.  Alongside
-the snapshots the run accumulates the dissipation integral
-int_0^t |grad u|^2 by composite trapezoid on the step grid, keeping both
-sums at every snapshot, so every trajectory carries its own energy ledger;
-energy_ledger reads the trapezoid's own error off the snapshots, so what is
-left is the solver's.
+syntheses and 4 band analyses of 2 planes each, 16 planes in all; the stage
+multipliers exponentiate the Workspace's band |xi|^2.  Modes of u0 outside
+the band only decay, by the same heat factor per step.  A run allocates its
+stage planes once; after each step the band is unpacked into the state's
+full plane, which one Parseval call per step reads for |u|^2 and
+|grad u|^2, and a snapshot is a copy of that plane.  Alongside the
+snapshots the run accumulates the dissipation integral int_0^t |grad u|^2
+by composite trapezoid on the step grid, keeping both sums at every
+snapshot, so every trajectory carries its own energy ledger; energy_ledger
+reads the trapezoid's own error off the snapshots, so what is left is the
+solver's.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import numpy as np
 
 from .config import step_count
 from .errors import ConfigurationError, IntegrationError
-from .spectral import (Grid, SpectralVelocity, Workspace, band_shape, make_grid,
-                       make_initial_data, pack, parseval, to_physical, unpack)
+from .spectral import (SpectralVelocity, Workspace, make_grid, make_initial_data, pack,
+                       parseval, to_physical, unpack)
 
 
 @dataclass(frozen=True)
@@ -76,13 +78,12 @@ def cfl_limit(u: SpectralVelocity) -> float:
     return 0.5 / (u.grid.k_cut * max(umax, 1e-14))
 
 
-def _stage_coefficients(grid: Grid, dt: float):
-    """IF-RK4 multipliers on the packed band, computed once per (grid, dt):
+def _stage_coefficients(ws: Workspace, dt: float):
+    """IF-RK4 multipliers on the packed band, computed once per run from ws.k_sq:
     e^(-|xi|^2 dt/2), e^(-|xi|^2 dt) and the stage weights."""
-    e_half = np.exp(-0.5 * dt * grid.k_sq).astype(complex)  # complex: no cast per product
-    e_full = np.exp(-dt * grid.k_sq).astype(complex)
-    return (pack(grid, e_half), pack(grid, e_full), pack(grid, dt * e_half),
-            pack(grid, (dt / 3.0) * e_half), 0.5 * dt, dt / 6.0)
+    e_half = np.exp(-0.5 * dt * ws.k_sq.real).astype(complex)  # complex: no cast per product
+    e_full = np.exp(-dt * ws.k_sq.real).astype(complex)
+    return e_half, e_full, dt * e_half, (dt / 3.0) * e_half, 0.5 * dt, dt / 6.0
 
 
 def _advance(ws: Workspace, w: np.ndarray, coef, planes: np.ndarray) -> None:
@@ -157,8 +158,8 @@ def integrate(u0: SpectralVelocity, dt: float, t_end: float,
     snaps = _snapshot_steps(dt, t_end, snapshot_times, n_steps)
 
     g = u0.grid
-    ws, coef = Workspace(g), _stage_coefficients(g, dt)
-    planes = np.empty((6,) + band_shape(g), dtype=complex)
+    ws = Workspace(g)
+    coef, planes = _stage_coefficients(ws, dt), np.empty((6,) + ws.k_sq.shape, dtype=complex)
 
     def check_cfl(u: SpectralVelocity, t: float) -> None:
         if not enforce_cfl:

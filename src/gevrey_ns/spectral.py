@@ -52,7 +52,7 @@ chosen by n alone.  Below n = 64 it is a BandDFT on the n-grid: dense
 matrix products on the band, each below OpenBLAS's one-thread size.  From
 n = 64 up it is a BandFFT, the maps of band_dft(grid, n, k_cut): rfft2 and
 irfft2 with their column pass run on the k_cut + 1 retained columns only.
-Its band tables, and the dense matrices, are built once per grid size.
+_band_kernel alone builds the band tables, and the dense matrices, once per n.
 Every FFT goes through rfft2 and irfft2 and runs on the n x n grid; a
 BandDFT also serves norm_l4 on the 2n x 2n grid and the C0 ascent's small
 cap grid.
@@ -93,12 +93,6 @@ class Grid:
         k_cut: dealiasing cutoff, the largest k with 3k < n.
         lift: (2, n, n/2+1) multiplier (i k2, -i k1) / |xi|^2 taking a vorticity
             plane to its velocity (0 at xi = 0).
-        curl: (3, n, n/2+1) table dealias (k1^2 - k2^2, k1 k2, |xi|^2);
-            (curl * F).sum(axis=0) is the vorticity of the dealiased -P div T
-            of the coefficient planes F = (T12, T22 - T11[, A12]) of a tensor T
-            with symmetric part (T12, T22 - T11) and antisymmetric part
-            A12 = -A21.  Its values are real; it is stored complex so that the
-            product needs no cast.
         parseval_w: (2, N) weights on the N floats of a plane's flattened float
             view: row 0 gives |u|^2, row 1 |grad u|^2 (see parseval).
         shells: the eigenvalue |xi|^2 of each of the N floats, as integers.
@@ -113,13 +107,11 @@ class Grid:
     dealias: np.ndarray
     k_cut: int
     lift: np.ndarray
-    curl: np.ndarray
     parseval_w: np.ndarray
     shells: np.ndarray
 
     def __post_init__(self):
-        for name in ("freqs", "k1", "k2", "k_sq", "keep", "dealias", "lift", "curl", "parseval_w",
-                     "shells"):
+        for name in "freqs k1 k2 k_sq keep dealias lift parseval_w shells".split():
             _readonly(getattr(self, name))
 
 
@@ -146,14 +138,12 @@ def make_grid(n: int) -> Grid:
     keep[:, -1] = False
     k_cut = (n - 1) // 3
     dealias = (np.abs(k1) <= k_cut) & (np.abs(k2) <= k_cut) & keep
-    # curl of -P(xi) i xi . T = (k1^2 - k2^2) T12 + k1 k2 (T22 - T11) + |xi|^2 A12
-    curl = dealias * np.stack([k1 * k1 - k2 * k2, k1 * k2, k_sq])
     col_w = np.full(hc, 2.0)
     col_w[[0, -1]] = 1.0  # the self-conjugate columns; every other one stands for two
     w = TWO_PI ** 2 * col_w * np.stack([inv, np.ones_like(k_sq)])
     return Grid(n=n, freqs=freqs, k1=k1, k2=k2, k_sq=k_sq, keep=keep,
                 dealias=dealias, k_cut=k_cut, lift=np.stack([1j * k2 * inv, -1j * k1 * inv]),
-                curl=curl.astype(complex), parseval_w=np.repeat(w, 2, axis=-1).reshape(2, -1),
+                parseval_w=np.repeat(w, 2, axis=-1).reshape(2, -1),
                 shells=np.repeat(np.rint(k_sq).astype(np.int64), 2, axis=-1).ravel())
 
 
@@ -440,14 +430,20 @@ DENSE_BELOW = 64  # grids below this size run the advection kernel on a BandDFT
 def _band_kernel(n: int, dense: bool) -> tuple:
     """(BandDFT or None, lift, curl) of the advection kernel on the n-grid, built once per n.
 
-    The transform is band_dft(grid, n, k_cut) when dense, else a BandFFT with
-    the same maps.  lift (2, R, C) is Grid.lift on the dealiased band and
-    curl (3, R, C) is Grid.curl on the band.  No grid is kept.
+    The one builder of band tables.  The transform is band_dft(grid, n, k_cut)
+    when dense, else a BandFFT with the same maps.  lift (2, R, C) is Grid.lift
+    on the dealiased band.  curl (3, R, C) is (k1^2 - k2^2, k1 k2, |xi|^2) on
+    the band, real but stored complex so that no product casts:
+    (curl * F).sum(axis=0) is the vorticity of -P div T for the band
+    coefficients F = (T12, T22 - T11[, A12]) of T, A12 = -A21 its
+    antisymmetric part.  No grid is kept.
     """
     grid = make_grid(n)
-    lift = pack(grid, grid.lift * grid.dealias)
-    return (band_dft(grid, n, grid.k_cut) if dense else None, _readonly(lift),
-            _readonly(pack(grid, grid.curl)))
+    k1, k2, mask = grid.k1, grid.k2, grid.dealias
+    # curl of -P(xi) i xi . T = (k1^2 - k2^2) T12 + k1 k2 (T22 - T11) + |xi|^2 A12
+    curl = pack(grid, mask * np.stack([k1 * k1 - k2 * k2, k1 * k2, grid.k_sq]))
+    return (band_dft(grid, n, grid.k_cut) if dense else None,
+            _readonly(pack(grid, grid.lift * mask)), _readonly(curl.astype(complex)))
 
 
 def to_physical(v: SpectralVelocity) -> np.ndarray:
@@ -520,22 +516,24 @@ class Workspace:
     level(k, b, out) loads the packed vorticity plane b as entry k - 1 (its
     dealiased physical velocity planes go into phys[k - 1]), sums the
     products of phys[:k] as a stack level and hands them to contract.
-    contract(P, out) analyzes product planes, contracts them with the band
-    curl table and scrubs the result.  Every plane and view the two touch is
-    bound when the Workspace is built, so a solver stage or a stack level is
-    one call and allocates no plane.
+    contract(P, out) analyzes two or three product planes, contracts them
+    with the band curl table and scrubs the result.  Every plane and view the
+    two touch is bound when the Workspace is built, so a solver stage or a
+    stack level is one call and allocates no plane; the third plane is left
+    untouched unless P has three.  lift, curl and k_sq (the band |xi|^2, as
+    complex) are _band_kernel's tables, shared by every Workspace on the n.
     """
 
-    def __init__(self, grid: Grid, depth: int = 1, products: int = 2):
+    def __init__(self, grid: Grid, depth: int = 1):
         n, dense = grid.n, grid.n < DENSE_BELOW
         dft, self.lift, self.curl = _band_kernel(n, dense)
+        self.k_sq = self.curl[2]
         self.transform = dft if dense else BandFFT(grid)
         band = band_shape(grid)
         self.phys = np.empty((depth, 2, n, n))
         P, S = np.empty((2, n, n)), np.empty((3, n, n))
-        fwd = np.empty((products,) + band, dtype=complex)
-        mod = np.empty((products,) + band)
-        tmp_in, tmp_out = self.transform.scratch(2, products)
+        fwd, mod = np.empty((3,) + band, dtype=complex), np.empty((3,) + band)
+        tmp_in, tmp_out = self.transform.scratch(2, 3)
         # level k: entry k - 1, then each pair (e_j, e_{k-1-j}) with j <= k-1-j as its
         # velocity planes, the two planes it writes (P for j = 0, then S[:2]), whether
         # its entries differ and whether it is summed into P
@@ -551,7 +549,7 @@ class Workspace:
         self._contract = (self.transform.analyze, *self.curl, *fwd[:2], mod[0],
                           np.empty(band, dtype=bool),
                           {p: (fwd[:p], tmp_out[:p], mod[:p], fwd[2] if p == 3 else None)
-                           for p in range(2, products + 1)})
+                           for p in (2, 3)})
 
     def level(self, k: int, b: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = the vorticity of -P div sum_{j<k} e_j (x) e_{k-1-j}, dealiased, with e_{k-1} the
@@ -585,14 +583,13 @@ class Workspace:
         """out = the packed vorticity of the dealiased -P div T of physical planes P.
 
         P holds (T12, T22 - T11) of a product tensor T, optionally followed by
-        its antisymmetric part A12 (a Workspace built with products=3).  Their
-        band coefficients F are contracted with the band curl table, and then
-        every coefficient of out below 1e-12 of max |F| is zeroed: amplitudes
-        below that are rounding noise of the transforms (accurate to ~1e-15
-        relative), which the derivative recursion would amplify by |xi|^2 per
-        level and so destroy the closed-form flows.  Scrubbing is positively
-        homogeneous, so bilinearity holds exactly under scaling and to 1e-12
-        relative under addition.
+        its antisymmetric part A12.  Their band coefficients F are contracted
+        with the band curl table, and then every coefficient of out below 1e-12
+        of max |F| is zeroed: amplitudes below that are rounding noise of the
+        transforms (accurate to ~1e-15 relative), which the derivative
+        recursion would amplify by |xi|^2 per level and so destroy the
+        closed-form flows.  Scrubbing is positively homogeneous, so bilinearity
+        holds exactly under scaling and to 1e-12 relative under addition.
         """
         analyze, c0, c1, c2, F0, F1, m0, small, views = self._contract
         F, tmp, mod, F2 = views[len(P)]
@@ -617,7 +614,7 @@ def _products(a: SpectralVelocity, b: SpectralVelocity) -> tuple[Workspace, np.n
     of the two-entry level, -P div(a (x) b + b (x) a)."""
     _require_same_grid(a, b)
     g = a.grid
-    ws, out = Workspace(g, 2, products=3), np.empty(band_shape(g), dtype=complex)
+    ws, out = Workspace(g, 2), np.empty(band_shape(g), dtype=complex)
     ws.level(1, pack(g, a.w), out)
     return ws, ws.level(2, pack(g, b.w), out)
 

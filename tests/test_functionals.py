@@ -469,6 +469,30 @@ class TestTheorem3Rhs:
 
         assert cond(res.T0) < 0.0 <= cond(np.nextafter(res.T0, np.inf))
 
+    @pytest.mark.parametrize("bad_rate", [
+        lambda modes, T: 1e-12 * weighted_h_rate(modes, T),  # every Newton step overshoots
+        lambda modes, T: weighted_h_rate(modes, T) if T == 0.0 else 0.0,  # no slope past 0
+    ], ids=["rate_far_too_small", "rate_positive_only_at_zero"])
+    def test_safeguards_keep_the_root_under_a_bad_rate(self, grid32, monkeypatch, bad_rate):
+        # the rate steers Newton only: with a rate far too small the first guess and every
+        # step leave [lo, hi] and are bisected, and with no slope after T = 0 each pass
+        # skips its Newton step, so the next one bisects; the root is the same double
+        u0 = random_spectrum_field(grid32, 2.0, 8, seed=3, l2_norm=5.0)
+        c0, alpha, horizon = 0.3, 1.0, 1.0
+        ref = solve_t0(u0, c0, alpha, horizon)
+        monkeypatch.setattr(functionals, "weighted_h_rate", bad_rate)
+        res = solve_t0(u0, c0, alpha, horizon)
+        assert not res.capped_at_horizon and res.T0 <= horizon
+        ca = c_alpha(alpha)
+        u0n = norm_l2(u0)
+        thr = 1.0 / (32.0 * c0 * ca)
+
+        def cond(T):
+            return 8.0 * c0 * ca * u0n * math.sqrt(max(integral(u0, alpha, T), 0.0)) - thr
+
+        assert cond(res.T0) < 0.0 <= cond(np.nextafter(res.T0, np.inf))
+        assert res.T0 == ref.T0
+
     def test_one_mode_energies_call_per_check(self, monkeypatch):
         # a bound-3 check builds one HeatModes for its three T0 solves and its rows
         cfg = config_from_dict({"n": 32, "dt": 0.01, "t_end": 0.2, "stack_depth": 2,

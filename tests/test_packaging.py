@@ -176,3 +176,52 @@ def test_readme_synopsis_lists_every_option_in_order():
     for name, parser in subparsers.choices.items():
         options = [a.option_strings[-1] for a in parser._actions if a.dest != "help"]
         assert options == listed, name
+
+
+_GRID_TABLES = {"k_sq", "lift", "dealias", "k1", "k2"}
+
+
+def _packed_grid_tables(path: Path) -> list[str]:
+    """Calls pack(...) in path whose arguments read a Grid table, directly or through a
+    name assigned from one (a .shape, .dtype or .ndim read does not count)."""
+    tree = ast.parse(path.read_text())
+
+    def reads_table(node, tainted):
+        meta = {id(a.value) for a in ast.walk(node)
+                if isinstance(a, ast.Attribute) and a.attr in ("shape", "dtype", "ndim")}
+        return any((isinstance(a, ast.Attribute) and a.attr in _GRID_TABLES
+                    and id(a) not in meta) or (isinstance(a, ast.Name) and a.id in tainted)
+                   for a in ast.walk(node))
+
+    tainted: set[str] = set()
+    while True:  # names assigned from a table, or from such a name, to a fixed point
+        grown = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and reads_table(node.value, tainted)
+                 for target in node.targets for t in ast.walk(target) if isinstance(t, ast.Name)}
+        if grown <= tainted:
+            break
+        tainted |= grown
+    return [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "pack" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            and any(reads_table(a, tainted) for a in node.args[1:])]
+
+
+def test_only_spectral_packs_a_grid_table():
+    # spectral._band_kernel builds the band tables once per grid size and a Workspace hands
+    # them out (Workspace.k_sq is the band |xi|^2), so no other module packs a Grid table
+    package = ROOT / "src" / "gevrey_ns"
+    assert _packed_grid_tables(package / "spectral.py")  # the scan sees the kernel's packs
+    found = [hit for p in sorted(package.glob("*.py")) if p.name != "spectral.py"
+             for hit in _packed_grid_tables(p)]
+    assert not found, found
+
+
+def test_workspace_takes_a_grid_and_a_depth():
+    # every Workspace contracts two or three planes: no plane-count option
+    import inspect
+
+    from gevrey_ns.spectral import Workspace
+    params = list(inspect.signature(Workspace.__init__).parameters.values())[1:]
+    assert [(p.name, p.default) for p in params] == [("grid", inspect.Parameter.empty),
+                                                      ("depth", 1)]

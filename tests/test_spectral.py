@@ -322,8 +322,13 @@ class TestAdvectionTensor:
         k1, k2 = grid.k1, grid.k2
         mask = grid.dealias
         inv = np.divide(1.0, grid.k_sq, out=np.zeros_like(grid.k_sq), where=grid.k_sq > 0)
+        # the band curl table, which only the kernel builds, is the packing of this full one
+        curl = mask * np.stack([k1 * k1 - k2 * k2, k1 * k2, k1 * k1 + k2 * k2]) + 0j
+        ws = Workspace(grid)
+        assert np.array_equal(ws.curl, spectral.pack(grid, curl))
+        assert np.array_equal(ws.k_sq, spectral.pack(grid, grid.k_sq)) and ws.k_sq.dtype == complex
         for planes in (2, 3):  # the symmetric product, then with its antisymmetric row
-            w = (grid.curl[:planes] * F[:planes]).sum(axis=0)
+            w = (curl[:planes] * F[:planes]).sum(axis=0)
             d = grid.lift * w
             # explicit -P(i xi . T) * mask with T12 = S12 + A12, T21 = S12 - A12
             A = T[3] if planes == 3 else 0.0
@@ -339,11 +344,10 @@ class TestAdvectionTensor:
             assert np.max(np.abs(k1 * d[0] + k2 * d[1])) <= 1e-14 * grid.k_cut * np.max(np.abs(d))
             # Workspace.contract is the same contraction bit for bit on the packed band
             # coefficients of physical planes, then the roundoff scrub
-            ws = Workspace(grid, products=3)
             X = rng.standard_normal((planes, n, n))
             band = ws.transform.analyze(X, np.empty((planes,) + spectral.band_shape(grid), complex),
                                         ws.transform.scratch(0, planes)[1])
-            ref = (spectral.pack(grid, grid.curl)[:planes] * band).sum(axis=0)
+            ref = (ws.curl[:planes] * band).sum(axis=0)
             ref[np.abs(ref) < 1e-12 * np.max(np.abs(band))] = 0.0
             out = ws.contract(X, np.empty_like(ref))
             assert np.array_equal(out, ref)
@@ -357,11 +361,15 @@ class TestAdvectionTensor:
         lift = np.stack([1j * k2 * inv, -1j * k1 * inv])
         curl = grid.dealias * np.stack([k1 * k1 - k2 * k2, k1 * k2, k_sq])
         assert np.max(np.abs(grid.lift - lift)) <= 1e-15 * np.max(np.abs(lift))
-        assert np.max(np.abs(grid.curl - curl)) <= 1e-15 * np.max(np.abs(curl))
-        # the velocity table lift (x) curl contracts to the lift of the vorticity
+        band_curl = Workspace(grid).curl  # the kernel's table is the packing of this one
+        assert np.array_equal(band_curl, spectral.pack(grid, curl))
+        # the velocity table lift (x) curl contracts to the lift of the vorticity, which is
+        # zero off the band
         F = np.random.default_rng(n).standard_normal((3, n, n // 2 + 1)) + 0j
         div = (lift[:, None] * curl * F).sum(axis=1)
-        d = grid.lift * (grid.curl * F).sum(axis=0)
+        assert np.all(div[:, ~grid.dealias] == 0)
+        div = spectral.pack(grid, div)
+        d = spectral.pack(grid, grid.lift) * (band_curl * spectral.pack(grid, F)).sum(axis=0)
         assert np.max(np.abs(d - div)) <= 1e-15 * np.max(np.abs(div))
 
     @pytest.mark.parametrize("n", [16, 32, 128])

@@ -763,6 +763,27 @@ class TestCli:
         assert report["verdict"] is False and report["rows"] == []
         assert sorted(p.name for p in out.iterdir()) == ["report.json"]
 
+    @pytest.mark.parametrize("gamma_fit", [0.0, -0.5])
+    def test_bound4_nonpositive_fitted_exponent_is_na(self, tmp_path, capsys, monkeypatch,
+                                                      gamma_fit):
+        # with gamma fitted, a decay exponent <= 0 gives no admissible origin: N/A, no rows
+        fit = verify.fit_decay
+        monkeypatch.setattr(verify, "fit_decay", lambda *args: dataclasses.replace(
+            fit(*args), gamma_fit=gamma_fit))
+        doc = dict(SMALL_BOUNDS[4])
+        del doc["gamma"]
+        rep = check_theorem(4, config_from_dict(doc))
+        assert rep.status == "n/a" and rep.rows == [] and rep.verdict is False
+        out = tmp_path / "out"
+        assert main(["check-thm4", "--config", self._write_cfg(tmp_path, doc),
+                     "--out", str(out)]) == 2
+        line = f"check-thm4: N/A (fitted decay exponent {gamma_fit:.3g} is not positive)\n"
+        assert capsys.readouterr().out == line
+        report = strict_loads((out / "report.json").read_text())
+        assert report["status"] == "n/a" and "is not positive" in report["message"]
+        assert report["verdict"] is False and report["rows"] == []
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
     def test_bound4_past_the_double_range_exits_2_with_one_line(self, tmp_path, capsys):
         # 2^(2 gamma) overflows at gamma >= 512: an error, not a row decided by an inf
         out = tmp_path / "out"
