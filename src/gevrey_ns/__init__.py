@@ -3,7 +3,7 @@ derivative functionals and an inequality-auditing harness."""
 
 from .config import RunConfig, config_from_dict, load_config
 from .derivatives import (DerivativeStack, FdConvergence, fd_convergence_check,
-                          time_derivative_stack)
+                          stokes_derivative_stack, time_derivative_stack)
 from .errors import (ConfigurationError, FieldInvariantError, GridMismatchError,
                      IntegrationError)
 from .functionals import (Ccc0Audit, ConvolutionAudit, DecayFit, FunctionalSeries,
@@ -20,7 +20,7 @@ from .spectral import (Grid, SpectralVelocity, from_lattice, hermitian_defect, i
                        parseval, random_spectrum_field, shear_flow, taylor_green,
                        to_physical, validate_field)
 from .stokes import (HeatModes, StokesIdentityReport, heat_evolve, heat_modes,
-                     stokes_derivative_stack, stokes_gevrey_identity, weighted_h_integral)
+                     stokes_gevrey_identity, weighted_h_integral)
 from .verify import C0Estimate, TheoremReport, check_theorem, estimate_c0
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -107,9 +107,9 @@ class RunConfig:
 
     Fields:
         n: grid modes per dimension.
-        dt, t_end: step size and horizon, at most 10^6 steps; snapshot_times
-            must be multiples of dt (defaults to 11 uniform snapshots including
-            0 and t_end).  t_end is also bound 3's horizon for T0.
+        dt, t_end: step size and horizon, at most 10^6 steps; snapshot_times,
+            null or a non-empty list, must be multiples of dt (null: 11 uniform
+            snapshots including 0 and t_end).  t_end is also bound 3's horizon for T0.
             Bound 3 reads dt as the largest step on its window [0, T0],
             makes its own 9 snapshot times and ignores snapshot_times.
         stack_depth: derivative stack depth K at each snapshot (no cap; the
@@ -124,7 +124,8 @@ class RunConfig:
             {"mode": "fixed", "value": ..}.
         theorem2_n_max: doubling depth n <= 1023 for bound 2 (2^n is a double);
             its row at depth n reads orders <= n, so entries v_0..v_{n+1}.
-        decay_window: fit window [a, b] for bound 4.
+        decay_window: fit window [a, b] for fit-decay, and for bound 4 when
+            gamma is None (bound 4 reads it only then).
         gamma: decay exponent override (fitted from the trajectory if None).
 
     Config-driven runs always keep solver.integrate's CFL guard; no key switches it off.
@@ -150,9 +151,10 @@ class RunConfig:
         _require(_is_real(self.t_end) and self.t_end >= 0,
                  "t_end must be a finite number >= 0", self.t_end)
         snaps = self.snapshot_times
-        _require(snaps is None or (isinstance(snaps, list)
+        _require(snaps is None or (isinstance(snaps, list) and len(snaps) >= 1
                                    and all(_is_real(s) and s >= 0 for s in snaps)),
-                 "snapshot_times must be null or a list of finite numbers >= 0", snaps)
+                 "snapshot_times must be null or a non-empty list of finite numbers >= 0",
+                 snaps)
         _require(_is_int(self.stack_depth) and self.stack_depth >= 0,
                  "stack_depth must be an integer >= 0", self.stack_depth)
         _require(isinstance(self.alphas, tuple) and len(self.alphas) >= 1

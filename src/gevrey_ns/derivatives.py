@@ -1,4 +1,4 @@
-"""Time-derivative stacks computed from the velocity alone.
+"""Time-derivative stacks of the Navier-Stokes flow and of the heat flow.
 
 Differentiating the momentum equation k-1 times and projecting out the
 pressure expresses u^(k) through u^(0..k-1), so the whole tuple
@@ -14,13 +14,16 @@ in which the Leibniz coefficients C(k-1, j) cancel:
 The v_k stay bounded whenever the Gevrey-weighted sums converge, so there
 is no depth cap; DerivativeStack.raw(k) rescales back to u^(k).
 
-A stack is stored as one table of vorticity planes, row k the plane of
-v_k, and the projection is the curl of the contraction.  The recursion runs
-on the packed dealiased band of each entry (spectral.pack), where the
-products live, and each level is unpacked into its row of the table; modes
-of u outside the band follow the heat recursion v_k = -(t / 2k) |xi|^2
-v_{k-1}.  Cost per stack of depth K: each entry v_0..v_{K-1} is lifted,
-dealiased and taken to physical space once (one band synthesis of 2
+This module builds both stacks: time_derivative_stack from a velocity, and
+stokes_derivative_stack, the exact stack of the heat flow exp(t Lap) u0
+(the oracle, and bound 3's base flow), whose recursion, the heat recursion
+v_k = -(t / 2k) |xi|^2 v_{k-1}, _heat_rows runs for both.  A stack is one
+table of vorticity planes, row k the plane of v_k, and the projection is the
+curl of the contraction.  The recursion runs on the packed dealiased band of
+each entry (spectral.pack), where the products live, and each level is
+unpacked into its row of the table; modes of u outside the band follow the
+heat recursion.  Cost per stack of depth K: each entry v_0..v_{K-1} is
+lifted, dealiased and taken to physical space once (one band synthesis of 2
 velocity planes per entry), and each level sums all its products there into
 the two traceless planes (T12, T22 - T11) before one band analysis of 2
 planes, so a K = 12 stack makes 12 syntheses and 12 analyses.  Level k is
@@ -41,6 +44,7 @@ from .solver import Trajectory
 # nonlinear_symmetric/nonlinear_term stay bound: bench/run.py --trace 1 wraps them here.
 from .spectral import (Grid, SpectralVelocity, Workspace, nonlinear_symmetric,  # noqa: F401
                        nonlinear_term, norm_l2, pack, unpack)
+from .stokes import heat_evolve
 
 
 @dataclass(frozen=True)
@@ -72,10 +76,11 @@ class DerivativeStack:
         """The unscaled derivative u^(k) = (2^k k! / t^k) v_k."""
         return SpectralVelocity(self.grid, (2 ** k * math.factorial(k) / self.t ** k) * self.w[k])
 
-    def __sub__(self, other: "DerivativeStack") -> "DerivativeStack":
-        if self.t != other.t or self.depth != other.depth:
-            raise ConfigurationError("stacks evaluated at different times or depths")
-        return DerivativeStack(self.grid, self.t, self.w - other.w)
+
+def _heat_rows(g: Grid, w: np.ndarray, t: float) -> None:
+    """Rows 1..K of the table w from row 0 by the heat recursion v_k = -(t / 2k) |xi|^2 v_{k-1}."""
+    for k in range(1, len(w)):
+        np.multiply(w[k - 1], g.k_sq * (-t / (2.0 * k)), out=w[k])
 
 
 def time_derivative_stack(u: SpectralVelocity, K: int, t: float) -> DerivativeStack:
@@ -93,10 +98,7 @@ def time_derivative_stack(u: SpectralVelocity, K: int, t: float) -> DerivativeSt
     w = np.zeros((K + 1,) + g.k_sq.shape, dtype=complex)
     w[0] = u.w
     if np.any(u.w[~g.dealias]):  # outside the band only the heat recursion acts
-        k_sq = g.k_sq.astype(complex)  # complex: no cast per product
-        for k in range(1, K + 1):
-            np.multiply(k_sq, w[k - 1], out=w[k])
-            w[k] *= -t / (2.0 * k)
+        _heat_rows(g, w, t)
     ws = Workspace(g, K)
     prev, v, r = pack(g, u.w), np.empty_like(ws.k_sq), np.empty_like(ws.k_sq)
     for k in range(1, K + 1):
@@ -107,6 +109,22 @@ def time_derivative_stack(u: SpectralVelocity, K: int, t: float) -> DerivativeSt
         unpack(g, v, w[k])
         prev, v = v, prev
     return DerivativeStack(g, t, w)
+
+
+def stokes_derivative_stack(u0: SpectralVelocity, t: float, K: int) -> DerivativeStack:
+    """Exact scaled stack v_k = t^k l^(k) / (2^k k!) of the heat flow l at time t > 0.
+
+    Entry k has coefficients (-|xi|^2 t / 2)^k / k! exp(-|xi|^2 t) u0hat(xi),
+    built from v_0 = heat_evolve(u0, t) by the heat recursion.
+    """
+    if t <= 0:
+        raise ConfigurationError(f"stokes_derivative_stack needs t > 0, got {t}")
+    if K < 0:
+        raise ConfigurationError("K must be >= 0")
+    w = np.empty((K + 1,) + u0.grid.k_sq.shape, dtype=complex)
+    w[0] = heat_evolve(u0, t).w
+    _heat_rows(u0.grid, w, t)
+    return DerivativeStack(u0.grid, t, w)
 
 
 @dataclass(frozen=True)

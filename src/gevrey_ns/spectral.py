@@ -708,7 +708,8 @@ def make_initial_data(grid: Grid, spec: dict) -> SpectralVelocity:
     spec is a dict with key "kind" in {taylor_green, shear, random_spectrum}
     plus that generator's parameters; config.check_initial_data rejects
     unknown kinds or keys and malformed values, and data whose Parseval sums
-    |u|^2, |grad u|^2 leave the double range is refused here.
+    |u|^2, |grad u|^2 leave the double range (are not finite, or underflow
+    below the smallest normal double) is refused here.
     """
     check_initial_data(spec)
     kind = spec["kind"]
@@ -719,9 +720,13 @@ def make_initial_data(grid: Grid, spec: dict) -> SpectralVelocity:
     else:
         make = taylor_green if kind == "taylor_green" else shear_flow
         u = make(grid, float(spec.get("amplitude", 1.0)))
-    if not np.all(np.isfinite(parseval(grid, u.w))):
+    sums = parseval(grid, u.w)
+    if not np.all(np.isfinite(sums)):
         raise ConfigurationError(f"{kind} data leaves the double range: "
                                  "|u|^2 or |grad u|^2 is not finite")
+    if np.any(sums < np.finfo(float).tiny):
+        raise ConfigurationError(f"{kind} data leaves the double range: "
+                                 "|u|^2 or |grad u|^2 underflows")
     return u
 
 

@@ -5,13 +5,13 @@ linear flow is the plain heat semigroup acting modewise,
 
     lhat(xi, t) = exp(-|xi|^2 t) u0hat(xi),
 
-and every time derivative is available in closed form.  That makes this
-module a machine-precision oracle: the weighted sums of time-derivative
-norms that the nonlinear harness estimates numerically can be summed here
-analytically, mode by mode, with incomplete-gamma closed forms for the
-time integrals.  Those come only at integer orders a, where the regularized
-lower incomplete gamma P(a, x) is the Poisson tail Pr[Poisson(x) >= a], so
-they are summed from Poisson probabilities in closed form.
+and every time derivative is available in closed form (the stack is built
+by derivatives.stokes_derivative_stack).  This module holds the closed forms:
+heat_evolve, and the weighted sums of time-derivative norms that the
+nonlinear harness estimates numerically, summed here analytically, mode by
+mode, with incomplete-gamma closed forms for the time integrals.  Those come
+only at integer orders a, where the regularized lower incomplete gamma
+P(a, x) is the Poisson tail Pr[Poisson(x) >= a], summed in closed form.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivatives import DerivativeStack
 from .errors import ConfigurationError
 from .spectral import SpectralVelocity, mode_energies, norm_l2
 
@@ -87,24 +86,6 @@ def heat_evolve(u0: SpectralVelocity, t: float) -> SpectralVelocity:
     if t < 0:
         raise ConfigurationError(f"heat_evolve needs t >= 0, got {t}")
     return u0 * np.exp(-u0.grid.k_sq * t)
-
-
-def stokes_derivative_stack(u0: SpectralVelocity, t: float, K: int) -> DerivativeStack:
-    """Exact scaled stack v_k = t^k l^(k) / (2^k k!) of the heat flow l at time t > 0.
-
-    Entry k has coefficients (-|xi|^2 t / 2)^k / k! exp(-|xi|^2 t) u0hat(xi),
-    built as v_k = v_{k-1} (-|xi|^2 t / 2k).
-    """
-    if t <= 0:
-        raise ConfigurationError(f"stokes_derivative_stack needs t > 0, got {t}")
-    if K < 0:
-        raise ConfigurationError("K must be >= 0")
-    g = u0.grid
-    w = np.empty((K + 1,) + g.k_sq.shape, dtype=complex)
-    w[0] = heat_evolve(u0, t).w
-    for k in range(1, K + 1):
-        np.multiply(w[k - 1], g.k_sq * (-t / (2.0 * k)), out=w[k])
-    return DerivativeStack(g, t, w)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import spectral
 from .config import RunConfig
-from .derivatives import time_derivative_stack
+from .derivatives import DerivativeStack, stokes_derivative_stack, time_derivative_stack
 from .errors import ConfigurationError, IntegrationError
 from .functionals import (FunctionalSeries, TheoremLhs, fit_decay, raw_functionals,
                           smallness_check, theorem2_log_rhs, theorem2_rhs, theorem3_rhs,
@@ -22,7 +22,7 @@ from .functionals import (FunctionalSeries, TheoremLhs, fit_decay, raw_functiona
 from .solver import Trajectory, integrate
 from .spectral import (Grid, SpectralVelocity, make_grid, make_initial_data,
                        mode_energies, norm_l2, shear_flow, taylor_green)
-from .stokes import heat_modes, stokes_derivative_stack
+from .stokes import heat_modes
 
 _ASCENT_STEP = 0.2  # L2 length of each normalized C0 ascent step, on unit fields
 _K_CAP = 8  # the C0 ascent's band |xi|_inf <= k_cap, clamped to n/2 - 1
@@ -233,7 +233,7 @@ def stack_series(traj: Trajectory, K: int, fluctuation: bool = False) -> Functio
     for i, (t, u) in enumerate(zip(traj.times[1:], traj.fields[1:]), start=1):
         st = time_derivative_stack(u, K, t)
         if fluctuation:
-            st = st - stokes_derivative_stack(u0, t, K)
+            st = DerivativeStack(u.grid, t, st.w - stokes_derivative_stack(u0, t, K).w)
         L[i], H[i] = raw_functionals(st)
     return FunctionalSeries(times=times, L_tilde=L, H_tilde=H)
 
@@ -331,9 +331,9 @@ def _check_theorem4(config: RunConfig, series: FunctionalSeries, alpha: float, c
     """
     times, norms = series.times, series.L_tilde[:, 0]
     gamma = config.gamma
-    fit = fit_decay(times, norms, config.decay_window)
     K_env = 0.0
     if gamma is None:
+        fit = fit_decay(times, norms, config.decay_window)
         if fit.gamma_fit <= 0:
             report.status = "n/a"
             report.message = f"fitted decay exponent {fit.gamma_fit:.3g} is not positive"
@@ -390,9 +390,12 @@ def _check_theorem3(config: RunConfig, u0: SpectralVelocity, alpha: float, c0: f
     T0 = bound.T0
     report.params["T0"] = T0
     report.params["T0_capped_at_horizon"] = bound.capped_at_horizon
+    if T0 < np.finfo(float).tiny:
+        raise ConfigurationError(f"bound 3's existence time T0 = {T0:.6g} underflows at "
+                                 f"|u0| = {u0n:.6g}: no window to check")
     snaps = 8
-    # min before ceil keeps an infinite quotient (tiny dt) out of ceil; max
-    # keeps T0 = 0 off a zero step count, so integrate reports the zero step
+    # min before ceil keeps an infinite quotient (tiny dt) out of ceil; max keeps
+    # a quotient that underflows to 0 (T0 far below dt) off a zero step count
     per_snap = max(1, math.ceil(min(T0 / (snaps * config.dt), 4096 // snaps)))
     n_steps = report.params["window_steps"] = snaps * per_snap
     dt = T0 / n_steps

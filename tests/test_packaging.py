@@ -225,3 +225,16 @@ def test_workspace_takes_a_grid_and_a_depth():
     params = list(inspect.signature(Workspace.__init__).parameters.values())[1:]
     assert [(p.name, p.default) for p in params] == [("grid", inspect.Parameter.empty),
                                                       ("depth", 1)]
+
+
+def test_derivatives_builds_every_stack():
+    # one recursion for derivative stacks: stokes.py holds the heat flow's closed forms and
+    # imports nothing from derivatives, which builds the heat flow's stack too
+    from gevrey_ns import stokes_derivative_stack
+    from_derivatives = [node.lineno for node in ast.walk(ast.parse(
+        (ROOT / "src" / "gevrey_ns" / "stokes.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        and (node.module == "derivatives" or node.module is None
+             and any(a.name == "derivatives" for a in node.names))]
+    assert from_derivatives == []
+    assert stokes_derivative_stack.__module__ == "gevrey_ns.derivatives"

@@ -553,6 +553,8 @@ class TestConfig:
         ("tol_energy", "x"), ("tol_energy", math.nan),
         # alphas must hold at least one value: audit-lemmas has no default set
         pytest.param("alphas", [], id="alphas-empty"),
+        # an empty list would read as [t_end] in stokes-verify and as t = 0 alone elsewhere
+        pytest.param("snapshot_times", [], id="snapshot_times-empty"),
     ])
     def test_bad_field(self, key, bad):
         with pytest.raises(ConfigurationError, match=key):
@@ -845,6 +847,51 @@ class TestCli:
         assert captured.err == (f"error: {data['kind']} data leaves the double range: "
                                 "|u|^2 or |grad u|^2 is not finite\n")
 
+    @pytest.mark.parametrize("data", [
+        {"kind": "taylor_green", "amplitude": 1e-160},
+        {"kind": "random_spectrum", "decay": 2.0, "k_max": 8, "seed": 3, "l2_norm": 1e-300},
+    ], ids=lambda data: data["kind"])
+    @pytest.mark.parametrize("command", ["stokes-verify", "ns-run", "check-thm1", "check-thm2",
+                                         "check-thm3", "check-thm4", "fit-decay"])
+    def test_data_below_the_double_range_exits_2_with_one_line(self, tmp_path, capsys, command,
+                                                               data):
+        # |u0|^2 underflows below the smallest normal double: refused like its overflow twin
+        out = tmp_path / "out"
+        cfg = self._write_cfg(tmp_path, dict(SMALL_BASE, initial_data=data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would be a second stderr line
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (f"error: {data['kind']} data leaves the double range: "
+                                "|u|^2 or |grad u|^2 underflows\n")
+
+    def test_thm3_names_an_underflowed_existence_time(self, tmp_path, capsys):
+        # |u0| = 1e100 drives T0 to 0.0: the error names T0 and |u0|, not the window's step
+        out = tmp_path / "out"
+        cfg = self._write_cfg(tmp_path, dict(SMALL_BASE, initial_data=_small_data(1e100)))
+        assert main(["check-thm3", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        report = strict_loads((out / "report.json").read_text())
+        assert report["status"] == "error" and report["rows"] == []
+        assert report["params"]["T0"] == 0.0
+        assert captured.err == f"error: {report['message']}\n"
+        assert "T0 = 0 underflows at |u0| = 1e+100" in captured.err
+
+    @pytest.mark.parametrize("window", [[0.5, 1.0], [5.0, 9.0], [0.1, 0.3]])
+    def test_thm4_reads_no_window_when_gamma_is_given(self, tmp_path, capsys, window):
+        # with gamma set no decay fit is made, so a window holding fewer than 4 snapshots
+        # (or none) is not an error
+        doc = dict(SMALL_BASE, t_end=2.0, snapshot_times=[0.25 * i for i in range(9)],
+                   initial_data=_small_data(0.05), gamma=1.0, decay_window=window)
+        out = tmp_path / "out"
+        assert main(["check-thm4", "--config", self._write_cfg(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        report = strict_loads((out / "report.json").read_text())
+        assert report["verdict"] and len(report["rows"]) == 8
+
     def test_thm3_horizon_is_t_end(self, tmp_path, capsys):
         # t_end = 0 leaves bound 3 no window to solve T0 in: an error report, one line
         out = tmp_path / "out"
@@ -991,6 +1038,11 @@ class TestCliProperty:
     @example(doc=dict(_CRASH_BASE, dt=1e-300), command="check-thm4")
     @example(doc=dict(_CRASH_BASE, dt=1e-300), command="ns-run")
     @example(doc=dict(_CRASH_BASE, dt=1e-300), command="fit-decay")
+    # refused: no snapshot times, data whose |u0|^2 underflows, bound 3's T0 underflowing to 0
+    @example(doc=dict(_CRASH_BASE, snapshot_times=[]), command="ns-run")
+    @example(doc=dict(_CRASH_BASE, initial_data={"kind": "taylor_green", "amplitude": 1e-160}),
+             command="check-thm2")
+    @example(doc=dict(_CRASH_BASE, initial_data=_small_data(1e100)), command="check-thm3")
     def test_small_runs_exit_0_1_or_2_without_traceback(self, doc, command):
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as d:
