@@ -16,8 +16,8 @@ is no depth cap; DerivativeStack.raw(k) rescales back to u^(k).
 
 This module builds both stacks: time_derivative_stack from a velocity, and
 stokes_derivative_stack, the exact stack of the heat flow exp(t Lap) u0
-(the oracle, and bound 3's base flow), whose recursion, the heat recursion
-v_k = -(t / 2k) |xi|^2 v_{k-1}, _heat_rows runs for both.  A stack is one
+(the oracle, and bound 3's base flow); _heat_rows runs the heat recursion
+v_k = -(t / 2k) |xi|^2 v_{k-1} for both.  A stack is one
 table of vorticity planes, row k the plane of v_k, and the projection is the
 curl of the contraction.  The recursion runs on the packed dealiased band of
 each entry (spectral.pack), where the products live, and each level is

@@ -249,8 +249,8 @@ def check_theorem(theorem_id: int, config: RunConfig) -> TheoremReport:
     rescopes the run to the analytic existence time T0, stepped in 8 equal
     snapshot intervals with config.dt as the largest step (the count is
     params["window_steps"]); bound 4 fits the
-    decay envelope on the configured window and checks from the admissible
-    origin.
+    decay envelope on the configured window (only when gamma is None) and
+    checks from the admissible origin.
     """
     if theorem_id not in (1, 2, 3, 4):
         raise ConfigurationError(f"theorem id must be 1..4, got {theorem_id}")
