@@ -58,7 +58,7 @@ def _emit(args, doc: dict, traj=None, series=None, alpha: float | None = None) -
 def _cmd_stokes_verify(args, cfg: RunConfig) -> int:
     grid = make_grid(cfg.n)
     u0 = make_initial_data(grid, cfg.initial_data)
-    times = cfg.snapshot_times or [cfg.t_end]
+    times = cfg.snapshot_times or [cfg.horizon()]
     rows = []
     ok_all = True
     for t in times:

@@ -108,8 +108,10 @@ class RunConfig:
     Fields:
         n: grid modes per dimension.
         dt, t_end: step size and horizon, at most 10^6 steps; snapshot_times,
-            null or a non-empty list, must be multiples of dt (null: 11 uniform
-            snapshots including 0 and t_end).  t_end is also bound 3's horizon for T0.
+            null or a list with a time above 0, must be multiples of dt (null: 11
+            uniform snapshots including 0 and t_end, so t_end > 0 when a schedule
+            is resolved: t = 0 alone gives no verdict).  t_end is also bound 3's
+            horizon for T0.
             Bound 3 reads dt as the largest step on its window [0, T0],
             makes its own 9 snapshot times and ignores snapshot_times.
         stack_depth: derivative stack depth K at each snapshot (no cap; the
@@ -151,10 +153,11 @@ class RunConfig:
         _require(_is_real(self.t_end) and self.t_end >= 0,
                  "t_end must be a finite number >= 0", self.t_end)
         snaps = self.snapshot_times
-        _require(snaps is None or (isinstance(snaps, list) and len(snaps) >= 1
-                                   and all(_is_real(s) and s >= 0 for s in snaps)),
-                 "snapshot_times must be null or a non-empty list of finite numbers >= 0",
-                 snaps)
+        _require(snaps is None or (isinstance(snaps, list)
+                                   and all(_is_real(s) and s >= 0 for s in snaps)
+                                   and any(s > 0 for s in snaps)),
+                 "snapshot_times must be null or a list of finite numbers >= 0, one of them "
+                 "> 0", snaps)
         _require(_is_int(self.stack_depth) and self.stack_depth >= 0,
                  "stack_depth must be an integer >= 0", self.stack_depth)
         _require(isinstance(self.alphas, tuple) and len(self.alphas) >= 1
@@ -178,10 +181,15 @@ class RunConfig:
         _require(len(self.alphas) == 1, "alphas must hold exactly one value", list(self.alphas))
         return self.alphas[0]
 
+    def horizon(self) -> float:
+        """t_end as the end of a resolved schedule, refused when 0: t = 0 gives no verdict."""
+        _require(self.t_end > 0, "t_end must be > 0 when snapshot_times is null", self.t_end)
+        return self.t_end
+
     def resolved_snapshots(self) -> list[float]:
         if self.snapshot_times is not None:
             return list(self.snapshot_times)
-        n_steps = step_count(self.t_end, self.dt, f"t_end={self.t_end!r}")
+        n_steps = step_count(self.horizon(), self.dt, f"t_end={self.t_end!r}")
         stride = max(1, n_steps // 10)
         idx = list(range(0, n_steps + 1, stride))
         if idx[-1] != n_steps:

@@ -29,19 +29,20 @@ The quadratic advection term uses the 2/3-rule: inputs and outputs are
 truncated to |xi|_inf <= k_cut with 3 k_cut < n, which makes the retained
 product modes an exact convolution of the truncated inputs.  The trace of a
 symmetric product tensor T is a gradient, which the projection removes, so
-advection reads only the two traceless planes A = T12 and B = T22 - T11
-(and, for a product of two different fields, its antisymmetric part).  Their
-band coefficients contract with a band curl table to the vorticity of the
-dealiased -P div T.  Advection therefore works on the band alone: pack takes
-the band of a plane to one contiguous (2 k_cut + 1, k_cut + 1) plane, rows
-|k1| <= k_cut in FFT order and columns 0..k_cut, and unpack writes it back;
-the solver steps and the stacks recurse on packed planes.  A Workspace holds
-the planes of that kernel and has one entry per job: level loads a packed
-plane as a stack entry and contracts the level's summed products, and
-contract analyzes product planes, contracts them on the band and scrubs the
-roundoff.  Both read planes and views bound when the Workspace is built, so
-a solver run or a stack allocates them once, and a solver stage or a stack
-level is one level call that allocates no plane.
+advection reads only the two traceless planes A = T12 and B = T22 - T11.
+Their band coefficients contract with a band curl table to the vorticity of
+the dealiased -P div T.  (A product of two different fields also has an
+antisymmetric part, whose vorticity is |xi|^2 times its coefficients;
+nonlinear_term alone forms one.)  Advection therefore works on the band
+alone: pack takes the band of a plane to one contiguous (2 k_cut + 1,
+k_cut + 1) plane, rows |k1| <= k_cut in FFT order and columns 0..k_cut, and
+unpack writes it back; the solver steps and the stacks recurse on packed
+planes.  A Workspace holds the planes of that kernel and has one entry per
+job: level loads a packed plane as a stack entry and contracts the level's
+summed products, and contract analyzes the two planes, contracts them on the
+band and scrubs the roundoff.  Both read planes and views bound when the
+Workspace is built, so a solver run or a stack allocates them once, and a
+solver stage or a stack level is one level call that allocates no plane.
 
 Every transform maps coefficients to grid values, sum_xi uhat(xi) exp(i xi . x),
 and m x m samples back with the factor 1/m^2: band_dft's matrices carry it, and
@@ -435,8 +436,9 @@ def _band_kernel(n: int, dense: bool) -> tuple:
     on the dealiased band.  curl (3, R, C) is (k1^2 - k2^2, k1 k2, |xi|^2) on
     the band, real but stored complex so that no product casts:
     (curl * F).sum(axis=0) is the vorticity of -P div T for the band
-    coefficients F = (T12, T22 - T11[, A12]) of T, A12 = -A21 its
-    antisymmetric part.  No grid is kept.
+    coefficients F = (T12, T22 - T11, A12) of T, A12 = -A21 its
+    antisymmetric part.  The kernel contracts the first two rows, and the
+    third is the band |xi|^2.  No grid is kept.
     """
     grid = make_grid(n)
     k1, k2, mask = grid.k1, grid.k2, grid.dealias
@@ -516,12 +518,12 @@ class Workspace:
     level(k, b, out) loads the packed vorticity plane b as entry k - 1 (its
     dealiased physical velocity planes go into phys[k - 1]), sums the
     products of phys[:k] as a stack level and hands them to contract.
-    contract(P, out) analyzes two or three product planes, contracts them
-    with the band curl table and scrubs the result.  Every plane and view the
-    two touch is bound when the Workspace is built, so a solver stage or a
-    stack level is one call and allocates no plane; the third plane is left
-    untouched unless P has three.  lift, curl and k_sq (the band |xi|^2, as
-    complex) are _band_kernel's tables, shared by every Workspace on the n.
+    contract(P, out) analyzes the two traceless product planes, contracts
+    them with the first two rows of the band curl table and scrubs the
+    result.  Every plane and view the two touch is bound when the Workspace
+    is built, so a solver stage or a stack level is one call and allocates no
+    plane.  lift, curl and k_sq (its third row, the band |xi|^2, as complex)
+    are _band_kernel's tables, shared by every Workspace on the n.
     """
 
     def __init__(self, grid: Grid, depth: int = 1):
@@ -532,8 +534,8 @@ class Workspace:
         band = band_shape(grid)
         self.phys = np.empty((depth, 2, n, n))
         P, S = np.empty((2, n, n)), np.empty((3, n, n))
-        fwd, mod = np.empty((3,) + band, dtype=complex), np.empty((3,) + band)
-        tmp_in, tmp_out = self.transform.scratch(2, 3)
+        F, mod = np.empty((2,) + band, dtype=complex), np.empty((2,) + band)
+        tmp_in, tmp_out = self.transform.scratch(2, 2)
         # level k: entry k - 1, then each pair (e_j, e_{k-1-j}) with j <= k-1-j as its
         # velocity planes, the two planes it writes (P for j = 0, then S[:2]), whether
         # its entries differ and whether it is summed into P
@@ -545,11 +547,8 @@ class Workspace:
         coef = np.empty((2,) + band, dtype=complex)
         self._level = (self.transform.synthesize, *self.lift, coef, *coef, tmp_in, levels, P,
                        S[:2], S[2])
-        # per plane count p: the analyzed planes, their scratch, |F| and the antisymmetric plane
-        self._contract = (self.transform.analyze, *self.curl, *fwd[:2], mod[0],
-                          np.empty(band, dtype=bool),
-                          {p: (fwd[:p], tmp_out[:p], mod[:p], fwd[2] if p == 3 else None)
-                           for p in (2, 3)})
+        self._contract = (self.transform.analyze, *self.curl[:2], F, *F, tmp_out, mod, mod[0],
+                          np.empty(band, dtype=bool))
 
     def level(self, k: int, b: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = the vorticity of -P div sum_{j<k} e_j (x) e_{k-1-j}, dealiased, with e_{k-1} the
@@ -582,26 +581,22 @@ class Workspace:
     def contract(self, P: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = the packed vorticity of the dealiased -P div T of physical planes P.
 
-        P holds (T12, T22 - T11) of a product tensor T, optionally followed by
-        its antisymmetric part A12.  Their band coefficients F are contracted
-        with the band curl table, and then every coefficient of out below 1e-12
-        of max |F| is zeroed: amplitudes below that are rounding noise of the
-        transforms (accurate to ~1e-15 relative), which the derivative
-        recursion would amplify by |xi|^2 per level and so destroy the
-        closed-form flows.  Scrubbing is positively homogeneous, so bilinearity
-        holds exactly under scaling and to 1e-12 relative under addition.
+        P holds the planes (T12, T22 - T11) of a symmetric product tensor T.
+        Their band coefficients F are contracted with the band curl table, and
+        then every coefficient of out below 1e-12 of max |F| is zeroed:
+        amplitudes below that are rounding noise of the transforms (accurate to
+        ~1e-15 relative), which the derivative recursion would amplify by
+        |xi|^2 per level and so destroy the closed-form flows.  Scrubbing is
+        positively homogeneous, so bilinearity holds exactly under scaling and
+        to 1e-12 relative under addition.
         """
-        analyze, c0, c1, c2, F0, F1, m0, small, views = self._contract
-        F, tmp, mod, F2 = views[len(P)]
+        analyze, c0, c1, F, F0, F1, tmp, mod, m0, small = self._contract
         analyze(P, out=F, tmp=tmp)
         np.abs(F, out=mod)
         floor = 1e-12 * float(mod.max())
         np.multiply(c1, F1, out=F1)
         np.multiply(c0, F0, out=out)
         out += F1
-        if F2 is not None:
-            F2 *= c2
-            out += F2
         if floor > 0.0:
             np.abs(out, out=m0)
             np.less(m0, floor, out=small)
@@ -630,16 +625,18 @@ def nonlinear_term(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVelocity
     Products are formed in physical space on the n-grid; with inputs
     truncated to |xi|_inf <= k_cut and 3 k_cut < n, the retained output
     modes are the exact convolution of the truncated inputs.  Bilinear in
-    (a, b).  The planes are T12 and T22 - T11 of the symmetric part of a (x) b
-    and its antisymmetric part (a1 b2 - a2 b1) / 2 (zero for a = b), run
-    through Workspace.contract, the kernel of the solver and the stacks.
-    Raises GridMismatchError if the grids differ.
+    (a, b).  The symmetric part of a (x) b is half the two-entry level of the
+    solver's and the stacks' kernel, Workspace.level; its antisymmetric part
+    (a1 b2 - a2 b1) / 2 is analyzed here and adds |xi|^2 times its band
+    coefficients.  For a = b that plane is exactly zero, so the result has
+    the bits of the one-entry level.  Raises GridMismatchError if the grids
+    differ.
     """
     ws, out = _products(a, b)
     (A1, A2), (B1, B2) = ws.phys
-    cross, swap = A1 * B2, A2 * B1
-    P = np.stack([0.5 * (cross + swap), A2 * B2 - A1 * B1, 0.5 * (cross - swap)])
-    return _field(a.grid, ws.contract(P, out))
+    out += ws.k_sq * ws.transform.analyze(A1 * B2 - A2 * B1, out=None, tmp=None)
+    out *= 0.5
+    return _field(a.grid, out)
 
 
 def nonlinear_symmetric(a: SpectralVelocity, b: SpectralVelocity) -> SpectralVelocity:

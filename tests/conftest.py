@@ -52,6 +52,33 @@ def dissipation_integral_exact(u0, t):
     return float(np.sum(0.5 * E * (1.0 - np.exp(-2.0 * lams * t))))
 
 
+def stack_identity_defects(stack):
+    """(K, 2) defects of the energy and enstrophy equalities at the levels k = 1..K of a stack.
+
+    The dealiased system keeps d/dt |u|^2 = -2 |grad u|^2 and, in 2D,
+    d/dt |grad u|^2 = -2 |Lap u|^2 exactly.  Differentiated k - 1 more times,
+    in the scaled entries v_j of the stack's table, they read
+
+        sum_{j<=k} (v_j, v_{k-j}) + (t/k) sum_{j<k} (grad v_j, grad v_{k-1-j}) = 0,
+
+    and the same with (grad, grad) on the left and (Lap, Lap) on the right.
+    Column 0 is the energy family and column 1 the enstrophy family, each
+    level's sum over its largest term, from Parseval pair sums of the table.
+    """
+    g, w, t = stack.grid, stack.w, stack.t
+    pairs = spectral.parseval(g, w[:, None], w[None])  # (v_i, v_j) and (grad v_i, grad v_j)
+    lap = spectral.parseval(g, w[:, None], g.k_sq * w[None])[..., 1]  # (Lap v_i, Lap v_j)
+    families = ((pairs[..., 0], pairs[..., 1]), (pairs[..., 1], lap))
+    defects = np.zeros((stack.depth, 2))
+    for k in range(1, stack.depth + 1):
+        j, i = np.arange(k + 1), np.arange(k)
+        for f, (left, right) in enumerate(families):
+            terms = np.concatenate([left[j, k - j], (t / k) * right[i, k - 1 - i]])
+            scale = np.max(np.abs(terms))
+            defects[k - 1, f] = abs(terms.sum()) / scale if scale > 0 else 0.0
+    return defects
+
+
 def _hermitian_lattice(h):
     n = h.shape[-2]
     full = np.zeros(h.shape[:-1] + (n,), dtype=complex)

@@ -48,9 +48,10 @@ def test_lemma_audit_demo_runs(capsys):
 @pytest.mark.parametrize("name, line, count", [
     ("01_heat_semigroup_identity.py", "state-family variant residual", 3),
     ("02_exact_flows.py", "rel err", 6),
+    ("02_exact_flows.py", ": 0.000e+00", 2),  # both closed-form advection terms are exactly 0
     ("03_energy_ledger.py", "(ratio 4.00)", 2),
     ("05_bound_checks.py", "status=ok verdict=True", 4),
-], ids=["01", "02", "03", "05"])
+], ids=["01", "02", "02-advection", "03", "05"])
 def test_demo_runs(capsys, name, line, count):
     runpy.run_path(str(DEMOS[0].with_name(name)), run_name="__main__")
     assert capsys.readouterr().out.count(line) == count

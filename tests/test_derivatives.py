@@ -4,14 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import laplacian
+from conftest import laplacian, stack_identity_defects
 
 from gevrey_ns import (ConfigurationError, DerivativeStack, FieldInvariantError,
                        SpectralVelocity, fd_convergence_check, from_lattice, functionals,
                        heat_evolve, inner_l2, integrate, make_grid, nonlinear_term,
                        norm_grad_l2, norm_l2, parseval, random_spectrum_field,
-                       raw_functionals, spectral, stokes_derivative_stack, theorem_lhs,
-                       time_derivative_stack)
+                       raw_functionals, shear_flow, spectral, stokes_derivative_stack,
+                       taylor_green, theorem_lhs, time_derivative_stack)
 from gevrey_ns.verify import stack_series
 
 
@@ -115,6 +115,30 @@ class TestRecursionOracles:
             time_derivative_stack(u, 12, t=0.1)
             assert band_calls.counts() == {"synthesize": 12, "analyze": 12}
             assert {(k, shape) for _, k, shape in band_calls} == {(kind, (2, n, n))}
+
+
+class TestStackIdentities:
+    # every level of a stack satisfies the differentiated energy and enstrophy equalities
+    # of the dealiased system, whatever the depth, so they check each Workspace.level call;
+    # deep random stacks (K = 24) read 1e-13 to 1e-10 and stay out of this gate
+    @pytest.mark.parametrize("n, K, l2, t", [(32, 12, 1.0, 0.5), (64, 12, 2.0, 0.1),
+                                             (128, 12, 2.0, 0.02), (128, 12, 5.0, 0.02)])
+    def test_random_data_in_the_band(self, n, K, l2, t):
+        u0 = random_spectrum_field(make_grid(n), 2.0, 8, seed=1, l2_norm=l2)
+        u = integrate(u0, dt=t / 20, t_end=t, snapshot_times=[t]).fields[-1]
+        assert stack_identity_defects(time_derivative_stack(u, K, t)).max() <= 1e-13
+
+    def test_modes_outside_the_band(self):
+        g = make_grid(16)
+        u = random_spectrum_field(g, 1.0, 6, seed=1, l2_norm=1.0)
+        assert np.any(u.w[~g.dealias])
+        assert stack_identity_defects(time_derivative_stack(u, 24, 0.5)).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_closed_form_flows(self, n):
+        g = make_grid(n)
+        for u in (taylor_green(g, 1.3), shear_flow(g, 0.7)):
+            assert stack_identity_defects(time_derivative_stack(u, 24, 0.5)).max() <= 1e-13
 
 
 class TestScaledStack:

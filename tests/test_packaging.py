@@ -218,7 +218,7 @@ def test_only_spectral_packs_a_grid_table():
 
 
 def test_workspace_takes_a_grid_and_a_depth():
-    # every Workspace contracts two or three planes: no plane-count option
+    # every Workspace contracts the two traceless planes: no plane-count option
     import inspect
 
     from gevrey_ns.spectral import Workspace

@@ -342,15 +342,15 @@ class TestAdvectionTensor:
             assert np.all(w[n // 2, :] == 0) and np.all(w[:, hc - 1] == 0)
             assert not mask[np.abs(grid.freqs) > grid.k_cut].any()
             assert np.max(np.abs(k1 * d[0] + k2 * d[1])) <= 1e-14 * grid.k_cut * np.max(np.abs(d))
-            # Workspace.contract is the same contraction bit for bit on the packed band
-            # coefficients of physical planes, then the roundoff scrub
-            X = rng.standard_normal((planes, n, n))
-            band = ws.transform.analyze(X, np.empty((planes,) + spectral.band_shape(grid), complex),
-                                        ws.transform.scratch(0, planes)[1])
-            ref = (ws.curl[:planes] * band).sum(axis=0)
-            ref[np.abs(ref) < 1e-12 * np.max(np.abs(band))] = 0.0
-            out = ws.contract(X, np.empty_like(ref))
-            assert np.array_equal(out, ref)
+        # Workspace.contract is the two-row contraction bit for bit on the packed band
+        # coefficients of two physical planes, then the roundoff scrub
+        X = rng.standard_normal((2, n, n))
+        band = ws.transform.analyze(X, np.empty((2,) + spectral.band_shape(grid), complex),
+                                    ws.transform.scratch(0, 2)[1])
+        ref = (ws.curl[:2] * band).sum(axis=0)
+        ref[np.abs(ref) < 1e-12 * np.max(np.abs(band))] = 0.0
+        out = ws.contract(X, np.empty_like(ref))
+        assert np.array_equal(out, ref)
 
     @pytest.mark.parametrize("n", [16, 32, 128])
     def test_div_is_lift_times_curl(self, n):

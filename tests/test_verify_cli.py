@@ -20,7 +20,7 @@ from gevrey_ns import (ConfigurationError, RunConfig, SpectralVelocity,
                        functionals, inner_l2, integrate, leray_project, make_grid,
                        make_initial_data, norm_grad_l2, norm_l2, norm_l4,
                        random_spectrum_field, spectral, taylor_green, verify)
-from gevrey_ns.cli import main
+from gevrey_ns.cli import _COMMANDS, main
 from gevrey_ns.functionals import theorem3_rhs, theorem_lhs
 from gevrey_ns.reporting import json_dumps
 from gevrey_ns.stokes import weighted_h_integral
@@ -249,13 +249,14 @@ class TestCheckTheorem:
         assert all(math.isfinite(r["lhs"]) for r in rep.rows)
 
     def test_thm1_zero_horizon_single_row(self):
-        doc = dict(THM1_CFG)
-        doc["t_end"] = 0.0
-        doc["snapshot_times"] = [0.0]
-        rep = check_theorem(1, config_from_dict(doc))
-        assert len(rep.rows) == 1
-        assert rep.rows[0]["margin"] == 0.0
-        assert rep.verdict
+        # a t = 0 row is an identity (lhs = rhs = |u0|^2), so a schedule of t = 0 alone
+        # is refused, whether listed or resolved from t_end = 0, and gives no verdict
+        doc = dict(THM1_CFG, t_end=0.0)
+        with pytest.raises(ConfigurationError, match="snapshot_times"):
+            config_from_dict(dict(doc, snapshot_times=[0.0]))
+        rep = check_theorem(1, config_from_dict(dict(doc, snapshot_times=None)))
+        assert rep.status == "error" and rep.rows == [] and not rep.verdict
+        assert rep.message == "t_end must be > 0 when snapshot_times is null, got 0.0"
 
     def test_thm2_depths_read_prefix_columns(self):
         # one theorem_lhs table serves every depth n: rows of depth n carry column
@@ -555,6 +556,9 @@ class TestConfig:
         pytest.param("alphas", [], id="alphas-empty"),
         # an empty list would read as [t_end] in stokes-verify and as t = 0 alone elsewhere
         pytest.param("snapshot_times", [], id="snapshot_times-empty"),
+        # t = 0 alone gives no verdict: every row there is an identity and the ledger
+        # has no interval
+        pytest.param("snapshot_times", [0.0], id="snapshot_times-zero-only"),
     ])
     def test_bad_field(self, key, bad):
         with pytest.raises(ConfigurationError, match=key):
@@ -866,6 +870,29 @@ class TestCli:
         assert captured.err == (f"error: {data['kind']} data leaves the double range: "
                                 "|u|^2 or |grad u|^2 underflows\n")
 
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_a_schedule_of_t_zero_alone_exits_2_with_one_line(self, tmp_path, capsys, command):
+        # snapshot_times [0.0] is refused when the config is read, before any work
+        out = tmp_path / "out"
+        cfg = self._write_cfg(tmp_path, dict(SMALL_BOUNDS[1], snapshot_times=[0.0]))
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == ("error: snapshot_times must be null or a list of finite numbers "
+                                ">= 0, one of them > 0, got [0.0]\n")
+
+    @pytest.mark.parametrize("command", ["stokes-verify", "ns-run", "check-thm1", "check-thm2",
+                                         "check-thm4", "fit-decay"])
+    def test_t_end_zero_leaves_no_schedule(self, tmp_path, capsys, command):
+        # a null snapshot_times with t_end = 0 would resolve to t = 0 alone (and
+        # stokes-verify's default to [t_end]): refused where the schedule is resolved
+        cfg = self._write_cfg(tmp_path, dict(SMALL_BASE, t_end=0.0, initial_data=_small_data(0.3),
+                                             c0={"mode": "fixed", "value": 0.2}))
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: t_end must be > 0 when snapshot_times is null, got 0.0\n"
+
     def test_thm3_names_an_underflowed_existence_time(self, tmp_path, capsys):
         # |u0| = 1e100 drives T0 to 0.0: the error names T0 and |u0|, not the window's step
         out = tmp_path / "out"
@@ -1114,7 +1141,7 @@ class TestStructuredErrors:
 
     # t_end / dt overflows in resolved_snapshots, then in integrate, then a snapshot time
     @pytest.mark.parametrize("doc", [
-        {"dt": 1e-320}, {"dt": 1e-320, "snapshot_times": [0.0]},
+        {"dt": 1e-320}, {"dt": 1e-320, "snapshot_times": [1.0]},
         {"dt": 1e-320, "t_end": 0.0, "snapshot_times": [0.0, 1.0]}])
     def test_step_count_overflow_is_a_configuration_error(self, doc):
         cfg = config_from_dict(doc)
