@@ -36,6 +36,7 @@ def _require(ok: bool, what: str, value) -> None:
 
 
 _STEP_BUDGET = 10 ** 6  # steps per run, about 60x the longest acceptance run (16 000)
+_SAMPLE_BUDGET = 1024  # C0 ascent starts per estimate: about 80 KiB each, 80 MiB in all
 
 
 def step_count(t: float, dt: float, what: str) -> int:
@@ -52,7 +53,8 @@ def step_count(t: float, dt: float, what: str) -> int:
 
 def _check_c0(c0) -> None:
     """Reject a c0 block that is not {"mode": "fixed", "value": v > 0 finite}
-    or {"mode": "estimate"} with optional n_samples >= 1 and ascent_steps >= 0."""
+    or {"mode": "estimate"} with optional 1 <= n_samples <= 1024 and ascent_steps >= 0
+    (no budget: a row stops at its first trial that gains less than 1e-4)."""
     if not isinstance(c0, dict):
         raise ConfigurationError(f"c0 must be an object, got {c0!r}")
     mode = c0.get("mode")
@@ -69,6 +71,9 @@ def _check_c0(c0) -> None:
         if key in c0:
             _require(_is_int(c0[key]) and c0[key] >= low,
                      f"c0 {key} must be an integer >= {low}", c0[key])
+    _require(c0.get("n_samples", 1) <= _SAMPLE_BUDGET,
+             f"c0 n_samples must be within the budget of {_SAMPLE_BUDGET} samples",
+             c0.get("n_samples"))
 
 
 def check_initial_data(spec) -> None:

@@ -24,7 +24,8 @@ from .spectral import (Grid, SpectralVelocity, make_grid, make_initial_data,
                        mode_energies, norm_l2, shear_flow, taylor_green)
 from .stokes import heat_modes
 
-_ASCENT_STEP = 0.2  # L2 length of each normalized C0 ascent step, on unit fields
+_RELAX = 1.5  # relaxation of the preconditioned C0 ascent step
+_RISE = 1e-4  # a C0 ascent row stops at its first trial that beats its best by less, relative
 _K_CAP = 8  # the C0 ascent's band |xi|_inf <= k_cap, clamped to n/2 - 1
 
 
@@ -38,7 +39,7 @@ class C0Estimate:
 
     value = max over samples of |z|_{L4}^2 / (|z|_{L2} |grad z|_{L2}) after
     ascent refinement; spectrum_signature is the shell energy profile of the
-    maximizing field.
+    maximizing field; trials holds each sample's ascent trials.
     """
 
     value: float
@@ -47,6 +48,7 @@ class C0Estimate:
     n_samples: int
     ascent_steps: int
     seed: int
+    trials: list[int]
 
 
 def _rayleigh_batch(g: Grid, band: spectral.BandDFT,
@@ -69,9 +71,11 @@ def _rayleigh_batch(g: Grid, band: spectral.BandDFT,
     return l4sq / np.sqrt(l2sq * g2sq), grad
 
 
-def _l2(g: Grid, Z: np.ndarray) -> np.ndarray:
-    """Per-row L2 norms, shape (S, 1, 1), of a stack of S vorticity planes."""
-    return np.sqrt(spectral.parseval(g, Z)[:, :1, None])
+def _unit_rows(g: Grid, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stack of S vorticity planes scaled to unit L2 rows, and the scaled rows'
+    |grad z|^2, shape (S, 1, 1)."""
+    l2sq, g2sq = spectral.parseval(g, Z).T[..., None, None]
+    return Z * (1.0 / np.sqrt(l2sq)), g2sq / l2sq
 
 
 def _capped_sample(grid: Grid, k_cap: int, seed_pair) -> SpectralVelocity:
@@ -100,19 +104,21 @@ def estimate_c0(grid: Grid, n_samples: int = 6, ascent_steps: int = 120,
 
     Starting fields are the shear mode, the cellular vortex (perturbed by a
     1e-3 random draw, so its ascent leaves the vortex's symmetric subspace
-    by design rather than by rounding), and random band-limited draws; each
-    is refined by normalized gradient ascent on the Rayleigh ratio,
-    constrained to |xi|_inf <= k_cap.  All starts are stepped together as
-    one (n_samples, n, n/2+1) stack of vorticity planes, so each ascent step
-    is one band synthesis and one band analysis (spectral.BandDFT, built
-    once per call) whatever n_samples is; each row keeps its own step, its
-    own best value, and stops where its gradient vanishes.  The ascent runs
-    on the cap grid of 2 k_cap + 2 modes, whose retained band is exactly the
-    cap box, so the result depends on grid only through the clamp
-    k_cap <= grid.n / 2 - 1 and is bit-identical for every n >= 2 k_cap + 2.
-    Deterministic per seed; the first k sample values do not depend on
-    n_samples >= k, so the estimate is nondecreasing in n_samples.  Raises
-    ConfigurationError if n_samples < 1.
+    by design rather than by rounding), and random band-limited draws.  Each
+    is refined on the Rayleigh ratio, constrained to |xi|_inf <= k_cap, by
+    Petviashvili's preconditioned iteration: z + 1.5 D^-1 grad, normalized,
+    with D = 1/|z|^2 + |xi|^2/|grad z|^2 the ratio's quadratic part.  A row
+    stops at its first trial that does not beat its best by 1e-4 relative (a
+    zero gradient included), or after ascent_steps trials; trials counts
+    them.  The live rows step together as one stack of vorticity planes, so
+    each trial is one band synthesis and one band analysis (spectral.BandDFT,
+    built once per call).  The ascent runs on the cap grid of 2 k_cap + 2
+    modes, whose retained band is exactly the cap box, so the result depends
+    on grid only through the clamp k_cap <= grid.n / 2 - 1 and is
+    bit-identical for every n >= 2 k_cap + 2.  Every rule is per row: the
+    estimate is deterministic per seed, and the first k sample values and
+    trials do not depend on n_samples >= k, so the estimate is nondecreasing
+    in n_samples.  Raises ConfigurationError if n_samples < 1.
     """
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
@@ -124,28 +130,31 @@ def estimate_c0(grid: Grid, n_samples: int = 6, ascent_steps: int = 120,
         # subspace; a small draw 1 (no random start uses index 1) moves it off
         starts.append(taylor_green(cg, 1.0) + 1e-3 * _capped_sample(cg, k_cap, [seed, 1]))
     starts += [_capped_sample(cg, k_cap, [seed, i]) for i in range(2, n_samples)]
-    Z = np.stack([z.w for z in starts])
-    Z *= 1.0 / _l2(cg, Z)
+    Z, g2sq = _unit_rows(cg, np.stack([z.w for z in starts]))
     band = spectral.band_dft(cg, 2 * cg.n)
     best, grad = _rayleigh_batch(cg, band, Z)
-    best_Z = Z
+    best_Z = Z.copy()
+    trials = np.zeros(n_samples, dtype=int)
+    rows = np.arange(n_samples)  # the live rows, which Z, grad and g2sq hold
     for _ in range(ascent_steps):
-        gn = _l2(cg, grad)
-        # a vanishing (or undefined) gradient stops its row: its step is discarded
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = _ASCENT_STEP / gn * grad + Z
-            step = step * (1.0 / _l2(cg, step))
-        Z = np.where(gn > 0.0, step, Z)
+        # on unit rows D = 1 + |xi|^2/|grad z|^2
+        Z, g2sq = _unit_rows(cg, Z + _RELAX * grad / (1.0 + cg.k_sq / g2sq))
         r, grad = _rayleigh_batch(cg, band, Z)
-        up = r > best
-        best = np.where(up, r, best)
-        best_Z = np.where(up[:, None, None], Z, best_Z)
+        trials[rows] += 1
+        last = best[rows]
+        up = r > last
+        best[rows[up]] = r[up]
+        best_Z[rows[up]] = Z[up]
+        go = r > (1.0 + _RISE) * last  # False for a zero (or NaN) gradient as well
+        if not go.any():
+            break
+        rows, Z, grad, g2sq = rows[go], Z[go], grad[go], g2sq[go]
     i = int(np.argmax(best))
     lams, E = mode_energies(SpectralVelocity(cg, best_Z[i]))
     shells = np.bincount(np.rint(np.sqrt(lams)).astype(int), weights=E)
     return C0Estimate(value=float(best[i]), sample_values=best.tolist(),
                       spectrum_signature=shells, n_samples=n_samples,
-                      ascent_steps=ascent_steps, seed=seed)
+                      ascent_steps=ascent_steps, seed=seed, trials=trials.tolist())
 
 
 def estimate_c0_from_config(config: RunConfig, grid: Grid) -> C0Estimate:
@@ -163,7 +172,8 @@ def resolve_c0(config: RunConfig, grid: Grid) -> tuple[float, dict]:
         return float(c0cfg["value"]), {"mode": "fixed", "value": float(c0cfg["value"])}
     est = estimate_c0_from_config(config, grid)
     return est.value, {"mode": "estimate", "value": est.value,
-                       "n_samples": est.n_samples, "ascent_steps": est.ascent_steps}
+                       "n_samples": est.n_samples, "ascent_steps": est.ascent_steps,
+                       "trials": est.trials}
 
 
 # ---------------------------------------------------------------------------

@@ -173,3 +173,17 @@ def band_calls(monkeypatch):
                 return out
             monkeypatch.setattr(cls, name, counted)
     return calls
+
+
+@pytest.fixture
+def rayleigh_rows(monkeypatch):
+    """The stack height of each verify._rayleigh_batch call made while the test runs; their
+    sum is the C0 ascent's row-evaluations."""
+    from gevrey_ns import verify
+    rows = []
+
+    def counted(g, band, Z, _kernel=verify._rayleigh_batch):
+        rows.append(len(Z))
+        return _kernel(g, band, Z)
+    monkeypatch.setattr(verify, "_rayleigh_batch", counted)
+    return rows

@@ -118,6 +118,33 @@ class TestEstimateC0:
         six = estimate_c0(grid, n_samples=6, ascent_steps=40, seed=1).sample_values
         assert estimate_c0(grid, n_samples=3, ascent_steps=40, seed=1).sample_values == six[:3]
 
+    # the fixed-length step's estimates (0.2 per step, all 120 steps) at the defaults,
+    # seeds 0-9; each stalled 1-4% below the cap-8 supremum 0.2321
+    FIXED_STEP = (0.227147201, 0.229397302, 0.225403224, 0.227317258, 0.227110924,
+                  0.222605389, 0.226712145, 0.229438071, 0.224736802, 0.222964617)
+
+    def test_defaults_converge_on_every_seed(self):
+        values = [estimate_c0(make_grid(32), seed=seed).value for seed in range(10)]
+        assert all(v >= old for v, old in zip(values, self.FIXED_STEP))
+        assert max(values) - min(values) <= 2e-3 * max(values)
+
+    def test_defaults_stop_within_the_trial_budget(self, rayleigh_rows):
+        # 6 starts plus at most 234 trial rows, against 6 x 121 = 726 for the full cap
+        for seed in range(10):
+            rayleigh_rows.clear()
+            est = estimate_c0(make_grid(32), seed=seed)
+            assert sum(rayleigh_rows) == 6 + sum(est.trials) <= 240
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sample_prefixes_survive_row_pruning(self, seed):
+        # rows stop at different trials, so each estimate prunes its batch differently
+        grid = make_grid(32)
+        runs = [estimate_c0(grid, n_samples=k, seed=seed) for k in range(1, 7)]
+        assert len(set(runs[-1].trials)) > 1
+        for k, est in enumerate(runs, start=1):
+            assert est.sample_values == runs[-1].sample_values[:k]
+            assert est.trials == runs[-1].trials[:k]
+
     def test_gradient_matches_central_difference(self):
         # every row of a batch against a central difference of its own log ratio
         from gevrey_ns.verify import _capped_sample
@@ -151,18 +178,22 @@ class TestEstimateC0:
         grid = make_grid(32)
         free = estimate_c0(grid, n_samples=4, ascent_steps=20, seed=0)
         kernel = verify._rayleigh_batch
-        first_rows = []
+        batches = []
 
         def first_row_stuck(g, band, Z):
-            first_rows.append(Z[0].copy())
+            # the starts' call: row 0, the shear start, gets a zero gradient
             r, grad = kernel(g, band, Z)
-            grad[0] = 0.0
+            if not batches:
+                grad[0] = 0.0
+            batches.append(len(Z))
             return r, grad
 
         monkeypatch.setattr(verify, "_rayleigh_batch", first_row_stuck)
         stuck = estimate_c0(grid, n_samples=4, ascent_steps=20, seed=0)
-        assert len(first_rows) == 21
-        assert all(np.array_equal(row, first_rows[0]) for row in first_rows)
+        assert stuck.trials[0] == 1 and stuck.trials[1:] == free.trials[1:]
+        # the stuck row rides in the first trial only, then the batch holds the others
+        assert batches[:2] == [4, 4] and max(batches[2:]) == 3
+        assert sum(batches) == 4 + sum(stuck.trials)
         shear = math.sqrt(1.5) / (2.0 * math.pi)  # the unmoved shear start's ratio
         assert stuck.sample_values[0] == pytest.approx(shear, rel=1e-14)
         assert stuck.sample_values[1:] == free.sample_values[1:]
@@ -186,13 +217,19 @@ class TestEstimateC0:
         z = taylor_green(cg, 1.0) + 1e-3 * _capped_sample(cg, 8, [0, 1])
         z = z * (1.0 / norm_l2(z))
         best, grad = ratio_and_gradient(z)
-        for _ in range(120):
-            z = z + (0.2 / norm_l2(grad)) * grad
+        for trials in range(1, 121):
+            # the step 1.5 D^-1 grad, D = 1/|z|^2 + |xi|^2/|grad z|^2 mode by mode
+            d = 1.0 / norm_l2(z) ** 2 + cg.k_sq / norm_grad_l2(z) ** 2
+            z = z + SpectralVelocity(cg, 1.5 * grad.w / d)
             z = z * (1.0 / norm_l2(z))
             r, grad = ratio_and_gradient(z)
+            rose = r > (1.0 + 1e-4) * best
             best = max(best, r)
+            if not rose:
+                break
         est = estimate_c0(make_grid(32), n_samples=2, seed=0)
         assert est.sample_values[1] == pytest.approx(best, rel=1e-9)
+        assert est.trials[1] == trials < 120
 
     @pytest.mark.parametrize("k_cap", range(3, 9))
     def test_capped_sample_matches_the_per_mode_draw(self, k_cap):
@@ -524,6 +561,13 @@ class TestConfig:
         assert config_from_dict({"c0": {"mode": "estimate"}}).c0 == {"mode": "estimate"}
         assert config_from_dict({"c0": {"mode": "estimate", "ascent_steps": 0}})
 
+    def test_c0_n_samples_budget(self):
+        # the budget, 1024 starts, is about 80 MiB of ascent arrays held at once
+        assert config_from_dict({"c0": {"mode": "estimate", "n_samples": 1024}})
+        for n_samples in (1025, 10 ** 5):
+            with pytest.raises(ConfigurationError, match="n_samples .* budget of 1024"):
+                config_from_dict({"c0": {"mode": "estimate", "n_samples": n_samples}})
+
     def test_bad_alphas(self):
         with pytest.raises(ConfigurationError, match="alphas"):
             config_from_dict({"alphas": [1.0, -2.0]})
@@ -713,6 +757,18 @@ class TestCli:
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    @pytest.mark.parametrize("command, doc", [
+        *(pytest.param(f"check-thm{i}", SMALL_BOUNDS[i], id=f"check-thm{i}") for i in range(1, 5)),
+        pytest.param("estimate-c0", SMALL_BASE, id="estimate-c0")])
+    def test_reports_carry_the_ascent_trials(self, tmp_path, command, doc):
+        doc = dict(doc, c0={"mode": "estimate", "n_samples": 3, "ascent_steps": 20})
+        out = tmp_path / "out"
+        main([command, "--config", self._write_cfg(tmp_path, doc), "--out", str(out)])
+        report = json.loads((out / "report.json").read_text())
+        trials = estimate_c0(make_grid(16), n_samples=3, ascent_steps=20).trials
+        assert (report if command == "estimate-c0" else report["params"]["c0"])["trials"] == trials
+        assert all(1 <= t <= 20 for t in trials)
+
     def test_thm2_functionals_csv_holds_the_orders_it_stacked(self, tmp_path):
         # n_max = 2 stacks to K_used = 3, so the orders stop at 2 K_used - 1 = 5
         out = tmp_path / "out"
@@ -808,6 +864,15 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "n_samples" in captured.err
+
+    def test_c0_n_samples_past_the_budget_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "estimate_c0", lambda *a, **kw: pytest.fail("estimated"))
+        cfg = self._write_cfg(tmp_path, {"c0": {"mode": "estimate", "n_samples": 10 ** 5}})
+        for command in ("estimate-c0", "check-thm3"):
+            assert main([command, "--config", cfg]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert captured.err.startswith("error: c0 n_samples")
 
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["stokes-verify", "--frobnicate"]) == 2
@@ -1004,7 +1069,7 @@ class TestCli:
         assert "on [0.5, 1.0]" in capsys.readouterr().out
         assert main(["check-thm4"]) == 2
         assert capsys.readouterr().out == (
-            "check-thm4: N/A (admissible origin t0 = 2.5 lies beyond the horizon 1.0; "
+            "check-thm4: N/A (admissible origin t0 = 2.53 lies beyond the horizon 1.0; "
             "no snapshots to check)\n")
 
     def test_fit_decay_runs(self, tmp_path, capsys):
