@@ -33,12 +33,11 @@ _STOKES_RTOL = 1e-8  # its tolerance per unit energy, on top of the Poisson tail
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gevrey-ns",
                                      description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--json", action="store_true", help="print report JSON to stdout")
+    parser.add_argument("command", metavar="subcommand", choices=_COMMANDS,
+                        help=", ".join(_COMMANDS))
+    parser.add_argument("--config", type=str, default=None, help="JSON config file")
+    parser.add_argument("--out", type=str, default=None, help="output directory")
+    parser.add_argument("--json", action="store_true", help="print report JSON to stdout")
     return parser
 
 

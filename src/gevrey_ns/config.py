@@ -37,6 +37,7 @@ def _require(ok: bool, what: str, value) -> None:
 
 _STEP_BUDGET = 10 ** 6  # steps per run, about 60x the longest acceptance run (16 000)
 _SAMPLE_BUDGET = 1024  # C0 ascent starts per estimate: about 80 KiB each, 80 MiB in all
+_DEPTH_BUDGET = 256  # stack depth K, 10x the deepest stack the tests build (K = 24)
 
 
 def step_count(t: float, dt: float, what: str) -> int:
@@ -119,9 +120,9 @@ class RunConfig:
             horizon for T0.
             Bound 3 reads dt as the largest step on its window [0, T0],
             makes its own 9 snapshot times and ignores snapshot_times.
-        stack_depth: derivative stack depth K at each snapshot (no cap; the
-            stack is built in scaled variables).  Bound 2 stacks only to
-            min(K, theorem2_n_max + 1), the depth its rows read.
+        stack_depth: derivative stack depth K <= 256 at each snapshot (a
+            memory budget: the scaled variables need no numerical cap).  Bound 2
+            stacks only to min(K, theorem2_n_max + 1), the depth its rows read.
         alphas: weight exponents, at least one; exactly one for a check or a run.
         seed: seed of the C0 ascent's random starts and of audit-lemmas'
             convolution trials; random initial data read initial_data's seed.
@@ -165,6 +166,8 @@ class RunConfig:
                  "> 0", snaps)
         _require(_is_int(self.stack_depth) and self.stack_depth >= 0,
                  "stack_depth must be an integer >= 0", self.stack_depth)
+        _require(self.stack_depth <= _DEPTH_BUDGET,
+                 f"stack_depth must be within the budget of {_DEPTH_BUDGET}", self.stack_depth)
         _require(isinstance(self.alphas, tuple) and len(self.alphas) >= 1
                  and all(_is_real(a) and a > 0 for a in self.alphas),
                  "alphas must be a non-empty list of finite numbers > 0", self.alphas)

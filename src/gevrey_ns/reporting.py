@@ -15,13 +15,9 @@ import numpy as np
 
 
 def _fmt_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == float("inf"):
-        return "Infinity"
-    if x == float("-inf"):
-        return "-Infinity"
-    return format(float(x), ".17g")
+    if math.isfinite(x):
+        return format(x, ".17g")
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
 
 
 def plain(obj):
@@ -72,10 +68,12 @@ def write_trajectory_csv(traj, path: str | Path) -> Path:
 
 
 def write_functionals_csv(series, alpha: float, path: str | Path) -> Path:
-    tables = (series.L_raw, series.H_raw, series.L_tilde, series.H_tilde,
-              *series.normalized(alpha))
-    rows = [(t, m, *(c[i, m] for c in tables))
-            for i, t in enumerate(series.times) for m in range(series.M + 1)]
+    # the six tables stacked into one (T, M + 1, 6) table of Python floats
+    table = np.stack((series.L_raw, series.H_raw, series.L_tilde, series.H_tilde,
+                      *series.normalized(alpha)), axis=-1).tolist()
+    rows = [(t, m, *cells)
+            for t, row in zip(np.asarray(series.times, dtype=float).tolist(), table)
+            for m, cells in enumerate(row)]
     return _write_csv(Path(path),
                       ["t", "m", "L_raw", "H_raw", "L_tilde", "H_tilde", "L_c", "H_c"],
                       rows)

@@ -11,6 +11,8 @@ from gevrey_ns import (ConfigurationError, IntegrationError, SpectralVelocity,
                        norm_grad_l2, norm_l2, random_spectrum_field, run, solver, spectral,
                        step, taylor_green, validate_field)
 from gevrey_ns.config import RunConfig
+from gevrey_ns.derivatives import time_derivative_stack
+from gevrey_ns.functionals import raw_functionals
 
 SQRT2_PI = np.pi * np.sqrt(2.0)
 
@@ -77,8 +79,8 @@ class TestStep:
             assert {(k, shape[-2:]) for _, k, shape in band_calls} == {(kind, (n, n))}
 
     def test_a_warmed_step_allocates_less_than_one_plane(self):
-        # one pass of integrate's loop on packed band planes: the step in place, then the
-        # band unpacked into the state's plane for the ledger's Parseval sums
+        # one pass of integrate's loop on packed band planes: the step in place, the floor on
+        # its parts, then the band unpacked into the state's plane for the ledger's Parseval sums
         for n in (32, 128):
             grid = make_grid(n)
             u = random_spectrum_field(grid, 2.0, 8, seed=n, l2_norm=1.0)
@@ -88,12 +90,14 @@ class TestStep:
             planes = np.empty((6,) + shape, dtype=complex)  # as integrate allocates them
             w = u.w.copy()
             band = spectral.pack(grid, w)
+            floor = solver._flush_scratch(band)  # as integrate allocates it
             assert band.shape == coef[0].shape == shape
             solver._advance(ws, band, coef, planes)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
                 solver._advance(ws, band, coef, planes)
+                solver._flush(band, *floor)
                 spectral.unpack(grid, band, w)
                 spectral.parseval(grid, w)
                 peak = tracemalloc.get_traced_memory()[1]
@@ -205,6 +209,54 @@ class TestIntegrate:
                         initial_data={"kind": "taylor_green", "amplitude": 1.0})
         traj = run(cfg)
         assert len(traj.fields) == 2
+
+
+def _thm1_like_run():
+    """The thm1 bench's run: n = 32, dt 0.005 to t = 5, decay-2 data at |u0| 0.43, with each
+    snapshot's functionals at K = 8 and at K = 48, near the deepest stack (K = 55 at n = 32)
+    that the floor's argument covers."""
+    u0 = random_spectrum_field(make_grid(32), 2.0, 8, seed=0, l2_norm=0.43)
+    traj = integrate(u0, 0.005, 5.0)
+    stacks = [raw_functionals(time_derivative_stack(u, K, t))
+              for t, u in zip(traj.times[1:], traj.fields[1:]) for K in (8, 48)]
+    return traj, stacks
+
+
+@pytest.fixture(scope="module")
+def floored_and_bare():
+    """The thm1-like run with the subnormal floor, and with solver._FLOOR set to 0."""
+    floored = _thm1_like_run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_FLOOR", 0.0)
+        bare = _thm1_like_run()
+    return floored, bare
+
+
+class TestSubnormalFloor:
+    def test_no_snapshot_holds_a_subnormal_part(self, floored_and_bare):
+        (traj, _), (bare, _) = floored_and_bare
+        tiny = np.finfo(float).tiny
+
+        def subnormal_parts(t):
+            xs = [u.w.view(float) for u in t.fields]
+            return [int(np.count_nonzero((x != 0) & (np.abs(x) < tiny))) for x in xs]
+
+        assert sum(subnormal_parts(bare)) > 0  # the run does reach the subnormal range
+        assert subnormal_parts(traj) == [0] * len(traj.fields)
+
+    def test_the_floor_moves_no_reported_number(self, floored_and_bare):
+        (traj, stacks), (bare, bare_stacks) = floored_and_bare
+        assert traj.times == bare.times
+        assert traj.grad_sq == bare.grad_sq and traj.l2_sq == bare.l2_sq
+        assert traj.dissipation == bare.dissipation
+        assert traj.max_step_defect == bare.max_step_defect
+        for (L, H), (bL, bH) in zip(stacks, bare_stacks):
+            assert np.array_equal(L, bL) and np.array_equal(H, bH)
+
+    def test_states_differ_by_less_than_the_floor(self, floored_and_bare):
+        (traj, _), (bare, _) = floored_and_bare
+        for u, v in zip(traj.fields, bare.fields):
+            assert np.max(np.abs(u.w.view(float) - v.w.view(float))) < solver._FLOOR
 
 
 class TestEnergyLedger:

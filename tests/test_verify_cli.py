@@ -22,6 +22,7 @@ from gevrey_ns import (ConfigurationError, RunConfig, SpectralVelocity,
                        random_spectrum_field, spectral, taylor_green, verify)
 from gevrey_ns.cli import _COMMANDS, main
 from gevrey_ns.functionals import theorem3_rhs, theorem_lhs
+from gevrey_ns import reporting
 from gevrey_ns.reporting import json_dumps
 from gevrey_ns.stokes import weighted_h_integral
 
@@ -561,6 +562,13 @@ class TestConfig:
         assert config_from_dict({"c0": {"mode": "estimate"}}).c0 == {"mode": "estimate"}
         assert config_from_dict({"c0": {"mode": "estimate", "ascent_steps": 0}})
 
+    def test_stack_depth_budget(self):
+        # the budget, 256, is 10x the deepest stack the tests build; refused before any stack
+        assert config_from_dict({"stack_depth": 256}).stack_depth == 256
+        for depth in (257, 10 ** 15):
+            with pytest.raises(ConfigurationError, match="stack_depth .* budget of 256"):
+                config_from_dict({"stack_depth": depth})
+
     def test_c0_n_samples_budget(self):
         # the budget, 1024 starts, is about 80 MiB of ascent arrays held at once
         assert config_from_dict({"c0": {"mode": "estimate", "n_samples": 1024}})
@@ -652,6 +660,32 @@ class TestReportingFormat:
         assert back["y"] == [1e-300, 2.5, None]
         assert back["s"] == 'a"b'
         assert back["z"] == [0.1, 3, True, [None]]
+
+    def test_functionals_csv_matches_the_cell_by_cell_writer(self, tmp_path):
+        # write_functionals_csv formats one stacked float table; the reference indexes the six
+        # tables cell by cell and spells each numpy scalar as the writer always has, NaN and
+        # +-inf included
+        rng = np.random.default_rng(4)
+        L, H = rng.lognormal(size=(2, 3, 6)) * np.array([1.0, 1e-300, 1e300])[:, None]
+        L[1, 2], L[2, 5], H[0, 3], H[2, 0] = np.nan, np.inf, -np.inf, 0.0
+        series = functionals.FunctionalSeries(times=np.array([0.0, 0.25, 1.0 / 3.0]),
+                                              L_tilde=L, H_tilde=H)
+        tables = (series.L_raw, series.H_raw, series.L_tilde, series.H_tilde,
+                  *series.normalized(1.0))
+
+        def cell(v):
+            v = float(v)
+            if v != v:
+                return "NaN"
+            return {math.inf: "Infinity", -math.inf: "-Infinity"}.get(v, format(v, ".17g"))
+
+        lines = ["t,m,L_raw,H_raw,L_tilde,H_tilde,L_c,H_c"]
+        lines += [",".join((cell(t), str(m), *(cell(c[i, m]) for c in tables)))
+                  for i, t in enumerate(series.times) for m in range(series.M + 1)]
+        ref = ("\n".join(lines) + "\n").encode()
+        out = reporting.write_functionals_csv(series, 1.0, tmp_path / "f.csv").read_bytes()
+        assert b"NaN" in ref and b",Infinity" in ref and b"-Infinity" in ref
+        assert out == ref
 
     def test_deterministic_key_order(self):
         assert json_dumps({"b": 1, "a": 2}) == json_dumps({"b": 1, "a": 2})
@@ -873,6 +907,13 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.count("\n") == 1
             assert captured.err.startswith("error: c0 n_samples")
+
+    def test_stack_depth_past_the_budget_exits_2(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path, dict(SMALL_BOUNDS[1], n=8, stack_depth=10 ** 15))
+        assert main(["check-thm1", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: stack_depth must be within the budget of 256")
 
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["stokes-verify", "--frobnicate"]) == 2
