@@ -13,7 +13,7 @@ C0 = 0.227
 base = {
     "n": 32, "dt": 0.005, "t_end": 2.0,
     "snapshot_times": [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0],
-    "stack_depth": 8, "alphas": [1.0],
+    "stack_depth": 8, "alpha": 1.0,
     "c0": {"mode": "fixed", "value": C0},
 }
 

@@ -7,7 +7,8 @@ the corrected form 2^(-a min(j, k-j)) survives exhaustive enumeration.
 The l^{4/3} x l^{4/3} x l^2 convolution pairing never exceeds its bound.
 """
 
-from gevrey_ns import estimate_c0, lemma_audit_ccc0, lemma_audit_convolution, make_grid
+from gevrey_ns import config_from_dict, lemma_audit_ccc0, lemma_audit_convolution
+from gevrey_ns.verify import estimate_c0_from_config
 
 audit = lemma_audit_ccc0(k_max=20, alphas=[0.5, 1.0, 2.0])
 print(f"factorial-ratio audit to k = 20: {len(audit.rows)} rows")
@@ -23,8 +24,10 @@ print(f"\nconvolution inequality, {conv.trials} random triples: "
       f"worst pairing/bound ratio {conv.worst_ratio:.12f}")
 
 print("\nempirical interpolation constant (preconditioned gradient ascent on the "
-      "Rayleigh ratio):")
+      "Rayleigh ratio), as runs on two grids read it:")
 for n in (32, 64):
-    est = estimate_c0(make_grid(n), n_samples=5, ascent_steps=80, seed=0)
+    cfg = config_from_dict({"n": n, "c0": {"mode": "estimate", "n_samples": 5,
+                                           "ascent_steps": 80}})
+    est = estimate_c0_from_config(cfg)
     print(f"  n={n}: C0 ~ {est.value:.6f}  "
           f"(trials per start {est.trials}, at most {est.ascent_steps})")

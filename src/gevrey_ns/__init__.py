@@ -14,11 +14,11 @@ from .functionals import (Ccc0Audit, ConvolutionAudit, DecayFit, FunctionalSerie
                           theorem_lhs)
 from .solver import (EnergyLedger, Trajectory, cfl_limit, energy_ledger,
                      integrate, run, step)
-from .spectral import (Grid, SpectralVelocity, from_lattice, hermitian_defect, inner_l2,
+from .spectral import (Grid, SpectralVelocity, from_lattice, hermitian_defect,
                        leray_project, make_grid, make_initial_data, mode_energies,
-                       nonlinear_symmetric, nonlinear_term, norm_grad_l2, norm_l2, norm_l4,
-                       parseval, random_spectrum_field, shear_flow, taylor_green,
-                       to_physical, validate_field)
+                       nonlinear_symmetric, nonlinear_term, norm_l2, norm_l4, parseval,
+                       random_spectrum_field, shear_flow, taylor_green, to_physical,
+                       validate_field)
 from .stokes import (HeatModes, StokesIdentityReport, heat_evolve, heat_modes,
                      stokes_gevrey_identity, weighted_h_integral)
 from .verify import C0Estimate, TheoremReport, check_theorem, estimate_c0

@@ -79,14 +79,13 @@ def _cmd_stokes_verify(args, cfg: RunConfig) -> int:
 
 
 def _cmd_estimate_c0(args, cfg: RunConfig) -> int:
-    est = estimate_c0_from_config(cfg, make_grid(cfg.n))
+    est = estimate_c0_from_config(cfg)
     _emit(args, {"check": "estimate-c0", **dataclasses.asdict(est)})
     print(f"estimate-c0: C0 ~ {est.value:.6f} over {est.n_samples} samples")
     return 0
 
 
 def _cmd_ns_run(args, cfg: RunConfig) -> int:
-    alpha = cfg.alpha
     traj = run(cfg)
     ledger = energy_ledger(traj)
     ok = ledger.defect <= ledger.tolerance
@@ -95,7 +94,7 @@ def _cmd_ns_run(args, cfg: RunConfig) -> int:
            "ledger_quadrature_error": float(abs(ledger.quadrature).max()),
            "ledger_tolerance": ledger.tolerance}
     series = stack_series(traj, cfg.stack_depth) if args.out and cfg.stack_depth >= 1 else None
-    _emit(args, doc, traj, series, alpha)
+    _emit(args, doc, traj, series, cfg.alpha)
     print(f"ns-run: {'PASS' if ok else 'FAIL'} (energy ledger residual {ledger.max_abs:.3e}, "
           f"unexplained by quadrature {ledger.defect:.3e}, tol {ledger.tolerance:.1e})")
     return 0 if ok else 1
@@ -117,7 +116,7 @@ def _cmd_check_thm(args, cfg: RunConfig) -> int:
 
 
 def _cmd_audit_lemmas(args, cfg: RunConfig) -> int:
-    ccc0 = lemma_audit_ccc0(20, list(cfg.alphas))
+    ccc0 = lemma_audit_ccc0(20, [cfg.alpha])
     conv = lemma_audit_convolution(10_000, 32, cfg.seed)
     conv_ok = conv.worst_ratio <= 1.0 + 1e-12
     corrected_ok = not ccc0.corrected_violations

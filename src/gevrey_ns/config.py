@@ -38,6 +38,9 @@ def _require(ok: bool, what: str, value) -> None:
 _STEP_BUDGET = 10 ** 6  # steps per run, about 60x the longest acceptance run (16 000)
 _SAMPLE_BUDGET = 1024  # C0 ascent starts per estimate: about 80 KiB each, 80 MiB in all
 _DEPTH_BUDGET = 256  # stack depth K, 10x the deepest stack the tests build (K = 24)
+# grid modes n per dimension, 4x the largest grid any test, demo or workload uses (128); at
+# the depth budget a stack's physical planes take 1.07 GB and its table 0.54 GB
+_GRID_BUDGET = 512
 
 
 def step_count(t: float, dt: float, what: str) -> int:
@@ -112,18 +115,20 @@ class RunConfig:
     """Experiment description consumed by the solver and the verifier.
 
     Fields:
-        n: grid modes per dimension.
+        n: grid modes per dimension, even, 8 <= n <= 512 (a memory budget).
         dt, t_end: step size and horizon, at most 10^6 steps; snapshot_times,
             null or a list with a time above 0, must be multiples of dt (null: 11
-            uniform snapshots including 0 and t_end, so t_end > 0 when a schedule
-            is resolved: t = 0 alone gives no verdict).  t_end is also bound 3's
+            uniform snapshots including 0 and t_end).  A resolved schedule must
+            reach a step above 0 (t_end > 0 for null, and a listed time at step
+            >= 1): t = 0 alone gives no verdict.  t_end is also bound 3's
             horizon for T0.
             Bound 3 reads dt as the largest step on its window [0, T0],
             makes its own 9 snapshot times and ignores snapshot_times.
         stack_depth: derivative stack depth K <= 256 at each snapshot (a
             memory budget: the scaled variables need no numerical cap).  Bound 2
             stacks only to min(K, theorem2_n_max + 1), the depth its rows read.
-        alphas: weight exponents, at least one; exactly one for a check or a run.
+        alpha: the Gevrey weight exponent of (k!)^alpha, a finite number > 0;
+            audit-lemmas audits it alone.
         seed: seed of the C0 ascent's random starts and of audit-lemmas'
             convolution trials; random initial data read initial_data's seed.
         initial_data: spec dict for make_initial_data.
@@ -144,7 +149,7 @@ class RunConfig:
     t_end: float = 1.0
     snapshot_times: list[float] | None = None
     stack_depth: int = 8
-    alphas: tuple[float, ...] = (1.0,)
+    alpha: float = 1.0
     seed: int = 0
     initial_data: dict = field(default_factory=lambda: {"kind": "taylor_green", "amplitude": 1.0})
     c0: dict = field(default_factory=lambda: {"mode": "estimate"})
@@ -153,8 +158,8 @@ class RunConfig:
     gamma: float | None = None
 
     def __post_init__(self):
-        _require(_is_int(self.n) and self.n >= 8 and self.n % 2 == 0,
-                 "n must be an even integer >= 8", self.n)
+        _require(_is_int(self.n) and 8 <= self.n <= _GRID_BUDGET and self.n % 2 == 0,
+                 f"n must be an even integer >= 8 within the budget of {_GRID_BUDGET}", self.n)
         _require(_is_real(self.dt) and self.dt > 0, "dt must be a finite number > 0", self.dt)
         _require(_is_real(self.t_end) and self.t_end >= 0,
                  "t_end must be a finite number >= 0", self.t_end)
@@ -168,9 +173,8 @@ class RunConfig:
                  "stack_depth must be an integer >= 0", self.stack_depth)
         _require(self.stack_depth <= _DEPTH_BUDGET,
                  f"stack_depth must be within the budget of {_DEPTH_BUDGET}", self.stack_depth)
-        _require(isinstance(self.alphas, tuple) and len(self.alphas) >= 1
-                 and all(_is_real(a) and a > 0 for a in self.alphas),
-                 "alphas must be a non-empty list of finite numbers > 0", self.alphas)
+        _require(_is_real(self.alpha) and self.alpha > 0,
+                 "alpha must be a finite number > 0", self.alpha)
         _require(_is_int(self.seed) and self.seed >= 0, "seed must be an integer >= 0", self.seed)
         check_initial_data(self.initial_data)
         _check_c0(self.c0)
@@ -183,19 +187,17 @@ class RunConfig:
         _require(self.gamma is None or (_is_real(self.gamma) and self.gamma > 0),
                  "gamma must be null or a finite number > 0", self.gamma)
 
-    @property
-    def alpha(self) -> float:
-        """The one weight exponent of a bound check or a run."""
-        _require(len(self.alphas) == 1, "alphas must hold exactly one value", list(self.alphas))
-        return self.alphas[0]
-
     def horizon(self) -> float:
         """t_end as the end of a resolved schedule, refused when 0: t = 0 gives no verdict."""
         _require(self.t_end > 0, "t_end must be > 0 when snapshot_times is null", self.t_end)
         return self.t_end
 
     def resolved_snapshots(self) -> list[float]:
+        """The snapshot times of a run, refused when every one resolves to step 0."""
         if self.snapshot_times is not None:
+            steps = [step_count(s, self.dt, f"snapshot time {s!r}") for s in self.snapshot_times]
+            _require(max(steps) > 0, f"snapshot_times must reach a step > 0 at dt={self.dt!r} "
+                     "(t = 0 alone gives no verdict)", self.snapshot_times)
             return list(self.snapshot_times)
         n_steps = step_count(self.horizon(), self.dt, f"t_end={self.t_end!r}")
         stride = max(1, n_steps // 10)
@@ -216,9 +218,8 @@ def config_from_dict(doc: dict) -> RunConfig:
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
     kwargs = dict(doc)
-    for key in ("alphas", "decay_window"):
-        if isinstance(kwargs.get(key), list):
-            kwargs[key] = tuple(kwargs[key])
+    if isinstance(kwargs.get("decay_window"), list):
+        kwargs["decay_window"] = tuple(kwargs["decay_window"])
     return RunConfig(**kwargs)
 
 

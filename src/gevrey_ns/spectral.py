@@ -479,11 +479,6 @@ def norm_l2(v: SpectralVelocity) -> float:
     return float(np.sqrt(parseval(v.grid, v.w)[0]))
 
 
-def norm_grad_l2(v: SpectralVelocity) -> float:
-    """L2 norm of the gradient: (2pi)^2 sum |omegahat|^2, square-rooted."""
-    return float(np.sqrt(parseval(v.grid, v.w)[1]))
-
-
 def l4_quadrature(band: BandDFT, grid: Grid,
                   w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(U, q, |u|_{L4}^2) of the fields of vorticity planes w (..., n, n/2+1) on band's m-grid.
@@ -502,12 +497,6 @@ def l4_quadrature(band: BandDFT, grid: Grid,
 def norm_l4(v: SpectralVelocity) -> float:
     """L4 norm by l4_quadrature on the 2n x 2n physical grid."""
     return float(np.sqrt(l4_quadrature(band_dft(v.grid, 2 * v.grid.n), v.grid, v.w)[2]))
-
-
-def inner_l2(a: SpectralVelocity, b: SpectralVelocity) -> float:
-    """Parseval inner product int a . b dx."""
-    _require_same_grid(a, b)
-    return float(parseval(a.grid, a.w, b.w)[0])
 
 
 class Workspace:

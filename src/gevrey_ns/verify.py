@@ -26,7 +26,7 @@ from .stokes import heat_modes
 
 _RELAX = 1.5  # relaxation of the preconditioned C0 ascent step
 _RISE = 1e-4  # a C0 ascent row stops at its first trial that beats its best by less, relative
-_K_CAP = 8  # the C0 ascent's band |xi|_inf <= k_cap, clamped to n/2 - 1
+_K_CAP = 8  # the C0 ascent's band |xi|_inf <= k_cap, on its own grid of 2 k_cap + 2 modes
 
 
 # ---------------------------------------------------------------------------
@@ -98,38 +98,35 @@ def _capped_sample(grid: Grid, k_cap: int, seed_pair) -> SpectralVelocity:
     return spectral.from_lattice(grid, u)
 
 
-def estimate_c0(grid: Grid, n_samples: int = 6, ascent_steps: int = 120,
-                seed: int = 0) -> C0Estimate:
+def estimate_c0(n_samples: int = 6, ascent_steps: int = 120, seed: int = 0) -> C0Estimate:
     """Estimate the optimal constant in |z|_{L4}^2 <= C0 |z|_{L2} |grad z|_{L2}.
 
     Starting fields are the shear mode, the cellular vortex (perturbed by a
     1e-3 random draw, so its ascent leaves the vortex's symmetric subspace
     by design rather than by rounding), and random band-limited draws.  Each
-    is refined on the Rayleigh ratio, constrained to |xi|_inf <= k_cap, by
+    is refined on the Rayleigh ratio, constrained to |xi|_inf <= _K_CAP, by
     Petviashvili's preconditioned iteration: z + 1.5 D^-1 grad, normalized,
     with D = 1/|z|^2 + |xi|^2/|grad z|^2 the ratio's quadratic part.  A row
     stops at its first trial that does not beat its best by 1e-4 relative (a
     zero gradient included), or after ascent_steps trials; trials counts
     them.  The live rows step together as one stack of vorticity planes, so
     each trial is one band synthesis and one band analysis (spectral.BandDFT,
-    built once per call).  The ascent runs on the cap grid of 2 k_cap + 2
-    modes, whose retained band is exactly the cap box, so the result depends
-    on grid only through the clamp k_cap <= grid.n / 2 - 1 and is
-    bit-identical for every n >= 2 k_cap + 2.  Every rule is per row: the
-    estimate is deterministic per seed, and the first k sample values and
+    built once per call).  The ascent runs on its own cap grid of 2 _K_CAP + 2
+    modes, whose retained band is exactly the cap box: C0 belongs to the
+    continuum, so no run's grid enters the estimate.  Every rule is per row:
+    the estimate is deterministic per seed, and the first k sample values and
     trials do not depend on n_samples >= k, so the estimate is nondecreasing
     in n_samples.  Raises ConfigurationError if n_samples < 1.
     """
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
-    k_cap = min(_K_CAP, grid.n // 2 - 1)  # >= 3, since make_grid requires n >= 8
-    cg = make_grid(2 * k_cap + 2)
+    cg = make_grid(2 * _K_CAP + 2)
     starts = [shear_flow(cg, 1.0)]
     if n_samples >= 2:
         # the vortex is a critical point of the ratio on its symmetric
         # subspace; a small draw 1 (no random start uses index 1) moves it off
-        starts.append(taylor_green(cg, 1.0) + 1e-3 * _capped_sample(cg, k_cap, [seed, 1]))
-    starts += [_capped_sample(cg, k_cap, [seed, i]) for i in range(2, n_samples)]
+        starts.append(taylor_green(cg, 1.0) + 1e-3 * _capped_sample(cg, _K_CAP, [seed, 1]))
+    starts += [_capped_sample(cg, _K_CAP, [seed, i]) for i in range(2, n_samples)]
     Z, g2sq = _unit_rows(cg, np.stack([z.w for z in starts]))
     band = spectral.band_dft(cg, 2 * cg.n)
     best, grad = _rayleigh_batch(cg, band, Z)
@@ -157,20 +154,20 @@ def estimate_c0(grid: Grid, n_samples: int = 6, ascent_steps: int = 120,
                       ascent_steps=ascent_steps, seed=seed, trials=trials.tolist())
 
 
-def estimate_c0_from_config(config: RunConfig, grid: Grid) -> C0Estimate:
+def estimate_c0_from_config(config: RunConfig) -> C0Estimate:
     """estimate_c0 on the config's estimate block; absent keys take its defaults."""
     opts = dict(config.c0)
     if opts.pop("mode") != "estimate":
         raise ConfigurationError(f"estimating C0 needs c0 mode 'estimate', got {config.c0!r}")
-    return estimate_c0(grid, seed=config.seed, **opts)
+    return estimate_c0(seed=config.seed, **opts)
 
 
-def resolve_c0(config: RunConfig, grid: Grid) -> tuple[float, dict]:
+def resolve_c0(config: RunConfig) -> tuple[float, dict]:
     """Fixed value or fresh estimate per the config's c0 block."""
     c0cfg = config.c0
     if c0cfg["mode"] == "fixed":
         return float(c0cfg["value"]), {"mode": "fixed", "value": float(c0cfg["value"])}
-    est = estimate_c0_from_config(config, grid)
+    est = estimate_c0_from_config(config)
     return est.value, {"mode": "estimate", "value": est.value,
                        "n_samples": est.n_samples, "ascent_steps": est.ascent_steps,
                        "trials": est.trials}
@@ -267,10 +264,9 @@ def check_theorem(theorem_id: int, config: RunConfig) -> TheoremReport:
     if config.stack_depth < 1:
         raise ConfigurationError(f"check-thm{theorem_id} needs stack_depth >= 1 (every bound "
                                  f"carries L~_1, which needs u_t), got {config.stack_depth}")
-    grid = make_grid(config.n)
-    u0 = make_initial_data(grid, config.initial_data)
+    u0 = make_initial_data(make_grid(config.n), config.initial_data)
     alpha = config.alpha
-    c0, c0_info = resolve_c0(config, grid)
+    c0, c0_info = resolve_c0(config)
     u0n = norm_l2(u0)
     params = {"alpha": alpha, "c0": c0_info, "u0_l2": u0n, "seed": config.seed,
               "K": config.stack_depth, "n_grid": config.n}

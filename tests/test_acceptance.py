@@ -15,6 +15,7 @@ from gevrey_ns import (c_alpha, check_theorem, config_from_dict,
                        make_grid, norm_l2, random_spectrum_field, shear_flow,
                        stokes_gevrey_identity, taylor_green,
                        time_derivative_stack)
+from gevrey_ns.verify import resolve_c0
 
 SQRT2_PI = np.pi * np.sqrt(2.0)
 
@@ -26,7 +27,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def c0_estimate():
-    return estimate_c0(make_grid(32), n_samples=5, ascent_steps=80, seed=0).value
+    return estimate_c0(n_samples=5, ascent_steps=80, seed=0).value
 
 
 def test_criterion_1_stokes_gevrey_identity():
@@ -110,7 +111,7 @@ def test_criterion_5_small_data_bound(c0_estimate):
         cfg = config_from_dict({
             "n": 32, "dt": 0.005, "t_end": 5.0,
             "snapshot_times": [round(0.5 * i, 3) for i in range(11)],
-            "stack_depth": 8, "seed": seed, "alphas": [1.0],
+            "stack_depth": 8, "seed": seed, "alpha": 1.0,
             "initial_data": {"kind": "random_spectrum", "decay": 2.0,
                              "k_max": 8, "seed": seed, "l2_norm": target},
             "c0": {"mode": "fixed", "value": c0_estimate},
@@ -135,7 +136,7 @@ def test_criterion_6_large_data_bound(c0_estimate):
         cfg = config_from_dict({
             "n": 32, "dt": 0.002, "t_end": 1.0,
             "snapshot_times": [0.0, 0.25, 0.5, 0.75, 1.0],
-            "stack_depth": 8, "seed": 40 + i, "alphas": [1.0],
+            "stack_depth": 8, "seed": 40 + i, "alpha": 1.0,
             "initial_data": {"kind": "random_spectrum", "decay": 2.0,
                              "k_max": 8, "seed": 40 + i, "l2_norm": u0_norm},
             "c0": {"mode": "fixed", "value": c0_estimate},
@@ -164,7 +165,7 @@ def test_criterion_7_fluctuation_bound(c0_estimate):
     for i, u0_norm in enumerate([2.0] * 5 + [5.0] * 5):
         cfg = config_from_dict({
             "n": 32, "dt": 0.002, "t_end": 1.0,
-            "stack_depth": 8, "seed": 40 + i, "alphas": [1.0],
+            "stack_depth": 8, "seed": 40 + i, "alpha": 1.0,
             "initial_data": {"kind": "random_spectrum", "decay": 2.0,
                              "k_max": 8, "seed": 40 + i, "l2_norm": u0_norm},
             "c0": {"mode": "fixed", "value": c0_estimate},
@@ -189,7 +190,7 @@ def test_criterion_8_accelerated_decay_bound(c0_estimate):
     cfg = config_from_dict({
         "n": 32, "dt": 0.005, "t_end": 5.0,
         "snapshot_times": [round(0.25 * i, 3) for i in range(21)],
-        "stack_depth": 8, "seed": 7, "alphas": [1.0],
+        "stack_depth": 8, "seed": 7, "alpha": 1.0,
         "initial_data": {"kind": "random_spectrum", "decay": 3.0,
                          "k_max": 6, "seed": 7, "l2_norm": 1.0},
         "c0": {"mode": "fixed", "value": c0_estimate},
@@ -222,9 +223,10 @@ def test_criterion_9_lemma_audits():
                    f"runtime {elapsed:.2f}s < 1s")
 
 
-def test_criterion_10_c0_stability(c0_estimate):
-    c0_64 = estimate_c0(make_grid(64), n_samples=5, ascent_steps=80, seed=0).value
-    rel = abs(c0_estimate - c0_64) / c0_64
-    ok = c0_estimate >= 0.194 and rel <= 0.05
-    _report(10, ok, f"C0(32) = {c0_estimate:.5f} >= 0.194, "
+def test_criterion_10_c0_stability():
+    block = {"mode": "estimate", "n_samples": 5, "ascent_steps": 80}
+    c0_32, c0_64 = (resolve_c0(config_from_dict({"n": n, "c0": block}))[0] for n in (32, 64))
+    rel = abs(c0_32 - c0_64) / c0_64
+    ok = c0_32 >= 0.194 and rel <= 0.05
+    _report(10, ok, f"C0(32) = {c0_32:.5f} >= 0.194, "
                     f"cross-resolution drift {rel:.2e} <= 0.05")

@@ -11,7 +11,7 @@ from scipy.special import gammaln
 from gevrey_ns import (ConfigurationError, c_alpha, check_theorem, config_from_dict,
                        fit_decay, functionals, integrate, lemma_audit_ccc0,
                        lemma_audit_convolution, make_grid, make_initial_data,
-                       norm_grad_l2, norm_l2, random_spectrum_field, raw_functionals,
+                       norm_l2, parseval, random_spectrum_field, raw_functionals,
                        shear_flow, smallness_check, stokes, stokes_derivative_stack,
                        taylor_green, theorem2_log_rhs, theorem2_rhs, theorem3_rhs,
                        theorem4_rhs, theorem4_t0, theorem_lhs, time_derivative_stack)
@@ -34,7 +34,7 @@ def one_row(t, pair):
 def time_zero_row(u, M):
     """The t -> 0+ row pair of u: only L~_0 = |u| and H~_0 = |grad u| survive."""
     L, H = np.zeros(M + 1), np.zeros(M + 1)
-    L[0], H[0] = norm_l2(u), norm_grad_l2(u)
+    L[0], H[0] = norm_l2(u), np.sqrt(parseval(u.grid, u.w)[1])
     return L, H
 
 
@@ -72,7 +72,7 @@ class TestRawFunctionals:
         s = stack_series(traj, 6)
         assert s.M == 11 and s.times.tolist() == [0.0]
         assert s.L_raw[0, 0] == norm_l2(random_field)
-        assert s.H_raw[0, 0] == norm_grad_l2(random_field)
+        assert s.H_raw[0, 0] == np.sqrt(parseval(random_field.grid, random_field.w)[1])
         assert not s.L_raw[0, 1:].any()
         assert not s.H_raw[0, 1:].any()
 

@@ -7,8 +7,8 @@ from conftest import analyze, from_physical, synthesize, transform_roundtrip
 
 from gevrey_ns import (ConfigurationError, FieldInvariantError, GridMismatchError,
                        SpectralVelocity, from_lattice, hermitian_defect,
-                       inner_l2, leray_project, make_grid, make_initial_data, mode_energies,
-                       nonlinear_symmetric, nonlinear_term, norm_grad_l2, norm_l2, norm_l4,
+                       leray_project, make_grid, make_initial_data, mode_energies,
+                       nonlinear_symmetric, nonlinear_term, norm_l2, norm_l4,
                        parseval, random_spectrum_field, shear_flow, spectral, taylor_green,
                        to_physical, validate_field)
 from gevrey_ns.spectral import Workspace
@@ -266,8 +266,9 @@ class TestNonlinearTerm:
 
     def test_energy_neutral_transport(self, random_field):
         out = nonlinear_term(random_field, random_field)
-        ip = inner_l2(random_field, out)
-        scale = norm_l2(random_field) ** 2 * norm_grad_l2(random_field)
+        ip = parseval(random_field.grid, random_field.w, out.w)[0]
+        l2_sq, grad_sq = parseval(random_field.grid, random_field.w)
+        scale = l2_sq * np.sqrt(grad_sq)
         assert abs(ip) <= 1e-10 * scale
 
     def test_matches_exact_convolution_on_fine_grid(self, grid32, hermitian_lattice):
@@ -418,12 +419,10 @@ class TestParseval:
         scale = np.sqrt(ref[0, 0] * ref[1, 0])
         assert abs(parseval(grid, H[0], H[1])[0] - cross) <= 1e-14 * scale
 
-    def test_every_norm_reads_the_same_sums(self, random_field, tg):
+    def test_every_norm_reads_the_same_sums(self, random_field):
         v = random_field
         l2_sq, grad_sq = parseval(v.grid, v.w)
-        assert norm_l2(v) == np.sqrt(l2_sq) and norm_grad_l2(v) == np.sqrt(grad_sq)
-        assert inner_l2(v, v) == l2_sq
-        assert inner_l2(v, tg) == parseval(v.grid, v.w, tg.w)[0]
+        assert norm_l2(v) == np.sqrt(l2_sq)
         lams, E = mode_energies(v)
         assert np.sum(E) == pytest.approx(l2_sq, rel=1e-14)
         assert np.sum(lams * E) == pytest.approx(grad_sq, rel=1e-14)
@@ -433,18 +432,18 @@ class TestNorms:
     def test_shear_closed_forms(self, grid32):
         v = shear_flow(grid32, 2.5)
         assert abs(norm_l2(v) - 2.5 * SQRT2_PI) < 1e-12
-        assert abs(norm_grad_l2(v) - 2.5 * SQRT2_PI) < 1e-12
+        assert abs(np.sqrt(parseval(v.grid, v.w)[1]) - 2.5 * SQRT2_PI) < 1e-12
         # integral of sin^4 is 3pi/4 per period, times 2pi in x
         assert abs(norm_l4(shear_flow(grid32, 1.0)) - (1.5 * np.pi ** 2) ** 0.25) < 1e-12
 
     def test_taylor_green_l2(self, tg):
         assert abs(norm_l2(tg) - SQRT2_PI) < 1e-12
-        assert abs(norm_grad_l2(tg) - np.sqrt(2.0) * SQRT2_PI) < 1e-12
+        assert abs(np.sqrt(parseval(tg.grid, tg.w)[1]) - np.sqrt(2.0) * SQRT2_PI) < 1e-12
 
     def test_zero_field(self, grid32):
         z = from_lattice(grid32, np.zeros((2, 32, 32)))
         assert norm_l2(z) == 0.0
-        assert norm_grad_l2(z) == 0.0
+        assert parseval(z.grid, z.w)[1] == 0.0
         assert norm_l4(z) == 0.0
 
     @pytest.mark.parametrize("n", [16, 32, 64])

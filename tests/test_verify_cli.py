@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from gevrey_ns import (ConfigurationError, RunConfig, SpectralVelocity,
                        check_theorem, config_from_dict, estimate_c0,
-                       functionals, inner_l2, integrate, leray_project, make_grid,
-                       make_initial_data, norm_grad_l2, norm_l2, norm_l4,
+                       functionals, integrate, leray_project, make_grid,
+                       make_initial_data, norm_l2, norm_l4,
                        random_spectrum_field, spectral, taylor_green, verify)
 from gevrey_ns.cli import _COMMANDS, main
 from gevrey_ns.functionals import theorem3_rhs, theorem_lhs
@@ -71,7 +71,7 @@ def rayleigh_batch(g, Z):
 
 @pytest.fixture(scope="module")
 def c0_32():
-    return estimate_c0(make_grid(32), n_samples=5, ascent_steps=80, seed=0)
+    return estimate_c0(n_samples=5, ascent_steps=80, seed=0)
 
 
 class TestEstimateC0:
@@ -81,15 +81,13 @@ class TestEstimateC0:
         assert c0_32.sample_values[0] >= 0.194
 
     def test_running_max_nondecreasing(self):
-        grid = make_grid(32)
-        vals = [estimate_c0(grid, n_samples=k, ascent_steps=40, seed=0).value
+        vals = [estimate_c0(n_samples=k, ascent_steps=40, seed=0).value
                 for k in (1, 3, 5)]
         assert vals[0] <= vals[1] <= vals[2]
 
     def test_deterministic(self):
-        grid = make_grid(32)
-        a = estimate_c0(grid, n_samples=3, ascent_steps=30, seed=4)
-        b = estimate_c0(grid, n_samples=3, ascent_steps=30, seed=4)
+        a = estimate_c0(n_samples=3, ascent_steps=30, seed=4)
+        b = estimate_c0(n_samples=3, ascent_steps=30, seed=4)
         assert a.value == b.value
 
     def test_interpolation_inequality_dominates_fresh_fields(self, c0_32):
@@ -97,27 +95,19 @@ class TestEstimateC0:
         for seed in range(20):
             z = random_spectrum_field(grid, 2.0, 8, seed=100 + seed, l2_norm=1.0)
             lhs = norm_l4(z) ** 2
-            rhs = c0_32.value * (1.0 + 1e-6) * norm_l2(z) * norm_grad_l2(z)
+            l2_sq, grad_sq = spectral.parseval(grid, z.w)
+            rhs = c0_32.value * (1.0 + 1e-6) * np.sqrt(l2_sq) * np.sqrt(grad_sq)
             assert lhs <= rhs
 
     def test_the_ascent_makes_no_fft_call(self, fft_calls):
         # the cap grid's transforms are spectral.BandDFT products (checked against the
-        # FFT pair in test_spectral), so no FFT runs whatever n is
-        estimate_c0(make_grid(128), n_samples=6, ascent_steps=7)
+        # FFT pair in test_spectral), so no FFT runs
+        estimate_c0(n_samples=6, ascent_steps=7)
         assert fft_calls == {"irfft2": 0, "rfft2": 0}
 
-    def test_same_estimate_at_every_resolution(self):
-        a, b, c = (estimate_c0(make_grid(n), n_samples=4, ascent_steps=20, seed=2)
-                   for n in (32, 64, 128))
-        for other in (b, c):
-            assert other.value == a.value
-            assert other.sample_values == a.sample_values
-            assert np.array_equal(other.spectrum_signature, a.spectrum_signature)
-
     def test_first_samples_do_not_depend_on_n_samples(self):
-        grid = make_grid(32)
-        six = estimate_c0(grid, n_samples=6, ascent_steps=40, seed=1).sample_values
-        assert estimate_c0(grid, n_samples=3, ascent_steps=40, seed=1).sample_values == six[:3]
+        six = estimate_c0(n_samples=6, ascent_steps=40, seed=1).sample_values
+        assert estimate_c0(n_samples=3, ascent_steps=40, seed=1).sample_values == six[:3]
 
     # the fixed-length step's estimates (0.2 per step, all 120 steps) at the defaults,
     # seeds 0-9; each stalled 1-4% below the cap-8 supremum 0.2321
@@ -125,7 +115,7 @@ class TestEstimateC0:
                   0.222605389, 0.226712145, 0.229438071, 0.224736802, 0.222964617)
 
     def test_defaults_converge_on_every_seed(self):
-        values = [estimate_c0(make_grid(32), seed=seed).value for seed in range(10)]
+        values = [estimate_c0(seed=seed).value for seed in range(10)]
         assert all(v >= old for v, old in zip(values, self.FIXED_STEP))
         assert max(values) - min(values) <= 2e-3 * max(values)
 
@@ -133,14 +123,13 @@ class TestEstimateC0:
         # 6 starts plus at most 234 trial rows, against 6 x 121 = 726 for the full cap
         for seed in range(10):
             rayleigh_rows.clear()
-            est = estimate_c0(make_grid(32), seed=seed)
+            est = estimate_c0(seed=seed)
             assert sum(rayleigh_rows) == 6 + sum(est.trials) <= 240
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sample_prefixes_survive_row_pruning(self, seed):
         # rows stop at different trials, so each estimate prunes its batch differently
-        grid = make_grid(32)
-        runs = [estimate_c0(grid, n_samples=k, seed=seed) for k in range(1, 7)]
+        runs = [estimate_c0(n_samples=k, seed=seed) for k in range(1, 7)]
         assert len(set(runs[-1].trials)) > 1
         for k, est in enumerate(runs, start=1):
             assert est.sample_values == runs[-1].sample_values[:k]
@@ -162,7 +151,7 @@ class TestEstimateC0:
               - np.log(rayleigh_batch(cg, Z - eps * W)[0])) / (2.0 * eps)
         for row in range(2):
             g, w = (SpectralVelocity(cg, a[row]) for a in (grad, W))
-            assert fd[row] == pytest.approx(inner_l2(g, w), rel=1e-7)
+            assert fd[row] == pytest.approx(spectral.parseval(cg, g.w, w.w)[0], rel=1e-7)
 
     def test_rows_of_a_batch_do_not_mix(self):
         # a degenerate row (the zero field: 0/0 everywhere) keeps its NaNs to itself
@@ -176,8 +165,7 @@ class TestEstimateC0:
         assert np.isnan(r[1])
 
     def test_a_row_with_zero_gradient_stops_and_leaves_the_others(self, monkeypatch):
-        grid = make_grid(32)
-        free = estimate_c0(grid, n_samples=4, ascent_steps=20, seed=0)
+        free = estimate_c0(n_samples=4, ascent_steps=20, seed=0)
         kernel = verify._rayleigh_batch
         batches = []
 
@@ -190,7 +178,7 @@ class TestEstimateC0:
             return r, grad
 
         monkeypatch.setattr(verify, "_rayleigh_batch", first_row_stuck)
-        stuck = estimate_c0(grid, n_samples=4, ascent_steps=20, seed=0)
+        stuck = estimate_c0(n_samples=4, ascent_steps=20, seed=0)
         assert stuck.trials[0] == 1 and stuck.trials[1:] == free.trials[1:]
         # the stuck row rides in the first trial only, then the batch holds the others
         assert batches[:2] == [4, 4] and max(batches[2:]) == 3
@@ -208,7 +196,7 @@ class TestEstimateC0:
             U = synthesize(g, z.uh, m)
             q = U[0] * U[0] + U[1] * U[1]
             quartic = float(np.sum(q * q)) * (2.0 * math.pi / m) ** 2
-            l2, g2 = norm_l2(z), norm_grad_l2(z)
+            l2, g2 = norm_l2(z), np.sqrt(spectral.parseval(g, z.w)[1])
             h = np.fft.rfft2(q * U)  # the rfft half layout of a field
             cub = h[:, g.freqs % m, :g.n // 2 + 1] / (m * m)
             d = 2.0 * cub / quartic - z.uh / l2 ** 2 - g.k_sq * z.uh / g2 ** 2
@@ -220,7 +208,7 @@ class TestEstimateC0:
         best, grad = ratio_and_gradient(z)
         for trials in range(1, 121):
             # the step 1.5 D^-1 grad, D = 1/|z|^2 + |xi|^2/|grad z|^2 mode by mode
-            d = 1.0 / norm_l2(z) ** 2 + cg.k_sq / norm_grad_l2(z) ** 2
+            d = 1.0 / norm_l2(z) ** 2 + cg.k_sq / spectral.parseval(cg, z.w)[1]
             z = z + SpectralVelocity(cg, 1.5 * grad.w / d)
             z = z * (1.0 / norm_l2(z))
             r, grad = ratio_and_gradient(z)
@@ -228,7 +216,7 @@ class TestEstimateC0:
             best = max(best, r)
             if not rose:
                 break
-        est = estimate_c0(make_grid(32), n_samples=2, seed=0)
+        est = estimate_c0(n_samples=2, seed=0)
         assert est.sample_values[1] == pytest.approx(best, rel=1e-9)
         assert est.trials[1] == trials < 120
 
@@ -350,7 +338,7 @@ class TestCheckTheorem:
     def test_thm2_rows_at_the_double_edge_fail_on_a_zero_rhs(self):
         # small alpha and small data: at n = 1022 and 1023 the log RHS terms overflow;
         # the RHS is 0 (never NaN), so those rows fail
-        doc = dict(SMALL_BASE, initial_data=_small_data(0.1), alphas=[0.001],
+        doc = dict(SMALL_BASE, initial_data=_small_data(0.1), alpha=0.001,
                    theorem2_n_max=1023)
         rep = check_theorem(2, config_from_dict(doc))
         assert rep.status == "ok" and not rep.verdict
@@ -569,6 +557,13 @@ class TestConfig:
             with pytest.raises(ConfigurationError, match="stack_depth .* budget of 256"):
                 config_from_dict({"stack_depth": depth})
 
+    def test_grid_budget(self):
+        # the budget, 512, is 4x the largest grid any test, demo or workload uses
+        assert config_from_dict({"n": 512}).n == 512
+        for n in (514, 10 ** 7):
+            with pytest.raises(ConfigurationError, match="n must .* budget of 512"):
+                config_from_dict({"n": n})
+
     def test_c0_n_samples_budget(self):
         # the budget, 1024 starts, is about 80 MiB of ascent arrays held at once
         assert config_from_dict({"c0": {"mode": "estimate", "n_samples": 1024}})
@@ -577,8 +572,8 @@ class TestConfig:
                 config_from_dict({"c0": {"mode": "estimate", "n_samples": n_samples}})
 
     def test_bad_alphas(self):
-        with pytest.raises(ConfigurationError, match="alphas"):
-            config_from_dict({"alphas": [1.0, -2.0]})
+        with pytest.raises(ConfigurationError, match="alpha"):
+            config_from_dict({"alpha": -2.0})
 
     @pytest.mark.parametrize("bad", [-1, 1.5, "3", True, None])
     def test_bad_theorem2_n_max(self, bad):
@@ -596,6 +591,7 @@ class TestConfig:
         ("snapshot_times", 0.5), ("snapshot_times", [0.0, "a"]),
         # truncation is not a key (stokes-verify's order M is a constant): any value is refused
         ("stack_depth", "3"), ("truncation", "x"), ("truncation", 3),
+        # alphas is not a key (alpha is one number): any value is refused
         ("alphas", 1.0), ("alphas", [True]), ("seed", "a"), ("seed", -1),
         ("decay_window", [2, 1]), ("decay_window", [1]), ("gamma", "x"), ("gamma", 0.0),
         # not keys: config-driven runs always keep the CFL guard, the energy ledger
@@ -604,13 +600,14 @@ class TestConfig:
         ("out_dir", 3),
         ("enforce_cfl", 1), ("enforce_cfl", "no"), ("enforce_cfl", True),
         ("tol_energy", "x"), ("tol_energy", math.nan),
-        # alphas must hold at least one value: audit-lemmas has no default set
         pytest.param("alphas", [], id="alphas-empty"),
         # an empty list would read as [t_end] in stokes-verify and as t = 0 alone elsewhere
         pytest.param("snapshot_times", [], id="snapshot_times-empty"),
         # t = 0 alone gives no verdict: every row there is an identity and the ledger
         # has no interval
         pytest.param("snapshot_times", [0.0], id="snapshot_times-zero-only"),
+        pytest.param("alpha", [1.0], id="alpha-list"),
+        ("alpha", True), ("alpha", math.inf), ("alpha", 0.0),
     ])
     def test_bad_field(self, key, bad):
         with pytest.raises(ConfigurationError, match=key):
@@ -635,9 +632,9 @@ class TestConfig:
         assert RunConfig().c0 == {"mode": "estimate"}
         calls = []
         monkeypatch.setattr(verify, "estimate_c0",
-                            lambda grid, **kw: calls.append(kw) or estimate_c0(grid, **kw))
+                            lambda **kw: calls.append(kw) or estimate_c0(**kw))
         cfg = config_from_dict({"seed": 4, "c0": {"mode": "estimate", "n_samples": 1}})
-        _, info = verify.resolve_c0(cfg, make_grid(16))
+        _, info = verify.resolve_c0(cfg)
         assert calls == [{"seed": 4, "n_samples": 1}]
         assert (info["n_samples"], info["ascent_steps"]) == (1, 120)
 
@@ -724,12 +721,12 @@ class TestCli:
     def test_bound_checks_and_runs_need_exactly_one_alpha(self, tmp_path, capsys, command,
                                                           alphas):
         out = tmp_path / "out"
-        cfg = self._write_cfg(tmp_path, dict(SMALL_BOUNDS[1], alphas=alphas))
+        cfg = self._write_cfg(tmp_path, dict(SMALL_BOUNDS[1], alpha=alphas))
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert captured.err.count("\n") == 1
-        assert captured.err.startswith("error: ") and "alphas" in captured.err
+        assert captured.err.startswith("error: ") and "alpha" in captured.err
 
     @pytest.mark.parametrize("theorem_id", [1, 2, 3, 4])
     def test_bound_checks_reject_stack_depth_zero(self, tmp_path, capsys, theorem_id):
@@ -743,10 +740,10 @@ class TestCli:
         assert captured.err.startswith("error: ") and "stack_depth >= 1" in captured.err
 
     def test_audit_lemmas_reads_every_alpha(self, tmp_path):
-        cfg = self._write_cfg(tmp_path, {"alphas": [0.5, 2.0]})
+        cfg = self._write_cfg(tmp_path, {"alpha": 0.5})
         assert main(["audit-lemmas", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
         rows = (tmp_path / "r" / "audit_ccc0.csv").read_text().splitlines()[1:]
-        assert {float(r.split(",")[2]) for r in rows} == {0.5, 2.0}
+        assert {float(r.split(",")[2]) for r in rows} == {0.5}
 
     def test_check_thm1_writes_report_and_csvs(self, tmp_path):
         cfg = self._write_cfg(tmp_path, THM1_CFG)
@@ -799,7 +796,7 @@ class TestCli:
         out = tmp_path / "out"
         main([command, "--config", self._write_cfg(tmp_path, doc), "--out", str(out)])
         report = json.loads((out / "report.json").read_text())
-        trials = estimate_c0(make_grid(16), n_samples=3, ascent_steps=20).trials
+        trials = estimate_c0(n_samples=3, ascent_steps=20).trials
         assert (report if command == "estimate-c0" else report["params"]["c0"])["trials"] == trials
         assert all(1 <= t <= 20 for t in trials)
 
@@ -999,6 +996,50 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: t_end must be > 0 when snapshot_times is null, got 0.0\n"
 
+    @pytest.mark.parametrize("times", [[1e-12], [0.0, 1e-12]], ids=["tiny", "zero-and-tiny"])
+    @pytest.mark.parametrize("command", ["ns-run", "check-thm1", "check-thm2", "check-thm4",
+                                         "fit-decay"])
+    def test_a_schedule_at_step_0_alone_exits_2_with_one_line(self, tmp_path, capsys, command,
+                                                               times):
+        # 1e-12 passes as a multiple of dt = 0.01 within step_count's tolerance, at step 0:
+        # the schedule is t = 0 alone, refused where it is resolved to steps
+        out = tmp_path / "out"
+        cfg = self._write_cfg(tmp_path, dict(SMALL_BASE, snapshot_times=times,
+                                             initial_data=_small_data(0.3),
+                                             c0={"mode": "fixed", "value": 0.2}))
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: snapshot_times must reach a step > 0 at dt=0.01 "
+                                f"(t = 0 alone gives no verdict), got {times!r}\n")
+        if command.startswith("check"):
+            report = json.loads((out / "report.json").read_text())
+            assert report["status"] == "error" and report["rows"] == []
+            assert report["verdict"] is False
+        else:
+            assert not out.exists()
+
+    def test_grid_past_the_budget_exits_2(self, tmp_path, capsys, monkeypatch):
+        # refused when the config is read, before make_grid builds its n x n tables
+        monkeypatch.setattr(verify, "make_grid", lambda n: pytest.fail("built a grid"))
+        cfg = self._write_cfg(tmp_path, {"n": 10 ** 7})
+        assert main(["check-thm2", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: n must be an even integer >= 8 within the "
+                                       "budget of 512, got 10000000")
+
+    def test_check_thm2_reads_the_same_c0_estimate_on_every_grid(self, tmp_path):
+        # C0 belongs to the continuum: the ascent runs on its own cap grid, whatever n is
+        values = []
+        for n in (16, 32):
+            cfg = self._write_cfg(tmp_path, dict(SMALL_BOUNDS[2], n=n, c0={"mode": "estimate"}))
+            out = tmp_path / f"out{n}"
+            assert main(["check-thm2", "--config", cfg, "--out", str(out)]) in (0, 1)
+            values.append(json.loads((out / "report.json").read_text())["params"]["c0"])
+        assert values[0] == values[1]
+        assert values[0]["value"] == estimate_c0().value
+
     def test_thm3_names_an_underflowed_existence_time(self, tmp_path, capsys):
         # |u0| = 1e100 drives T0 to 0.0: the error names T0 and |u0|, not the window's step
         out = tmp_path / "out"
@@ -1133,7 +1174,7 @@ _RUN_DOC = st.fixed_dictionaries({
     "t_end": st.sampled_from([0.0, 0.02, 0.04]),
     "stack_depth": st.integers(0, 2),
     "c0": st.just({"mode": "fixed", "value": 0.23}),
-    "alphas": st.floats(1e-18, 1e3).map(lambda a: [a]) | st.sampled_from([[], [1.0, 2.0]]),
+    "alpha": st.floats(1e-18, 1e3),
     "initial_data": st.one_of(
         st.fixed_dictionaries({"kind": st.sampled_from(["taylor_green", "shear"]),
                                "amplitude": st.floats(0.01, 5.0)}),
@@ -1158,8 +1199,8 @@ class TestCliProperty:
     # 2^n, 2^(2 gamma) and (k!)^alpha past the double range, and 1 - 2^(-2 alpha) == 0
     @example(doc=dict(_CRASH_BASE, theorem2_n_max=1024), command="check-thm2")
     @example(doc=dict(_CRASH_BASE, gamma=600.0, decay_window=[0.01, 0.04]), command="check-thm4")
-    @example(doc=dict(_CRASH_BASE, alphas=[1e-17]), command="check-thm1")
-    @example(doc=dict(_CRASH_BASE, alphas=[100.0], stack_depth=8), command="ns-run")
+    @example(doc=dict(_CRASH_BASE, alpha=1e-17), command="check-thm1")
+    @example(doc=dict(_CRASH_BASE, alpha=100.0, stack_depth=8), command="ns-run")
     # t_end / dt overflows to inf, which has no step count
     @example(doc=dict(_CRASH_BASE, dt=1e-320), command="check-thm2")
     @example(doc=dict(_CRASH_BASE, dt=1e-320), command="check-thm4")
@@ -1233,7 +1274,7 @@ class TestStructuredErrors:
         # C_alpha is undefined at alpha = 1e-17; bound 1 decides its smallness
         # precondition inside the check, so it reports the error like bounds 2-4
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(dict(_CRASH_BASE, alphas=[1e-17])))
+        cfg.write_text(json.dumps(dict(_CRASH_BASE, alpha=1e-17)))
         out = tmp_path / "out"
         assert main(["check-thm1", "--config", str(cfg), "--out", str(out)]) == 2
         captured = capsys.readouterr()
@@ -1245,7 +1286,7 @@ class TestStructuredErrors:
         assert captured.err == f"error: {report['message']}\n"
         assert sorted(p.name for p in out.iterdir()) == ["report.json"]
 
-    # t_end / dt overflows in resolved_snapshots, then in integrate, then a snapshot time
+    # t_end / dt overflows in resolved_snapshots, and so does a listed snapshot time
     @pytest.mark.parametrize("doc", [
         {"dt": 1e-320}, {"dt": 1e-320, "snapshot_times": [1.0]},
         {"dt": 1e-320, "t_end": 0.0, "snapshot_times": [0.0, 1.0]}])
@@ -1267,7 +1308,7 @@ class TestShearSingleModeEndToEnd:
         cfg = config_from_dict({
             "n": 32, "dt": 0.005, "t_end": 2.0,
             "snapshot_times": [round(0.125 * i, 4) for i in range(17)],
-            "stack_depth": 8, "alphas": [1.0],
+            "stack_depth": 8, "alpha": 1.0,
             "initial_data": {"kind": "shear", "amplitude": amp},
             "c0": {"mode": "fixed", "value": 0.23},
         })
