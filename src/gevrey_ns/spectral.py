@@ -43,6 +43,8 @@ summed products, and contract analyzes the two planes, contracts them on the
 band and scrubs the roundoff.  Both read planes and views bound when the
 Workspace is built, so a solver run or a stack allocates them once, and a
 solver stage or a stack level is one level call that allocates no plane.
+Workspace.parseval takes the Parseval sums of packed planes with the band's
+weights, the full plane's sums without reading its zeros.
 
 Every transform maps coefficients to grid values, sum_xi uhat(xi) exp(i xi . x),
 and m x m samples back with the factor 1/m^2: band_dft's matrices carry it, and
@@ -346,8 +348,10 @@ class BandDFT:
     column has zero weight both ways, so it is ignored on input and exactly
     zero on output.  A stack (..., m, m) is multiplied plane by plane against
     the shared matrix, so each BLAS call stays far below OpenBLAS's threading
-    threshold.  tmp, if given, receives the intermediate product (see
-    scratch), and out the result.
+    threshold.  tmp, if given, is the pair from scratch that receives the
+    intermediate product: the plane and its view as the dtype the second
+    product reads, bound once so that a kernel call makes no view; out
+    receives the result.
     """
 
     m: int
@@ -361,18 +365,27 @@ class BandDFT:
             _readonly(a)
 
     def synthesize(self, h: np.ndarray, out: np.ndarray | None = None,
-                   tmp: np.ndarray | None = None) -> np.ndarray:
-        return np.matmul(np.matmul(self.rows, h, out=tmp).view(float), self.cols, out=out)
+                   tmp: tuple | None = None) -> np.ndarray:
+        c, f = tmp or _bound(np.empty(h.shape[:-2] + (self.m, h.shape[-1]), complex), float)
+        np.matmul(self.rows, h, out=c)
+        return np.matmul(f, self.cols, out=out)
 
     def analyze(self, X: np.ndarray, out: np.ndarray | None = None,
-                tmp: np.ndarray | None = None) -> np.ndarray:
-        return np.matmul(self.rows_a, np.matmul(X, self.cols_a, out=tmp).view(complex), out=out)
+                tmp: tuple | None = None) -> np.ndarray:
+        f, c = tmp or _bound(np.empty(X.shape[:-1] + self.cols_a.shape[1:]), complex)
+        np.matmul(X, self.cols_a, out=f)
+        return np.matmul(self.rows_a, c, out=out)
 
-    def scratch(self, inverse: int, forward: int) -> tuple[np.ndarray, np.ndarray]:
-        """tmp buffers of synthesize and analyze for stacks of that many planes."""
+    def scratch(self, inverse: int, forward: int) -> tuple[tuple, tuple]:
+        """tmp pairs of synthesize and analyze for stacks of that many planes."""
         width = len(self.cols)
-        return (np.empty((inverse, self.m, width // 2), dtype=complex),
-                np.empty((forward, self.m, width)))
+        return (_bound(np.empty((inverse, self.m, width // 2), dtype=complex), float),
+                _bound(np.empty((forward, self.m, width)), complex))
+
+
+def _bound(a: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """a and its view as dtype."""
+    return a, a.view(dtype)
 
 
 def band_dft(grid: Grid, m: int, k: int | None = None) -> BandDFT:
@@ -429,7 +442,8 @@ DENSE_BELOW = 64  # grids below this size run the advection kernel on a BandDFT
 
 @functools.cache
 def _band_kernel(n: int, dense: bool) -> tuple:
-    """(BandDFT or None, lift, curl) of the advection kernel on the n-grid, built once per n.
+    """(BandDFT or None, lift, curl, parseval_w) of the advection kernel on the n-grid, built
+    once per n.
 
     The one builder of band tables.  The transform is band_dft(grid, n, k_cut)
     when dense, else a BandFFT with the same maps.  lift (2, R, C) is Grid.lift
@@ -438,14 +452,18 @@ def _band_kernel(n: int, dense: bool) -> tuple:
     (curl * F).sum(axis=0) is the vorticity of -P div T for the band
     coefficients F = (T12, T22 - T11, A12) of T, A12 = -A21 its
     antisymmetric part.  The kernel contracts the first two rows, and the
-    third is the band |xi|^2.  No grid is kept.
+    third is the band |xi|^2.  parseval_w (2, N) is Grid.parseval_w on the N
+    floats of a packed plane's float view, in the full plane's order.  No
+    grid is kept.
     """
     grid = make_grid(n)
     k1, k2, mask = grid.k1, grid.k2, grid.dealias
     # curl of -P(xi) i xi . T = (k1^2 - k2^2) T12 + k1 k2 (T22 - T11) + |xi|^2 A12
     curl = pack(grid, mask * np.stack([k1 * k1 - k2 * k2, k1 * k2, grid.k_sq]))
+    weights = pack(grid, grid.parseval_w[:, ::2].reshape((2,) + grid.k_sq.shape))
     return (band_dft(grid, n, grid.k_cut) if dense else None,
-            _readonly(pack(grid, grid.lift * mask)), _readonly(curl.astype(complex)))
+            _readonly(pack(grid, grid.lift * mask)), _readonly(curl.astype(complex)),
+            _readonly(np.repeat(weights, 2, axis=-1).reshape(2, -1)))
 
 
 def to_physical(v: SpectralVelocity) -> np.ndarray:
@@ -469,9 +487,14 @@ def parseval(grid: Grid, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarr
     batch it rides in; the three-operand einsum forms them in one pass
     without a temporary and, unlike a BLAS dot, on the calling thread alone.
     """
+    return _parseval(grid.parseval_w, a, b)
+
+
+def _parseval(weights: np.ndarray, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """parseval with the weights of the planes' layout: Grid.parseval_w or the packed band's."""
     x = a.view(float).reshape(a.shape[:-2] + (-1,))
     y = x if b is None else b.view(float).reshape(b.shape[:-2] + (-1,))
-    return np.einsum("...i,...i,ji->...j", x, y, grid.parseval_w)
+    return np.einsum("...i,...i,ji->...j", x, y, weights)
 
 
 def norm_l2(v: SpectralVelocity) -> float:
@@ -511,13 +534,14 @@ class Workspace:
     them with the first two rows of the band curl table and scrubs the
     result.  Every plane and view the two touch is bound when the Workspace
     is built, so a solver stage or a stack level is one call and allocates no
-    plane.  lift, curl and k_sq (its third row, the band |xi|^2, as complex)
-    are _band_kernel's tables, shared by every Workspace on the n.
+    plane.  lift, curl, k_sq (its third row, the band |xi|^2, as complex) and
+    parseval_w are _band_kernel's tables, shared by every Workspace on the n;
+    parseval takes the Parseval sums of packed planes with the last.
     """
 
     def __init__(self, grid: Grid, depth: int = 1):
         n, dense = grid.n, grid.n < DENSE_BELOW
-        dft, self.lift, self.curl = _band_kernel(n, dense)
+        dft, self.lift, self.curl, self.parseval_w = _band_kernel(n, dense)
         self.k_sq = self.curl[2]
         self.transform = dft if dense else BandFFT(grid)
         band = band_shape(grid)
@@ -582,7 +606,7 @@ class Workspace:
         analyze, c0, c1, F, F0, F1, tmp, mod, m0, small = self._contract
         analyze(P, out=F, tmp=tmp)
         np.abs(F, out=mod)
-        floor = 1e-12 * float(mod.max())
+        floor = 1e-12 * float(np.maximum.reduce(mod, axis=None))  # mod.max() without its wrapper
         np.multiply(c1, F1, out=F1)
         np.multiply(c0, F0, out=out)
         out += F1
@@ -591,6 +615,11 @@ class Workspace:
             np.less(m0, floor, out=small)
             np.copyto(out, 0.0, where=small)
         return out
+
+    def parseval(self, b: np.ndarray) -> np.ndarray:
+        """parseval(grid, unpack(b)) of packed band planes b (..., R, C), as (..., 2), summed
+        on the band alone; the full plane's zeros are not read."""
+        return _parseval(self.parseval_w, b)
 
 
 def _products(a: SpectralVelocity, b: SpectralVelocity) -> tuple[Workspace, np.ndarray]:

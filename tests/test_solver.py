@@ -10,6 +10,7 @@ from gevrey_ns import (ConfigurationError, IntegrationError, SpectralVelocity,
                        make_grid, nonlinear_term,
                        norm_l2, random_spectrum_field, run, solver, spectral,
                        step, taylor_green, validate_field)
+from gevrey_ns.cli import main
 from gevrey_ns.config import RunConfig
 from gevrey_ns.derivatives import time_derivative_stack
 from gevrey_ns.functionals import raw_functionals
@@ -79,8 +80,8 @@ class TestStep:
             assert {(k, shape[-2:]) for _, k, shape in band_calls} == {(kind, (n, n))}
 
     def test_a_warmed_step_allocates_less_than_one_plane(self):
-        # one pass of integrate's loop on packed band planes: the step in place, the floor on
-        # its parts, then the band unpacked into the state's plane for the ledger's Parseval sums
+        # one chunk of integrate's loop on packed band planes: each step from the last row
+        # into the next, the floor on a row, then the chunk's one ledger pass
         for n in (32, 128):
             grid = make_grid(n)
             u = random_spectrum_field(grid, 2.0, 8, seed=n, l2_norm=1.0)
@@ -88,18 +89,24 @@ class TestStep:
             coef = solver._stage_coefficients(ws, 1e-3)
             shape = spectral.band_shape(grid)
             planes = np.empty((6,) + shape, dtype=complex)  # as integrate allocates them
-            w = u.w.copy()
-            band = spectral.pack(grid, w)
+            bands = np.empty((solver._CHUNK,) + shape, dtype=complex)
+            band_rows = list(bands)
+            band = spectral.pack(grid, u.w)
             floor = solver._flush_scratch(band)  # as integrate allocates it
             assert band.shape == coef[0].shape == shape
-            solver._advance(ws, band, coef, planes)
+
+            def chunk(band):
+                for out in band_rows:
+                    solver._advance(ws, band, coef, planes, out)
+                    band = out
+                solver._flush(band, *floor)
+                ws.parseval(bands).tolist()
+                return band
+            band = chunk(band)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                solver._advance(ws, band, coef, planes)
-                solver._flush(band, *floor)
-                spectral.unpack(grid, band, w)
-                spectral.parseval(grid, w)
+                chunk(band)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -259,6 +266,165 @@ class TestSubnormalFloor:
             assert np.max(np.abs(u.w.view(float) - v.w.view(float))) < solver._FLOOR
 
 
+def _per_step_reference(u0, dt, n_steps, snap_steps):
+    """integrate's trajectory with every step's ledger read as it is taken: each step in
+    place, the floor on the band, the heat factor on the modes outside it, the band
+    unpacked into the state's plane and that plane's Parseval sums."""
+    g = u0.grid
+    ws = spectral.Workspace(g)
+    coef = solver._stage_coefficients(ws, dt)
+    planes = np.empty((6,) + ws.k_sq.shape, dtype=complex)
+    w = u0.w.copy()
+    band = spectral.pack(g, w)
+    floor = solver._flush_scratch(band)
+    heat = np.exp(-dt * g.k_sq)
+    es, gs = map(float, spectral.parseval(g, w))
+    ref = {"planes": [w.copy()], "grad_sq": [gs], "l2_sq": [es], "dissipation": [0.0]}
+    D = defect = 0.0
+    for i in range(1, n_steps + 1):
+        solver._advance(ws, band, coef, planes, band)
+        solver._flush(band, *floor)
+        w *= heat
+        spectral.unpack(g, band, w)
+        es_new, g_new = map(float, spectral.parseval(g, w))
+        inc = 0.5 * dt * (gs + g_new)
+        D += inc
+        defect = max(defect, 0.5 * es_new + inc - 0.5 * es)
+        es, gs = es_new, g_new
+        if i in snap_steps:
+            for key, x in zip(("planes", "grad_sq", "l2_sq", "dissipation"), (w.copy(), gs, es, D)):
+                ref[key].append(x)
+    ref["max_step_defect"] = defect
+    return ref
+
+
+class TestChunkedLedger:
+    # integrate steps a chunk of up to solver._CHUNK band planes, then reads their ledger in
+    # one pass; the per-step reference reads it after every step
+
+    @pytest.mark.parametrize("n, t_end", [(32, 1.0), (64, 0.5)])
+    @pytest.mark.parametrize("schedule", ["every 3", "every 16", "every 100", "listed"])
+    def test_matches_the_per_step_ledger_bit_for_bit(self, n, t_end, schedule):
+        # gaps of 3 and 16 steps and one longer than a chunk, and a listed schedule that
+        # ends before t_end, whose last steps still feed max_step_defect
+        dt = 0.005
+        u0 = random_spectrum_field(make_grid(n), 2.0, 8, seed=n, l2_norm=0.43)
+        n_steps = round(t_end / dt)
+        if schedule == "listed":
+            steps = [0, 40, 70]
+        else:
+            steps = list(range(0, n_steps + 1, int(schedule.split()[1])))
+        traj = integrate(u0, dt, t_end, snapshot_times=[k * dt for k in steps])
+        ref = _per_step_reference(u0, dt, n_steps, set(steps))
+        assert len(traj.fields) == len(ref["planes"]) == len(steps)
+        for u, w in zip(traj.fields, ref["planes"]):
+            assert np.array_equal(u.w, w)
+        for key in ("grad_sq", "l2_sq", "dissipation", "max_step_defect"):
+            assert getattr(traj, key) == ref[key], key
+
+    def test_at_n128_the_planes_match_and_the_sums_within_two_ulps(self):
+        # past n = 88 the full plane's Parseval sum is split into einsum buffers, and the
+        # band's single pass rounds differently: snapshot sums are the snapshot planes' own
+        u0 = random_spectrum_field(make_grid(128), 2.0, 8, seed=2, l2_norm=1.0)
+        steps = list(range(0, 101, 20))
+        traj = integrate(u0, 0.002, 0.2, snapshot_times=[k * 0.002 for k in steps])
+        ref = _per_step_reference(u0, 0.002, 100, set(steps))
+        for u, w in zip(traj.fields, ref["planes"]):
+            assert np.array_equal(u.w, w)
+        for key in ("grad_sq", "l2_sq", "dissipation"):
+            a, b = np.array(getattr(traj, key)), np.array(ref[key])
+            assert np.all(np.abs(a - b) <= 2 * np.spacing(b)), key
+        # the defect is a difference of terms of size |u|^2, each within 2 ulps
+        eps = np.finfo(float).eps
+        assert abs(traj.max_step_defect - ref["max_step_defect"]) <= 4 * eps * traj.l2_sq[0]
+
+    def test_modes_outside_the_band_are_floored_at_snapshots(self):
+        # k_max 16 > k_cut 10: the modes outside the band decay into the subnormal range
+        # from about step 575, which no snapshot may hold; the band part is the per-step
+        # reference's bit for bit and the sums drift from it by rounding alone
+        u0 = random_spectrum_field(make_grid(32), 2.0, 16, seed=0, l2_norm=0.43)
+        g, tiny = u0.grid, np.finfo(float).tiny
+        steps = list(range(0, 1001, 25))
+        traj = integrate(u0, 0.005, 5.0, snapshot_times=[k * 0.005 for k in steps])
+        ref = _per_step_reference(u0, 0.005, 1000, set(steps))
+
+        def subnormal(w):
+            x = w.view(float)
+            return int(np.count_nonzero((x != 0) & (np.abs(x) < tiny)))
+
+        assert sum(subnormal(w) for w in ref["planes"]) > 0
+        assert [subnormal(u.w) for u in traj.fields] == [0] * len(steps)
+        for u, w in zip(traj.fields, ref["planes"]):
+            assert np.array_equal(u.w[g.dealias], w[g.dealias])
+            x, y = u.w.view(float), w.view(float)
+            big = np.abs(y) >= solver._FLOOR  # the rest is floored to 0
+            assert np.array_equal(x[big], y[big]) and not x[~big].any()
+        assert traj.grad_sq == ref["grad_sq"] and traj.l2_sq == ref["l2_sq"]
+        eps = np.finfo(float).eps
+        D, D_ref = np.array(traj.dissipation), np.array(ref["dissipation"])
+        assert np.all(np.abs(D - D_ref) <= 4 * eps * D_ref)
+        assert abs(traj.max_step_defect - ref["max_step_defect"]) <= 8 * eps * traj.l2_sq[0]
+
+    def test_a_non_finite_step_names_its_time(self, monkeypatch, tmp_path, capsys):
+        # step 7 of the first chunk turns infinite: the error names t = 7 dt, and the CLI
+        # prints it as its one stderr line
+        advance, calls = solver._advance, []
+
+        def poisoned(ws, w, coef, planes, out):
+            advance(ws, w, coef, planes, out)
+            calls.append(out)
+            if len(calls) == 7:
+                out[1, 1] = np.inf
+        monkeypatch.setattr(solver, "_advance", poisoned)
+        with pytest.raises(IntegrationError) as err:
+            integrate(taylor_green(make_grid(32)), 0.005, 0.5)
+        assert str(err.value) == "non-finite state at t=0.035 with dt=0.005"
+        assert len(calls) == solver._CHUNK  # the chunk was stepped, and no further
+        calls.clear()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{}")  # n = 32, dt = 0.005, Taylor-Green data
+        assert main(["ns-run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: non-finite state at t=0.035 with dt=0.005"]
+
+    def test_the_floor_runs_on_its_stride_and_at_snapshots(self, monkeypatch):
+        # the thm1-like run: 1000 steps, 11 snapshots; a part at or above _FLOOR needs 36
+        # steps to go subnormal on the n = 32 band at dt 0.005 (5 at n = 128, dt 0.002)
+        flush, calls = solver._flush, []
+        monkeypatch.setattr(solver, "_flush", lambda x, *s: (calls.append(x.shape), flush(x, *s)))
+        u0 = random_spectrum_field(make_grid(32), 2.0, 8, seed=0, l2_norm=0.43)
+        traj = integrate(u0, 0.005, 5.0, snapshot_times=[0.5 * k for k in range(11)])
+        stride = solver._flush_stride(0.005, 10)
+        assert stride == 36 and solver._flush_stride(0.002, 42) == 5
+        assert len(calls) <= -(-1000 // stride) + len(traj.times) == 39
+
+    def test_the_loop_reads_the_ledger_once_per_chunk(self, monkeypatch):
+        # no per-step Parseval sum, unpack or finiteness test: one of each per chunk, and a
+        # plane's sums and unpack per snapshot
+        counts = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+        for name in ("parseval", "unpack"):
+            monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+        monkeypatch.setattr(spectral.Workspace, "parseval",
+                            counted("band parseval", spectral.Workspace.parseval))
+        monkeypatch.setattr(np, "isfinite", counted("isfinite", np.isfinite))
+        u0 = random_spectrum_field(make_grid(32), 2.0, 8, seed=0, l2_norm=0.43)
+        integrate(u0, 0.005, 5.0, snapshot_times=[0.5 * k for k in range(11)])
+        chunks = 10 * -(-100 // solver._CHUNK)
+        assert counts == {"parseval": 11, "unpack": 10, "band parseval": chunks,
+                          "isfinite": chunks}
+        # at n = 128 one band plane fills the chunk's byte budget: a chunk per step
+        counts.clear()
+        integrate(random_spectrum_field(make_grid(128), 2.0, 8, seed=0, l2_norm=1.0), 0.002,
+                  0.02)
+        assert counts == {"parseval": 2, "unpack": 1, "band parseval": 10, "isfinite": 10}
+
+
 class TestEnergyLedger:
     def test_taylor_green_matches_trapezoid_error_bound(self, tg):
         # dissipation integrand g = 2 E0 exp(-4 t): trapezoid error is
@@ -307,10 +473,10 @@ class TestEnergyLedger:
     def test_first_order_step_fails_the_ledger(self, grid32, monkeypatch):
         # an integrating-factor Euler step leaves most of its residual unexplained
         # by the trapezoid's error; the IF-RK4 step leaves ~1e-7 of it
-        def euler(ws, w, coef, planes):
+        def euler(ws, w, coef, planes, out):
             ws.level(1, w, planes[0])
-            w += 2 * coef[4] * planes[0]  # coef[4] is dt / 2
-            w *= coef[1]
+            np.add(w, 2 * coef[4] * planes[0], out=out)  # coef[4] is dt / 2
+            out *= coef[1]
         u0 = random_spectrum_field(grid32, 2.0, 8, seed=1, l2_norm=5.0)
         led = energy_ledger(integrate(u0, dt=1e-3, t_end=0.2))
         assert led.defect <= 1e-6 * led.max_abs and led.defect <= led.tolerance

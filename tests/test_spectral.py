@@ -115,10 +115,25 @@ class TestTransforms:
         assert isinstance(spectral.Workspace(make_grid(spectral.DENSE_BELOW)).transform,
                           spectral.BandFFT)
 
+    def test_the_dense_kernel_binds_its_views(self):
+        # scratch hands synthesize and analyze each plane with its view bound, and a call with
+        # them gives the bits of a call that allocates its own
+        grid = make_grid(32)
+        band = Workspace(grid).transform
+        (c, f), (x, y) = band.scratch(2, 2)
+        assert c.dtype == y.dtype == complex and f.dtype == x.dtype == float
+        assert f.base is c and y.base is x
+        rng = np.random.default_rng(5)
+        h = spectral.pack(grid, spectral._clean(grid, analyze(grid, rng.standard_normal(
+            (2, 32, 32)))))
+        assert np.array_equal(band.synthesize(h, tmp=(c, f)), band.synthesize(h))
+        X = rng.standard_normal((2, 32, 32))
+        assert np.array_equal(band.analyze(X, tmp=(x, y)), band.analyze(X))
+
     @pytest.mark.parametrize("n", [16, 32, 64, 128])
     def test_band_kernel_is_built_once_per_grid_size(self, n):
         a, b = spectral.Workspace(make_grid(n)), spectral.Workspace(make_grid(n), 3)
-        assert a.lift is b.lift and a.curl is b.curl
+        assert a.lift is b.lift and a.curl is b.curl and a.parseval_w is b.parseval_w
         assert (a.transform is b.transform) == (n < spectral.DENSE_BELOW)
 
     @pytest.mark.parametrize("n", [32, 64, 128])
@@ -418,6 +433,26 @@ class TestParseval:
         cross = (2.0 * np.pi) ** 2 * np.sum(inv * (np.conj(full[0]) * full[1]).real)
         scale = np.sqrt(ref[0, 0] * ref[1, 0])
         assert abs(parseval(grid, H[0], H[1])[0] - cross) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128])
+    def test_the_packed_band_sums_are_the_full_planes(self, n):
+        # Workspace.parseval reads the band's floats in the full plane's order, with the
+        # full plane's weights: the sums of parseval of the unpacked planes, bit for bit
+        # while a full plane fits one einsum buffer (8192 floats, n <= 88); past that the
+        # full plane's sum is split into buffers and the two differ by rounding
+        grid = make_grid(n)
+        W = np.random.default_rng(n).standard_normal((3, n, n))
+        b = spectral.pack(grid, np.fft.rfft2(W) / (n * n))
+        ws = Workspace(grid)
+        assert ws.parseval_w.shape == (2, b[0].view(float).size)
+        sums = ws.parseval(b)
+        ref = parseval(grid, spectral.unpack(grid, b, np.zeros((3,) + grid.k_sq.shape, complex)))
+        assert sums.shape == (3, 2)
+        assert np.all(np.abs(sums - ref) <= 1e-14 * ref)
+        if n < 128:
+            assert np.array_equal(sums, ref)
+        for s in range(3):
+            assert np.array_equal(ws.parseval(b[s]), sums[s])
 
     def test_every_norm_reads_the_same_sums(self, random_field):
         v = random_field
